@@ -9,10 +9,9 @@ from .graphs import (Graph, GraphError, LocalMetric, DistancePartition,
                      StructureReport, make_graph, parse_edge_list,
                      parse_graph6, to_graph6, local_metric, distance_partition,
                      structure_report, connected_graphs)
-from .exact import (IntMatrix, LocalOperators, WalkTable, LinearSolution,
-                    build_operators, walk_table, enumerate_walks,
-                    walk_counts_from, raising_powers, solve_linear,
-                    restrict_rows, restrict_columns, shape_string,
+from .exact import (LocalOperators, LinearSolution, build_operators, step,
+                    walk_column, enumerate_walks, walk_counts_from,
+                    raising_powers, solve_linear, shape_string,
                     SHAPE_FAMILIES)
 from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
                          fit_pdr, fit_endpoint1, verify_condition_values,

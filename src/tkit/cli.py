@@ -4,7 +4,9 @@ Subcommands:
   check      analyze one graph at one or all base vertices (NDJSON or table)
   construct  build an apex extension over a product and print the graph
   scan       cross-validate a graph6 corpus or an exhaustive enumeration
-  oracle     compare product-based and enumeration-based walk counts
+  oracle     compare one walk count, stepped level by level as an integer
+             vector, with explicit walk enumeration (dense matrix
+             products are kept only as a test oracle)
   partition  dump the distance partition cells of one edge
 
 Exit codes: 0 success, 2 bad input, 3 cross-validation mismatch,
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -22,7 +25,7 @@ from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
 from .exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
-                    shape_string, walk_table)
+                    shape_string, walk_column)
 from .graphs import Graph, GraphError, distance_partition, parse_edge_list, \
     parse_graph6, to_graph6
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
@@ -63,15 +66,20 @@ def load_graph(source: str, input_format: str = "auto") -> tuple[Graph, Optional
     built = _builtin(source)
     if built is not None:
         return built
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise GraphError(f"cannot read {source}: {exc}") from exc
-    return _parse_text(text, input_format), None
+    return _parse_text(_read_source(source), input_format), None
+
+
+def _read_source(source: str) -> str:
+    """The text of a file, which must be ASCII, or of stdin for '-'."""
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GraphError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot decode {source}: {exc}") from exc
 
 
 def _parse_text(text: str, input_format: str) -> Graph:
@@ -202,11 +210,7 @@ def cmd_scan(args) -> int:
             raise GraphError("--generate supports n <= 7")
         lines = generate_connected_graph6(args.generate)
     elif args.corpus is not None:
-        if args.corpus == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.corpus, "r", encoding="ascii") as fh:
-                raw = fh.read()
+        raw = _read_source(args.corpus)
         lines = iter([ln.strip() for ln in raw.splitlines() if ln.strip()])
     else:
         raise GraphError("scan needs a corpus path or --generate N")
@@ -258,13 +262,13 @@ def cmd_oracle(args) -> int:
     y = g.index_of(args.y)
     z = g.index_of(args.z)
     family, m = _parse_shape(args.shape)
-    table = walk_table(build_operators(g, x), family, m)
-    from_table = table.counts[z, y]
-    from_enum = enumerate_walks(g, x, shape_string(family, m), y, z)
-    agree = from_table == from_enum
+    shape = shape_string(family, m)
+    stepped = walk_column(build_operators(g, x), shape, y)[z]
+    from_enum = enumerate_walks(g, x, shape, y, z)
+    agree = stepped == from_enum
     print(json.dumps({
         "shape": args.shape, "family": family, "m": m,
-        "walk_table": str(from_table), "enumeration": str(from_enum),
+        "walk_table": str(stepped), "enumeration": str(from_enum),
         "agree": agree,
     }, sort_keys=True, separators=(",", ":")))
     return 0 if agree else 4
@@ -290,10 +294,21 @@ def cmd_partition(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42,
                    help="random seed for the decomposition (default 42)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="numeric tolerance for rank decisions (default 1e-9)")
 
 

@@ -94,10 +94,14 @@ class AlgebraicVerdict:
 
 
 def generator_matrices(ops: LocalOperators) -> list[np.ndarray]:
-    """Adjacency matrix and level projectors as float arrays."""
-    mats = [np.array(ops.adjacency.entries, dtype=float)]
-    mats.extend(np.array(e.entries, dtype=float) for e in ops.duals)
-    return mats
+    """Adjacency matrix and level projectors as 0/1 float arrays."""
+    n = ops.graph.n
+    adjacency = np.zeros((n, n))
+    for u, nbrs in enumerate(ops.graph.adj):
+        adjacency[u, list(nbrs)] = 1.0
+    dist = np.array(ops.metric.dist)
+    return [adjacency] + [np.diag((dist == i).astype(float))
+                          for i in range(ops.ecc + 1)]
 
 
 # ---------------------------------------------------------------------------

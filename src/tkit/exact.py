@@ -1,97 +1,20 @@
-"""Exact integer matrices, the local operator family, and walk-shape counts.
+"""The local operator family, level-stepped walk counts, and exact solving.
 
 Everything here is integer or rational arithmetic with no tolerances. Walk
-counts grow exponentially with walk length, so entries are arbitrary
-precision by construction (plain Python ints).
+counts are vectors indexed by vertex, pushed one level step at a time along
+adjacency lists. They grow exponentially with walk length, so entries are
+arbitrary precision by construction (plain Python ints).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import Graph, LocalMetric, local_metric
 
 SHAPE_FAMILIES = ("r", "rl", "lr", "rf")
 _STEP = {"r": 1, "f": 0, "l": -1}
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("ragged rows")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = tuple(zip(*other.entries))
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
-
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in row) for row in self.entries)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        """Restriction to the given rows and columns, in the given order."""
-        if not row_idx or not col_idx:
-            raise ValueError("empty restriction")
-        return IntMatrix(tuple(
-            tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
-
-    def to_decimal_rows(self) -> list[list[str]]:
-        """Entries as decimal strings, for JSON transport of big integers."""
-        return [[str(e) for e in row] for row in self.entries]
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(e) for e in row) for row in rows))
-
-
-def restrict_rows(m: IntMatrix, row_idx: Sequence[int]) -> IntMatrix:
-    return m.submatrix(row_idx, range(m.cols))
-
-
-def restrict_columns(m: IntMatrix, col_idx: Sequence[int]) -> IntMatrix:
-    return m.submatrix(range(m.rows), col_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -147,40 +70,30 @@ def solve_linear(rows: Sequence[Sequence[int | Fraction]],
         if aug[i][ncols] != 0:
             return LinearSolution(False, tuple([None] * ncols),
                                   tuple(c for _, c in pivots), origin[i])
-    values: list[Optional[Fraction]] = [None] * ncols
-    pivot_cols = {c for _, c in pivots}
     # canonical assignment: free variables are zero, so a pivot variable's
-    # value is just the reduced right-hand side
+    # value is just the reduced right-hand side; free ones stay None
+    values: list[Optional[Fraction]] = [None] * ncols
     for pr, c in pivots:
         values[c] = aug[pr][ncols]
-    for c in range(ncols):
-        if c not in pivot_cols:
-            values[c] = None
-    return LinearSolution(True, tuple(values), tuple(sorted(pivot_cols)), None)
+    return LinearSolution(True, tuple(values), tuple(c for _, c in pivots), None)
 
 
 # ---------------------------------------------------------------------------
-# Local operators: adjacency, dual idempotents, lowering/flat/raising parts
+# Local operators and level-stepped walk counts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LocalOperators:
-    """The adjacency matrix split by the distance levels of a base vertex.
+    """A graph with the distance levels of a base vertex.
 
-    duals[i] projects onto the vertices at distance i from the base. The
-    lowering, flat and raising matrices are the parts of the adjacency
-    matrix that step one level down, stay level, and step one level up;
-    their sum is the adjacency matrix and raising is the transpose of
-    lowering.
+    The adjacency matrix splits into a lowering, a flat and a raising part
+    (steps one level down, within a level, one level up). These operators
+    are never formed; step() applies one of them to a count vector by
+    walking the adjacency lists.
     """
 
     graph: Graph
     metric: LocalMetric
-    adjacency: IntMatrix
-    duals: tuple[IntMatrix, ...]
-    lowering: IntMatrix
-    flat: IntMatrix
-    raising: IntMatrix
 
     @property
     def base(self) -> int:
@@ -192,82 +105,47 @@ class LocalOperators:
 
 
 def build_operators(g: Graph, x: int) -> LocalOperators:
-    """Adjacency matrix, dual idempotents and level-split parts at base x.
+    """The local operator family at base x. Requires g connected."""
+    return LocalOperators(g, local_metric(g, x))
 
-    Requires g connected; all identities hold exactly in integer arithmetic.
+
+def step(ops: LocalOperators, counts: Sequence[int], letter: str) -> list[int]:
+    """Apply the raising ("r"), flat ("f") or lowering ("l") part of the
+    adjacency matrix to a vector of walk counts indexed by vertex.
+
+    Entry w of the result is the number of walks that extend a counted walk
+    by one step of that kind and end at w.
     """
-    metric = local_metric(g, x)
-    n = g.n
-    dist = metric.dist
-    adj_rows = [[0] * n for _ in range(n)]
-    low_rows = [[0] * n for _ in range(n)]
-    flat_rows = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in g.adj[u]:
-            adj_rows[u][v] = 1
-            if dist[u] == dist[v] - 1:
-                low_rows[u][v] = 1
-            elif dist[u] == dist[v]:
-                flat_rows[u][v] = 1
-    duals = []
-    for i in range(metric.ecc + 1):
-        duals.append(IntMatrix(tuple(
-            tuple(int(r == c and dist[r] == i) for c in range(n)) for r in range(n))))
-    lowering = IntMatrix.from_rows(low_rows)
-    return LocalOperators(
-        graph=g,
-        metric=metric,
-        adjacency=IntMatrix.from_rows(adj_rows),
-        duals=tuple(duals),
-        lowering=lowering,
-        flat=IntMatrix.from_rows(flat_rows),
-        raising=lowering.transpose(),
-    )
+    delta = _STEP[letter]
+    dist = ops.metric.dist
+    adj = ops.graph.adj
+    out = [0] * len(counts)
+    for u, c in enumerate(counts):
+        if c:
+            want = dist[u] + delta
+            for w in adj[u]:
+                if dist[w] == want:
+                    out[w] += c
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Walk-shape count tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WalkTable:
-    """Walk counts of one shape with respect to a base vertex.
-
-    family "r" with exponent m counts walks that raise the level m times;
-    "rl" appends one lowering step, "rf" one flat step, and "lr" prepends
-    one lowering step. Entry (z, y) is the number of walks from y to z of
-    that shape. Exponent 0 of family "r" is the empty walk (identity).
-    """
-
-    family: str
-    m: int
-    counts: IntMatrix
+def walk_column(ops: LocalOperators, shape: str, y: int) -> list[int]:
+    """Walks from y whose step letters match shape, counted by endpoint:
+    column y of the product of the shape's level operators."""
+    counts = [0] * ops.graph.n
+    counts[y] = 1
+    for letter in shape:
+        counts = step(ops, counts, letter)
+    return counts
 
 
-def raising_powers(ops: LocalOperators, max_m: int) -> list[IntMatrix]:
-    """[R^0, R^1, ..., R^max_m]; powers beyond the eccentricity are zero."""
-    powers = [IntMatrix.identity(ops.graph.n)]
+def raising_powers(ops: LocalOperators, v: int, max_m: int) -> list[list[int]]:
+    """[R^0 e_v, R^1 e_v, ..., R^max_m e_v]: counts of the walks from v
+    that raise the level at every step; powers past the last level are zero."""
+    powers = [walk_column(ops, "", v)]
     for _ in range(max_m):
-        powers.append(ops.raising @ powers[-1])
+        powers.append(step(ops, powers[-1], "r"))
     return powers
-
-
-def walk_table(ops: LocalOperators, family: str, m: int) -> WalkTable:
-    """Exact walk counts of one shape family via matrix products."""
-    if family not in SHAPE_FAMILIES:
-        raise ValueError(f"unknown shape family {family!r}")
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    rm = raising_powers(ops, m)[m]
-    if family == "r":
-        counts = rm
-    elif family == "rl":
-        counts = ops.lowering @ rm
-    elif family == "lr":
-        counts = rm @ ops.lowering
-    else:  # "rf"
-        counts = ops.flat @ rm
-    return WalkTable(family, m, counts)
 
 
 def shape_string(family: str, m: int) -> str:
@@ -290,7 +168,7 @@ def walk_counts_from(g: Graph, x: int, shape: str, y: int,
 
     The shape is a string over {r, f, l}: each letter constrains one step
     to raise, keep or lower the distance from x. This enumerates every
-    walk individually and is the independent oracle for walk_table.
+    walk individually and is the independent oracle for walk_column.
     """
     for ch in shape:
         if ch not in _STEP:

@@ -140,7 +140,10 @@ def parse_graph6(data: bytes | str) -> Graph:
     reporting the byte offset.
     """
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise GraphError(f"graph6 offset {exc.start}: non-ASCII character") from None
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exact import LocalOperators, raising_powers, solve_linear
+from .exact import LocalOperators, raising_powers, solve_linear, step
 from .graphs import DistancePartition, distance_partition
 
 log = logging.getLogger(__name__)
@@ -66,31 +66,34 @@ class PdrProfile:
     witness: Optional[PdrWitness]
 
 
+def _columns(ops: LocalOperators, v: int, max_m: int) -> tuple[list[list[int]], ...]:
+    """Column v of the walk-count matrices R^m, L R^m and F R^m for
+    m = 0..max_m, as count vectors indexed by vertex."""
+    up = raising_powers(ops, v, max_m)
+    return up, [step(ops, c, "l") for c in up], [step(ops, c, "f") for c in up]
+
+
 def fit_pdr(ops: LocalOperators) -> PdrProfile:
     d = ops.ecc
-    x = ops.base
-    powers = raising_powers(ops, d + 1)
-    up_down = [ops.lowering @ powers[m] for m in range(d + 2)]
-    up_flat = [ops.flat @ powers[m] for m in range(d + 1)]
+    powers, up_down, up_flat = _columns(ops, ops.base, d + 1)
 
     alphas: list[Fraction] = []
     betas: list[Fraction] = []
     witness: Optional[PdrWitness] = None
     for i in range(d + 1):
-        sphere = ops.metric.sphere(i)
-        z0 = sphere[0]
-        base_count = powers[i][z0, x]
+        z0 = ops.metric.sphere(i)[0]
+        base_count = powers[i][z0]
         # every level vertex is reached by at least one geodesic, so the
         # reference count is positive and the ratios are well defined
-        alphas.append(Fraction(up_down[i + 1][z0, x], base_count))
-        betas.append(Fraction(up_flat[i][z0, x], base_count))
+        alphas.append(Fraction(up_down[i + 1][z0], base_count))
+        betas.append(Fraction(up_flat[i][z0], base_count))
     for i in range(d + 1):
         for z in ops.metric.sphere(i):
-            r_count = powers[i][z, x]
-            if up_down[i + 1][z, x] != alphas[i] * r_count:
+            r_count = powers[i][z]
+            if up_down[i + 1][z] != alphas[i] * r_count:
                 witness = PdrWitness(i, z, "alpha")
                 break
-            if up_flat[i][z, x] != betas[i] * r_count:
+            if up_flat[i][z] != betas[i] * r_count:
                 witness = PdrWitness(i, z, "beta")
                 break
         if witness:
@@ -162,6 +165,22 @@ def neighbor_partitions(ops: LocalOperators) -> dict[int, DistancePartition]:
     return {y: distance_partition(g, ops.base, y) for y in g.neighbors(ops.base)}
 
 
+def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
+                       ) -> list[dict[int, tuple[list[int], ...]]]:
+    """Per level i = 1..ecc, for each neighbor y of the base, column y of
+    the four walk-count matrices of the endpoint-one equations:
+    up_only = R^{i-1}, up_after_down = R^i L, down_after_up = L R^i and
+    flat_after_up = F R^{i-1}. Column y of R^i L is R^i e_x for every
+    neighbor y, because L e_y = e_x.
+    """
+    d = ops.ecc
+    from_base = raising_powers(ops, ops.base, d)
+    at = {y: _columns(ops, y, d) for y in nbrs}
+    return [{y: (up[i - 1], from_base[i], down[i], flat[i - 1])
+             for y, (up, down, flat) in at.items()}
+            for i in range(1, d + 1)]
+
+
 def fit_endpoint1(ops: LocalOperators,
                   partitions: Optional[Mapping[int, DistancePartition]] = None,
                   pdr: Optional[PdrProfile] = None) -> Endpoint1Profile:
@@ -186,25 +205,19 @@ def fit_endpoint1(ops: LocalOperators,
     if partitions is None:
         partitions = neighbor_partitions(ops)
 
-    d = ops.ecc
-    powers = raising_powers(ops, d)
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
-    for i in range(1, d + 1):
-        down_after_up = ops.lowering @ powers[i]
-        up_after_down = powers[i] @ ops.lowering
-        flat_after_up = ops.flat @ powers[i - 1]
-        up_only = powers[i - 1]
-
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
         rows: list[tuple[int, int]] = []
         rhs_mix: list[int] = []
         rhs_flat: list[int] = []
         eqs: list[tuple[int, int]] = []
         for y in nbrs:
+            up_only, up_after_down, down_after_up, flat_after_up = columns[y]
             for z in ops.metric.sphere(i):
-                rows.append((up_only[z, y], up_after_down[z, y]))
-                rhs_mix.append(down_after_up[z, y])
-                rhs_flat.append(flat_after_up[z, y])
+                rows.append((up_only[z], up_after_down[z]))
+                rhs_mix.append(down_after_up[z])
+                rhs_flat.append(flat_after_up[z])
                 eqs.append((y, z))
 
         sol_km = solve_linear(rows, rhs_mix)
@@ -218,20 +231,17 @@ def fit_endpoint1(ops: LocalOperators,
 
         sol_tr_final = sol_tr
         if up_nonempty and sol_tr.consistent:
-            constrained = solve_linear(list(rows) + [(0, 1)], list(rhs_flat) + [0])
-            if not constrained.consistent:
+            sol_tr_final = solve_linear(list(rows) + [(0, 1)], list(rhs_flat) + [0])
+            if not sol_tr_final.consistent:
                 # equations admit solutions but none with a vanishing flat
                 # scalar; treated as a failure of the condition
                 log.warning(
                     "level %d: flat-scalar side condition conflicts with an "
                     "otherwise consistent system", i)
-                sol_tr_final = constrained
-            else:
-                if not forced_zero:
-                    log.debug(
-                        "level %d: flat scalar left free by the equations, "
-                        "pinned to zero by the side condition", i)
-                sol_tr_final = constrained
+            elif not forced_zero:
+                log.debug(
+                    "level %d: flat scalar left free by the equations, "
+                    "pinned to zero by the side condition", i)
 
         consistent = sol_km.consistent and sol_tr_final.consistent
         if witness is None and not consistent:
@@ -281,24 +291,20 @@ def verify_condition_values(
         raise ValueError("scalar sequences must have one entry per level 1..ecc")
     if partitions is None:
         partitions = neighbor_partitions(ops)
-    powers = raising_powers(ops, d)
-    for i in range(1, d + 1):
-        down_after_up = ops.lowering @ powers[i]
-        up_after_down = powers[i] @ ops.lowering
-        flat_after_up = ops.flat @ powers[i - 1]
-        up_only = powers[i - 1]
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
         k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
         for y in nbrs:
+            up_only, up_after_down, down_after_up, flat_after_up = columns[y]
             part = partitions[y]
             for z in part.cell(i, i + 1) + part.cell(i, i):
-                if down_after_up[z, y] != m_i * up_after_down[z, y]:
+                if down_after_up[z] != m_i * up_after_down[z]:
                     return E1Witness(i, y, z, "kappa-mu")
-                if flat_after_up[z, y] != r_i * up_after_down[z, y]:
+                if flat_after_up[z] != r_i * up_after_down[z]:
                     return E1Witness(i, y, z, "theta-rho")
             for z in part.cell(i, i - 1):
-                if down_after_up[z, y] != k_i * up_only[z, y] + m_i * up_after_down[z, y]:
+                if down_after_up[z] != k_i * up_only[z] + m_i * up_after_down[z]:
                     return E1Witness(i, y, z, "kappa-mu")
-                if flat_after_up[z, y] != t_i * up_only[z, y] + r_i * up_after_down[z, y]:
+                if flat_after_up[z] != t_i * up_only[z] + r_i * up_after_down[z]:
                     return E1Witness(i, y, z, "theta-rho")
         if any(partitions[y].cell(i, i + 1) for y in nbrs) and r_i != 0:
             return E1Witness(i, None, None, "rho-side-condition")

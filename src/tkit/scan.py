@@ -16,7 +16,8 @@ from typing import Any, Iterable, Iterator, Optional
 
 from .decompose import FAIL, PASS, algebraic_verdict, decompose, dual_block_dims
 from .exact import build_operators
-from .graphs import connected_graphs, parse_graph6, structure_report, to_graph6
+from .graphs import (GraphError, connected_graphs, parse_graph6,
+                     structure_report, to_graph6)
 from .regularity import fit_endpoint1, fit_pdr, neighbor_partitions
 from .report import analyze, report_to_dict
 
@@ -81,6 +82,8 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
                deep: bool = True) -> dict[str, Any]:
     """Cross-validate every base vertex of one graph6-encoded graph."""
     g = parse_graph6(graph6)
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
     out: dict[str, Any] = {
         "graph6": to_graph6(g),
         "counts": {key: 0 for key in CATEGORY_KEYS},
@@ -138,9 +141,12 @@ def _deep_checks(g, x, ops, rep, out) -> None:
             {"graph6": out["graph6"], "base": g.labels[x]})
 
 
-def _worker(args: tuple[str, int, float, bool]) -> dict[str, Any]:
-    graph6, seed, tol, deep = args
-    return scan_graph(graph6, seed=seed, tol=tol, deep=deep)
+def _worker(args: tuple[int, str, int, float, bool]) -> dict[str, Any]:
+    record, graph6, seed, tol, deep = args
+    try:
+        return scan_graph(graph6, seed=seed, tol=tol, deep=deep)
+    except GraphError as exc:
+        raise GraphError(f"record {record} ({graph6}): {exc}") from None
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -162,10 +168,12 @@ def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
                 progress: Optional[Any] = None) -> ScanSummary:
     """Scan a stream of graph6 records. Work is distributed over processes
     but merged in input order, so the summary is independent of the job
-    count."""
+    count. A malformed or disconnected record raises GraphError naming its
+    1-based record number."""
     jobs = resolve_jobs(jobs)
     summary = ScanSummary()
-    work = ((line, seed, tol, deep) for line in graph6_lines)
+    work = ((record, line, seed, tol, deep)
+            for record, line in enumerate(graph6_lines, start=1))
     if jobs == 1:
         results: Iterator[dict[str, Any]] = map(_worker, work)
         _merge(summary, results, progress)

@@ -3,12 +3,14 @@
 The production fitter assembles a single linear system per level; this
 oracle follows the two-clause formulation literally (separate equations on
 the upward/mid cells and on the downward cells) and is used to confirm the
-unified system is equivalent.
+unified system is equivalent. Its walk counts come from dense matrix
+products (matrix_oracle), not from the package's level-stepped vectors.
 """
 from fractions import Fraction
 from typing import Optional
 
-from tkit.exact import LocalOperators, raising_powers, solve_linear
+from matrix_oracle import build_matrix_operators, matrix_raising_powers
+from tkit.exact import LocalOperators, solve_linear
 from tkit.regularity import neighbor_partitions
 
 
@@ -36,13 +38,14 @@ def fit_clausewise(ops: LocalOperators, partitions=None):
     nbrs = g.neighbors(x)
     parts = partitions if partitions is not None else neighbor_partitions(ops)
     d = ops.ecc
-    powers = raising_powers(ops, d)
+    mops = build_matrix_operators(g, x)
+    powers = matrix_raising_powers(mops, d)
     ok = True
     levels = []
     for i in range(1, d + 1):
-        down_after_up = ops.lowering @ powers[i]
-        up_after_down = powers[i] @ ops.lowering
-        flat_after_up = ops.flat @ powers[i - 1]
+        down_after_up = mops.lowering @ powers[i]
+        up_after_down = powers[i] @ mops.lowering
+        flat_after_up = mops.flat @ powers[i - 1]
         up_only = powers[i - 1]
 
         a_mu: list[tuple[int, int]] = []

@@ -18,8 +18,9 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, predicted_profile,
                                 rook_graph_3x3)
 from tkit.decompose import algebraic_verdict, decompose, subspace_distance
+from matrix_oracle import build_matrix_operators, walk_table
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
-                        walk_counts_from, walk_table)
+                        walk_column, walk_counts_from)
 from tkit.graphs import GraphError, make_graph
 from tkit.regularity import fit_endpoint1, fit_pdr, verify_condition_values
 from tkit.report import AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze
@@ -146,7 +147,8 @@ def test_criterion_06_exhaustive_cross_validation(scans):
 
 
 def test_criterion_07_walk_count_oracle():
-    with _gate(7, "walk tables equal explicit enumeration on 500 graphs"):
+    with _gate(7, "walk tables and level-stepped counts equal explicit "
+                  "enumeration on 500 graphs"):
         start = time.perf_counter()
         rng = random.Random(20260808)
         instances = []
@@ -160,15 +162,18 @@ def test_criterion_07_walk_count_oracle():
                 instances.append((g, rng.randrange(n)))
         for g, x in instances:
             ops = build_operators(g, x)
+            mops = build_matrix_operators(g, x)
             metric = ops.metric
             for family in SHAPE_FAMILIES:
                 for m in range(metric.ecc + 2):
-                    table = walk_table(ops, family, m).counts
+                    table = walk_table(mops, family, m)
                     shape = shape_string(family, m)
                     for y in range(g.n):
                         by_end = walk_counts_from(g, x, shape, y, metric)
+                        column = walk_column(ops, shape, y)
                         for z in range(g.n):
                             assert table[z, y] == by_end.get(z, 0)
+                            assert column[z] == by_end.get(z, 0)
         assert time.perf_counter() - start < 120.0
 
 

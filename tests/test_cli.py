@@ -143,6 +143,27 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path), "--vertex", "a")
         assert code == 2 and "connected" in err
 
+    def test_non_ascii_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes("a b\nb \u00e9\n".encode("utf-8"))
+        code, _, err = run_cli(capsys, "check", str(path), "--vertex", "a")
+        assert code == 2 and "cannot decode" in err and "ascii" in err
+
+    def test_non_ascii_graph6_on_stdin_rejected(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("C\u00e9\n"))
+        code, _, err = run_cli(capsys, "check", "-", "--all-vertices",
+                               "--input", "graph6")
+        assert code == 2 and "non-ASCII" in err
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
+    def test_bad_tol_rejected(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "example", "--vertex", "1", "--decompose",
+                  f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_graph6_file_input(self, capsys, tmp_path):
         path = tmp_path / "k3.g6"
         path.write_text("Bw\n")
@@ -226,6 +247,27 @@ class TestScan:
     def test_needs_source(self, capsys):
         code, _, err = run_cli(capsys, "scan")
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("record", ["C?", "Cg"])
+    def test_disconnected_record_rejected(self, capsys, tmp_path, record, jobs):
+        # C? has only isolated vertices, which used to pass as vacuous;
+        # Cg has a vertex of degree 2, which used to abort unnamed
+        path = tmp_path / "corpus.g6"
+        path.write_text(f"Bw\n{record}\nDhc\n")
+        code, out, err = run_cli(capsys, "scan", str(path), "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert f"record 2 ({record})" in err and "disconnected" in err
+
+    def test_missing_corpus_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "scan", str(tmp_path / "absent.g6"))
+        assert code == 2 and "cannot read" in err
+
+    def test_non_ascii_corpus_rejected(self, capsys, tmp_path):
+        path = tmp_path / "corpus.g6"
+        path.write_bytes("Bw\nC\u00e9\n".encode("utf-8"))
+        code, _, err = run_cli(capsys, "scan", str(path), "--jobs", "1")
+        assert code == 2 and "cannot decode" in err and "ascii" in err
 
 
 class TestOracle:

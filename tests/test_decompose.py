@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matrix_oracle import build_matrix_operators
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
@@ -18,10 +19,10 @@ class TestTrivialModuleBasis:
         sub = trivial_module_basis(example_ops)
         assert sub.dim == 3
         # thin case: agrees with the span of the raised base indicators
-        powers = raising_powers(example_ops, example_ops.ecc)
+        powers = raising_powers(example_ops, example_ops.base, example_ops.ecc)
         raised = []
         for p in powers:
-            col = np.array([p[v, example_ops.base] for v in range(6)], float)
+            col = np.array(p, float)
             raised.append(col / np.linalg.norm(col))
         q, _ = np.linalg.qr(np.vstack(raised).T)
         assert subspace_distance(sub, q.T) < 1e-9
@@ -33,6 +34,18 @@ class TestTrivialModuleBasis:
     def test_petersen(self):
         ops = build_operators(petersen_graph(), 0)
         assert trivial_module_basis(ops).dim == 3
+
+
+def test_generator_matrices_match_dense_build():
+    for n in (1, 2, 3, 4):
+        for g in connected_graphs(n):
+            for x in range(g.n):
+                mops = build_matrix_operators(g, x)
+                want = [mops.adjacency] + list(mops.duals)
+                got = generator_matrices(build_operators(g, x))
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, np.array(b.entries, dtype=float))
 
 
 class TestCommutant:

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tkit.exact import (IntMatrix, SHAPE_FAMILIES, build_operators,
-                        enumerate_walks, raising_powers, restrict_columns,
-                        restrict_rows, shape_string, solve_linear, walk_table,
-                        walk_counts_from)
+from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
+from tkit.exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
+                        raising_powers, shape_string, solve_linear, step,
+                        walk_column, walk_counts_from)
 from tkit.graphs import connected_graphs, local_metric, parse_edge_list
-from tkit.constructions import complete_graph, example_graph, path_graph
+from tkit.constructions import complete_graph
 
 
 class TestIntMatrix:
@@ -33,11 +33,6 @@ class TestIntMatrix:
         m = IntMatrix.identity(2)
         with pytest.raises(ValueError):
             m.submatrix([], [0])
-
-    def test_decimal_rows_big_ints(self):
-        big = 10 ** 30
-        m = IntMatrix.from_rows([[big]])
-        assert m.to_decimal_rows() == [[str(big)]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -72,16 +67,19 @@ class TestSolveLinear:
 
 
 class TestBuildOperators:
-    def test_example_dual_one(self, example, example_ops):
+    """Self-consistency of the dense operator build in the matrix oracle."""
+
+    def test_example_dual_one(self, example):
         g, x = example
-        diag = [example_ops.duals[1][v, v] for v in range(g.n)]
+        duals = build_matrix_operators(g, x).duals
+        diag = [duals[1][v, v] for v in range(g.n)]
         assert [g.labels[v] for v in range(g.n) if diag[v]] == ["2", "3"]
 
     def test_defining_identities_exhaustive(self):
         for n in (2, 3, 4):
             for g in connected_graphs(n):
                 for x in range(g.n):
-                    ops = build_operators(g, x)
+                    ops = build_matrix_operators(g, x)
                     a, d = ops.adjacency, ops.ecc
                     assert ops.lowering + ops.flat + ops.raising == a
                     assert ops.raising == ops.lowering.transpose()
@@ -107,47 +105,84 @@ class TestBuildOperators:
 
     def test_k2_parts(self):
         g = parse_edge_list("a b")
-        ops = build_operators(g, 0)
+        ops = build_matrix_operators(g, 0)
         assert ops.lowering.entries == ((0, 1), (0, 0))
         assert ops.raising.entries == ((0, 0), (1, 0))
         assert ops.flat.is_zero()
 
 
-class TestWalkTables:
-    def test_r0_is_identity(self, example_ops):
-        assert walk_table(example_ops, "r", 0).counts == IntMatrix.identity(6)
+class TestStep:
+    def test_k2_parts(self):
+        ops = build_operators(parse_edge_list("a b"), 0)
+        assert step(ops, [1, 0], "r") == [0, 1]
+        assert step(ops, [0, 1], "l") == [1, 0]
+        assert step(ops, [5, 7], "f") == [0, 0]
+        assert step(ops, [1, 0], "l") == [0, 0]
 
-    def test_example_entries(self, example, example_ops):
+    def test_example_counts(self, example, example_ops):
         g, x = example
-        table = walk_table(example_ops, "rl", 1).counts
-        i1, i2, i3 = g.index_of("1"), g.index_of("2"), g.index_of("3")
-        assert table[i1, i1] == 2  # 1-2-1 and 1-3-1
-        assert table[i3, i2] == 1  # 2-5-3
+        label = lambda vec: {g.labels[v]: c for v, c in enumerate(vec) if c}
+        powers = raising_powers(example_ops, x, 3)
+        assert [label(p) for p in powers] == [
+            {"1": 1}, {"2": 1, "3": 1}, {"4": 1, "5": 2, "6": 1}, {}]
+        assert label(step(example_ops, powers[1], "f")) == {"2": 1, "3": 1}
+        assert label(step(example_ops, powers[2], "l")) == {"2": 3, "3": 3}
 
-    def test_two_raises_from_level_one_vanish(self, example, example_ops):
-        g, _ = example
-        table = walk_table(example_ops, "r", 2).counts
-        y = g.index_of("2")
-        assert all(table[z, y] == 0 for z in range(g.n))
-
-    def test_bad_family(self, example_ops):
-        with pytest.raises(ValueError):
-            walk_table(example_ops, "ff", 1)
-
-    def test_oracle_equivalence_exhaustive(self):
+    def test_matches_matrix_products_exhaustive(self):
+        # one step by each letter equals the matching dense operator
+        # applied to a column, on every connected graph with n <= 4
         for n in (2, 3, 4):
             for g in connected_graphs(n):
                 for x in range(g.n):
                     ops = build_operators(g, x)
+                    mops = build_matrix_operators(g, x)
+                    mats = {"r": mops.raising, "f": mops.flat, "l": mops.lowering}
+                    for y in range(g.n):
+                        for m in range(ops.ecc + 2):
+                            col = raising_powers(ops, y, m)[m]
+                            for letter, mat in mats.items():
+                                want = [sum(mat[z, w] * col[w] for w in range(g.n))
+                                        for z in range(g.n)]
+                                assert step(ops, col, letter) == want
+
+
+class TestWalkTables:
+    def test_r0_is_identity(self, example_ops):
+        assert [walk_column(example_ops, "", y) for y in range(6)] == \
+            [list(row) for row in IntMatrix.identity(6).entries]
+
+    def test_example_entries(self, example, example_ops):
+        g, x = example
+        i1, i2, i3 = g.index_of("1"), g.index_of("2"), g.index_of("3")
+        assert walk_column(example_ops, "rl", i1)[i1] == 2  # 1-2-1 and 1-3-1
+        assert walk_column(example_ops, "rl", i2)[i3] == 1  # 2-5-3
+
+    def test_two_raises_from_level_one_vanish(self, example, example_ops):
+        g, _ = example
+        y = g.index_of("2")
+        assert walk_column(example_ops, "rr", y) == [0] * g.n
+
+    def test_bad_family(self, example):
+        with pytest.raises(ValueError):
+            walk_table(build_matrix_operators(*example), "ff", 1)
+
+    def test_oracle_equivalence_exhaustive(self):
+        # level-stepped vectors, matrix products and enumeration agree
+        for n in (2, 3, 4):
+            for g in connected_graphs(n):
+                for x in range(g.n):
+                    ops = build_operators(g, x)
+                    mops = build_matrix_operators(g, x)
                     metric = ops.metric
                     for family in SHAPE_FAMILIES:
                         for m in range(metric.ecc + 2):
-                            table = walk_table(ops, family, m).counts
+                            table = walk_table(mops, family, m)
                             shape = shape_string(family, m)
                             for y in range(g.n):
                                 byend = walk_counts_from(g, x, shape, y, metric)
+                                column = walk_column(ops, shape, y)
                                 for z in range(g.n):
-                                    assert table[z, y] == byend.get(z, 0)
+                                    assert table[z, y] == byend.get(z, 0) == column[z]
 
     def test_restricted_block_positivity(self):
         # the one-step-down block over (level i) x (level 1) has all
@@ -163,20 +198,22 @@ class TestWalkTables:
                     if g.degree(x) < 1:
                         continue
                     ops = build_operators(g, x)
-                    powers = raising_powers(ops, ops.ecc)
                     sph1 = list(ops.metric.sphere(1))
                     dist = {y: local_metric(g, y).dist for y in sph1}
-                    for i in range(ops.ecc + 1):
-                        sphi = list(ops.metric.sphere(i))
-                        down = (powers[i] @ ops.lowering).submatrix(sphi, sph1)
-                        assert all(e > 0 for row in down.entries for e in row)
-                        if i == 0:
-                            continue
-                        up = powers[i - 1].submatrix(sphi, sph1)
-                        assert not up.is_zero()
-                        for r, z in enumerate(sphi):
-                            for c, y in enumerate(sph1):
-                                assert (up[r, c] > 0) == (dist[y][z] == i - 1)
+                    from_x = raising_powers(ops, x, ops.ecc)
+                    for y in sph1:
+                        from_y = raising_powers(ops, y, ops.ecc)
+                        for i in range(ops.ecc + 1):
+                            sphi = ops.metric.sphere(i)
+                            # column y of R^i L is R^i e_x
+                            down = walk_column(ops, "l" + "r" * i, y)
+                            assert down == from_x[i]
+                            assert all(down[z] > 0 for z in sphi)
+                            if i == 0:
+                                continue
+                            up = from_y[i - 1]
+                            for z in sphi:
+                                assert (up[z] > 0) == (dist[y][z] == i - 1)
 
 
 class TestEnumerateWalks:
@@ -201,22 +238,16 @@ class TestEnumerateWalks:
 
 class TestRestrictHelpers:
     def test_identity_block(self, example, example_ops):
-        g, _ = example
         sph1 = list(example_ops.metric.sphere(1))
-        block = walk_table(example_ops, "r", 0).counts.submatrix(sph1, sph1)
+        block = walk_table(build_matrix_operators(*example), "r", 0).submatrix(sph1, sph1)
         assert block == IntMatrix.identity(2)
-
-    def test_row_column_functions(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
-        assert restrict_rows(m, [1]).entries == ((3, 4),)
-        assert restrict_columns(m, [0]).entries == ((1,), (3,))
 
 
 def test_walk_counts_grow_without_overflow():
     # dense graph, long walks: counts exceed 64-bit range and must stay exact
     g = complete_graph(9)
     ops = build_operators(g, 0)
-    flat_power = ops.flat
-    for _ in range(25):
-        flat_power = flat_power @ ops.flat
-    assert max(max(row) for row in flat_power.entries) > 2 ** 64
+    counts = walk_column(ops, "f" * 26, 1)
+    assert max(counts) > 2 ** 64
+    # level 1 is a K8, so closed flat walks follow (7^k + 7 (-1)^k) / 8
+    assert counts[1] == (7 ** 26 + 7) // 8
