@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
+from .decompose import DecompositionError
 from .exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
                     shape_string, walk_column)
 from .graphs import Graph, GraphError, distance_partition, parse_edge_list, \
@@ -219,7 +220,7 @@ def cmd_scan(args) -> int:
     if args.progress:
         progress = lambda n: print(f"# scanned {n} graphs", file=sys.stderr)
     summary = scan_corpus(lines, jobs=args.jobs, seed=args.seed, tol=args.tol,
-                          deep=not args.no_deep, progress=progress)
+                          progress=progress)
     if args.format == "table":
         print(f"graphs {summary.graphs}  instances {summary.instances}")
         for key, value in summary.counts.items():
@@ -313,15 +314,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # -v is accepted before and after the subcommand; SUPPRESS keeps a
+    # subcommand that got no -v from resetting the count given before it
+    verbosity = argparse.ArgumentParser(add_help=False)
+    verbosity.add_argument("-v", "--verbose", action="count",
+                           default=argparse.SUPPRESS,
+                           help="log more (-v info, -vv debug) on stderr")
     parser = argparse.ArgumentParser(
-        prog="tkit",
+        prog="tkit", parents=[verbosity],
         description="Local analysis of a graph's Terwilliger algebra: exact "
                     "walk-count fits, irreducible module decomposition, and "
                     "cross-validation of the two.")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="analyze one graph at base vertices")
+    p = sub.add_parser("check", parents=[verbosity],
+                       help="analyze one graph at base vertices")
     p.add_argument("source", help="file path, '-', or builtin "
                                   "(example, petersen, rook3x3, cycle:N, "
                                   "path:N, complete:N, star:N)")
@@ -337,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("construct", help="apex extension over a product")
+    p = sub.add_parser("construct", parents=[verbosity],
+                       help="apex extension over a product")
     p.add_argument("gamma", help="first factor graph source")
     p.add_argument("x", help="base vertex label in the first factor")
     p.add_argument("sigma_kind", choices=("empty", "complete", "cycle", "path"))
@@ -345,20 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("edgelist", "graph6"), default="edgelist")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("scan", help="cross-validate a corpus")
+    p = sub.add_parser("scan", parents=[verbosity],
+                       help="cross-validate a corpus")
     p.add_argument("corpus", nargs="?", help="graph6 file or '-'")
     p.add_argument("--generate", type=int, metavar="N",
                    help="enumerate all connected graphs on N labeled vertices")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: TK_JOBS or all cores)")
-    p.add_argument("--no-deep", action="store_true",
-                   help="skip block-dimension and cell-structure checks")
+                   help="worker processes (default: TK_JOBS or all cores; "
+                        "at most the number of cores)")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("oracle", help="walk-count cross-check for one entry")
+    p = sub.add_parser("oracle", parents=[verbosity],
+                       help="walk-count cross-check for one entry")
     p.add_argument("source")
     p.add_argument("x")
     p.add_argument("shape", help="shape string over r/f/l, e.g. rl, rrl, lrr")
@@ -366,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("z")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("partition", help="dump distance partition cells")
+    p = sub.add_parser("partition", parents=[verbosity],
+                       help="dump distance partition cells")
     p.add_argument("source")
     p.add_argument("x")
     p.add_argument("y")
@@ -377,15 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    verbose = getattr(args, "verbose", 0)
     level = logging.WARNING
-    if args.verbose == 1:
+    if verbose == 1:
         level = logging.INFO
-    elif args.verbose >= 2:
+    elif verbose >= 2:
         level = logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

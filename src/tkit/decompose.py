@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import LocalOperators
+from .graphs import to_graph6
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +32,8 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 class DecompositionError(RuntimeError):
-    """Invariance verification kept failing across reseeded attempts."""
+    """Splitting or invariance verification kept failing across reseeded
+    attempts."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()):
         super().__init__(message)
@@ -223,6 +225,10 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
     restricted = [basis @ G @ basis.T for G in gens]
     comm, flag = commutant_basis(restricted, tol)
     flags.append(flag)
+    if not comm:
+        # the identity always commutes; a cutoff below rounding noise
+        # rejects even it
+        raise _SplitFailed(f"empty commutant of a dim-{k} subspace at tol {tol:g}")
     if len(comm) == 1:
         return [basis]
 
@@ -276,6 +282,10 @@ def _level_dims(basis: np.ndarray, ops: LocalOperators) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _instance(ops: LocalOperators) -> str:
+    return f"{to_graph6(ops.graph)} base {ops.graph.labels[ops.base]}"
+
+
 def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
               max_retries: int = 4) -> DecompositionReport:
     """Split the vertex space into verified irreducible invariant
@@ -294,7 +304,7 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         try:
             bases = _split_subspace(np.eye(n), gens, rng, tol, notes, flags)
         except _SplitFailed as exc:
-            log.info("attempt %d: %s", attempt, exc)
+            log.info("%s attempt %d: %s", _instance(ops), attempt, exc)
             continue
 
         modules = _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst)
@@ -325,7 +335,8 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         return report
 
     raise DecompositionError(
-        f"module verification failed after {max_retries} attempts", worst)
+        f"{_instance(ops)}: no verified decomposition after {max_retries} "
+        f"attempts", worst)
 
 
 def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
@@ -407,73 +418,19 @@ def algebraic_verdict(report: DecompositionReport) -> AlgebraicVerdict:
 # Dimension of the restricted operator blocks (diagnostic)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualBlockDims:
-    dims: tuple[int, ...]  # index i-1 holds the dimension at level i
-    capped: bool           # closure stopped at the cap; dims are lower bounds
+def dual_block_dims(rep: DecompositionReport) -> tuple[int, ...]:
+    """Per level i = 1..ecc, the dimension of E*_i T E*_1, the operator
+    algebra compressed to the (level i) x (level 1) block; index i-1 holds
+    level i.
 
-
-def dual_block_dims(ops: LocalOperators, basis_cap: Optional[int] = None) -> DualBlockDims:
-    """Per level i >= 1, the dimension of the span of all operator-algebra
-    elements compressed to the (level i) x (level 1) block.
-
-    A spanning set of the algebra is grown by word closure over the
-    generators until the linear span stabilizes or the cap is reached.
+    The algebra is semisimple, so it is the direct sum of End(W) over the
+    isomorphism classes W of irreducible modules, and the block has
+    dimension sum_W dim(E*_i W) * dim(E*_1 W), read off one module per
+    class. This assumes every class is of real type (endomorphism ring
+    the reals); a non-real-type class would show up as a note in the
+    report.
     """
-    gens = generator_matrices(ops)
-    n = ops.graph.n
-    cap = basis_cap if basis_cap is not None else n * n
-    cut = 1e-8
-
-    eye = np.eye(n)
-    mats: list[np.ndarray] = [eye]
-    ortho = [eye.reshape(-1) / np.linalg.norm(eye)]
-    frontier = [eye]
-    capped = False
-    while frontier:
-        if len(mats) >= cap:
-            capped = True
-            break
-        next_frontier = []
-        for M in frontier:
-            for G in gens:
-                prod = G @ M
-                norm = np.linalg.norm(prod)
-                if norm < cut:
-                    continue
-                prod = prod / norm
-                vec = prod.reshape(-1)
-                for q in ortho:
-                    vec = vec - (q @ vec) * q
-                    # second pass keeps the basis orthonormal despite drift
-                for q in ortho:
-                    vec = vec - (q @ vec) * q
-                vnorm = np.linalg.norm(vec)
-                if vnorm > cut:
-                    ortho.append(vec / vnorm)
-                    mats.append(prod)
-                    next_frontier.append(prod)
-                    if len(mats) >= cap:
-                        capped = True
-                        break
-            if capped:
-                break
-        if capped:
-            break
-        frontier = next_frontier
-
-    sph1 = list(ops.metric.sphere(1))
-    dims = []
-    for i in range(1, ops.ecc + 1):
-        rows = []
-        for M in mats:
-            block = M[np.ix_(list(ops.metric.sphere(i)), sph1)].reshape(-1)
-            norm = np.linalg.norm(block)
-            if norm > cut:
-                rows.append(block / norm)
-        if not rows:
-            dims.append(0)
-            continue
-        sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
-        dims.append(int((sv > cut * max(1.0, float(sv[0]))).sum()))
-    return DualBlockDims(tuple(dims), capped)
+    per_class = {m.iso_class: m.level_dims for m in rep.modules}
+    ecc = len(rep.modules[0].level_dims) - 1
+    return tuple(sum(dims[i] * dims[1] for dims in per_class.values())
+                 for i in range(1, ecc + 1))

@@ -280,11 +280,18 @@ class DistancePartition:
         return self.cells.get((i, j), ())
 
 
-def distance_partition(g: Graph, x: int, y: int) -> DistancePartition:
-    """Intersection cells of the spheres around the two ends of edge {x, y}."""
+def distance_partition(g: Graph, x: int, y: int,
+                       metric_x: Optional[LocalMetric] = None) -> DistancePartition:
+    """Intersection cells of the spheres around the two ends of edge {x, y}.
+
+    metric_x, the BFS distances from x, is computed when not given; pass it
+    to partition several edges at x with one BFS from x.
+    """
     if not g.has_edge(x, y):
         raise GraphError(f"vertices {g.labels[x]} and {g.labels[y]} are not adjacent")
-    mx = local_metric(g, x)
+    if metric_x is not None and metric_x.base != x:
+        raise ValueError("metric_x is not based at x")
+    mx = metric_x if metric_x is not None else local_metric(g, x)
     my = local_metric(g, y)
     cells: dict[tuple[int, int], list[int]] = {}
     for v in range(g.n):
@@ -338,19 +345,26 @@ class StructureReport:
         raise GraphError(f"vertex {y} is not a neighbor of the base vertex")
 
 
-def structure_report(g: Graph, x: int) -> StructureReport:
+def structure_report(g: Graph, x: int,
+                     partitions: Optional[Mapping[int, DistancePartition]] = None
+                     ) -> StructureReport:
     """Evaluate the cell-pattern predicates of the distance partitions
     around x, one partition per neighbor y.
+
+    partitions maps each neighbor y of x to distance_partition(g, x, y);
+    they are computed when not given.
     """
-    metric = local_metric(g, x)
-    d = metric.ecc
     nbrs = g.neighbors(x)
+    if partitions is None:
+        metric = local_metric(g, x)
+        partitions = {y: distance_partition(g, x, y, metric) for y in nbrs}
+    # a connected graph where x has no neighbor is a single vertex
+    d = partitions[nbrs[0]].ecc_x if nbrs else 0
     vacuous = len(nbrs) < 2
-    parts = {y: distance_partition(g, x, y) for y in nbrs}
 
     records = []
     for y in nbrs:
-        part = parts[y]
+        part = partitions[y]
         up = tuple(bool(part.cell(i, i + 1)) for i in range(d + 1))
         mid = tuple(bool(part.cell(i, i)) for i in range(d + 1))
         down = tuple(bool(part.cell(i, i - 1)) for i in range(d + 1))
@@ -358,7 +372,7 @@ def structure_report(g: Graph, x: int) -> StructureReport:
         # cell (over all neighbors z) is empty
         t = 0
         while (t + 1 <= d and up[t + 1]
-               and all(not parts[z].cell(t + 1, t + 1) for z in nbrs)):
+               and all(not partitions[z].cell(t + 1, t + 1) for z in nbrs)):
             t += 1
         defined = all(not up[i] for i in range(t + 1, d + 1))
         records.append(NeighborThreshold(y, t if defined else None, up, mid, down))

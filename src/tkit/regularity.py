@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .exact import LocalOperators, raising_powers, solve_linear, step
-from .graphs import DistancePartition, distance_partition
+from .graphs import DistancePartition, distance_partition, to_graph6
 
 log = logging.getLogger(__name__)
 
@@ -161,8 +161,11 @@ class Endpoint1Profile:
 
 
 def neighbor_partitions(ops: LocalOperators) -> dict[int, DistancePartition]:
+    """Distance partition of each edge {x, y} at the base x: one BFS per
+    neighbor y, with the distances from x taken from ops."""
     g = ops.graph
-    return {y: distance_partition(g, ops.base, y) for y in g.neighbors(ops.base)}
+    return {y: distance_partition(g, ops.base, y, ops.metric)
+            for y in g.neighbors(ops.base)}
 
 
 def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
@@ -236,12 +239,14 @@ def fit_endpoint1(ops: LocalOperators,
                 # equations admit solutions but none with a vanishing flat
                 # scalar; treated as a failure of the condition
                 log.warning(
-                    "level %d: flat-scalar side condition conflicts with an "
-                    "otherwise consistent system", i)
+                    "%s base %s level %d: flat-scalar side condition "
+                    "conflicts with an otherwise consistent system",
+                    to_graph6(g), g.labels[x], i)
             elif not forced_zero:
                 log.debug(
-                    "level %d: flat scalar left free by the equations, "
-                    "pinned to zero by the side condition", i)
+                    "%s base %s level %d: flat scalar left free by the "
+                    "equations, pinned to zero by the side condition",
+                    to_graph6(g), g.labels[x], i)
 
         consistent = sol_km.consistent and sol_tr_final.consistent
         if witness is None and not consistent:

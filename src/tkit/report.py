@@ -48,14 +48,15 @@ def analyze(g: Graph, x: int, *, with_decomposition: bool = False,
             seed: int = 42, tol: float = 1e-9) -> AnalysisReport:
     """Run the full pipeline at one base vertex."""
     ops = build_operators(g, x)
+    partitions = neighbor_partitions(ops)
     pdr = fit_pdr(ops)
-    structure = structure_report(g, x)
+    structure = structure_report(g, x, partitions)
 
     endpoint1: Optional[Endpoint1Profile] = None
     endpoint1_reason: Optional[str] = None
     if pdr.ok:
         try:
-            endpoint1 = fit_endpoint1(ops, neighbor_partitions(ops), pdr=pdr)
+            endpoint1 = fit_endpoint1(ops, partitions, pdr=pdr)
         except NotApplicable as exc:
             endpoint1_reason = exc.reason
     else:

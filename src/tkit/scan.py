@@ -59,8 +59,8 @@ def instance_seed(base_seed: int, graph6: str, vertex: int) -> int:
     return (base_seed << 32) ^ zlib.crc32(f"{graph6}:{vertex}".encode())
 
 
-def _structure_problems(g, x, ecc) -> tuple[list[str], bool]:
-    s = structure_report(g, x)
+def _structure_problems(g, x, partitions) -> tuple[list[str], bool]:
+    s = structure_report(g, x, partitions)
     problems = []
     if not s.down_cells_all_nonempty:
         problems.append("empty downward cell")
@@ -70,7 +70,7 @@ def _structure_problems(g, x, ecc) -> tuple[list[str], bool]:
         problems.append("threshold pattern undefined for some neighbor")
     if not s.mid_runs_contiguous:
         problems.append("mid cells not contiguous above the threshold")
-    if s.is_tree and any(rec.threshold != ecc for rec in s.per_neighbor):
+    if s.is_tree and any(rec.threshold != s.ecc for rec in s.per_neighbor):
         problems.append("tree threshold differs from eccentricity")
     if any(rec.mid_nonempty[1] for rec in s.per_neighbor if len(rec.mid_nonempty) > 1):
         if any(rec.threshold != 0 for rec in s.per_neighbor):
@@ -78,8 +78,7 @@ def _structure_problems(g, x, ecc) -> tuple[list[str], bool]:
     return problems, s.threshold_constant is False
 
 
-def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
-               deep: bool = True) -> dict[str, Any]:
+def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9) -> dict[str, Any]:
     """Cross-validate every base vertex of one graph6-encoded graph."""
     g = parse_graph6(graph6)
     if not g.is_connected():
@@ -103,15 +102,15 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         if not pdr.ok:
             out["counts"]["skipped-not-thin"] += 1
             continue
-        e1 = fit_endpoint1(ops, neighbor_partitions(ops), pdr=pdr)
+        partitions = neighbor_partitions(ops)
+        e1 = fit_endpoint1(ops, partitions, pdr=pdr)
         iseed = instance_seed(seed, out["graph6"], x)
         rep = decompose(ops, seed=iseed, tol=tol)
         verdict = algebraic_verdict(rep)
 
         if verdict.status == PASS and e1.ok and rep.trivial_thin:
             out["counts"]["agree-pass"] += 1
-            if deep:
-                _deep_checks(g, x, ops, rep, out)
+            _deep_checks(g, x, partitions, rep, out)
         elif verdict.status == FAIL and not e1.ok and rep.trivial_thin:
             out["counts"]["agree-fail"] += 1
         else:
@@ -120,18 +119,16 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
     return out
 
 
-def _deep_checks(g, x, ops, rep, out) -> None:
-    e1_modules = rep.endpoint1_modules()
-    d_prime = max(m.diameter for m in e1_modules)
-    dims = dual_block_dims(ops)
-    for i, dim in enumerate(dims.dims, start=1):
+def _deep_checks(g, x, partitions, rep, out) -> None:
+    d_prime = max(m.diameter for m in rep.endpoint1_modules())
+    for i, dim in enumerate(dual_block_dims(rep), start=1):
         bound = 2 if i <= d_prime + 1 else 1
         if dim > bound:
             out["dim_bound_violations"].append({
                 "graph6": out["graph6"], "base": g.labels[x], "level": i,
-                "dim": dim, "bound": bound, "capped": dims.capped,
+                "dim": dim, "bound": bound,
             })
-    problems, varying = _structure_problems(g, x, ops.ecc)
+    problems, varying = _structure_problems(g, x, partitions)
     for problem in problems:
         out["structure_violations"].append({
             "graph6": out["graph6"], "base": g.labels[x], "problem": problem,
@@ -141,30 +138,28 @@ def _deep_checks(g, x, ops, rep, out) -> None:
             {"graph6": out["graph6"], "base": g.labels[x]})
 
 
-def _worker(args: tuple[int, str, int, float, bool]) -> dict[str, Any]:
-    record, graph6, seed, tol, deep = args
+def _worker(args: tuple[int, str, int, float]) -> dict[str, Any]:
+    record, graph6, seed, tol = args
     try:
-        return scan_graph(graph6, seed=seed, tol=tol, deep=deep)
+        return scan_graph(graph6, seed=seed, tol=tol)
     except GraphError as exc:
         raise GraphError(f"record {record} ({graph6}): {exc}") from None
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is not None and jobs > 0:
-        return jobs
-    env = os.environ.get("TK_JOBS")
-    if env:
+    """Worker process count: jobs when positive, else a positive integer
+    TK_JOBS, else every core; never more than os.cpu_count()."""
+    cores = os.cpu_count() or 1
+    if jobs is None or jobs <= 0:
         try:
-            value = int(env)
-            if value > 0:
-                return value
+            jobs = int(os.environ.get("TK_JOBS", ""))
         except ValueError:
-            pass
-    return os.cpu_count() or 1
+            jobs = 0
+    return min(jobs, cores) if jobs > 0 else cores
 
 
 def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
-                seed: int = 42, tol: float = 1e-9, deep: bool = True,
+                seed: int = 42, tol: float = 1e-9,
                 progress: Optional[Any] = None) -> ScanSummary:
     """Scan a stream of graph6 records. Work is distributed over processes
     but merged in input order, so the summary is independent of the job
@@ -172,7 +167,7 @@ def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
     1-based record number."""
     jobs = resolve_jobs(jobs)
     summary = ScanSummary()
-    work = ((record, line, seed, tol, deep)
+    work = ((record, line, seed, tol)
             for record, line in enumerate(graph6_lines, start=1))
     if jobs == 1:
         results: Iterator[dict[str, Any]] = map(_worker, work)

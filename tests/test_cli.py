@@ -1,4 +1,6 @@
+import importlib
 import json
+import logging
 from importlib import resources
 
 import pytest
@@ -12,6 +14,10 @@ from tkit.cli import main, _parse_shape
 from tkit.graphs import GraphError, parse_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
+import tkit.scan
+
+# the package re-exports the decompose() function under the module's name
+decompose_module = importlib.import_module("tkit.decompose")
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +169,31 @@ class TestCheck:
                   f"--tol={tol}"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    def test_tiny_tol_exits_2(self, capsys):
+        # a cutoff below rounding noise leaves no commutant to split with
+        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
+                                 "--decompose", "--tol=1e-300")
+        assert code == 2 and out == ""
+        assert "EyW_ base 1" in err and "Traceback" not in err
+
+    def test_decomposition_error_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(decompose_module, "_verify_and_summarize",
+                            lambda *a, **k: None)
+        code, out, err = run_cli(capsys, "check", "petersen", "--vertex", "3",
+                                 "--decompose")
+        assert code == 2 and out == ""
+        assert err.startswith("error: IheA@GUAo base 3: no verified decomposition")
+
+    @pytest.mark.parametrize("argv", [["-v", "check"], ["check", "-v"]])
+    def test_verbose_either_side_of_subcommand(self, capsys, monkeypatch, argv):
+        levels = []
+        monkeypatch.setattr(tkit.cli.logging, "basicConfig",
+                            lambda **kw: levels.append(kw["level"]))
+        code, out, _ = run_cli(capsys, *argv, "example", "--vertex", "1")
+        assert code == 0 and levels == [logging.INFO]
+        (doc,) = ndjson_lines(out)
+        assert doc["pdr"]["ok"] is True
 
     def test_graph6_file_input(self, capsys, tmp_path):
         path = tmp_path / "k3.g6"
@@ -325,6 +356,12 @@ class TestPartition:
 
 
 class TestJobsResolution:
+    # resolve_jobs is called directly; no worker process is started
+    @pytest.fixture(autouse=True)
+    def cores(self, monkeypatch):
+        monkeypatch.setattr(tkit.scan.os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("TK_JOBS", raising=False)
+
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("TK_JOBS", "5")
         assert resolve_jobs(3) == 3
@@ -336,3 +373,21 @@ class TestJobsResolution:
     def test_bad_env_ignored(self, monkeypatch):
         monkeypatch.setenv("TK_JOBS", "zero")
         assert resolve_jobs(None) >= 1
+
+    @pytest.mark.parametrize("jobs", [None, 0, -3])
+    def test_default_all_cores(self, jobs):
+        assert resolve_jobs(jobs) == 8
+
+    def test_huge_clamped_to_cores(self, monkeypatch):
+        assert resolve_jobs(10 ** 6) == 8
+        monkeypatch.setenv("TK_JOBS", str(10 ** 6))
+        assert resolve_jobs(None) == 8
+
+    @pytest.mark.parametrize("env", ["0", "-2", "2.5", "1e6", "", "many"])
+    def test_unusable_env_means_all_cores(self, monkeypatch, env):
+        monkeypatch.setenv("TK_JOBS", env)
+        assert resolve_jobs(None) == 8
+
+    def test_unknown_core_count(self, monkeypatch):
+        monkeypatch.setattr(tkit.scan.os, "cpu_count", lambda: None)
+        assert resolve_jobs(4) == 1

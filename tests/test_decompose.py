@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import golden
+from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
+from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
@@ -10,7 +15,7 @@ from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             dual_block_dims, generator_matrices, hom_dimension,
                             subspace_distance, trivial_module_basis)
 from tkit.exact import build_operators, raising_powers
-from tkit.graphs import connected_graphs, parse_edge_list
+from tkit.graphs import connected_graphs, parse_edge_list, parse_graph6, to_graph6
 from tkit.regularity import fit_pdr
 
 
@@ -215,18 +220,57 @@ class TestHomDimension:
         assert hom_dimension(e1[0].subspace, e1[1].subspace, gens) == 1
 
 
+def _rooted_classes(n):
+    """One (graph, base) per rooted isomorphism class of connected graphs
+    on n vertices."""
+    seen = set()
+    for g in connected_graphs(n):
+        edges = list(g.edges())
+        for x in range(n):
+            key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                      for p in itertools.permutations(range(n)) if p[x] == 0)
+            if key not in seen:
+                seen.add(key)
+                yield g, x
+
+
 class TestDualBlockDims:
     def test_example(self, example_ops):
-        result = dual_block_dims(example_ops)
-        assert result.dims == (2, 2)
-        assert not result.capped
+        assert dual_block_dims(decompose(example_ops)) == (2, 2)
 
     def test_k2(self):
         ops = build_operators(parse_edge_list("a b"), 0)
-        assert dual_block_dims(ops).dims == (1,)
+        assert dual_block_dims(decompose(ops)) == (1,)
 
-    def test_cap_flag(self, example_ops):
-        assert dual_block_dims(example_ops, basis_cap=2).capped
+    def test_matches_closure_small_graphs(self):
+        # every base of every connected graph with n <= 5, one per rooted
+        # isomorphism class: both sides are invariants of the rooted graph
+        count = 0
+        for n in range(1, 6):
+            for g, x in _rooted_classes(n):
+                ops = build_operators(g, x)
+                assert dual_block_dims(decompose(ops)) == closure_block_dims(ops), \
+                    (to_graph6(g), x)
+                count += 1
+        assert count == 1 + 1 + 3 + 11 + 58
+
+    @pytest.mark.parametrize("source", list(golden.BUILTINS) + golden.apex_graph6s())
+    def test_matches_closure_named_graphs(self, source):
+        g = load_graph(source)[0] if source in golden.BUILTINS else parse_graph6(source)
+        for x in range(g.n):
+            ops = build_operators(g, x)
+            assert dual_block_dims(decompose(ops)) == closure_block_dims(ops), x
+
+    def test_closure_undercounts_irreducible_standard_module(self):
+        # base 0 is adjacent to all 7 other vertices and the whole space is
+        # one irreducible module with level dims (1, 7), so the level-1
+        # block is all of Hom(E*_1 V, E*_1 V), of dimension 7 * 7
+        g = parse_graph6("Guqv}[")
+        ops = build_operators(g, 0)
+        rep = decompose(ops)
+        assert [m.level_dims for m in rep.modules] == [(1, 7)]
+        assert dual_block_dims(rep) == (len(ops.metric.sphere(1)) ** 2,) == (49,)
+        assert closure_block_dims(ops) == (42,)
 
 
 def test_subspace_distance_bounds():

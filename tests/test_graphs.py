@@ -5,7 +5,12 @@ import pytest
 from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition,
                          local_metric, make_graph, parse_edge_list, parse_graph6,
                          structure_report, to_graph6)
-from tkit.constructions import cycle_graph, path_graph, star_graph
+import tkit.exact
+import tkit.graphs
+from tkit.constructions import cycle_graph, path_graph, petersen_graph, star_graph
+from tkit.exact import build_operators
+from tkit.regularity import neighbor_partitions
+from tkit.report import analyze
 
 EXAMPLE_EDGES = "1 2\n1 3\n2 3\n2 4\n2 5\n3 5\n3 6"
 
@@ -165,6 +170,17 @@ class TestDistancePartition:
                     assert all(abs(i - j) <= 1 for (i, j) in part.cells)
                 break  # one edge per graph keeps this sweep quick
 
+    def test_given_base_metric_same_cells(self):
+        for g in connected_graphs(4):
+            for x, y in g.edges():
+                assert (distance_partition(g, x, y, local_metric(g, x))
+                        == distance_partition(g, x, y))
+
+    def test_metric_of_other_base_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="not based at x"):
+            distance_partition(g, 0, 1, local_metric(g, 1))
+
     def test_bipartite_mid_cells_empty(self):
         for g in (cycle_graph(6), path_graph(5), star_graph(4)):
             for x, y in g.edges():
@@ -193,6 +209,28 @@ class TestStructureReport:
     def test_leaf_base_vacuous(self):
         rep = structure_report(path_graph(3), 0)
         assert rep.vacuous
+
+    def test_given_partitions_same_report(self):
+        for n in (1, 2, 3, 4):
+            for g in connected_graphs(n):
+                for x in range(n):
+                    parts = neighbor_partitions(build_operators(g, x))
+                    assert structure_report(g, x, parts) == structure_report(g, x)
+
+
+def test_analyze_runs_one_bfs_per_closed_neighbor(monkeypatch):
+    # the base's distances plus one BFS per neighbor serve the endpoint-one
+    # fit and the structure report alike
+    calls = []
+
+    def counting(g, x):
+        calls.append(x)
+        return local_metric(g, x)
+
+    for module in (tkit.graphs, tkit.exact):
+        monkeypatch.setattr(module, "local_metric", counting)
+    analyze(petersen_graph(), 0, with_decomposition=True)
+    assert sorted(calls) == [0, 1, 4, 5]
 
 
 class TestConnectedGraphs:

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 from clausewise import fit_clausewise
 from tkit.constructions import cycle_graph, example_graph, path_graph, petersen_graph
 from tkit.decompose import trivial_module_basis
-from tkit.exact import build_operators, enumerate_walks, shape_string, solve_linear
-from tkit.graphs import connected_graphs, make_graph, parse_edge_list
+import tkit.regularity
+from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
+                        shape_string, solve_linear)
+from tkit.graphs import connected_graphs, make_graph, parse_edge_list, to_graph6
 from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
                              neighbor_partitions, no_endpoint1_modules,
                              verify_condition_values)
@@ -157,6 +160,35 @@ class TestFitEndpoint1:
                     if lv.up_cell_nonempty:
                         assert lv.rho_forced_zero
                         assert lv.rho == 0
+
+    @pytest.mark.parametrize("conflict, level, text", [
+        (True, logging.WARNING, "side condition conflicts"),
+        (False, logging.DEBUG, "pinned to zero by the side condition"),
+    ])
+    def test_side_condition_log_names_instance(self, monkeypatch, caplog,
+                                               conflict, level, text):
+        # no known graph reaches these branches, so a wrapped solver answers
+        # the systems extended by one row rho = value: without conflict
+        # rho is free, with it rho = 0 is inconsistent
+        plain = []
+
+        def solve(rows, rhs):
+            if plain and len(rows) == len(plain[-1]) + 1:
+                if conflict and rhs[-1] == 0:
+                    return LinearSolution(False, (None, None), (), len(rows) - 1)
+                return solve_linear(rows[:-1], rhs[:-1])
+            plain.append(rows)
+            return solve_linear(rows, rhs)
+
+        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+        g = cycle_graph(9)
+        with caplog.at_level(logging.DEBUG, logger="tkit.regularity"):
+            fit_endpoint1(build_operators(g, 4))
+        messages = [r.getMessage() for r in caplog.records
+                    if r.levelno == level and text in r.getMessage()]
+        assert messages and all(
+            m.startswith(f"{to_graph6(g)} base {g.labels[4]} level ")
+            for m in messages)
 
     def test_mu_unique_when_side_cell_exists(self):
         # whenever some vertex of the level sits outside every downward
