@@ -19,8 +19,8 @@ from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
 from .decompose import (Subspace, ModuleSummary, DecompositionReport,
                         AlgebraicVerdict, DecompositionError, decompose,
                         algebraic_verdict, trivial_module_basis,
-                        commutant_basis, hom_dimension, dual_block_dims,
-                        subspace_distance, generator_matrices,
+                        commutant_basis, scalar_commutant, hom_dimension,
+                        dual_block_dims, subspace_distance, generator_matrices,
                         PASS, FAIL, VACUOUS, NOT_APPLICABLE)
 from .constructions import (example_graph, empty_graph, complete_graph,
                             path_graph, cycle_graph, star_graph,

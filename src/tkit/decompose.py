@@ -2,12 +2,16 @@
 subspaces of the local operator algebra.
 
 The algebra is generated by the adjacency matrix and the level projectors
-of a base vertex. A random symmetric element of its commutant is sampled
-and eigen-split; eigenspaces are invariant subspaces, and any piece whose
-self-intertwiner space is bigger than scalars is split again. Every
-accepted module is post-verified against an invariance residual, so the
-randomness never affects the correctness of accepted output, only whether
-a retry is needed.
+of a base vertex. First a level-graded solve decides whether only scalars
+commute with the generators: a commuting matrix is block-diagonal by
+level, so that solve has sum_i |S_i|^2 unknowns, and when it passes the
+whole space is one irreducible module. Otherwise the commutant is solved
+as a Kronecker system with n^2 unknowns, a random symmetric element of it
+is sampled and eigen-split; eigenspaces are invariant subspaces, and any
+piece whose self-intertwiner space is bigger than scalars is split again.
+Every accepted module is post-verified against an invariance residual, so
+the randomness never affects the correctness of accepted output, only
+whether a retry is needed.
 
 Eigenvalues are irrational in general, so this module works in floating
 point; the combinatorial fits elsewhere stay exact.
@@ -120,11 +124,39 @@ def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _nullspace_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
-    """Orthonormal nullspace basis (rows) and a rank-instability flag."""
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
-    flag = bool(np.any((s > 0.1 * cutoff) & (s < 10.0 * cutoff)))
+    """Orthonormal nullspace basis (rows) and a rank-instability flag.
+
+    A tall stack is QR-reduced first, so the SVD never forms its tall left
+    factor; LAPACK's SVD takes the same QR step itself on tall input, and
+    R has the same singular values and right factor.
+    """
+    if stack.shape[0] > stack.shape[1]:
+        stack = np.linalg.qr(stack, mode="r")
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    cutoff, flag = _cutoff(s, tol)
     return vt[s <= cutoff], flag
+
+
+def _cutoff(s: np.ndarray, tol: float) -> tuple[float, bool]:
+    """Rank cutoff for descending singular values s, and whether any of
+    them sits within a factor of ten of it (an unstable rank)."""
+    cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
+    return cutoff, bool(np.any((s > 0.1 * cutoff) & (s < 10.0 * cutoff)))
+
+
+def _intertwiner_stack(gens_a: Sequence[np.ndarray],
+                       gens_b: Sequence[np.ndarray]) -> np.ndarray:
+    """Stacked matrix of M -> M G_a - G_b M over the generator pairs, acting
+    on M flattened row-major; its nullspace is the intertwiners from a to b.
+    Filled block by block into one preallocated array."""
+    ka, kb = gens_a[0].shape[0], gens_b[0].shape[0]
+    size = ka * kb
+    stack = np.empty((len(gens_a) * size, size))
+    for j, (ga, gb) in enumerate(zip(gens_a, gens_b)):
+        block = stack[j * size:(j + 1) * size]
+        block[:] = np.kron(np.eye(kb), ga.T)
+        block -= np.kron(gb, np.eye(ka))
+    return stack
 
 
 def commutant_basis(generators: Sequence[np.ndarray],
@@ -136,10 +168,33 @@ def commutant_basis(generators: Sequence[np.ndarray],
     isomorphism classes appearing in the space the generators act on.
     """
     k = generators[0].shape[0]
-    eye = np.eye(k)
-    blocks = [np.kron(eye, G.T) - np.kron(G, eye) for G in generators]
-    null, flag = _nullspace_rows(np.vstack(blocks), tol)
+    null, flag = _nullspace_rows(_intertwiner_stack(generators, generators), tol)
     return [v.reshape(k, k) for v in null], flag
+
+
+def scalar_commutant(adjacency: np.ndarray, dist: Sequence[int],
+                     tol: float = 1e-9) -> tuple[bool, bool]:
+    """Whether only scalars commute with the adjacency matrix and the level
+    projectors (the standard module is irreducible), and the rank flag of
+    that solve.
+
+    A matrix commuting with every level projector is block-diagonal by
+    level, so the unknowns are its entries M[a, b] with a and b on one
+    level, sum_i |S_i|^2 of them, and (MA - AM)[u, v] can be nonzero only
+    where the levels of u and v are at most one apart.
+    """
+    level = np.asarray(dist)
+    gap = level[:, None] - level[None, :]
+    a, b = np.nonzero(gap == 0)
+    u, v = np.nonzero(np.abs(gap) <= 1)
+    u, v = u[:, None], v[:, None]
+    # coefficient of M[a, b] in (MA)[u, v] is [u = a] A[b, v], in (AM)[u, v]
+    # it is A[u, a] [b = v]
+    system = (u == a) * adjacency[b, v] - adjacency[u, a] * (b == v)
+    s = np.linalg.svd(system, compute_uv=False)
+    cutoff, flag = _cutoff(s, tol)
+    # the system has at least as many rows as unknowns
+    return a.size - int((s > cutoff).sum()) == 1, flag
 
 
 def hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
@@ -160,13 +215,9 @@ def _rows(w: Subspace | np.ndarray) -> np.ndarray:
 def _hom_dimension_flagged(ba: np.ndarray, bb: np.ndarray,
                            generators: Sequence[np.ndarray],
                            tol: float) -> tuple[int, bool]:
-    ka, kb = ba.shape[0], bb.shape[0]
-    blocks = []
-    for G in generators:
-        ga = ba @ G @ ba.T
-        gb = bb @ G @ bb.T
-        blocks.append(np.kron(np.eye(kb), ga.T) - np.kron(gb, np.eye(ka)))
-    null, flag = _nullspace_rows(np.vstack(blocks), tol)
+    stack = _intertwiner_stack([ba @ G @ ba.T for G in generators],
+                               [bb @ G @ bb.T for G in generators])
+    null, flag = _nullspace_rows(stack, tol)
     return null.shape[0], flag
 
 
@@ -296,13 +347,16 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     n = ops.graph.n
     residual_bound = 1e3 * tol
     worst: list[float] = []
+    # an irreducible standard module needs no Kronecker solve and no split
+    irreducible, irreducible_flag = scalar_commutant(gens[0], ops.metric.dist, tol)
 
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
         notes: list[str] = []
-        flags: list[bool] = []
+        flags: list[bool] = [irreducible_flag] if irreducible else []
         try:
-            bases = _split_subspace(np.eye(n), gens, rng, tol, notes, flags)
+            bases = ([np.eye(n)] if irreducible else
+                     _split_subspace(np.eye(n), gens, rng, tol, notes, flags))
         except _SplitFailed as exc:
             log.info("%s attempt %d: %s", _instance(ops), attempt, exc)
             continue

@@ -16,7 +16,7 @@ Two fits, both over exact rationals with zero tolerance:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -58,12 +58,15 @@ class PdrProfile:
     alpha[i] and beta[i] are always the ratios taken at the first vertex of
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
+    powers holds the base's raising vectors R^0 e_x, ..., R^{ecc+1} e_x the
+    ratios were read from, for the endpoint-one fit to reuse.
     """
 
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     ok: bool
     witness: Optional[PdrWitness]
+    powers: tuple[list[int], ...] = field(repr=False, compare=False)
 
 
 def _columns(ops: LocalOperators, v: int, max_m: int) -> tuple[list[list[int]], ...]:
@@ -98,7 +101,8 @@ def fit_pdr(ops: LocalOperators) -> PdrProfile:
                 break
         if witness:
             break
-    return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness)
+    return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness,
+                      tuple(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +172,17 @@ def neighbor_partitions(ops: LocalOperators) -> dict[int, DistancePartition]:
             for y in g.neighbors(ops.base)}
 
 
-def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
+def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int],
+                       from_base: Sequence[list[int]]
                        ) -> list[dict[int, tuple[list[int], ...]]]:
     """Per level i = 1..ecc, for each neighbor y of the base, column y of
     the four walk-count matrices of the endpoint-one equations:
     up_only = R^{i-1}, up_after_down = R^i L, down_after_up = L R^i and
     flat_after_up = F R^{i-1}. Column y of R^i L is R^i e_x for every
-    neighbor y, because L e_y = e_x.
+    neighbor y, because L e_y = e_x, so it is read from the base's raising
+    vectors from_base.
     """
     d = ops.ecc
-    from_base = raising_powers(ops, ops.base, d)
     at = {y: _columns(ops, y, d) for y in nbrs}
     return [{y: (up[i - 1], from_base[i], down[i], flat[i - 1])
              for y, (up, down, flat) in at.items()}
@@ -210,7 +215,7 @@ def fit_endpoint1(ops: LocalOperators,
 
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs, pdr.powers), start=1):
         rows: list[tuple[int, int]] = []
         rhs_mix: list[int] = []
         rhs_flat: list[int] = []
@@ -235,17 +240,15 @@ def fit_endpoint1(ops: LocalOperators,
         sol_tr_final = sol_tr
         if up_nonempty and sol_tr.consistent:
             sol_tr_final = solve_linear(list(rows) + [(0, 1)], list(rhs_flat) + [0])
+            # a vertex z of a nonempty upward cell gives the row
+            # (0, R^i e_x[z]) with R^i e_x[z] > 0, so the equations already
+            # fix rho and the side condition can only conflict with them
             if not sol_tr_final.consistent:
                 # equations admit solutions but none with a vanishing flat
                 # scalar; treated as a failure of the condition
                 log.warning(
                     "%s base %s level %d: flat-scalar side condition "
                     "conflicts with an otherwise consistent system",
-                    to_graph6(g), g.labels[x], i)
-            elif not forced_zero:
-                log.debug(
-                    "%s base %s level %d: flat scalar left free by the "
-                    "equations, pinned to zero by the side condition",
                     to_graph6(g), g.labels[x], i)
 
         consistent = sol_km.consistent and sol_tr_final.consistent
@@ -296,7 +299,8 @@ def verify_condition_values(
         raise ValueError("scalar sequences must have one entry per level 1..ecc")
     if partitions is None:
         partitions = neighbor_partitions(ops)
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
+    from_base = raising_powers(ops, x, d)
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs, from_base), start=1):
         k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
         for y in nbrs:
             up_only, up_after_down, down_after_up, flat_after_up = columns[y]

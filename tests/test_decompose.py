@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
+                            _cutoff, _intertwiner_stack, _nullspace_rows,
                             algebraic_verdict, commutant_basis, decompose,
                             dual_block_dims, generator_matrices, hom_dimension,
-                            subspace_distance, trivial_module_basis)
+                            scalar_commutant, subspace_distance,
+                            trivial_module_basis)
 from tkit.exact import build_operators, raising_powers
-from tkit.graphs import connected_graphs, parse_edge_list, parse_graph6, to_graph6
+from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
+                         parse_graph6, to_graph6)
 from tkit.regularity import fit_pdr
 
 
@@ -81,6 +86,100 @@ class TestCommutant:
         for M in basis:
             for G in gens:
                 assert np.linalg.norm(M @ G - G @ M) < 1e-8
+
+
+def _connected_gnp(n, p, seed):
+    """G(n, p) redrawn until connected, edges drawn in (u, v) order."""
+    rng = random.Random(seed)
+    while True:
+        g = make_graph(n, [e for e in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
+        if g.is_connected():
+            return g
+
+
+def _ladder():
+    """The graphs and bases of the benchmark's check --decompose ladder: the
+    random graph has the ladder's shape (G(24, 0.15) drawn from seed 2023)."""
+    cube = make_graph(32, [(u, u | 1 << b) for u in range(32) for b in range(5)
+                           if not u >> b & 1])
+    apex = apex_extension(petersen_graph(), 0, complete_graph(2))
+    return [(load_graph(name)[0], 0) for name in ("cycle:20", "path:20", "star:20")] + [
+        (cube, 0), (apex.graph, apex.apex), (_connected_gnp(24, 0.15, 2023), 0)]
+
+
+def _scalars_only(ops):
+    return scalar_commutant(generator_matrices(ops)[0], ops.metric.dist)[0]
+
+
+class TestScalarCommutant:
+    def test_matches_kronecker_solve_small_graphs(self):
+        count = 0
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for x in range(n):
+                    ops = build_operators(g, x)
+                    want = len(commutant_basis(generator_matrices(ops))[0]) == 1
+                    assert _scalars_only(ops) == want, (to_graph6(g), x)
+                    count += want
+        assert count > 1000
+
+    def test_matches_kronecker_solve_seeded_graphs(self):
+        rng = random.Random(20261018)
+        verdicts = []
+        while len(verdicts) < 30:
+            n = rng.randint(6, 14)
+            g = _connected_gnp(n, rng.uniform(0.2, 0.7), rng.random())
+            ops = build_operators(g, rng.randrange(n))
+            want = len(commutant_basis(generator_matrices(ops))[0]) == 1
+            assert _scalars_only(ops) == want, (to_graph6(g), ops.base)
+            verdicts.append(want)
+        assert len(set(verdicts)) == 2
+
+    @pytest.mark.parametrize("name", ["path:20", "gnp-24"])
+    def test_irreducible_standard_module_skips_kronecker_solve(self, monkeypatch, name):
+        # at base 0: an end vertex of the path, the ladder's base of the G(n, p)
+        g = (load_graph(name)[0] if name != "gnp-24"
+             else _connected_gnp(24, 0.15, 2023))
+        calls = []
+
+        def counting(generators, tol=1e-9):
+            calls.append(generators[0].shape[0])
+            return commutant_basis(generators, tol)
+
+        # tkit.decompose is also the name of the package's function
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "commutant_basis", counting)
+        rep = decompose(build_operators(g, 0))
+        assert [m.dim for m in rep.modules] == [g.n]
+        assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
+        assert calls == []
+
+
+def _plain_nullspace(stack, tol=1e-9):
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    cutoff, flag = _cutoff(s, tol)
+    return vt[s <= cutoff], flag
+
+
+def _named_instances():
+    for source in list(golden.BUILTINS) + golden.apex_graph6s():
+        g = load_graph(source)[0] if source in golden.BUILTINS else parse_graph6(source)
+        for x in range(g.n):
+            yield g, x
+
+
+class TestNullspaceQr:
+    @pytest.mark.parametrize("instances", [_ladder, _named_instances])
+    def test_same_as_plain_svd(self, instances):
+        # the QR route never forms the tall left factor of the stack's SVD
+        for g, x in instances():
+            gens = generator_matrices(build_operators(g, x))
+            stack = _intertwiner_stack(gens, gens)
+            null, flag = _nullspace_rows(stack, 1e-9)
+            want, want_flag = _plain_nullspace(stack)
+            assert null.shape == want.shape and flag == want_flag, (to_graph6(g), x)
+            assert subspace_distance(null, want) < 1e-9, (to_graph6(g), x)
 
 
 class TestDecomposeExample:

@@ -7,6 +7,7 @@ from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition
                          structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
+import tkit.regularity
 from tkit.constructions import cycle_graph, path_graph, petersen_graph, star_graph
 from tkit.exact import build_operators
 from tkit.regularity import neighbor_partitions
@@ -229,6 +230,20 @@ def test_analyze_runs_one_bfs_per_closed_neighbor(monkeypatch):
 
     for module in (tkit.graphs, tkit.exact):
         monkeypatch.setattr(module, "local_metric", counting)
+    analyze(petersen_graph(), 0, with_decomposition=True)
+    assert sorted(calls) == [0, 1, 4, 5]
+
+
+def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
+    # the ratio fit's raising vectors at the base serve the endpoint-one fit
+    # too, so each start vertex is raised once: deg(x) + 1 calls
+    calls = []
+
+    def counting(ops, v, max_m):
+        calls.append(v)
+        return tkit.exact.raising_powers(ops, v, max_m)
+
+    monkeypatch.setattr(tkit.regularity, "raising_powers", counting)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert sorted(calls) == [0, 1, 4, 5]
 

@@ -19,6 +19,23 @@ from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
 F = Fraction
 
 
+def _six_vertex_cover():
+    """A connected 6-vertex graph isomorphic to each one, with repeats: one
+    5-vertex graph per isomorphism class plus a sixth vertex joined to every
+    nonempty vertex subset. Deleting a leaf of a spanning tree leaves a
+    connected graph, so every class is reached."""
+    seen = set()
+    for g in connected_graphs(5):
+        edges = list(g.edges())
+        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                  for p in itertools.permutations(range(5)))
+        if key in seen:
+            continue
+        seen.add(key)
+        for mask in range(1, 32):
+            yield make_graph(6, edges + [(v, 5) for v in range(5) if mask >> v & 1])
+
+
 def fr(*vals):
     return tuple(F(v) for v in vals)
 
@@ -144,37 +161,36 @@ class TestFitEndpoint1:
         assert checked, "expected failing instances with concrete witnesses"
 
     def test_rho_forced_whenever_up_cell_nonempty(self):
-        # on every fitting instance with a nonempty upward cell the
-        # equations already pin the flat scalar to zero
-        for g in connected_graphs(5):
+        # at every consistent level with a nonempty upward cell the equations
+        # already pin the flat scalar to zero, so the side condition never
+        # decides it; all connected graphs with n <= 6, every base
+        graphs = itertools.chain.from_iterable(
+            connected_graphs(n) for n in range(3, 6))
+        checked = 0
+        for g in itertools.chain(graphs, _six_vertex_cover()):
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
                 ops = build_operators(g, x)
-                if not fit_pdr(ops).ok:
+                pdr = fit_pdr(ops)
+                if not pdr.ok:
                     continue
-                prof = fit_endpoint1(ops)
-                if not prof.ok:
-                    continue
-                for lv in prof.levels:
-                    if lv.up_cell_nonempty:
+                for lv in fit_endpoint1(ops, pdr=pdr).levels:
+                    if lv.up_cell_nonempty and lv.consistent:
                         assert lv.rho_forced_zero
                         assert lv.rho == 0
+                        checked += 1
+        assert checked > 400
 
-    @pytest.mark.parametrize("conflict, level, text", [
-        (True, logging.WARNING, "side condition conflicts"),
-        (False, logging.DEBUG, "pinned to zero by the side condition"),
-    ])
-    def test_side_condition_log_names_instance(self, monkeypatch, caplog,
-                                               conflict, level, text):
-        # no known graph reaches these branches, so a wrapped solver answers
-        # the systems extended by one row rho = value: without conflict
-        # rho is free, with it rho = 0 is inconsistent
+    def test_side_condition_log_names_instance(self, monkeypatch, caplog):
+        # no known graph reaches this branch, so a wrapped solver answers the
+        # systems extended by one row rho = value: rho = 0 is inconsistent,
+        # any other value leaves the system as it was
         plain = []
 
         def solve(rows, rhs):
             if plain and len(rows) == len(plain[-1]) + 1:
-                if conflict and rhs[-1] == 0:
+                if rhs[-1] == 0:
                     return LinearSolution(False, (None, None), (), len(rows) - 1)
                 return solve_linear(rows[:-1], rhs[:-1])
             plain.append(rows)
@@ -182,10 +198,11 @@ class TestFitEndpoint1:
 
         monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
         g = cycle_graph(9)
-        with caplog.at_level(logging.DEBUG, logger="tkit.regularity"):
+        with caplog.at_level(logging.WARNING, logger="tkit.regularity"):
             fit_endpoint1(build_operators(g, 4))
         messages = [r.getMessage() for r in caplog.records
-                    if r.levelno == level and text in r.getMessage()]
+                    if r.levelno == logging.WARNING
+                    and "side condition conflicts" in r.getMessage()]
         assert messages and all(
             m.startswith(f"{to_graph6(g)} base {g.labels[4]} level ")
             for m in messages)
