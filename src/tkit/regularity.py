@@ -128,7 +128,7 @@ class LevelFit:
     rho: Optional[Fraction]
     consistent: bool
     up_cell_nonempty: bool   # some neighbor has a nonempty upward cell here
-    rho_forced_zero: bool    # the equations alone already pin rho to zero
+    rho_forced_zero: bool    # the flat system is consistent and fixes rho at 0
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def fit_endpoint1(ops: LocalOperators,
     over all neighbors y of the base and all level-i vertices z. The
     up_only coefficient vanishes exactly off the downward partition cell,
     so this single system covers both cell cases. When some upward cell at
-    level i is nonempty, rho_i = 0 is enforced as an extra constraint.
+    level i is nonempty, the level also needs rho_i = 0.
     """
     pdr = pdr if pdr is not None else fit_pdr(ops)
     if not pdr.ok:
@@ -231,33 +231,27 @@ def fit_endpoint1(ops: LocalOperators,
         sol_km = solve_linear(rows, rhs_mix)
         sol_tr = solve_linear(rows, rhs_flat)
         up_nonempty = any(partitions[y].cell(i, i + 1) for y in nbrs)
+        # rho is determined exactly when it is a pivot, and values[1] then
+        # holds it; a vertex z of a nonempty upward cell gives the row
+        # (0, R^i e_x[z]) with R^i e_x[z] > 0, which fixes rho, so there the
+        # side condition holds iff the equations fix rho at zero
+        forced_zero = sol_tr.consistent and sol_tr.values[1] == 0
+        flat_ok = sol_tr.consistent and (forced_zero or not up_nonempty)
+        if sol_tr.consistent and not flat_ok:
+            # equations admit solutions but none with a vanishing flat
+            # scalar; treated as a failure of the condition
+            log.warning(
+                "%s base %s level %d: flat-scalar side condition "
+                "conflicts with an otherwise consistent system",
+                to_graph6(g), g.labels[x], i)
 
-        forced_zero = False
-        if sol_tr.consistent:
-            probe = solve_linear(list(rows) + [(0, 1)], list(rhs_flat) + [1])
-            forced_zero = not probe.consistent
-
-        sol_tr_final = sol_tr
-        if up_nonempty and sol_tr.consistent:
-            sol_tr_final = solve_linear(list(rows) + [(0, 1)], list(rhs_flat) + [0])
-            # a vertex z of a nonempty upward cell gives the row
-            # (0, R^i e_x[z]) with R^i e_x[z] > 0, so the equations already
-            # fix rho and the side condition can only conflict with them
-            if not sol_tr_final.consistent:
-                # equations admit solutions but none with a vanishing flat
-                # scalar; treated as a failure of the condition
-                log.warning(
-                    "%s base %s level %d: flat-scalar side condition "
-                    "conflicts with an otherwise consistent system",
-                    to_graph6(g), g.labels[x], i)
-
-        consistent = sol_km.consistent and sol_tr_final.consistent
+        consistent = sol_km.consistent and flat_ok
         if witness is None and not consistent:
             if not sol_km.consistent:
                 y, z = eqs[sol_km.bad_row]
                 witness = E1Witness(i, y, z, "kappa-mu")
-            elif sol_tr_final.bad_row is not None and sol_tr_final.bad_row < len(eqs):
-                y, z = eqs[sol_tr_final.bad_row]
+            elif not sol_tr.consistent:
+                y, z = eqs[sol_tr.bad_row]
                 witness = E1Witness(i, y, z, "theta-rho")
             else:
                 witness = E1Witness(i, None, None, "rho-side-condition")
@@ -266,8 +260,8 @@ def fit_endpoint1(ops: LocalOperators,
             level=i,
             kappa=sol_km.values[0] if sol_km.consistent else None,
             mu=sol_km.values[1] if sol_km.consistent else None,
-            theta=sol_tr_final.values[0] if sol_tr_final.consistent else None,
-            rho=sol_tr_final.values[1] if sol_tr_final.consistent else None,
+            theta=sol_tr.values[0] if flat_ok else None,
+            rho=sol_tr.values[1] if flat_ok else None,
             consistent=consistent,
             up_cell_nonempty=up_nonempty,
             rho_forced_zero=forced_zero,

@@ -16,8 +16,9 @@ from .decompose import (FAIL, PASS, VACUOUS, AlgebraicVerdict,
                         DecompositionReport, algebraic_verdict, decompose)
 from .exact import LocalOperators, build_operators
 from .graphs import Graph, StructureReport, structure_report, to_graph6
-from .regularity import (Endpoint1Profile, NotApplicable, PdrProfile,
-                         fit_endpoint1, fit_pdr, neighbor_partitions)
+from .regularity import (REASON_NOT_THIN, Endpoint1Profile, NotApplicable,
+                         PdrProfile, fit_endpoint1, fit_pdr,
+                         neighbor_partitions)
 
 SCHEMA_ID = "tkit-analysis-report/1"
 
@@ -48,8 +49,16 @@ def analyze(g: Graph, x: int, *, with_decomposition: bool = False,
             seed: int = 42, tol: float = 1e-9) -> AnalysisReport:
     """Run the full pipeline at one base vertex."""
     ops = build_operators(g, x)
+    return analyze_fitted(ops, fit_pdr(ops), with_decomposition=with_decomposition,
+                          seed=seed, tol=tol)
+
+
+def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
+                   with_decomposition: bool = False, seed: int = 42,
+                   tol: float = 1e-9) -> AnalysisReport:
+    """The pipeline after the BFS and the ratio fit, given their results."""
+    g, x = ops.graph, ops.base
     partitions = neighbor_partitions(ops)
-    pdr = fit_pdr(ops)
     structure = structure_report(g, x, partitions)
 
     endpoint1: Optional[Endpoint1Profile] = None
@@ -60,7 +69,7 @@ def analyze(g: Graph, x: int, *, with_decomposition: bool = False,
         except NotApplicable as exc:
             endpoint1_reason = exc.reason
     else:
-        endpoint1_reason = "trivial module not thin"
+        endpoint1_reason = REASON_NOT_THIN
 
     decomposition: Optional[DecompositionReport] = None
     verdict: Optional[AlgebraicVerdict] = None
@@ -85,7 +94,7 @@ def _agreement(ops: LocalOperators, pdr: PdrProfile,
     if not pdr.ok:
         if decomposition is not None and decomposition.trivial_thin:
             return MISMATCH, "exact fit and decomposition disagree on thinness"
-        return AGREE_NA, "trivial module not thin"
+        return AGREE_NA, REASON_NOT_THIN
     if degree < 2:
         if verdict is not None and verdict.status != VACUOUS:
             return MISMATCH, "leaf base must have no endpoint-one modules"

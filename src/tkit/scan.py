@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator, Optional
 
-from .decompose import FAIL, PASS, algebraic_verdict, decompose, dual_block_dims
+from .decompose import dual_block_dims
 from .exact import build_operators
-from .graphs import (GraphError, connected_graphs, parse_graph6,
-                     structure_report, to_graph6)
-from .regularity import fit_endpoint1, fit_pdr, neighbor_partitions
-from .report import analyze, report_to_dict
+from .graphs import (GraphError, StructureReport, connected_graphs,
+                     parse_graph6, to_graph6)
+from .regularity import fit_pdr
+from .report import (AGREE_FAIL, AGREE_PASS, AnalysisReport, analyze_fitted,
+                     report_to_dict)
 
 CATEGORY_KEYS = ("agree-pass", "agree-fail", "skipped-not-thin", "vacuous")
 
@@ -59,8 +60,7 @@ def instance_seed(base_seed: int, graph6: str, vertex: int) -> int:
     return (base_seed << 32) ^ zlib.crc32(f"{graph6}:{vertex}".encode())
 
 
-def _structure_problems(g, x, partitions) -> tuple[list[str], bool]:
-    s = structure_report(g, x, partitions)
+def _structure_problems(s: StructureReport) -> tuple[list[str], bool]:
     problems = []
     if not s.down_cells_all_nonempty:
         problems.append("empty downward cell")
@@ -102,40 +102,36 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9) -> dict[str, Any]
         if not pdr.ok:
             out["counts"]["skipped-not-thin"] += 1
             continue
-        partitions = neighbor_partitions(ops)
-        e1 = fit_endpoint1(ops, partitions, pdr=pdr)
-        iseed = instance_seed(seed, out["graph6"], x)
-        rep = decompose(ops, seed=iseed, tol=tol)
-        verdict = algebraic_verdict(rep)
-
-        if verdict.status == PASS and e1.ok and rep.trivial_thin:
+        report = analyze_fitted(ops, pdr, with_decomposition=True,
+                                seed=instance_seed(seed, out["graph6"], x), tol=tol)
+        if report.agreement == AGREE_PASS:
             out["counts"]["agree-pass"] += 1
-            _deep_checks(g, x, partitions, rep, out)
-        elif verdict.status == FAIL and not e1.ok and rep.trivial_thin:
+            _deep_checks(report, out)
+        elif report.agreement == AGREE_FAIL:
             out["counts"]["agree-fail"] += 1
         else:
-            report = analyze(g, x, with_decomposition=True, seed=iseed, tol=tol)
             out["mismatches"].append(report_to_dict(report))
     return out
 
 
-def _deep_checks(g, x, partitions, rep, out) -> None:
+def _deep_checks(report: AnalysisReport, out: dict[str, Any]) -> None:
+    rep = report.decomposition
+    base = report.graph.labels[report.base]
     d_prime = max(m.diameter for m in rep.endpoint1_modules())
     for i, dim in enumerate(dual_block_dims(rep), start=1):
         bound = 2 if i <= d_prime + 1 else 1
         if dim > bound:
             out["dim_bound_violations"].append({
-                "graph6": out["graph6"], "base": g.labels[x], "level": i,
+                "graph6": out["graph6"], "base": base, "level": i,
                 "dim": dim, "bound": bound,
             })
-    problems, varying = _structure_problems(g, x, partitions)
+    problems, varying = _structure_problems(report.structure)
     for problem in problems:
         out["structure_violations"].append({
-            "graph6": out["graph6"], "base": g.labels[x], "problem": problem,
+            "graph6": out["graph6"], "base": base, "problem": problem,
         })
     if varying:
-        out["varying_thresholds"].append(
-            {"graph6": out["graph6"], "base": g.labels[x]})
+        out["varying_thresholds"].append({"graph6": out["graph6"], "base": base})
 
 
 def _worker(args: tuple[int, str, int, float]) -> dict[str, Any]:

@@ -11,6 +11,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from tkit.cli import main, _parse_shape
+from tkit.decompose import AlgebraicVerdict
 from tkit.graphs import GraphError, parse_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
@@ -18,6 +19,7 @@ import tkit.scan
 
 # the package re-exports the decompose() function under the module's name
 decompose_module = importlib.import_module("tkit.decompose")
+report_module = importlib.import_module("tkit.report")
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,33 @@ class TestScan:
         monkeypatch.setattr(tkit.cli, "scan_corpus",
                             lambda *a, **k: fake)
         code, out, _ = run_cli(capsys, "scan", "--generate", "2")
+        assert code == 3
+        assert json.loads(out.strip().splitlines()[0])["mismatch_count"] == 1
+
+    def test_mismatch_path(self, capsys, monkeypatch, tmp_path):
+        # K4 passes on both sides at every base; the numeric verdict is
+        # forced to FAIL at base 0 only, so that instance disagrees
+        graph6 = "C~"
+        target = tkit.scan.instance_seed(42, graph6, 0)
+        verdict = report_module.algebraic_verdict
+
+        def forced(rep):
+            if rep.seed == target:
+                return AlgebraicVerdict(decompose_module.FAIL, "forced")
+            return verdict(rep)
+
+        monkeypatch.setattr(report_module, "algebraic_verdict", forced)
+        out = tkit.scan.scan_graph(graph6)
+        assert out["counts"]["agree-pass"] == 3
+        assert out["counts"]["agree-fail"] == 0
+        expected = report_module.analyze(parse_graph6(graph6), 0,
+                                         with_decomposition=True, seed=target)
+        assert out["mismatches"] == [report_module.report_to_dict(expected)]
+        assert expected.agreement == "MISMATCH"
+
+        path = tmp_path / "corpus.g6"
+        path.write_text(graph6 + "\n")
+        code, out, _ = run_cli(capsys, "scan", str(path), "--jobs", "1")
         assert code == 3
         assert json.loads(out.strip().splitlines()[0])["mismatch_count"] == 1
 

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import golden
 from clausewise import fit_clausewise
-from tkit.constructions import cycle_graph, example_graph, path_graph, petersen_graph
+from tkit.cli import load_graph
+from tkit.constructions import (cycle_graph, example_graph, path_graph,
+                                petersen_graph, rook_graph_3x3)
 from tkit.decompose import trivial_module_basis
 import tkit.regularity
 from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
                         shape_string, solve_linear)
-from tkit.graphs import connected_graphs, make_graph, parse_edge_list, to_graph6
-from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
+from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
+                         parse_graph6, to_graph6)
+from tkit.regularity import (E1Witness, NotApplicable, fit_endpoint1, fit_pdr,
                              neighbor_partitions, no_endpoint1_modules,
                              verify_condition_values)
 
@@ -182,30 +186,92 @@ class TestFitEndpoint1:
                         checked += 1
         assert checked > 400
 
-    def test_side_condition_log_names_instance(self, monkeypatch, caplog):
-        # no known graph reaches this branch, so a wrapped solver answers the
-        # systems extended by one row rho = value: rho = 0 is inconsistent,
-        # any other value leaves the system as it was
-        plain = []
+    def test_rho_forced_zero_means_pinned_at_zero(self):
+        # rook3x3 at 00: level 2 pins rho to 1/2, which is not zero
+        g = rook_graph_3x3()
+        level2 = fit_endpoint1(build_operators(g, g.labels.index("00"))).levels[1]
+        assert level2.consistent and level2.rho == F(1, 2)
+        assert not level2.rho_forced_zero
+
+    def test_rho_forced_zero_matches_extended_systems(self):
+        # oracle: the flat system rebuilt from enumerated walks stays
+        # consistent with the row rho = 0 appended and not with rho = 1;
+        # every base of every connected graph with n <= 5
+        checked = 0
+        for n in range(3, 6):
+            for g in connected_graphs(n):
+                for x in range(g.n):
+                    if g.degree(x) < 2:
+                        continue
+                    ops = build_operators(g, x)
+                    pdr = fit_pdr(ops)
+                    if not pdr.ok:
+                        continue
+                    for lv in fit_endpoint1(ops, pdr=pdr).levels:
+                        i = lv.level
+                        rows, rhs = [], []
+                        for y in g.neighbors(x):
+                            for z in ops.metric.sphere(i):
+                                rows.append((
+                                    enumerate_walks(g, x, shape_string("r", i - 1), y, z),
+                                    enumerate_walks(g, x, shape_string("lr", i), y, z)))
+                                rhs.append(enumerate_walks(
+                                    g, x, shape_string("rf", i - 1), y, z))
+                        pinned = (solve_linear(rows + [(0, 1)], rhs + [0]).consistent
+                                  and not solve_linear(rows + [(0, 1)], rhs + [1]).consistent)
+                        assert lv.rho_forced_zero == pinned
+                        checked += pinned
+        assert checked > 100
+
+    def test_two_solves_per_level(self, monkeypatch):
+        # the named graphs of the golden reports, every base
+        calls = []
 
         def solve(rows, rhs):
-            if plain and len(rows) == len(plain[-1]) + 1:
-                if rhs[-1] == 0:
-                    return LinearSolution(False, (None, None), (), len(rows) - 1)
-                return solve_linear(rows[:-1], rhs[:-1])
-            plain.append(rows)
+            calls.append(len(rows))
+            return solve_linear(rows, rhs)
+
+        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+        graphs = [load_graph(name)[0] for name in golden.BUILTINS]
+        graphs += [parse_graph6(g6) for g6 in golden.graph6_sources()]
+        fitted = 0
+        for g in graphs:
+            for x in range(g.n):
+                calls.clear()
+                try:
+                    prof = fit_endpoint1(build_operators(g, x))
+                except NotApplicable:
+                    continue
+                assert len(calls) == 2 * len(prof.levels)
+                fitted += 1
+        assert fitted == 41  # one per line of the golden witness table
+
+    def test_side_condition_log_names_instance(self, monkeypatch, caplog):
+        # no known graph reaches this branch, so a wrapped solver answers
+        # each level's flat system, its second solve, with the consistent
+        # solution theta = 0, rho = 1; in C9 at vertex 4 the upward cells
+        # are nonempty at levels 1 to 3 and empty at level 4
+        calls = []
+
+        def solve(rows, rhs):
+            calls.append(rows)
+            if len(calls) % 2 == 0:
+                return LinearSolution(True, (F(0), F(1)), (0, 1), None)
             return solve_linear(rows, rhs)
 
         monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
         g = cycle_graph(9)
         with caplog.at_level(logging.WARNING, logger="tkit.regularity"):
-            fit_endpoint1(build_operators(g, 4))
+            prof = fit_endpoint1(build_operators(g, 4))
         messages = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING
                     and "side condition conflicts" in r.getMessage()]
-        assert messages and all(
-            m.startswith(f"{to_graph6(g)} base {g.labels[4]} level ")
-            for m in messages)
+        assert [m.split(":")[0] for m in messages] == [
+            f"{to_graph6(g)} base {g.labels[4]} level {i}" for i in (1, 2, 3)]
+        assert [lv.consistent for lv in prof.levels] == [False, False, False, True]
+        assert prof.levels[0].rho is None and prof.levels[3].rho == 1
+        assert not prof.ok
+        assert prof.witness == E1Witness(1, None, None, "rho-side-condition")
 
     def test_mu_unique_when_side_cell_exists(self):
         # whenever some vertex of the level sits outside every downward
