@@ -15,12 +15,12 @@ from .exact import (LocalOperators, LinearSolution, build_operators, step,
                     SHAPE_FAMILIES)
 from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
                          fit_pdr, fit_endpoint1, verify_condition_values,
-                         no_endpoint1_modules, neighbor_partitions)
+                         neighbor_partitions)
 from .decompose import (Subspace, ModuleSummary, DecompositionReport,
                         AlgebraicVerdict, DecompositionError, decompose,
-                        algebraic_verdict, trivial_module_basis,
-                        commutant_basis, scalar_commutant, hom_dimension,
-                        dual_block_dims, subspace_distance, generator_matrices,
+                        algebraic_verdict, commutant_basis,
+                        graded_hom_dimension, dual_block_dims,
+                        generator_matrices,
                         PASS, FAIL, VACUOUS, NOT_APPLICABLE)
 from .constructions import (example_graph, empty_graph, complete_graph,
                             path_graph, cycle_graph, star_graph,

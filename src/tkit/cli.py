@@ -39,6 +39,23 @@ log = logging.getLogger(__name__)
 # Graph sources
 # ---------------------------------------------------------------------------
 
+# Parametric builtins kind:N, also the fibres of construct. N is the vertex
+# count (star:N has N leaves) and at most BUILTIN_MAX_N. At the limit,
+# complete:1000 builds its 499 500 edges in 0.6 s and 135 MiB, and
+# `check complete:1000 --vertex 0` takes 88 s and 584 MiB (2 cores,
+# Python 3.11).
+BUILTIN_MAX_N = 1000
+_FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
+             "star": star_graph, "empty": empty_graph}
+
+
+def _family_graph(kind: str, n: int) -> Graph:
+    if n > BUILTIN_MAX_N:
+        raise GraphError(f"{kind}:{n} is above the builtin size limit "
+                         f"N <= {BUILTIN_MAX_N}")
+    return _FAMILIES[kind](n)
+
+
 def _builtin(name: str) -> Optional[tuple[Graph, Optional[int]]]:
     if name == "example":
         g, base = example_graph()
@@ -53,11 +70,8 @@ def _builtin(name: str) -> Optional[tuple[Graph, Optional[int]]]:
             n = int(arg)
         except ValueError:
             return None
-        makers = {"cycle": cycle_graph, "path": path_graph,
-                  "complete": complete_graph, "star": star_graph,
-                  "empty": empty_graph}
-        if kind in makers:
-            return makers[kind](n), None
+        if kind in _FAMILIES:
+            return _family_graph(kind, n), None
     return None
 
 
@@ -186,11 +200,7 @@ def cmd_construct(args) -> int:
     x = g.index_of(args.x) if args.x is not None else default_base
     if x is None:
         raise GraphError("no base vertex given for the first factor")
-    makers = {"empty": empty_graph, "complete": complete_graph,
-              "cycle": cycle_graph, "path": path_graph}
-    if args.sigma_kind not in makers:
-        raise GraphError(f"unknown sigma kind {args.sigma_kind!r}")
-    sigma = makers[args.sigma_kind](args.sigma_n)
+    sigma = _family_graph(args.sigma_kind, args.sigma_n)
     result = apex_extension(g, x, sigma)
     h = result.graph
     if args.output == "graph6":
@@ -331,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analyze one graph at base vertices")
     p.add_argument("source", help="file path, '-', or builtin "
                                   "(example, petersen, rook3x3, cycle:N, "
-                                  "path:N, complete:N, star:N)")
+                                  "path:N, complete:N, star:N; "
+                                  f"N <= {BUILTIN_MAX_N})")
     p.add_argument("--vertex", help="base vertex label")
     p.add_argument("--all-vertices", action="store_true")
     p.add_argument("--decompose", action="store_true",
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma", help="first factor graph source")
     p.add_argument("x", help="base vertex label in the first factor")
     p.add_argument("sigma_kind", choices=("empty", "complete", "cycle", "path"))
-    p.add_argument("sigma_n", type=int)
+    p.add_argument("sigma_n", type=int, help=f"fibre size, at most {BUILTIN_MAX_N}")
     p.add_argument("--output", choices=("edgelist", "graph6"), default="edgelist")
     p.set_defaults(func=cmd_construct)
 

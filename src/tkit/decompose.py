@@ -2,11 +2,15 @@
 subspaces of the local operator algebra.
 
 The algebra is generated by the adjacency matrix and the level projectors
-of a base vertex. First a level-graded solve decides whether only scalars
-commute with the generators: a commuting matrix is block-diagonal by
-level, so that solve has sum_i |S_i|^2 unknowns, and when it passes the
-whole space is one irreducible module. Otherwise the commutant is solved
-as a Kronecker system with n^2 unknowns, a random symmetric element of it
+of a base vertex. Every module splits over the levels, and every
+intertwiner commutes with the level projectors, so it is block-diagonal by
+level. One graded solve, with sum_i d_i^2 unknowns for level dimensions
+d_i, gives the dimension of the intertwiners between two modules written
+in bases that follow the levels (graded_hom_dimension). It decides
+whether only scalars commute with the generators, in which case the whole
+space is one irreducible module, and whether two accepted modules are
+isomorphic. Only a reducible space is split, through its commutant solved
+as a Kronecker system with n^2 unknowns: a random symmetric element of it
 is sampled and eigen-split; eigenspaces are invariant subspaces, and any
 piece whose self-intertwiner space is bigger than scalars is split again.
 Every accepted module is post-verified against an invariance residual, so
@@ -29,6 +33,12 @@ from .graphs import to_graph6
 
 log = logging.getLogger(__name__)
 
+# Largest dense array decompose may build, in bytes: the graded commutant
+# system on the whole space (sum_i |S_i|^2 unknowns) and the Kronecker
+# stack of its first split, 8 (ecc + 2) n^4 bytes. Building the system
+# peaks at about twice its size, and np.linalg.qr copies the stack.
+MAX_DENSE_BYTES = 1 << 30
+
 PASS = "PASS"
 FAIL = "FAIL"
 VACUOUS = "VACUOUS"
@@ -37,7 +47,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 class DecompositionError(RuntimeError):
     """Splitting or invariance verification kept failing across reseeded
-    attempts."""
+    attempts, or a dense array of the solve would exceed MAX_DENSE_BYTES."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()):
         super().__init__(message)
@@ -144,109 +154,52 @@ def _cutoff(s: np.ndarray, tol: float) -> tuple[float, bool]:
     return cutoff, bool(np.any((s > 0.1 * cutoff) & (s < 10.0 * cutoff)))
 
 
-def _intertwiner_stack(gens_a: Sequence[np.ndarray],
-                       gens_b: Sequence[np.ndarray]) -> np.ndarray:
-    """Stacked matrix of M -> M G_a - G_b M over the generator pairs, acting
-    on M flattened row-major; its nullspace is the intertwiners from a to b.
-    Filled block by block into one preallocated array."""
-    ka, kb = gens_a[0].shape[0], gens_b[0].shape[0]
-    size = ka * kb
-    stack = np.empty((len(gens_a) * size, size))
-    for j, (ga, gb) in enumerate(zip(gens_a, gens_b)):
-        block = stack[j * size:(j + 1) * size]
-        block[:] = np.kron(np.eye(kb), ga.T)
-        block -= np.kron(gb, np.eye(ka))
-    return stack
-
-
 def commutant_basis(generators: Sequence[np.ndarray],
                     tol: float = 1e-9) -> tuple[list[np.ndarray], bool]:
     """Orthonormal basis of all matrices commuting with every generator.
 
-    Solved as the stacked nullspace of M -> MG - GM over all generators G.
-    The dimension equals the sum of squared multiplicities over the
-    isomorphism classes appearing in the space the generators act on.
+    Solved as the stacked nullspace of M -> MG - GM over all generators G,
+    acting on M flattened row-major, with n^2 unknowns. The dimension
+    equals the sum of squared multiplicities over the isomorphism classes
+    appearing in the space the generators act on.
     """
     k = generators[0].shape[0]
-    null, flag = _nullspace_rows(_intertwiner_stack(generators, generators), tol)
+    size = k * k
+    stack = np.empty((len(generators) * size, size))
+    for j, G in enumerate(generators):
+        block = stack[j * size:(j + 1) * size]
+        block[:] = np.kron(np.eye(k), G.T)
+        block -= np.kron(G, np.eye(k))
+    null, flag = _nullspace_rows(stack, tol)
     return [v.reshape(k, k) for v in null], flag
 
 
-def scalar_commutant(adjacency: np.ndarray, dist: Sequence[int],
-                     tol: float = 1e-9) -> tuple[bool, bool]:
-    """Whether only scalars commute with the adjacency matrix and the level
-    projectors (the standard module is irreducible), and the rank flag of
-    that solve.
+def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
+                         adj_b: np.ndarray, level_b: Sequence[int],
+                         tol: float = 1e-9) -> tuple[int, bool]:
+    """Dimension of the space of intertwiners from module a to module b,
+    and the rank flag of that solve.
 
-    A matrix commuting with every level projector is block-diagonal by
-    level, so the unknowns are its entries M[a, b] with a and b on one
-    level, sum_i |S_i|^2 of them, and (MA - AM)[u, v] can be nonzero only
-    where the levels of u and v are at most one apart.
+    Each module is given by its adjacency matrix in an orthonormal basis
+    whose vectors each lie on one distance level, and by the level of each
+    basis vector. An intertwiner M commutes with the level projectors, so
+    it is block-diagonal by level: the unknowns are its entries M[c, d]
+    with c and d on one level, and (M A_a - A_b M)[p, q] can be nonzero
+    only where the levels of p and q are at most one apart. For
+    irreducible modules a nonzero dimension means they are isomorphic, and
+    a module is irreducible when its self-intertwiners are the scalars.
     """
-    level = np.asarray(dist)
-    gap = level[:, None] - level[None, :]
-    a, b = np.nonzero(gap == 0)
-    u, v = np.nonzero(np.abs(gap) <= 1)
-    u, v = u[:, None], v[:, None]
-    # coefficient of M[a, b] in (MA)[u, v] is [u = a] A[b, v], in (AM)[u, v]
-    # it is A[u, a] [b = v]
-    system = (u == a) * adjacency[b, v] - adjacency[u, a] * (b == v)
+    level_a, level_b = np.asarray(level_a), np.asarray(level_b)
+    gap = level_b[:, None] - level_a[None, :]
+    c, d = np.nonzero(gap == 0)
+    p, q = np.nonzero(np.abs(gap) <= 1)
+    p, q = p[:, None], q[:, None]
+    # coefficient of M[c, d] in (M A_a)[p, q] is [p = c] A_a[d, q], in
+    # (A_b M)[p, q] it is A_b[p, c] [d = q]
+    system = (p == c) * adj_a[d, q] - adj_b[p, c] * (d == q)
     s = np.linalg.svd(system, compute_uv=False)
     cutoff, flag = _cutoff(s, tol)
-    # the system has at least as many rows as unknowns
-    return a.size - int((s > cutoff).sum()) == 1, flag
-
-
-def hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
-                  generators: Sequence[np.ndarray], tol: float = 1e-9) -> int:
-    """Dimension of the space of intertwining maps from w to w_other.
-
-    For irreducible inputs a nonzero value means the modules are
-    isomorphic and zero means they are not.
-    """
-    dim, _ = _hom_dimension_flagged(_rows(w), _rows(w_other), generators, tol)
-    return dim
-
-
-def _rows(w: Subspace | np.ndarray) -> np.ndarray:
-    return w.basis if isinstance(w, Subspace) else np.asarray(w, dtype=float)
-
-
-def _hom_dimension_flagged(ba: np.ndarray, bb: np.ndarray,
-                           generators: Sequence[np.ndarray],
-                           tol: float) -> tuple[int, bool]:
-    stack = _intertwiner_stack([ba @ G @ ba.T for G in generators],
-                               [bb @ G @ bb.T for G in generators])
-    null, flag = _nullspace_rows(stack, tol)
-    return null.shape[0], flag
-
-
-def subspace_distance(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> float:
-    """Spectral-norm distance between orthogonal projectors."""
-    ba, bb = _rows(a), _rows(b)
-    pa = ba.T @ ba
-    pb = bb.T @ bb
-    return float(np.linalg.norm(pa - pb, 2))
-
-
-# ---------------------------------------------------------------------------
-# Trivial module
-# ---------------------------------------------------------------------------
-
-def trivial_module_basis(ops: LocalOperators, tol: float = 1e-9) -> Subspace:
-    """Closure of the base vertex's indicator vector under the generators,
-    re-orthonormalized each pass until the dimension stabilizes.
-    """
-    gens = generator_matrices(ops)
-    n = ops.graph.n
-    basis = np.zeros((1, n))
-    basis[0, ops.base] = 1.0
-    while True:
-        stack = np.vstack([basis] + [basis @ G.T for G in gens])
-        new_basis = _orthonormal_rows(stack, tol)
-        if new_basis.shape[0] == basis.shape[0]:
-            return Subspace(new_basis)
-        basis = new_basis
+    return c.size - int((s > cutoff).sum()), flag
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +274,34 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
     return out
 
 
-def _level_dims(basis: np.ndarray, ops: LocalOperators) -> tuple[int, ...]:
-    dims = []
+def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray
+                   ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Level dimensions of an invariant subspace, its adjacency matrix in an
+    orthonormal basis whose vectors each lie on one level, and the level of
+    each of those vectors."""
+    graded = []
     for i in range(ops.ecc + 1):
         idx = list(ops.metric.sphere(i))
-        block = basis[:, idx]
         # the level projector restricted to an invariant subspace is
         # idempotent, so singular values sit at 0 or 1
-        sv = np.linalg.svd(block, compute_uv=False)
-        dims.append(int((sv > 0.5).sum()))
-    return tuple(dims)
+        _, sv, vt = np.linalg.svd(basis[:, idx], full_matrices=False)
+        rows = np.zeros((int((sv > 0.5).sum()), basis.shape[1]))
+        rows[:, idx] = vt[sv > 0.5]
+        graded.append(rows)
+    dims = tuple(len(rows) for rows in graded)
+    stacked = np.vstack(graded)
+    return dims, stacked @ adjacency @ stacked.T, np.repeat(np.arange(len(dims)), dims)
 
 
 def _instance(ops: LocalOperators) -> str:
     return f"{to_graph6(ops.graph)} base {ops.graph.labels[ops.base]}"
+
+
+def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
+    if nbytes > MAX_DENSE_BYTES:
+        raise DecompositionError(
+            f"{_instance(ops)}: the {what} needs {nbytes} bytes, above the "
+            f"limit of {MAX_DENSE_BYTES}")
 
 
 def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
@@ -347,8 +314,16 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     n = ops.graph.n
     residual_bound = 1e3 * tol
     worst: list[float] = []
+    sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
+    unknowns = sum(size * size for size in sizes)
+    equations = unknowns + 2 * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    _check_size(ops, "graded commutant system", 8 * equations * unknowns)
     # an irreducible standard module needs no Kronecker solve and no split
-    irreducible, irreducible_flag = scalar_commutant(gens[0], ops.metric.dist, tol)
+    dist = ops.metric.dist
+    scalars, irreducible_flag = graded_hom_dimension(gens[0], dist, gens[0], dist, tol)
+    irreducible = scalars == 1
+    if not irreducible:
+        _check_size(ops, "Kronecker commutant stack", 8 * len(gens) * n ** 4)
 
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
@@ -405,12 +380,12 @@ def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
         if residual > residual_bound:
             worst.append(residual)
             return None
-        dims = _level_dims(basis, ops)
+        dims, *module = _graded_module(basis, ops, gens[0])
         nz = [i for i, dim in enumerate(dims) if dim > 0]
         if nz != list(range(nz[0], nz[-1] + 1)) or sum(dims) != basis.shape[0]:
             worst.append(residual)
             return None
-        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual))
+        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual, module))
 
     order = sorted(range(len(modules_raw)),
                    key=lambda idx: (modules_raw[idx][2], modules_raw[idx][0].shape[0],
@@ -419,13 +394,13 @@ def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
     next_id = 0
     reps: list[tuple[int, int]] = []  # (module index, iso id)
     for pos in order:
-        basis, dims, endpoint, diameter, _ = modules_raw[pos]
+        _, dims, endpoint, diameter, _, module = modules_raw[pos]
         assigned = None
         for rep_idx, rep_id in reps:
-            rb, rd, re, rdiam, _ = modules_raw[rep_idx]
+            _, rd, re, rdiam, _, rep_module = modules_raw[rep_idx]
             if (re, rdiam, rd) != (endpoint, diameter, dims):
                 continue
-            h, _ = _hom_dimension_flagged(rb, basis, gens, tol)
+            h, _ = graded_hom_dimension(*rep_module, *module, tol)
             if h > 0:
                 assigned = rep_id
                 break
@@ -437,7 +412,7 @@ def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
 
     modules = []
     for pos in order:
-        basis, dims, endpoint, diameter, residual = modules_raw[pos]
+        basis, dims, endpoint, diameter, residual, _ = modules_raw[pos]
         modules.append(ModuleSummary(
             subspace=Subspace(basis),
             endpoint=endpoint,

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .exact import LocalOperators, raising_powers, solve_linear, step
 from .graphs import DistancePartition, distance_partition, to_graph6
 
@@ -312,28 +310,3 @@ def verify_condition_values(
         if any(partitions[y].cell(i, i + 1) for y in nbrs) and r_i != 0:
             return E1Witness(i, None, None, "rho-side-condition")
     return None
-
-
-# ---------------------------------------------------------------------------
-# Endpoint-one existence test from the trivial module
-# ---------------------------------------------------------------------------
-
-def no_endpoint1_modules(ops: LocalOperators, trivial_basis: np.ndarray,
-                         tol: float = 1e-9) -> bool:
-    """True when no irreducible module with endpoint one exists, decided by
-    comparing the neighbor-level dimension of the trivial module with the
-    base degree.
-
-    trivial_basis holds orthonormal basis vectors as rows, indexed by
-    vertex. With a thin trivial module this reduces to the base vertex
-    having degree one.
-    """
-    degree = ops.graph.degree(ops.base)
-    if degree == 0:
-        return True
-    sphere = ops.metric.sphere(1)
-    block = np.asarray(trivial_basis, dtype=float)[:, list(sphere)]
-    sv = np.linalg.svd(block, compute_uv=False)
-    cutoff = tol * max(1.0, float(sv[0]) if sv.size else 1.0)
-    rank = int((sv > cutoff).sum())
-    return rank == degree

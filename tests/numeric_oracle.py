@@ -1,0 +1,97 @@
+"""Numeric test oracles that the package itself does not need.
+
+* trivial_module_basis: the closure of the base indicator under the
+  generators, ungraded;
+* no_endpoint1_modules: the endpoint-one existence test read off that
+  closure;
+* intertwiner_stack and kron_hom_dimension: the Kronecker hom test, with
+  n_a n_b unknowns and every generator, that graded_hom_dimension replaced;
+* subspace_distance between two row-basis subspaces.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from tkit.decompose import (Subspace, _nullspace_rows, _orthonormal_rows,
+                            generator_matrices)
+from tkit.exact import LocalOperators
+
+
+def _rows(w: Subspace | np.ndarray) -> np.ndarray:
+    return w.basis if isinstance(w, Subspace) else np.asarray(w, dtype=float)
+
+
+def subspace_distance(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> float:
+    """Spectral-norm distance between orthogonal projectors."""
+    ba, bb = _rows(a), _rows(b)
+    pa = ba.T @ ba
+    pb = bb.T @ bb
+    return float(np.linalg.norm(pa - pb, 2))
+
+
+def trivial_module_basis(ops: LocalOperators, tol: float = 1e-9) -> Subspace:
+    """Closure of the base vertex's indicator vector under the generators,
+    re-orthonormalized each pass until the dimension stabilizes.
+    """
+    gens = generator_matrices(ops)
+    n = ops.graph.n
+    basis = np.zeros((1, n))
+    basis[0, ops.base] = 1.0
+    while True:
+        stack = np.vstack([basis] + [basis @ G.T for G in gens])
+        new_basis = _orthonormal_rows(stack, tol)
+        if new_basis.shape[0] == basis.shape[0]:
+            return Subspace(new_basis)
+        basis = new_basis
+
+
+def no_endpoint1_modules(ops: LocalOperators, trivial_basis: np.ndarray,
+                         tol: float = 1e-9) -> bool:
+    """True when no irreducible module with endpoint one exists, decided by
+    comparing the neighbor-level dimension of the trivial module with the
+    base degree.
+
+    trivial_basis holds orthonormal basis vectors as rows, indexed by
+    vertex. With a thin trivial module this reduces to the base vertex
+    having degree one.
+    """
+    degree = ops.graph.degree(ops.base)
+    if degree == 0:
+        return True
+    sphere = ops.metric.sphere(1)
+    block = np.asarray(trivial_basis, dtype=float)[:, list(sphere)]
+    sv = np.linalg.svd(block, compute_uv=False)
+    cutoff = tol * max(1.0, float(sv[0]) if sv.size else 1.0)
+    rank = int((sv > cutoff).sum())
+    return rank == degree
+
+
+def intertwiner_stack(gens_a: Sequence[np.ndarray],
+                      gens_b: Sequence[np.ndarray]) -> np.ndarray:
+    """Stacked matrix of M -> M G_a - G_b M over the generator pairs, acting
+    on M flattened row-major; its nullspace is the intertwiners from a to b.
+    Filled block by block into one preallocated array."""
+    ka, kb = gens_a[0].shape[0], gens_b[0].shape[0]
+    size = ka * kb
+    stack = np.empty((len(gens_a) * size, size))
+    for j, (ga, gb) in enumerate(zip(gens_a, gens_b)):
+        block = stack[j * size:(j + 1) * size]
+        block[:] = np.kron(np.eye(kb), ga.T)
+        block -= np.kron(gb, np.eye(ka))
+    return stack
+
+
+def kron_hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
+                       generators: Sequence[np.ndarray], tol: float = 1e-9) -> int:
+    """Dimension of the space of intertwining maps from w to w_other.
+
+    For irreducible inputs a nonzero value means the modules are
+    isomorphic and zero means they are not.
+    """
+    ba, bb = _rows(w), _rows(w_other)
+    stack = intertwiner_stack([ba @ G @ ba.T for G in generators],
+                              [bb @ G @ bb.T for G in generators])
+    null, _ = _nullspace_rows(stack, tol)
+    return null.shape[0]

@@ -17,8 +17,9 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, predicted_profile,
                                 rook_graph_3x3)
-from tkit.decompose import algebraic_verdict, decompose, subspace_distance
+from tkit.decompose import algebraic_verdict, decompose
 from matrix_oracle import build_matrix_operators, walk_table
+from numeric_oracle import subspace_distance
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
                         walk_column, walk_counts_from)
 from tkit.graphs import GraphError, make_graph

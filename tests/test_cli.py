@@ -187,6 +187,36 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: IheA@GUAo base 3: no verified decomposition")
 
+    @pytest.mark.parametrize("guarded,what,nbytes", [
+        ("graded_hom_dimension", "graded commutant system", 3360),
+        ("commutant_basis", "Kronecker commutant stack", 41472)])
+    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch,
+                                             guarded, what, nbytes):
+        # the example at base 1 has levels of sizes 1, 2, 3: a 30 x 14 graded
+        # system, and a reducible space whose first split would stack four
+        # 36 x 36 blocks
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{guarded} ran above the limit")
+
+        monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", nbytes - 1)
+        monkeypatch.setattr(decompose_module, guarded, unreachable)
+        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
+                                 "--decompose")
+        assert code == 2 and out == ""
+        assert err == (f"error: EyW_ base 1: the {what} needs {nbytes} bytes, "
+                       f"above the limit of {nbytes - 1}\n")
+
+    def test_huge_builtin_exits_2_before_building(self, capsys, monkeypatch):
+        monkeypatch.setitem(tkit.cli._FAMILIES, "complete", None)
+        code, out, err = run_cli(capsys, "check", "complete:100000000")
+        assert code == 2 and out == ""
+        assert err == ("error: complete:100000000 is above the builtin size "
+                       "limit N <= 1000\n")
+
+    def test_builtin_at_size_limit(self):
+        g, _ = tkit.cli.load_graph(f"path:{tkit.cli.BUILTIN_MAX_N}")
+        assert g.n == tkit.cli.BUILTIN_MAX_N == 1000
+
     @pytest.mark.parametrize("argv", [["-v", "check"], ["check", "-v"]])
     def test_verbose_either_side_of_subcommand(self, capsys, monkeypatch, argv):
         levels = []
@@ -223,6 +253,12 @@ class TestConstruct:
     def test_irregular_fiber_rejected(self, capsys):
         code, _, err = run_cli(capsys, "construct", "example", "1", "path", "3")
         assert code == 2 and "regular" in err
+
+    def test_huge_fibre_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "example", "1",
+                                 "complete", "1001")
+        assert code == 2 and out == ""
+        assert "complete:1001 is above the builtin size limit" in err
 
     def test_output_feeds_back_into_check(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "example", "1", "empty", "2")

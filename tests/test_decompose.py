@@ -8,16 +8,17 @@ import pytest
 import golden
 from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
+from numeric_oracle import (intertwiner_stack, kron_hom_dimension,
+                            subspace_distance, trivial_module_basis)
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
-                            _cutoff, _intertwiner_stack, _nullspace_rows,
+                            _cutoff, _graded_module, _nullspace_rows,
                             algebraic_verdict, commutant_basis, decompose,
-                            dual_block_dims, generator_matrices, hom_dimension,
-                            scalar_commutant, subspace_distance,
-                            trivial_module_basis)
+                            dual_block_dims, generator_matrices,
+                            graded_hom_dimension)
 from tkit.exact import build_operators, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
@@ -109,7 +110,8 @@ def _ladder():
 
 
 def _scalars_only(ops):
-    return scalar_commutant(generator_matrices(ops)[0], ops.metric.dist)[0]
+    adjacency, dist = generator_matrices(ops)[0], ops.metric.dist
+    return graded_hom_dimension(adjacency, dist, adjacency, dist)[0] == 1
 
 
 class TestScalarCommutant:
@@ -175,7 +177,7 @@ class TestNullspaceQr:
         # the QR route never forms the tall left factor of the stack's SVD
         for g, x in instances():
             gens = generator_matrices(build_operators(g, x))
-            stack = _intertwiner_stack(gens, gens)
+            stack = intertwiner_stack(gens, gens)
             null, flag = _nullspace_rows(stack, 1e-9)
             want, want_flag = _plain_nullspace(stack)
             assert null.shape == want.shape and flag == want_flag, (to_graph6(g), x)
@@ -298,7 +300,7 @@ class TestHomDimension:
         rep = decompose(example_ops)
         gens = generator_matrices(example_ops)
         for m in rep.modules:
-            assert hom_dimension(m.subspace, m.subspace, gens) == 1
+            assert kron_hom_dimension(m.subspace, m.subspace, gens) == 1
 
     def test_different_endpoints_not_isomorphic(self, example_ops):
         rep = decompose(example_ops)
@@ -306,7 +308,7 @@ class TestHomDimension:
         triv = rep.modules[rep.trivial_index]
         for m in rep.modules:
             if m.endpoint != 0:
-                assert hom_dimension(triv.subspace, m.subspace, gens) == 0
+                assert kron_hom_dimension(triv.subspace, m.subspace, gens) == 0
 
     def test_isomorphic_pair_in_apex_extension(self):
         g, x = example_graph()
@@ -316,7 +318,7 @@ class TestHomDimension:
         e1 = rep.endpoint1_modules()
         assert len(e1) == 2
         gens = generator_matrices(ops)
-        assert hom_dimension(e1[0].subspace, e1[1].subspace, gens) == 1
+        assert kron_hom_dimension(e1[0].subspace, e1[1].subspace, gens) == 1
 
 
 def _rooted_classes(n):
@@ -331,6 +333,48 @@ def _rooted_classes(n):
             if key not in seen:
                 seen.add(key)
                 yield g, x
+
+
+def _graded_vs_kronecker(ops):
+    """Graded and Kronecker hom dimensions between every pair of
+    decomposed modules with the same level dimensions."""
+    rep = decompose(ops)
+    gens = generator_matrices(ops)
+    graded = [_graded_module(m.subspace.basis, ops, gens[0]) for m in rep.modules]
+    pairs = []
+    for i, (ma, (dims_a, adj_a, level_a)) in enumerate(zip(rep.modules, graded)):
+        for mb, (dims_b, adj_b, level_b) in zip(rep.modules[i:], graded[i:]):
+            if dims_a == dims_b:
+                dim, _ = graded_hom_dimension(adj_a, level_a, adj_b, level_b)
+                want = kron_hom_dimension(ma.subspace, mb.subspace, gens)
+                assert dim == want, (to_graph6(ops.graph), ops.base, ma.level_dims)
+                assert (dim > 0) == (ma.iso_class == mb.iso_class)
+                pairs.append((ma is mb, dim))
+    return pairs
+
+
+class TestGradedHomDimension:
+    def test_matches_kronecker_small_graphs(self):
+        # every base of every connected graph with n <= 5, one per rooted
+        # isomorphism class
+        pairs = [pair for n in range(1, 6) for g, x in _rooted_classes(n)
+                 for pair in _graded_vs_kronecker(build_operators(g, x))]
+        assert {(False, 0), (False, 1), (True, 1)} <= set(pairs)
+
+    @pytest.mark.parametrize("source", list(golden.BUILTINS) + golden.apex_graph6s())
+    def test_matches_kronecker_named_graphs(self, source):
+        g = load_graph(source)[0] if source in golden.BUILTINS else parse_graph6(source)
+        for x in range(g.n):
+            assert all(dim == 1 for same, dim in
+                       _graded_vs_kronecker(build_operators(g, x)) if same)
+
+    def test_kronecker_stack_bit_identical(self, example_ops):
+        # commutant_basis fills the stack the Kronecker hom oracle builds
+        gens = generator_matrices(example_ops)
+        basis, flag = commutant_basis(gens)
+        null, want_flag = _nullspace_rows(intertwiner_stack(gens, gens), 1e-9)
+        assert flag == want_flag
+        assert np.array_equal(np.array(basis).reshape(len(basis), -1), null)
 
 
 class TestDualBlockDims:

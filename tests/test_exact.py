@@ -1,6 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import tkit
 
 from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
 from tkit.exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
@@ -251,3 +255,16 @@ def test_walk_counts_grow_without_overflow():
     assert max(counts) > 2 ** 64
     # level 1 is a K8, so closed flat walks follow (7^k + 7 (-1)^k) / 8
     assert counts[1] == (7 ** 26 + 7) // 8
+
+
+@pytest.mark.parametrize("module", ["exact", "regularity", "graphs"])
+def test_exact_side_imports_no_numpy(module):
+    # the exact side decides with zero tolerance, so it has no float arrays
+    tree = ast.parse((Path(tkit.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]

@@ -7,18 +7,17 @@ import pytest
 
 import golden
 from clausewise import fit_clausewise
+from numeric_oracle import no_endpoint1_modules, trivial_module_basis
 from tkit.cli import load_graph
 from tkit.constructions import (cycle_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3)
-from tkit.decompose import trivial_module_basis
 import tkit.regularity
 from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
                         shape_string, solve_linear)
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
 from tkit.regularity import (E1Witness, NotApplicable, fit_endpoint1, fit_pdr,
-                             neighbor_partitions, no_endpoint1_modules,
-                             verify_condition_values)
+                             neighbor_partitions, verify_condition_values)
 
 F = Fraction
 
