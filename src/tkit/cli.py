@@ -201,6 +201,11 @@ def cmd_construct(args) -> int:
     if x is None:
         raise GraphError("no base vertex given for the first factor")
     sigma = _family_graph(args.sigma_kind, args.sigma_n)
+    n_out = g.n * sigma.n + 1
+    if n_out > BUILTIN_MAX_N:
+        raise GraphError(f"construct output would have {g.n} * {sigma.n} + 1 = "
+                         f"{n_out} vertices, above the size limit "
+                         f"N <= {BUILTIN_MAX_N}")
     result = apex_extension(g, x, sigma)
     h = result.graph
     if args.output == "graph6":
@@ -360,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gamma", help="first factor graph source")
     p.add_argument("x", help="base vertex label in the first factor")
     p.add_argument("sigma_kind", choices=("empty", "complete", "cycle", "path"))
-    p.add_argument("sigma_n", type=int, help=f"fibre size, at most {BUILTIN_MAX_N}")
+    p.add_argument("sigma_n", type=int,
+                   help=f"fibre size; the output's n * sigma_n + 1 vertices "
+                        f"are at most {BUILTIN_MAX_N}")
     p.add_argument("--output", choices=("edgelist", "graph6"), default="edgelist")
     p.set_defaults(func=cmd_construct)
 

@@ -1,14 +1,18 @@
 """The local operator family, level-stepped walk counts, and exact solving.
 
-Everything here is integer or rational arithmetic with no tolerances. Walk
-counts are vectors indexed by vertex, pushed one level step at a time along
-adjacency lists. They grow exponentially with walk length, so entries are
-arbitrary precision by construction (plain Python ints).
+Everything here is exact, with no tolerances. Walk counts are vectors
+indexed by vertex, pushed one level step at a time along adjacency lists.
+They grow exponentially with walk length, so entries are arbitrary
+precision by construction (plain Python ints). Linear systems are
+eliminated in integers as well (fraction-free, each row kept divided by
+the gcd of its entries); Fractions appear only in the solved values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .graphs import Graph, LocalMetric, local_metric
@@ -18,7 +22,7 @@ _STEP = {"r": 1, "f": 0, "l": -1}
 
 
 # ---------------------------------------------------------------------------
-# Exact linear solving (rational Gaussian elimination)
+# Exact linear solving (integer Gauss-Jordan elimination)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -41,40 +45,58 @@ class LinearSolution:
 
 def solve_linear(rows: Sequence[Sequence[int | Fraction]],
                  rhs: Sequence[int | Fraction]) -> LinearSolution:
-    """Gaussian elimination over Fraction with deterministic pivoting."""
+    """Gauss-Jordan elimination with deterministic pivoting, over integers.
+
+    The pivot of column c is the first remaining row with a nonzero entry
+    there. Each row is cleared as row <- p * row - f * pivot_row and divided
+    by the gcd of its entries, so it stays a nonzero integer multiple of the
+    row that elimination over the rationals would hold: the zero pattern,
+    the pivots and bad_row are the same, and a pivot variable's value is
+    its row's right-hand side over its pivot entry.
+    """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     ncols = len(rows[0]) if rows else 0
-    aug = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {k} has {len(row)} entries, expected {ncols}")
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    if set(map(type, chain.from_iterable(aug))) - {int}:
+        # scale each row to integers once, by the lcm of its denominators
+        for k, entries in enumerate(aug):
+            den = lcm(*[e.denominator for e in entries])
+            aug[k] = [e.numerator * (den // e.denominator) for e in entries]
     origin = list(range(len(aug)))
 
     pivots: list[tuple[int, int]] = []  # (row, col)
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
         origin[r], origin[pr] = origin[pr], origin[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
+        prow = aug[r]
+        p = prow[c]
+        for i, row in enumerate(aug):
+            f = row[c]
+            if f and i != r:
+                row = [p * e - f * q for e, q in zip(row, prow)]
+                g = gcd(*row)
+                aug[i] = [e // g for e in row] if g > 1 else row
         pivots.append((r, c))
         r += 1
         if r == len(aug):
             break
     for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
+        if aug[i][ncols]:
             return LinearSolution(False, tuple([None] * ncols),
                                   tuple(c for _, c in pivots), origin[i])
     # canonical assignment: free variables are zero, so a pivot variable's
-    # value is just the reduced right-hand side; free ones stay None
+    # value is its row's right-hand side over the pivot; free ones stay None
     values: list[Optional[Fraction]] = [None] * ncols
     for pr, c in pivots:
-        values[c] = aug[pr][ncols]
+        values[c] = Fraction(aug[pr][ncols], aug[pr][c])
     return LinearSolution(True, tuple(values), tuple(c for _, c in pivots), None)
 
 

@@ -82,23 +82,25 @@ def fit_pdr(ops: LocalOperators) -> PdrProfile:
     betas: list[Fraction] = []
     witness: Optional[PdrWitness] = None
     for i in range(d + 1):
-        z0 = ops.metric.sphere(i)[0]
+        sphere = ops.metric.sphere(i)
+        z0 = sphere[0]
         base_count = powers[i][z0]
+        down, flat = up_down[i + 1], up_flat[i]
         # every level vertex is reached by at least one geodesic, so the
         # reference count is positive and the ratios are well defined
-        alphas.append(Fraction(up_down[i + 1][z0], base_count))
-        betas.append(Fraction(up_flat[i][z0], base_count))
-    for i in range(d + 1):
-        for z in ops.metric.sphere(i):
+        alphas.append(Fraction(down[z0], base_count))
+        betas.append(Fraction(flat[z0], base_count))
+        if witness is not None:
+            continue
+        # the ratios at z equal those at z0, cross-multiplied in integers
+        for z in sphere:
             r_count = powers[i][z]
-            if up_down[i + 1][z] != alphas[i] * r_count:
+            if down[z] * base_count != down[z0] * r_count:
                 witness = PdrWitness(i, z, "alpha")
                 break
-            if up_flat[i][z] != betas[i] * r_count:
+            if flat[z] * base_count != flat[z0] * r_count:
                 witness = PdrWitness(i, z, "beta")
                 break
-        if witness:
-            break
     return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness,
                       tuple(powers))
 

@@ -260,6 +260,22 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert "complete:1001 is above the builtin size limit" in err
 
+    def test_huge_output_exits_2_before_building(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("apex_extension must not run")
+
+        monkeypatch.setattr(tkit.cli, "apex_extension", fail)
+        code, out, err = run_cli(capsys, "construct", "complete:100", "0",
+                                 "complete", "100")
+        assert code == 2 and out == ""
+        assert "100 * 100 + 1 = 10001 vertices" in err
+
+    def test_output_at_size_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "cycle:37", "0",
+                               "complete", "27", "--output", "graph6")
+        assert code == 0
+        assert parse_graph6(out.strip()).n == tkit.cli.BUILTIN_MAX_N == 1000
+
     def test_output_feeds_back_into_check(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "example", "1", "empty", "2")
         assert code == 0

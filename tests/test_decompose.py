@@ -10,6 +10,7 @@ from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
 from numeric_oracle import (intertwiner_stack, kron_hom_dimension,
                             subspace_distance, trivial_module_basis)
+from rooted import rooted_classes
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
@@ -321,20 +322,6 @@ class TestHomDimension:
         assert kron_hom_dimension(e1[0].subspace, e1[1].subspace, gens) == 1
 
 
-def _rooted_classes(n):
-    """One (graph, base) per rooted isomorphism class of connected graphs
-    on n vertices."""
-    seen = set()
-    for g in connected_graphs(n):
-        edges = list(g.edges())
-        for x in range(n):
-            key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-                      for p in itertools.permutations(range(n)) if p[x] == 0)
-            if key not in seen:
-                seen.add(key)
-                yield g, x
-
-
 def _graded_vs_kronecker(ops):
     """Graded and Kronecker hom dimensions between every pair of
     decomposed modules with the same level dimensions."""
@@ -357,7 +344,7 @@ class TestGradedHomDimension:
     def test_matches_kronecker_small_graphs(self):
         # every base of every connected graph with n <= 5, one per rooted
         # isomorphism class
-        pairs = [pair for n in range(1, 6) for g, x in _rooted_classes(n)
+        pairs = [pair for n in range(1, 6) for g, x in rooted_classes(n)
                  for pair in _graded_vs_kronecker(build_operators(g, x))]
         assert {(False, 0), (False, 1), (True, 1)} <= set(pairs)
 
@@ -390,7 +377,7 @@ class TestDualBlockDims:
         # isomorphism class: both sides are invariants of the rooted graph
         count = 0
         for n in range(1, 6):
-            for g, x in _rooted_classes(n):
+            for g, x in rooted_classes(n):
                 ops = build_operators(g, x)
                 assert dual_block_dims(decompose(ops)) == closure_block_dims(ops), \
                     (to_graph6(g), x)

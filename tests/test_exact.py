@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,12 +7,15 @@ import pytest
 
 import tkit
 
+from fraction_oracle import solve_linear_fraction
 from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
+from rooted import rooted_classes
 from tkit.exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
                         raising_powers, shape_string, solve_linear, step,
                         walk_column, walk_counts_from)
 from tkit.graphs import connected_graphs, local_metric, parse_edge_list
-from tkit.constructions import complete_graph
+from tkit.constructions import complete_graph, star_graph
+from tkit.regularity import NotApplicable, fit_endpoint1
 
 
 class TestIntMatrix:
@@ -68,6 +72,114 @@ class TestSolveLinear:
     def test_zero_rows_consistent(self):
         sol = solve_linear([[0, 0]], [0])
         assert sol.consistent and sol.values == (None, None)
+
+    @pytest.mark.parametrize("rows", [[[1], [0, 1]], [[1, 0], [1]]])
+    def test_ragged_rows_rejected(self, rows):
+        # a short row would shift its right-hand side into a coefficient column
+        with pytest.raises(ValueError, match="row 1 has"):
+            solve_linear(rows, [1, 2])
+
+    def test_integer_system_builds_only_the_values(self, monkeypatch):
+        # the shape of the endpoint-one system at the centre of star:80:
+        # 6 400 equations in 2 unknowns; only the two returned values may
+        # be Fractions, so the elimination itself stays in integers
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(tkit.exact, "Fraction", Counted)
+        rows = [(int(y == z), 1) for y in range(80) for z in range(80)]
+        rhs = [3 * a + 5 * b for a, b in rows]
+        sol = solve_linear(rows, rhs)
+        assert sol.consistent and sol.values == (3, 5)
+        assert len(built) <= 2
+
+
+def _fields(sol):
+    return sol.consistent, sol.values, sol.pivots, sol.bad_row
+
+
+def _assert_matches_oracle(rows, rhs):
+    got = solve_linear(rows, rhs)
+    assert _fields(got) == _fields(solve_linear_fraction(rows, rhs))
+    assert all(v is None or type(v) is Fraction for v in got.values)
+    return got
+
+
+def _random_system(rng):
+    """0-10 equations in 1-4 unknowns: small ints, bigints up to 2^70 or
+    Fractions, with zero rows, duplicated (scaled) rows and, for some,
+    a right-hand side built from a known solution."""
+    kind = rng.randrange(4)
+
+    def entry():
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return rng.randint(-2 ** 70, 2 ** 70) * rng.choice((0, 1, 1))
+        if kind == 2:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice((0, 0, 1, -1, 2))
+
+    nr, nc = rng.randint(0, 10), rng.randint(1, 4)
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    rhs = [entry() for _ in range(nr)]
+    if nr and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [0] * nc
+    if nr > 1 and rng.random() < 0.3:
+        a, b = rng.randrange(nr), rng.randrange(nr)
+        m = rng.choice((1, 2, -3, Fraction(1, 2)))
+        rows[a] = [m * e for e in rows[b]]
+        if rng.random() < 0.5:
+            rhs[a] = m * rhs[b]
+    if rng.random() < 0.4:
+        known = [rng.randint(-3, 3) for _ in range(nc)]
+        rhs = [sum(e * v for e, v in zip(row, known)) for row in rows]
+    return rows, rhs
+
+
+class TestSolveLinearOracle:
+    """The integer elimination agrees with Gauss-Jordan over Fraction
+    (tests/fraction_oracle.py) on every field of the solution."""
+
+    def test_random_systems(self):
+        rng = random.Random(20261018)
+        inconsistent = 0
+        for _ in range(4000):
+            rows, rhs = _random_system(rng)
+            inconsistent += not _assert_matches_oracle(rows, rhs).consistent
+        assert 1000 < inconsistent < 3000
+
+    @staticmethod
+    def _check_endpoint1_systems(monkeypatch, instances):
+        systems = []
+
+        def solve(rows, rhs):
+            systems.append(len(rows))
+            return _assert_matches_oracle(rows, rhs)
+
+        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+        for g, x in instances:
+            try:
+                fit_endpoint1(build_operators(g, x))
+            except NotApplicable:
+                pass
+        return systems
+
+    def test_endpoint1_systems_small_graphs(self, monkeypatch):
+        # both systems of every endpoint-one level, at one base per rooted
+        # class of every connected graph with n <= 5
+        instances = [pair for n in range(1, 6) for pair in rooted_classes(n)]
+        systems = self._check_endpoint1_systems(monkeypatch, instances)
+        assert len(systems) == 76  # 22 fitted instances, 38 levels
+
+    def test_endpoint1_systems_star_centre(self, monkeypatch):
+        systems = self._check_endpoint1_systems(monkeypatch,
+                                                [(star_graph(80), 0)])
+        assert systems == [6400, 6400]
 
 
 class TestBuildOperators:

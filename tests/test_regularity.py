@@ -16,8 +16,9 @@ from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
                         shape_string, solve_linear)
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
-from tkit.regularity import (E1Witness, NotApplicable, fit_endpoint1, fit_pdr,
-                             neighbor_partitions, verify_condition_values)
+from tkit.regularity import (E1Witness, NotApplicable, PdrWitness,
+                             fit_endpoint1, fit_pdr, neighbor_partitions,
+                             verify_condition_values)
 
 F = Fraction
 
@@ -84,6 +85,19 @@ class TestFitPdr:
                 if found >= 50:
                     return
         assert found, "expected some non-fitting instances on 5 vertices"
+
+    def test_equal_counts_unequal_ratios_rejected(self):
+        # at level 2 every vertex has 4 raise-then-lower walks, but vertex 6
+        # has 2 raising walks where the others have 1: the ratios differ,
+        # so the trivial module is not thin (the decomposition agrees); at
+        # no base of a graph with n <= 6 does comparing the raise-then-lower
+        # counts instead of the ratios change the verdict
+        g = make_graph(7, [(0, 2), (0, 4), (1, 4), (1, 5), (2, 3), (2, 6),
+                           (3, 5), (4, 6), (5, 6)])
+        pdr = fit_pdr(build_operators(g, 0))
+        assert not pdr.ok
+        assert pdr.witness == PdrWitness(2, 6, "alpha")
+        assert pdr.alpha == (2, 3, 4, 0)
 
 
 class TestFitEndpoint1:
