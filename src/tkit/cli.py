@@ -40,10 +40,10 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 # Parametric builtins kind:N, also the fibres of construct. N is the vertex
-# count (star:N has N leaves) and at most BUILTIN_MAX_N. At the limit,
-# complete:1000 builds its 499 500 edges in 0.6 s and 135 MiB, and
-# `check complete:1000 --vertex 0` takes 88 s and 584 MiB (2 cores,
-# Python 3.11).
+# count (star:N has N leaves) and at most BUILTIN_MAX_N, and so is the
+# number of vertices construct builds. At the limit, complete:1000 builds
+# its 499 500 edges in 0.6 s and 135 MiB, and `check complete:1000
+# --vertex 0` takes 54 s and 506 MiB (2 cores, Python 3.11).
 BUILTIN_MAX_N = 1000
 _FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
              "star": star_graph, "empty": empty_graph}
