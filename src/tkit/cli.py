@@ -196,10 +196,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g, default_base = load_graph(args.gamma, "auto")
-    x = g.index_of(args.x) if args.x is not None else default_base
-    if x is None:
-        raise GraphError("no base vertex given for the first factor")
+    g, _ = load_graph(args.gamma, "auto")
+    x = g.index_of(args.x)
     sigma = _family_graph(args.sigma_kind, args.sigma_n)
     n_out = g.n * sigma.n + 1
     if n_out > BUILTIN_MAX_N:
@@ -321,8 +319,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=_seed, default=42,
                    help="random seed for the decomposition (default 42)")
     p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="numeric tolerance for rank decisions (default 1e-9)")

@@ -33,10 +33,12 @@ from .graphs import to_graph6
 
 log = logging.getLogger(__name__)
 
-# Largest dense array decompose may build, in bytes: the graded commutant
-# system on the whole space (sum_i |S_i|^2 unknowns) and the Kronecker
-# stack of its first split, 8 (ecc + 2) n^4 bytes. Building the system
-# peaks at about twice its size, and np.linalg.qr copies the stack.
+# Largest dense array decompose may build, in bytes: the generator stack
+# (the adjacency matrix and ecc + 1 level projectors, 8 (ecc + 2) n^2
+# bytes; path:511 is the longest path within the limit), the graded
+# commutant system on the whole space (sum_i |S_i|^2 unknowns) and the
+# Kronecker stack of its first split, 8 (ecc + 2) n^4 bytes. Building the
+# system peaks at about twice its size, and np.linalg.qr copies the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 PASS = "PASS"
@@ -310,8 +312,9 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     subspaces and summarize endpoints, level dimensions, thinness and
     isomorphism classes.
     """
-    gens = generator_matrices(ops)
     n = ops.graph.n
+    _check_size(ops, "generator stack", 8 * (ops.ecc + 2) * n * n)
+    gens = generator_matrices(ops)
     residual_bound = 1e3 * tol
     worst: list[float] = []
     sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]

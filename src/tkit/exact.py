@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .graphs import Graph, LocalMetric, local_metric
+from .graphs import (DistancePartition, Graph, LocalMetric, distance_partition,
+                     local_metric)
 
 SHAPE_FAMILIES = ("r", "rl", "lr", "rf")
 _STEP = {"r": 1, "f": 0, "l": -1}
@@ -112,6 +114,10 @@ class LocalOperators:
     (steps one level down, within a level, one level up). These operators
     are never formed; step() applies one of them to a count vector by
     walking the adjacency lists.
+
+    partitions and base_powers, shared by the fits and the structure
+    report, are built on first use and kept: most scanned instances need
+    neither.
     """
 
     graph: Graph
@@ -124,6 +130,17 @@ class LocalOperators:
     @property
     def ecc(self) -> int:
         return self.metric.ecc
+
+    @cached_property
+    def partitions(self) -> dict[int, DistancePartition]:
+        """Distance partition of each edge {x, y} at the base x, by y."""
+        g, x = self.graph, self.base
+        return {y: distance_partition(g, x, y, self.metric) for y in g.neighbors(x)}
+
+    @cached_property
+    def base_powers(self) -> list[list[int]]:
+        """R^0 e_x, ..., R^{ecc+1} e_x for the base x."""
+        return raising_powers(self, self.base, self.ecc + 1)
 
 
 def build_operators(g: Graph, x: int) -> LocalOperators:

@@ -346,18 +346,14 @@ class StructureReport:
 
 
 def structure_report(g: Graph, x: int,
-                     partitions: Optional[Mapping[int, DistancePartition]] = None
-                     ) -> StructureReport:
+                     partitions: Mapping[int, DistancePartition]) -> StructureReport:
     """Evaluate the cell-pattern predicates of the distance partitions
     around x, one partition per neighbor y.
 
-    partitions maps each neighbor y of x to distance_partition(g, x, y);
-    they are computed when not given.
+    partitions maps each neighbor y of x to distance_partition(g, x, y),
+    as LocalOperators.partitions holds them.
     """
     nbrs = g.neighbors(x)
-    if partitions is None:
-        metric = local_metric(g, x)
-        partitions = {y: distance_partition(g, x, y, metric) for y in nbrs}
     # a connected graph where x has no neighbor is a single vertex
     d = partitions[nbrs[0]].ecc_x if nbrs else 0
     vacuous = len(nbrs) < 2

@@ -16,12 +16,12 @@ Two fits, both over exact rationals with zero tolerance:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import LocalOperators, raising_powers, solve_linear, step
-from .graphs import DistancePartition, distance_partition, to_graph6
+from .graphs import to_graph6
 
 log = logging.getLogger(__name__)
 
@@ -56,27 +56,24 @@ class PdrProfile:
     alpha[i] and beta[i] are always the ratios taken at the first vertex of
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
-    powers holds the base's raising vectors R^0 e_x, ..., R^{ecc+1} e_x the
-    ratios were read from, for the endpoint-one fit to reuse.
     """
 
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
     ok: bool
     witness: Optional[PdrWitness]
-    powers: tuple[list[int], ...] = field(repr=False, compare=False)
 
 
-def _columns(ops: LocalOperators, v: int, max_m: int) -> tuple[list[list[int]], ...]:
-    """Column v of the walk-count matrices R^m, L R^m and F R^m for
-    m = 0..max_m, as count vectors indexed by vertex."""
-    up = raising_powers(ops, v, max_m)
+def _columns(ops: LocalOperators, up: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """Given the raising vectors up = [R^0 e_v, ..., R^max_m e_v], column
+    v of the walk-count matrices R^m, L R^m and F R^m for m = 0..max_m, as
+    count vectors indexed by vertex."""
     return up, [step(ops, c, "l") for c in up], [step(ops, c, "f") for c in up]
 
 
 def fit_pdr(ops: LocalOperators) -> PdrProfile:
     d = ops.ecc
-    powers, up_down, up_flat = _columns(ops, ops.base, d + 1)
+    powers, up_down, up_flat = _columns(ops, ops.base_powers)
 
     alphas: list[Fraction] = []
     betas: list[Fraction] = []
@@ -101,8 +98,7 @@ def fit_pdr(ops: LocalOperators) -> PdrProfile:
             if flat[z] * base_count != flat[z0] * r_count:
                 witness = PdrWitness(i, z, "beta")
                 break
-    return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness,
-                      tuple(powers))
+    return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -164,34 +160,23 @@ class Endpoint1Profile:
             for name in ("kappa", "mu", "theta", "rho"))
 
 
-def neighbor_partitions(ops: LocalOperators) -> dict[int, DistancePartition]:
-    """Distance partition of each edge {x, y} at the base x: one BFS per
-    neighbor y, with the distances from x taken from ops."""
-    g = ops.graph
-    return {y: distance_partition(g, ops.base, y, ops.metric)
-            for y in g.neighbors(ops.base)}
-
-
-def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int],
-                       from_base: Sequence[list[int]]
+def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
                        ) -> list[dict[int, tuple[list[int], ...]]]:
     """Per level i = 1..ecc, for each neighbor y of the base, column y of
     the four walk-count matrices of the endpoint-one equations:
     up_only = R^{i-1}, up_after_down = R^i L, down_after_up = L R^i and
     flat_after_up = F R^{i-1}. Column y of R^i L is R^i e_x for every
-    neighbor y, because L e_y = e_x, so it is read from the base's raising
-    vectors from_base.
+    neighbor y, because L e_y = e_x, so it is read from ops.base_powers.
     """
     d = ops.ecc
-    at = {y: _columns(ops, y, d) for y in nbrs}
+    from_base = ops.base_powers
+    at = {y: _columns(ops, raising_powers(ops, y, d)) for y in nbrs}
     return [{y: (up[i - 1], from_base[i], down[i], flat[i - 1])
              for y, (up, down, flat) in at.items()}
             for i in range(1, d + 1)]
 
 
-def fit_endpoint1(ops: LocalOperators,
-                  partitions: Optional[Mapping[int, DistancePartition]] = None,
-                  pdr: Optional[PdrProfile] = None) -> Endpoint1Profile:
+def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     """Solve, per level i >= 1, the exact linear systems
 
         down_after_up(y, z)  = kappa_i * up_only(y, z) + mu_i * up_after_down(y, z)
@@ -201,8 +186,11 @@ def fit_endpoint1(ops: LocalOperators,
     up_only coefficient vanishes exactly off the downward partition cell,
     so this single system covers both cell cases. When some upward cell at
     level i is nonempty, the level also needs rho_i = 0.
+
+    pdr is fit_pdr(ops). The fit applies only when the trivial module is
+    thin (pdr.ok) and the base has at least two neighbors; otherwise it
+    raises NotApplicable.
     """
-    pdr = pdr if pdr is not None else fit_pdr(ops)
     if not pdr.ok:
         raise NotApplicable(REASON_NOT_THIN)
     g = ops.graph
@@ -210,12 +198,11 @@ def fit_endpoint1(ops: LocalOperators,
     nbrs = g.neighbors(x)
     if len(nbrs) < 2:
         raise NotApplicable(REASON_LEAF)
-    if partitions is None:
-        partitions = neighbor_partitions(ops)
+    partitions = ops.partitions
 
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs, pdr.powers), start=1):
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
         rows: list[tuple[int, int]] = []
         rhs_mix: list[int] = []
         rhs_flat: list[int] = []
@@ -277,7 +264,6 @@ def verify_condition_values(
         mu: Sequence[Fraction],
         theta: Sequence[Fraction],
         rho: Sequence[Fraction],
-        partitions: Optional[Mapping[int, DistancePartition]] = None,
 ) -> Optional[E1Witness]:
     """Substitute concrete scalars into the per-cell equations, clause by
     clause, and return the first violation (None when all hold).
@@ -291,10 +277,8 @@ def verify_condition_values(
     d = ops.ecc
     if not (len(kappa) == len(mu) == len(theta) == len(rho) == d):
         raise ValueError("scalar sequences must have one entry per level 1..ecc")
-    if partitions is None:
-        partitions = neighbor_partitions(ops)
-    from_base = raising_powers(ops, x, d)
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs, from_base), start=1):
+    partitions = ops.partitions
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
         k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
         for y in nbrs:
             up_only, up_after_down, down_after_up, flat_after_up = columns[y]

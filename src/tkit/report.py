@@ -17,8 +17,7 @@ from .decompose import (FAIL, PASS, VACUOUS, AlgebraicVerdict,
 from .exact import LocalOperators, build_operators
 from .graphs import Graph, StructureReport, structure_report, to_graph6
 from .regularity import (REASON_NOT_THIN, Endpoint1Profile, NotApplicable,
-                         PdrProfile, fit_endpoint1, fit_pdr,
-                         neighbor_partitions)
+                         PdrProfile, fit_endpoint1, fit_pdr)
 
 SCHEMA_ID = "tkit-analysis-report/1"
 
@@ -58,18 +57,14 @@ def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
                    tol: float = 1e-9) -> AnalysisReport:
     """The pipeline after the BFS and the ratio fit, given their results."""
     g, x = ops.graph, ops.base
-    partitions = neighbor_partitions(ops)
-    structure = structure_report(g, x, partitions)
+    structure = structure_report(g, x, ops.partitions)
 
     endpoint1: Optional[Endpoint1Profile] = None
     endpoint1_reason: Optional[str] = None
-    if pdr.ok:
-        try:
-            endpoint1 = fit_endpoint1(ops, partitions, pdr=pdr)
-        except NotApplicable as exc:
-            endpoint1_reason = exc.reason
-    else:
-        endpoint1_reason = REASON_NOT_THIN
+    try:
+        endpoint1 = fit_endpoint1(ops, pdr)
+    except NotApplicable as exc:
+        endpoint1_reason = exc.reason
 
     decomposition: Optional[DecompositionReport] = None
     verdict: Optional[AlgebraicVerdict] = None

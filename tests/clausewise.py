@@ -11,7 +11,6 @@ from typing import Optional
 
 from matrix_oracle import build_matrix_operators, matrix_raising_powers
 from tkit.exact import LocalOperators, solve_linear
-from tkit.regularity import neighbor_partitions
 
 
 def _single_unknown(rows: list[tuple[int, int]]) -> tuple[Optional[Fraction], bool]:
@@ -30,13 +29,13 @@ def _single_unknown(rows: list[tuple[int, int]]) -> tuple[Optional[Fraction], bo
     return value, True
 
 
-def fit_clausewise(ops: LocalOperators, partitions=None):
+def fit_clausewise(ops: LocalOperators):
     """Returns (ok, levels) with levels[i-1] = dict of the four scalars
     (Fraction or None for free)."""
     g = ops.graph
     x = ops.base
     nbrs = g.neighbors(x)
-    parts = partitions if partitions is not None else neighbor_partitions(ops)
+    parts = ops.partitions
     d = ops.ecc
     mops = build_matrix_operators(g, x)
     powers = matrix_raising_powers(mops, d)

@@ -27,7 +27,7 @@ from tkit.constructions import (apex_extension, complete_graph, empty_graph,
                                 example_graph)
 from tkit.exact import build_operators
 from tkit.graphs import make_graph, parse_graph6, to_graph6
-from tkit.regularity import (NotApplicable, fit_endpoint1,
+from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
                              verify_condition_values)
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -111,7 +111,7 @@ def render_witnesses() -> str:
         for x in range(g.n):
             ops = build_operators(g, x)
             try:
-                prof = fit_endpoint1(ops)
+                prof = fit_endpoint1(ops, fit_pdr(ops))
             except NotApplicable:
                 continue
             canonical = prof.canonical()

@@ -71,7 +71,7 @@ def test_criterion_01_ratio_constants_table(example, example_ops):
 def test_criterion_02_endpoint1_scalar_table(example_ops):
     with _gate(2, "endpoint-1 scalar table solves the exact system"):
         start = time.perf_counter()
-        prof = fit_endpoint1(example_ops)
+        prof = fit_endpoint1(example_ops, fit_pdr(example_ops))
         assert prof.ok
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(example_ops, kappa, mu, theta, rho) is None
@@ -110,7 +110,7 @@ def test_criterion_04_apex_fiber_tables(example, example_ops):
                 start = time.perf_counter()
                 ax = apex_extension(g, x, maker(n))
                 hops = build_operators(ax.graph, ax.apex)
-                prof = fit_endpoint1(hops)
+                prof = fit_endpoint1(hops, fit_pdr(hops))
                 pred = predicted_profile(pdr, kind)
                 assert prof.ok
                 expected = (pred.kappa, pred.mu, pred.theta, pred.rho)

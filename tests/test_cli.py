@@ -12,7 +12,9 @@ except ImportError:  # pragma: no cover
 
 from tkit.cli import main, _parse_shape
 from tkit.decompose import AlgebraicVerdict
-from tkit.graphs import GraphError, parse_graph6
+from tkit.constructions import path_graph
+from tkit.exact import build_operators
+from tkit.graphs import GraphError, parse_graph6, to_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
 import tkit.scan
@@ -187,24 +189,64 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: IheA@GUAo base 3: no verified decomposition")
 
-    @pytest.mark.parametrize("guarded,what,nbytes", [
-        ("graded_hom_dimension", "graded commutant system", 3360),
-        ("commutant_basis", "Kronecker commutant stack", 41472)])
-    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch,
-                                             guarded, what, nbytes):
+    @pytest.mark.parametrize("source,vertex,guarded,what,nbytes,limit", [
+        pytest.param("example", "1", "graded_hom_dimension",
+                     "graded commutant system", 3360, 3359,
+                     id="graded_hom_dimension-graded commutant system-3360"),
+        pytest.param("example", "1", "commutant_basis",
+                     "Kronecker commutant stack", 41472, 41471,
+                     id="commutant_basis-Kronecker commutant stack-41472"),
+        pytest.param("path:512", "0", "generator_matrices", "generator stack",
+                     8 * 513 * 512 ** 2, 1 << 30,
+                     id="generator_matrices-generator stack-path512")])
+    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, source,
+                                             vertex, guarded, what, nbytes, limit):
         # the example at base 1 has levels of sizes 1, 2, 3: a 30 x 14 graded
         # system, and a reducible space whose first split would stack four
-        # 36 x 36 blocks
+        # 36 x 36 blocks; path:512 at an end has 513 generators of 512 x 512,
+        # above the 1 GiB limit itself
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{guarded} ran above the limit")
 
-        monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", nbytes - 1)
+        monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", limit)
         monkeypatch.setattr(decompose_module, guarded, unreachable)
-        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
+        code, out, err = run_cli(capsys, "check", source, "--vertex", vertex,
                                  "--decompose")
+        graph6 = to_graph6(tkit.cli.load_graph(source)[0])
         assert code == 2 and out == ""
-        assert err == (f"error: EyW_ base 1: the {what} needs {nbytes} bytes, "
-                       f"above the limit of {nbytes - 1}\n")
+        assert err == (f"error: {graph6} base {vertex}: the {what} needs "
+                       f"{nbytes} bytes, above the limit of {limit}\n")
+
+    def test_generator_stack_at_limit(self, monkeypatch):
+        # path:511 at an end: 512 generators of 511 x 511 fit in 1 GiB, so
+        # decompose goes on to build them
+        class Built(Exception):
+            pass
+
+        def built(ops):
+            raise Built
+
+        monkeypatch.setattr(decompose_module, "generator_matrices", built)
+        assert decompose_module.MAX_DENSE_BYTES == 1 << 30
+        with pytest.raises(Built):
+            decompose_module.decompose(build_operators(path_graph(511), 0))
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "example", "--vertex", "1", "--decompose"],
+        ["scan", "--generate", "4", "--jobs", "1"]])
+    def test_negative_seed_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed: expected a non-negative integer, got '-1'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "example", "--vertex", "1", "--decompose"],
+        ["scan", "--generate", "4", "--jobs", "1"]])
+    def test_seed_zero_runs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 0 and out
 
     def test_huge_builtin_exits_2_before_building(self, capsys, monkeypatch):
         monkeypatch.setitem(tkit.cli._FAMILIES, "complete", None)

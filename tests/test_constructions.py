@@ -160,7 +160,8 @@ class TestPredictedProfile:
         k2 = path_graph(2)
         pdr = fit_pdr(build_operators(k2, 0))
         ax = apex_extension(k2, 0, empty_graph(2))
-        prof = fit_endpoint1(build_operators(ax.graph, ax.apex))
+        ops = build_operators(ax.graph, ax.apex)
+        prof = fit_endpoint1(ops, fit_pdr(ops))
         pred = predicted_profile(pdr, "empty")
         assert prof.ok
         assert prof.canonical() == (pred.kappa, pred.mu, pred.theta, pred.rho)
@@ -219,4 +220,4 @@ class TestFiberDichotomy:
         for sigma in (empty_graph(4), complete_graph(4)):
             ax = apex_extension(g, x, sigma)
             ops = build_operators(ax.graph, ax.apex)
-            assert fit_endpoint1(ops).ok
+            assert fit_endpoint1(ops, fit_pdr(ops)).ok

@@ -15,7 +15,7 @@ from tkit.exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
                         walk_column, walk_counts_from)
 from tkit.graphs import connected_graphs, local_metric, parse_edge_list
 from tkit.constructions import complete_graph, star_graph
-from tkit.regularity import NotApplicable, fit_endpoint1
+from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
 
 
 class TestIntMatrix:
@@ -163,8 +163,9 @@ class TestSolveLinearOracle:
 
         monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
         for g, x in instances:
+            ops = build_operators(g, x)
             try:
-                fit_endpoint1(build_operators(g, x))
+                fit_endpoint1(ops, fit_pdr(ops))
             except NotApplicable:
                 pass
         return systems

@@ -10,8 +10,8 @@ import tkit.graphs
 import tkit.regularity
 from tkit.constructions import cycle_graph, path_graph, petersen_graph, star_graph
 from tkit.exact import build_operators
-from tkit.regularity import neighbor_partitions
-from tkit.report import analyze
+from tkit.regularity import fit_pdr, verify_condition_values
+from tkit.report import analyze, analyze_fitted
 
 EXAMPLE_EDGES = "1 2\n1 3\n2 3\n2 4\n2 5\n3 5\n3 6"
 
@@ -189,34 +189,31 @@ class TestDistancePartition:
                 assert all(i != j for (i, j) in part.cells if part.cells[(i, j)])
 
 
+def _structure(g, x):
+    return structure_report(g, x, build_operators(g, x).partitions)
+
+
 class TestStructureReport:
     def test_example_thresholds_zero(self):
         g = parse_edge_list(EXAMPLE_EDGES)
-        rep = structure_report(g, g.index_of("1"))
+        rep = _structure(g, g.index_of("1"))
         assert not rep.vacuous
         assert [rec.threshold for rec in rep.per_neighbor] == [0, 0]
         assert rep.threshold_constant is True
 
     def test_star_center_threshold_is_ecc(self):
         g = star_graph(3)
-        rep = structure_report(g, 0)
+        rep = _structure(g, 0)
         assert rep.is_tree
         assert all(rec.threshold == rep.ecc == 1 for rec in rep.per_neighbor)
 
     def test_cycle6_threshold(self):
-        rep = structure_report(cycle_graph(6), 0)
+        rep = _structure(cycle_graph(6), 0)
         assert [rec.threshold for rec in rep.per_neighbor] == [2, 2]
 
     def test_leaf_base_vacuous(self):
-        rep = structure_report(path_graph(3), 0)
+        rep = _structure(path_graph(3), 0)
         assert rep.vacuous
-
-    def test_given_partitions_same_report(self):
-        for n in (1, 2, 3, 4):
-            for g in connected_graphs(n):
-                for x in range(n):
-                    parts = neighbor_partitions(build_operators(g, x))
-                    assert structure_report(g, x, parts) == structure_report(g, x)
 
 
 def test_analyze_runs_one_bfs_per_closed_neighbor(monkeypatch):
@@ -235,17 +232,45 @@ def test_analyze_runs_one_bfs_per_closed_neighbor(monkeypatch):
 
 
 def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
-    # the ratio fit's raising vectors at the base serve the endpoint-one fit
-    # too, so each start vertex is raised once: deg(x) + 1 calls
+    # the base's raising vectors, kept in ops.base_powers, serve the ratio
+    # fit and the endpoint-one fit, so each start vertex is raised once:
+    # deg(x) + 1 calls
     calls = []
+    original = tkit.exact.raising_powers
 
     def counting(ops, v, max_m):
         calls.append(v)
-        return tkit.exact.raising_powers(ops, v, max_m)
+        return original(ops, v, max_m)
 
-    monkeypatch.setattr(tkit.regularity, "raising_powers", counting)
+    for module in (tkit.exact, tkit.regularity):
+        monkeypatch.setattr(module, "raising_powers", counting)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert sorted(calls) == [0, 1, 4, 5]
+
+
+def test_instance_data_built_once(monkeypatch):
+    # a verification after the report reads the partitions and the base's
+    # raising vectors the report built, from the same ops
+    searched, raised = [], []
+    original = tkit.exact.raising_powers
+
+    def counting_metric(g, x):
+        searched.append(x)
+        return local_metric(g, x)
+
+    def counting_powers(ops, v, max_m):
+        raised.append(v)
+        return original(ops, v, max_m)
+
+    for module in (tkit.graphs, tkit.exact):
+        monkeypatch.setattr(module, "local_metric", counting_metric)
+    for module in (tkit.exact, tkit.regularity):
+        monkeypatch.setattr(module, "raising_powers", counting_powers)
+    ops = build_operators(petersen_graph(), 0)
+    rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
+    assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
+    assert sorted(searched) == [0, 1, 4, 5]
+    assert raised.count(0) == 1
 
 
 class TestConnectedGraphs:

@@ -17,8 +17,7 @@ from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
 from tkit.regularity import (E1Witness, NotApplicable, PdrWitness,
-                             fit_endpoint1, fit_pdr, neighbor_partitions,
-                             verify_condition_values)
+                             fit_endpoint1, fit_pdr, verify_condition_values)
 
 F = Fraction
 
@@ -102,7 +101,7 @@ class TestFitPdr:
 
 class TestFitEndpoint1:
     def test_example_table(self, example_ops):
-        prof = fit_endpoint1(example_ops)
+        prof = fit_endpoint1(example_ops, fit_pdr(example_ops))
         assert prof.ok
         assert prof.kappa == fr(1, 0)
         assert prof.mu == fr(1, 0)
@@ -113,15 +112,16 @@ class TestFitEndpoint1:
     def test_not_applicable_leaf(self):
         ops = build_operators(path_graph(3), 0)
         with pytest.raises(NotApplicable, match="leaf"):
-            fit_endpoint1(ops)
+            fit_endpoint1(ops, fit_pdr(ops))
 
     def test_not_applicable_not_thin(self):
         for g in connected_graphs(5):
             for x in range(g.n):
                 ops = build_operators(g, x)
-                if g.degree(x) >= 2 and not fit_pdr(ops).ok:
+                pdr = fit_pdr(ops)
+                if g.degree(x) >= 2 and not pdr.ok:
                     with pytest.raises(NotApplicable, match="not thin"):
-                        fit_endpoint1(ops)
+                        fit_endpoint1(ops, pdr)
                     return
         pytest.fail("no non-thin instance found")
 
@@ -135,10 +135,11 @@ class TestFitEndpoint1:
                 if g.degree(x) < 2:
                     continue
                 ops = build_operators(g, x)
-                if not fit_pdr(ops).ok:
+                pdr = fit_pdr(ops)
+                if not pdr.ok:
                     continue
-                parts = neighbor_partitions(ops)
-                prof = fit_endpoint1(ops, parts)
+                parts = ops.partitions
+                prof = fit_endpoint1(ops, pdr)
                 if prof.ok or prof.witness is None or prof.witness.y is None:
                     continue
                 w = prof.witness
@@ -202,7 +203,8 @@ class TestFitEndpoint1:
     def test_rho_forced_zero_means_pinned_at_zero(self):
         # rook3x3 at 00: level 2 pins rho to 1/2, which is not zero
         g = rook_graph_3x3()
-        level2 = fit_endpoint1(build_operators(g, g.labels.index("00"))).levels[1]
+        ops = build_operators(g, g.labels.index("00"))
+        level2 = fit_endpoint1(ops, fit_pdr(ops)).levels[1]
         assert level2.consistent and level2.rho == F(1, 2)
         assert not level2.rho_forced_zero
 
@@ -251,8 +253,9 @@ class TestFitEndpoint1:
         for g in graphs:
             for x in range(g.n):
                 calls.clear()
+                ops = build_operators(g, x)
                 try:
-                    prof = fit_endpoint1(build_operators(g, x))
+                    prof = fit_endpoint1(ops, fit_pdr(ops))
                 except NotApplicable:
                     continue
                 assert len(calls) == 2 * len(prof.levels)
@@ -275,7 +278,8 @@ class TestFitEndpoint1:
         monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
         g = cycle_graph(9)
         with caplog.at_level(logging.WARNING, logger="tkit.regularity"):
-            prof = fit_endpoint1(build_operators(g, 4))
+            ops = build_operators(g, 4)
+            prof = fit_endpoint1(ops, fit_pdr(ops))
         messages = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING
                     and "side condition conflicts" in r.getMessage()]
@@ -294,10 +298,11 @@ class TestFitEndpoint1:
                 if g.degree(x) < 2:
                     continue
                 ops = build_operators(g, x)
-                if not fit_pdr(ops).ok:
+                pdr = fit_pdr(ops)
+                if not pdr.ok:
                     continue
-                parts = neighbor_partitions(ops)
-                prof = fit_endpoint1(ops, parts)
+                parts = ops.partitions
+                prof = fit_endpoint1(ops, pdr)
                 if not prof.ok:
                     continue
                 for lv in prof.levels:
@@ -323,7 +328,7 @@ class TestVerifyConditionValues:
         # star: upward cells nonempty at level 1, so a nonzero rho cannot
         # satisfy the condition (the cell equations themselves enforce it)
         ops = build_operators(make_graph(3, [(0, 1), (0, 2)]), 0)
-        prof = fit_endpoint1(ops)
+        prof = fit_endpoint1(ops, fit_pdr(ops))
         assert prof.ok and prof.rho == (Fraction(0),)
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(ops, kappa, mu, theta, (F(1),)) is not None
@@ -338,9 +343,10 @@ class TestVerifyConditionValues:
                 if g.degree(x) < 2:
                     continue
                 ops = build_operators(g, x)
-                if not fit_pdr(ops).ok:
+                pdr = fit_pdr(ops)
+                if not pdr.ok:
                     continue
-                prof = fit_endpoint1(ops)
+                prof = fit_endpoint1(ops, pdr)
                 if prof.ok:
                     kappa, mu, theta, rho = prof.canonical()
                     assert verify_condition_values(ops, kappa, mu, theta, rho) is None
@@ -349,11 +355,11 @@ class TestVerifyConditionValues:
 class TestClausewiseEquivalence:
     def _check(self, g, x):
         ops = build_operators(g, x)
-        if g.degree(x) < 2 or not fit_pdr(ops).ok:
+        pdr = fit_pdr(ops)
+        if g.degree(x) < 2 or not pdr.ok:
             return
-        parts = neighbor_partitions(ops)
-        unified = fit_endpoint1(ops, parts)
-        split_ok, split_levels = fit_clausewise(ops, parts)
+        unified = fit_endpoint1(ops, pdr)
+        split_ok, split_levels = fit_clausewise(ops)
         assert unified.ok == split_ok
         if unified.ok:
             for lv, split in zip(unified.levels, split_levels):

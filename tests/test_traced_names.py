@@ -1,0 +1,43 @@
+"""The benchmark's tracer patches tkit functions by name; a refactor that
+renames one, or stops calling it through a module global, would drop it
+from `perfbench/run.py --trace 1` without an error."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from tkit.constructions import petersen_graph
+from tkit.report import analyze
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(tracing):
+    for mod, fn, _ in tracing.TRACED:
+        module = importlib.import_module(f"tkit.{mod}")
+        assert callable(getattr(module, fn, None)), f"tkit.{mod}.{fn}"
+
+
+def test_instance_data_is_traced(tracing, tmp_path):
+    # ops.partitions and ops.base_powers call through module globals, so
+    # the tracer sees each BFS and each raising sweep
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        analyze(petersen_graph(), 0, with_decomposition=True)
+    finally:
+        tracer.uninstall()
+    calls = {name: entry["calls"]
+             for name, entry in tracing.self_times(tracer.take()).items()}
+    assert calls["graphs.local_metric"] == 4
+    assert calls["graphs.distance_partition"] == 3
+    assert calls["exact.raising_powers"] == 4
+    assert calls["regularity.fit_endpoint1"] == 1
