@@ -13,9 +13,17 @@ isomorphic. Only a reducible space is split, through its commutant solved
 as a Kronecker system with n^2 unknowns: a random symmetric element of it
 is sampled and eigen-split; eigenspaces are invariant subspaces, and any
 piece whose self-intertwiner space is bigger than scalars is split again.
-Every accepted module is post-verified against an invariance residual, so
-the randomness never affects the correctness of accepted output, only
-whether a retry is needed.
+A split with as many eigenspaces as the commutant has dimensions is
+accepted as it stands: by the Wedderburn count dim End_T(V) = sum_W m_W^2
+dim End(W) >= sum_W m_W over the isomorphism classes W, equality leaves
+every multiplicity m_W at 1, every class of real type and one irreducible
+module per eigenspace, so no piece needs a solve of its own. The level
+dimensions of a module are read off the traces of the level projectors on
+it; a basis that follows the levels (one SVD per level) is built only for
+the modules an isomorphism test compares. Every accepted module is
+post-verified against an invariance residual, so the randomness never
+affects the correctness of accepted output, only whether a retry is
+needed.
 
 Eigenvalues are irrational in general, so this module works in floating
 point; the combinatorial fits elsewhere stay exact.
@@ -40,6 +48,9 @@ log = logging.getLogger(__name__)
 # Kronecker stack of its first split, 8 (ecc + 2) n^4 bytes. Building the
 # system peaks at about twice its size, and np.linalg.qr copies the stack.
 MAX_DENSE_BYTES = 1 << 30
+
+# Characters of a graph's graph6 string that errors and log lines show
+GRAPH6_SHOWN = 40
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -167,11 +178,14 @@ def commutant_basis(generators: Sequence[np.ndarray],
     """
     k = generators[0].shape[0]
     size = k * k
+    eye = np.eye(k)
     stack = np.empty((len(generators) * size, size))
     for j, G in enumerate(generators):
-        block = stack[j * size:(j + 1) * size]
-        block[:] = np.kron(np.eye(k), G.T)
-        block -= np.kron(G, np.eye(k))
+        # kron(eye, G.T) - kron(G, eye), written in place as the products
+        # np.kron forms: block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q]
+        block = stack[j * size:(j + 1) * size].reshape(k, k, k, k)
+        np.multiply(eye[:, None, :, None], G.T[None, :, None, :], out=block)
+        block -= G[:, None, :, None] * eye[None, :, None, :]
     null, flag = _nullspace_rows(stack, tol)
     return [v.reshape(k, k) for v in null], flag
 
@@ -270,33 +284,55 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
         if len(groups) <= 1:
             raise _SplitFailed(f"could not split a dim-{k} reducible subspace")
 
+    if len(groups) == len(comm):
+        # dim comm = sum_W m_W^2 dim End(W) >= sum_W m_W >= len(groups), so
+        # equality leaves every m_W = 1, every class of real type and one
+        # irreducible module per eigenspace: nothing is left to split
+        return [block.T @ basis for block in groups]
     out: list[np.ndarray] = []
     for block in groups:
         out.extend(_split_subspace(block.T @ basis, gens, rng, tol, notes, flags))
     return out
 
 
-def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray
-                   ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Level dimensions of an invariant subspace, its adjacency matrix in an
-    orthonormal basis whose vectors each lie on one level, and the level of
-    each of those vectors."""
-    graded = []
-    for i in range(ops.ecc + 1):
-        idx = list(ops.metric.sphere(i))
-        # the level projector restricted to an invariant subspace is
-        # idempotent, so singular values sit at 0 or 1
-        _, sv, vt = np.linalg.svd(basis[:, idx], full_matrices=False)
-        rows = np.zeros((int((sv > 0.5).sum()), basis.shape[1]))
-        rows[:, idx] = vt[sv > 0.5]
-        graded.append(rows)
-    dims = tuple(len(rows) for rows in graded)
-    stacked = np.vstack(graded)
-    return dims, stacked @ adjacency @ stacked.T, np.repeat(np.arange(len(dims)), dims)
+def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Level dimensions of a subspace, read off the traces of the level
+    projectors on it, or None when a trace is more than 0.25 from an
+    integer (a subspace that is not graded)."""
+    traces = np.bincount(dist, weights=(basis * basis).sum(0))
+    dims = np.rint(traces)
+    if np.abs(traces - dims).max() > 0.25:
+        return None
+    return tuple(int(dim) for dim in dims)
+
+
+def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray,
+                   dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency matrix of an invariant subspace with level dimensions dims
+    in an orthonormal basis whose vectors each lie on one level, and the
+    level of each of those vectors."""
+    graded = np.zeros(basis.shape)
+    start = 0
+    for i, dim in enumerate(dims):
+        if dim:
+            idx = list(ops.metric.sphere(i))
+            # the level projector restricted to an invariant subspace is
+            # idempotent, so its dim nonzero singular values sit at 1
+            _, _, vt = np.linalg.svd(basis[:, idx], full_matrices=False)
+            graded[start:start + dim, idx] = vt[:dim]
+            start += dim
+    return (graded @ adjacency @ graded.T,
+            np.repeat(np.arange(len(dims)), dims))
 
 
 def _instance(ops: LocalOperators) -> str:
-    return f"{to_graph6(ops.graph)} base {ops.graph.labels[ops.base]}"
+    """The graph and base an error or log line is about: the graph6 string,
+    cut after GRAPH6_SHOWN characters, with n and m."""
+    g = ops.graph
+    g6 = to_graph6(g)
+    if len(g6) > GRAPH6_SHOWN:
+        g6 = g6[:GRAPH6_SHOWN] + "..."
+    return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"
 
 
 def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
@@ -322,11 +358,12 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     equations = unknowns + 2 * sum(a * b for a, b in zip(sizes, sizes[1:]))
     _check_size(ops, "graded commutant system", 8 * equations * unknowns)
     # an irreducible standard module needs no Kronecker solve and no split
-    dist = ops.metric.dist
+    dist = np.asarray(ops.metric.dist)
     scalars, irreducible_flag = graded_hom_dimension(gens[0], dist, gens[0], dist, tol)
     irreducible = scalars == 1
     if not irreducible:
         _check_size(ops, "Kronecker commutant stack", 8 * len(gens) * n ** 4)
+    scales = [max(1.0, np.linalg.norm(G)) for G in gens]
 
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
@@ -339,7 +376,8 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
             log.info("%s attempt %d: %s", _instance(ops), attempt, exc)
             continue
 
-        modules = _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst)
+        modules = _verify_and_summarize(bases, gens, scales, dist, ops, tol,
+                                        residual_bound, worst)
         if modules is None:
             continue
 
@@ -371,39 +409,50 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         f"attempts", worst)
 
 
-def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
+def _verify_and_summarize(bases, gens, scales, dist, ops, tol, residual_bound,
+                          worst):
     modules_raw = []
     for basis in bases:
         proj = basis.T @ basis
         residual = 0.0
-        for G in gens:
+        for G, scale in zip(gens, scales):
             gp = G @ proj
             defect = np.linalg.norm(gp - proj @ gp)
-            residual = max(residual, float(defect / max(1.0, np.linalg.norm(G))))
+            residual = max(residual, float(defect / scale))
         if residual > residual_bound:
             worst.append(residual)
             return None
-        dims, *module = _graded_module(basis, ops, gens[0])
-        nz = [i for i, dim in enumerate(dims) if dim > 0]
-        if nz != list(range(nz[0], nz[-1] + 1)) or sum(dims) != basis.shape[0]:
+        dims = _level_dims(basis, dist)
+        nz = [i for i, dim in enumerate(dims or ()) if dim > 0]
+        if (not nz or nz != list(range(nz[0], nz[-1] + 1))
+                or sum(dims) != basis.shape[0]):
             worst.append(residual)
             return None
-        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual, module))
+        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual))
 
     order = sorted(range(len(modules_raw)),
                    key=lambda idx: (modules_raw[idx][2], modules_raw[idx][0].shape[0],
                                     modules_raw[idx][1], idx))
+    # graded bases only for the modules an iso test reads, each built once
+    graded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def graded_module(idx: int) -> tuple[np.ndarray, np.ndarray]:
+        if idx not in graded:
+            basis, dims = modules_raw[idx][:2]
+            graded[idx] = _graded_module(basis, ops, gens[0], dims)
+        return graded[idx]
+
     iso_ids: list[int] = [-1] * len(modules_raw)
     next_id = 0
     reps: list[tuple[int, int]] = []  # (module index, iso id)
     for pos in order:
-        _, dims, endpoint, diameter, _, module = modules_raw[pos]
+        shape = modules_raw[pos][1:4]
         assigned = None
         for rep_idx, rep_id in reps:
-            _, rd, re, rdiam, _, rep_module = modules_raw[rep_idx]
-            if (re, rdiam, rd) != (endpoint, diameter, dims):
+            if modules_raw[rep_idx][1:4] != shape:
                 continue
-            h, _ = graded_hom_dimension(*rep_module, *module, tol)
+            h, _ = graded_hom_dimension(*graded_module(rep_idx),
+                                        *graded_module(pos), tol)
             if h > 0:
                 assigned = rep_id
                 break
@@ -415,7 +464,7 @@ def _verify_and_summarize(bases, gens, ops, tol, residual_bound, worst):
 
     modules = []
     for pos in order:
-        basis, dims, endpoint, diameter, residual, _ = modules_raw[pos]
+        basis, dims, endpoint, diameter, residual = modules_raw[pos]
         modules.append(ModuleSummary(
             subspace=Subspace(basis),
             endpoint=endpoint,

@@ -2,8 +2,13 @@
 
 The reports pin every field of the NDJSON output, including the ratio-fit
 and endpoint-one witnesses and their first-violation order, which scan
-summaries never show. The witness table pins what verify_condition_values
-returns for the canonical scalars and for perturbed ones.
+summaries never show. The small-graph reports pin `check --all-vertices
+--decompose` on every connected labelled graph with at most five vertices,
+so every decomposition path those graphs reach (irreducible standard
+module, multiplicity-free and repeated-class splits) keeps its residuals,
+module order and iso classes. The witness table pins what
+verify_condition_values returns for the canonical scalars and for
+perturbed ones.
 
 Regenerate the stored files (only when a report change is intended) with
 
@@ -26,15 +31,17 @@ from tkit.cli import load_graph, main
 from tkit.constructions import (apex_extension, complete_graph, empty_graph,
                                 example_graph)
 from tkit.exact import build_operators
-from tkit.graphs import make_graph, parse_graph6, to_graph6
+from tkit.graphs import connected_graphs, make_graph, parse_graph6, to_graph6
 from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
                              verify_condition_values)
 
 DATA = Path(__file__).resolve().parent / "data"
 REPORTS_PATH = DATA / "golden_check.ndjson.gz"
+SMALL_REPORTS_PATH = DATA / "golden_small_decompose.ndjson.gz"
 WITNESSES_PATH = DATA / "golden_witnesses.ndjson"
 
 BUILTINS = ("example", "petersen", "rook3x3", "cycle:9", "star:5")
+SMALL_MAX_N = 5
 RANDOM_SEED = 20261018
 RANDOM_COUNT = 20
 
@@ -92,6 +99,23 @@ def render_reports() -> str:
     return "".join(parts)
 
 
+def render_small_reports() -> str:
+    """`tkit check --all-vertices --decompose` output for every connected
+    labelled graph with at most SMALL_MAX_N vertices, in connected_graphs
+    order, each block headed by a comment naming the graph."""
+    parts: list[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.g6"
+        for n in range(1, SMALL_MAX_N + 1):
+            for g in connected_graphs(n):
+                g6 = to_graph6(g)
+                path.write_text(g6 + "\n")
+                parts.append(f"# check {g6} --all-vertices --decompose\n")
+                parts.append(_run_check(["check", str(path), "--all-vertices",
+                                         "--decompose"]))
+    return "".join(parts)
+
+
 def _witness(w) -> dict | None:
     if w is None:
         return None
@@ -130,6 +154,8 @@ def render_witnesses() -> str:
 def write() -> None:
     DATA.mkdir(exist_ok=True)
     REPORTS_PATH.write_bytes(gzip.compress(render_reports().encode(), mtime=0))
+    SMALL_REPORTS_PATH.write_bytes(gzip.compress(render_small_reports().encode(),
+                                                 mtime=0))
     WITNESSES_PATH.write_text(render_witnesses())
 
 

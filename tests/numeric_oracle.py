@@ -6,6 +6,10 @@
   closure;
 * intertwiner_stack and kron_hom_dimension: the Kronecker hom test, with
   n_a n_b unknowns and every generator, that graded_hom_dimension replaced;
+  intertwiner_stack(gens, gens) is also the np.kron build of the stack
+  commutant_basis fills in place;
+* level_dims_by_svd: level dimensions counted by one SVD per level, which
+  decompose now reads off the traces of the level projectors;
 * subspace_distance between two row-basis subspaces.
 """
 from __future__ import annotations
@@ -95,3 +99,12 @@ def kron_hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
                               [bb @ G @ bb.T for G in generators])
     null, _ = _nullspace_rows(stack, tol)
     return null.shape[0]
+
+
+def level_dims_by_svd(basis: np.ndarray, ops: LocalOperators) -> tuple[int, ...]:
+    """Level dimensions of an invariant subspace (orthonormal rows): per
+    level, the singular values of the basis restricted to it above 0.5. The
+    restricted level projector is idempotent, so they sit at 0 or 1."""
+    return tuple(int((np.linalg.svd(basis[:, list(ops.metric.sphere(i))],
+                                    compute_uv=False) > 0.5).sum())
+                 for i in range(ops.ecc + 1))

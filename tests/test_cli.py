@@ -179,7 +179,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
                                  "--decompose", "--tol=1e-300")
         assert code == 2 and out == ""
-        assert "EyW_ base 1" in err and "Traceback" not in err
+        assert "EyW_ (n=6, m=7) base 1" in err and "Traceback" not in err
 
     def test_decomposition_error_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(decompose_module, "_verify_and_summarize",
@@ -187,7 +187,8 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "petersen", "--vertex", "3",
                                  "--decompose")
         assert code == 2 and out == ""
-        assert err.startswith("error: IheA@GUAo base 3: no verified decomposition")
+        assert err.startswith("error: IheA@GUAo (n=10, m=15) base 3: no verified "
+                              "decomposition")
 
     @pytest.mark.parametrize("source,vertex,guarded,what,nbytes,limit", [
         pytest.param("example", "1", "graded_hom_dimension",
@@ -212,10 +213,16 @@ class TestCheck:
         monkeypatch.setattr(decompose_module, guarded, unreachable)
         code, out, err = run_cli(capsys, "check", source, "--vertex", vertex,
                                  "--decompose")
-        graph6 = to_graph6(tkit.cli.load_graph(source)[0])
+        g = tkit.cli.load_graph(source)[0]
+        graph6 = to_graph6(g)
+        if len(graph6) > decompose_module.GRAPH6_SHOWN:
+            graph6 = graph6[:decompose_module.GRAPH6_SHOWN] + "..."
         assert code == 2 and out == ""
-        assert err == (f"error: {graph6} base {vertex}: the {what} needs "
-                       f"{nbytes} bytes, above the limit of {limit}\n")
+        # the graph6 of path:512 has 21 807 characters; the line shows 40
+        assert err == (f"error: {graph6} (n={g.n}, m={g.edge_count}) base {vertex}: "
+                       f"the {what} needs {nbytes} bytes, above the limit of "
+                       f"{limit}\n")
+        assert len(err) < 200
 
     def test_generator_stack_at_limit(self, monkeypatch):
         # path:511 at an end: 512 generators of 511 x 511 fit in 1 GiB, so

@@ -1,5 +1,7 @@
+import gzip
 import importlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -9,14 +11,16 @@ import golden
 from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
 from numeric_oracle import (intertwiner_stack, kron_hom_dimension,
-                            subspace_distance, trivial_module_basis)
+                            level_dims_by_svd, subspace_distance,
+                            trivial_module_basis)
 from rooted import rooted_classes
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
-                            _cutoff, _graded_module, _nullspace_rows,
+                            _cutoff, _graded_module, _level_dims,
+                            _nullspace_rows, _verify_and_summarize,
                             algebraic_verdict, commutant_basis, decompose,
                             dual_block_dims, generator_matrices,
                             graded_hom_dimension)
@@ -24,6 +28,7 @@ from tkit.exact import build_operators, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
 from tkit.regularity import fit_pdr
+from tkit.report import analyze, report_to_json
 
 
 class TestTrivialModuleBasis:
@@ -327,7 +332,9 @@ def _graded_vs_kronecker(ops):
     decomposed modules with the same level dimensions."""
     rep = decompose(ops)
     gens = generator_matrices(ops)
-    graded = [_graded_module(m.subspace.basis, ops, gens[0]) for m in rep.modules]
+    graded = [(m.level_dims, *_graded_module(m.subspace.basis, ops, gens[0],
+                                             m.level_dims))
+              for m in rep.modules]
     pairs = []
     for i, (ma, (dims_a, adj_a, level_a)) in enumerate(zip(rep.modules, graded)):
         for mb, (dims_b, adj_b, level_b) in zip(rep.modules[i:], graded[i:]):
@@ -362,6 +369,136 @@ class TestGradedHomDimension:
         null, want_flag = _nullspace_rows(intertwiner_stack(gens, gens), 1e-9)
         assert flag == want_flag
         assert np.array_equal(np.array(basis).reshape(len(basis), -1), null)
+
+
+def _commutant_calls(monkeypatch):
+    """[generators, stack] of every commutant_basis call made through the
+    module, the stack as handed to the nullspace solve."""
+    # tkit.decompose is also the name of the package's function
+    module = importlib.import_module("tkit.decompose")
+    real_basis, real_nullspace = module.commutant_basis, module._nullspace_rows
+    calls = []
+
+    def basis(generators, tol=1e-9):
+        calls.append([generators, None])
+        return real_basis(generators, tol)
+
+    def nullspace(stack, tol):
+        calls[-1][1] = stack.copy()
+        return real_nullspace(stack, tol)
+
+    monkeypatch.setattr(module, "commutant_basis", basis)
+    monkeypatch.setattr(module, "_nullspace_rows", nullspace)
+    return calls
+
+
+class TestKroneckerStackInPlace:
+    """commutant_basis writes the products np.kron forms into its stack, so
+    the stack has the bytes of the np.kron build, signed zeros included,
+    and the QR, SVD and random draw after it are unchanged."""
+
+    def test_seeded_generators_with_negative_entries(self, monkeypatch):
+        calls = _commutant_calls(monkeypatch)
+        rng = np.random.default_rng(20261018)
+        negative_zeros = 0
+        for k in range(1, 7):
+            for count in (1, 2, 5):
+                # exact zeros of both signs, negative and non-symmetric entries
+                gens = [rng.integers(-2, 3, (k, k)) * rng.standard_normal((k, k))
+                        for _ in range(count)]
+                importlib.import_module("tkit.decompose").commutant_basis(gens)
+                stack = calls[-1][1]
+                assert stack.tobytes() == intertwiner_stack(gens, gens).tobytes()
+                negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
+        assert len(calls) == 18 and negative_zeros > 0
+
+    def test_restricted_generators_small_graphs(self, monkeypatch):
+        # one base per rooted class with n <= 5: the whole space and the
+        # restricted generators of every piece that is split again
+        calls = _commutant_calls(monkeypatch)
+        sizes = []
+        for n in range(1, 6):
+            for g, x in rooted_classes(n):
+                decompose(build_operators(g, x))
+                for gens, stack in calls:
+                    assert stack.tobytes() == intertwiner_stack(gens, gens).tobytes()
+                    sizes.append((gens[0].shape[0], n))
+                calls.clear()
+        assert any(k < n for k, n in sizes)
+
+
+def _golden_graphs():
+    """The graphs of the golden check reports."""
+    return ([load_graph(name)[0] for name in golden.BUILTINS]
+            + [parse_graph6(g6) for g6 in golden.graph6_sources()])
+
+
+class TestLevelDims:
+    @pytest.mark.parametrize("instances", [
+        pytest.param(lambda: [(g, x) for g in _golden_graphs() for x in range(g.n)],
+                     id="golden-graphs"),
+        pytest.param(lambda: [gx for n in range(1, 6) for gx in rooted_classes(n)],
+                     id="rooted-classes-n5")])
+    def test_traces_match_svd_count(self, instances):
+        modules = 0
+        for g, x in instances():
+            ops = build_operators(g, x)
+            for m in decompose(ops).modules:
+                assert m.level_dims == level_dims_by_svd(m.subspace.basis, ops), \
+                    (to_graph6(g), x)
+                modules += 1
+        assert modules > 100
+
+    def test_random_subspace_not_graded(self, example_ops):
+        basis = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 2)))[0].T
+        dist = np.asarray(example_ops.metric.dist)
+        assert _level_dims(basis, dist) is None
+        self._assert_rejected(example_ops, basis)
+
+    def test_levels_not_contiguous(self, example_ops):
+        # the base and one vertex at distance 2: graded, with a gap at level 1
+        dist = np.asarray(example_ops.metric.dist)
+        basis = np.eye(6)[[example_ops.base, list(dist).index(2)]]
+        assert _level_dims(basis, dist) == (1, 0, 1)
+        self._assert_rejected(example_ops, basis)
+
+    @staticmethod
+    def _assert_rejected(ops, basis):
+        # past the invariance check, which would reject both on its own
+        gens = generator_matrices(ops)
+        worst = []
+        assert _verify_and_summarize([basis], gens, [1.0] * len(gens),
+                                     np.asarray(ops.metric.dist), ops, 1e-9,
+                                     np.inf, worst) is None
+        assert len(worst) == 1
+
+
+def _golden_decomposition(label, base):
+    """The decomposition in the golden `check LABEL --all-vertices
+    --decompose` report at a base index."""
+    text = gzip.decompress(golden.REPORTS_PATH.read_bytes()).decode("ascii")
+    block = text.split(f"# check {label} --all-vertices --decompose\n")[1]
+    return json.loads(block.splitlines()[base])["decomposition"]
+
+
+class TestMultiplicityFreeSplit:
+    def test_cycle6_one_kronecker_solve(self, monkeypatch):
+        # two classes, each once: the commutant has dimension 2 and the first
+        # eigen-split has two pieces, accepted without solving on them
+        calls = _commutant_calls(monkeypatch)
+        rep = decompose(build_operators(cycle_graph(6), 0))
+        assert [gens[0].shape[0] for gens, _ in calls] == [6]
+        assert [m.level_dims for m in rep.modules] == [(1, 1, 1, 1), (0, 1, 1, 0)]
+
+    def test_repeated_class_still_recurses(self, monkeypatch):
+        # Petersen at a vertex has two classes that occur twice: a commutant
+        # of dimension 1 + 4 + 4 + 1 = 10 and fewer eigenspaces, so pieces
+        # are split again; the modules are those of the golden report
+        calls = _commutant_calls(monkeypatch)
+        report = analyze(petersen_graph(), 0, with_decomposition=True)
+        assert [gens[0].shape[0] for gens, _ in calls] == [10, 2, 3, 2]
+        assert (json.loads(report_to_json(report))["decomposition"]
+                == _golden_decomposition("petersen", 0))
 
 
 class TestDualBlockDims:

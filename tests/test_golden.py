@@ -3,7 +3,8 @@
 import gzip
 import json
 
-from golden import REPORTS_PATH, WITNESSES_PATH, render_reports, render_witnesses
+from golden import (REPORTS_PATH, SMALL_REPORTS_PATH, WITNESSES_PATH,
+                    render_reports, render_small_reports, render_witnesses)
 
 ABSENT = "<absent>"
 SHOWN_LINES = 25
@@ -45,6 +46,11 @@ def _assert_same_lines(actual: str, expected: str) -> None:
 def test_check_reports_match_golden():
     expected = gzip.decompress(REPORTS_PATH.read_bytes()).decode("ascii")
     _assert_same_lines(render_reports(), expected)
+
+
+def test_small_graph_decompose_reports_match_golden():
+    expected = gzip.decompress(SMALL_REPORTS_PATH.read_bytes()).decode("ascii")
+    _assert_same_lines(render_small_reports(), expected)
 
 
 def test_condition_witnesses_match_golden():
