@@ -8,8 +8,8 @@
   n_a n_b unknowns and every generator, that graded_hom_dimension replaced;
   intertwiner_stack(gens, gens) is also the np.kron build of the stack
   commutant_basis fills in place;
-* level_dims_by_svd: level dimensions counted by one SVD per level, which
-  decompose now reads off the traces of the level projectors;
+* level_dims_by_svd: level dimensions counted by one SVD per level, where
+  decompose reads them off the traces of the level projectors;
 * subspace_distance between two row-basis subspaces.
 """
 from __future__ import annotations
