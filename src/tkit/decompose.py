@@ -36,8 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import LocalOperators
-from .graphs import to_graph6
+from .exact import LocalOperators, describe
 
 log = logging.getLogger(__name__)
 
@@ -48,9 +47,6 @@ log = logging.getLogger(__name__)
 # Kronecker stack of its first split, 8 (ecc + 2) n^4 bytes. Building the
 # system peaks at about twice its size, and np.linalg.qr copies the stack.
 MAX_DENSE_BYTES = 1 << 30
-
-# Characters of a graph's graph6 string that errors and log lines show
-GRAPH6_SHOWN = 40
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -325,20 +321,10 @@ def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray
             np.repeat(np.arange(len(dims)), dims))
 
 
-def _instance(ops: LocalOperators) -> str:
-    """The graph and base an error or log line is about: the graph6 string,
-    cut after GRAPH6_SHOWN characters, with n and m."""
-    g = ops.graph
-    g6 = to_graph6(g)
-    if len(g6) > GRAPH6_SHOWN:
-        g6 = g6[:GRAPH6_SHOWN] + "..."
-    return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"
-
-
 def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
     if nbytes > MAX_DENSE_BYTES:
         raise DecompositionError(
-            f"{_instance(ops)}: the {what} needs {nbytes} bytes, above the "
+            f"{describe(ops)}: the {what} needs {nbytes} bytes, above the "
             f"limit of {MAX_DENSE_BYTES}")
 
 
@@ -373,7 +359,7 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
             bases = ([np.eye(n)] if irreducible else
                      _split_subspace(np.eye(n), gens, rng, tol, notes, flags))
         except _SplitFailed as exc:
-            log.info("%s attempt %d: %s", _instance(ops), attempt, exc)
+            log.info("%s attempt %d: %s", describe(ops), attempt, exc)
             continue
 
         modules = _verify_and_summarize(bases, gens, scales, dist, ops, tol,
@@ -405,7 +391,7 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         return report
 
     raise DecompositionError(
-        f"{_instance(ops)}: no verified decomposition after {max_retries} "
+        f"{describe(ops)}: no verified decomposition after {max_retries} "
         f"attempts", worst)
 
 

@@ -3,28 +3,29 @@
 Everything here is exact, with no tolerances. Walk counts are vectors
 indexed by vertex, pushed one level step at a time along adjacency lists.
 They grow exponentially with walk length, so entries are arbitrary
-precision by construction (plain Python ints). Linear systems are
-eliminated in integers as well (fraction-free, each row kept divided by
-the gcd of its entries); Fractions appear only in the solved values.
+precision by construction (plain Python ints). The linear systems have
+two unknowns and are solved in integers as well, by substitution into
+the two pivot rows; Fractions appear only in the solved values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .graphs import (DistancePartition, Graph, LocalMetric, distance_partition,
-                     local_metric)
+from .graphs import (DistancePartition, Graph, LocalMetric, edge_partitions,
+                     local_metric, to_graph6)
 
 SHAPE_FAMILIES = ("r", "rl", "lr", "rf")
 _STEP = {"r": 1, "f": 0, "l": -1}
 
+# Characters of a graph's graph6 string that errors and log lines show
+GRAPH6_SHOWN = 40
+
 
 # ---------------------------------------------------------------------------
-# Exact linear solving (integer Gauss-Jordan elimination)
+# Exact linear solving (two unknowns, by substitution)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -47,59 +48,52 @@ class LinearSolution:
 
 def solve_linear(rows: Sequence[Sequence[int | Fraction]],
                  rhs: Sequence[int | Fraction]) -> LinearSolution:
-    """Gauss-Jordan elimination with deterministic pivoting, over integers.
+    """Solve equations a0 * v0 + a1 * v1 = b in two unknowns, with the
+    answer of Gauss-Jordan elimination with deterministic pivoting.
 
-    The pivot of column c is the first remaining row with a nonzero entry
-    there. Each row is cleared as row <- p * row - f * pivot_row and divided
-    by the gcd of its entries, so it stays a nonzero integer multiple of the
-    row that elimination over the rationals would hold: the zero pattern,
-    the pivots and bad_row are the same, and a pivot variable's value is
-    its row's right-hand side over its pivot entry.
+    Column 0's pivot is the first row with a nonzero first entry. Column
+    1's is the first row after the pivots found so far whose second entry,
+    reduced by column 0's pivot, is nonzero. Each is swapped into the next
+    pivot position, as elimination swaps it. Instead of being rewritten,
+    every other row is checked against the pivot rows' solution by
+    cross-multiplication, in the order the swaps leave. So the pivots, the
+    values and bad_row are those of the elimination, and integer input
+    stays in integers up to the two returned Fractions.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    ncols = len(rows[0]) if rows else 0
     for k, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError(f"row {k} has {len(row)} entries, expected {ncols}")
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    if set(map(type, chain.from_iterable(aug))) - {int}:
-        # scale each row to integers once, by the lcm of its denominators
-        for k, entries in enumerate(aug):
-            den = lcm(*[e.denominator for e in entries])
-            aug[k] = [e.numerator * (den // e.denominator) for e in entries]
-    origin = list(range(len(aug)))
+        if len(row) != 2:
+            raise ValueError(f"row {k} has {len(row)} entries, expected 2")
+    order = list(range(len(rows)))
+    pivots: list[int] = []
 
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        origin[r], origin[pr] = origin[pr], origin[r]
-        prow = aug[r]
-        p = prow[c]
-        for i, row in enumerate(aug):
-            f = row[c]
-            if f and i != r:
-                row = [p * e - f * q for e, q in zip(row, prow)]
-                g = gcd(*row)
-                aug[i] = [e // g for e in row] if g > 1 else row
-        pivots.append((r, c))
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return LinearSolution(False, tuple([None] * ncols),
-                                  tuple(c for _, c in pivots), origin[i])
-    # canonical assignment: free variables are zero, so a pivot variable's
-    # value is its row's right-hand side over the pivot; free ones stay None
-    values: list[Optional[Fraction]] = [None] * ncols
-    for pr, c in pivots:
-        values[c] = Fraction(aug[pr][ncols], aug[pr][c])
-    return LinearSolution(True, tuple(values), tuple(c for _, c in pivots), None)
+    def swap_in(pos: Optional[int], col: int) -> Optional[int]:
+        if pos is None:
+            return None
+        r = len(pivots)
+        order[r], order[pos] = order[pos], order[r]
+        pivots.append(col)
+        return order[r]
+
+    # a missing pivot row is the unit row of its column with right-hand
+    # side 0, which reduces nothing; the formulas below then cover every rank
+    p = swap_in(next((k for k, (a0, _) in enumerate(rows) if a0), None), 0)
+    (p0, p1), pb = (rows[p], rhs[p]) if p is not None else ((1, 0), 0)
+    q = swap_in(next((pos for pos in range(len(pivots), len(order))
+                      if p0 * rows[order[pos]][1] - rows[order[pos]][0] * p1),
+                     None), 1)
+    (q0, q1), qb = (rows[q], rhs[q]) if q is not None else ((0, 1), 0)
+    # Cramer's rule on the two pivot rows: v0 = n0 / det, v1 = n1 / det
+    det = p0 * q1 - p1 * q0
+    n0, n1 = pb * q1 - p1 * qb, p0 * qb - q0 * pb
+    for k in order[len(pivots):]:
+        a0, a1 = rows[k]
+        if rhs[k] * det != a0 * n0 + a1 * n1:
+            return LinearSolution(False, (None, None), tuple(pivots), k)
+    values = (Fraction(n0, det) if p is not None else None,
+              Fraction(n1, det) if q is not None else None)
+    return LinearSolution(True, values, tuple(pivots), None)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +109,10 @@ class LocalOperators:
     are never formed; step() applies one of them to a count vector by
     walking the adjacency lists.
 
-    partitions and base_powers, shared by the fits and the structure
-    report, are built on first use and kept: most scanned instances need
-    neither.
+    partitions and the base's raising vectors, shared by the fits and the
+    structure report, are built on first use and kept: most scanned
+    instances need neither, and the ratio fit raises the base only as far
+    as it reads.
     """
 
     graph: Graph
@@ -134,18 +129,40 @@ class LocalOperators:
     @cached_property
     def partitions(self) -> dict[int, DistancePartition]:
         """Distance partition of each edge {x, y} at the base x, by y."""
-        g, x = self.graph, self.base
-        return {y: distance_partition(g, x, y, self.metric) for y in g.neighbors(x)}
+        return edge_partitions(self.graph, self.metric)
 
     @cached_property
+    def _raised(self) -> list[list[int]]:
+        return [walk_column(self, "", self.base)]
+
+    def base_power(self, m: int) -> list[int]:
+        """R^m e_x for the base x, raising the kept powers one level at a
+        time up to m on first use."""
+        powers = self._raised
+        while len(powers) <= m:
+            powers.append(raise_level(self, powers[-1], len(powers) - 1))
+        return powers[m]
+
+    @property
     def base_powers(self) -> list[list[int]]:
         """R^0 e_x, ..., R^{ecc+1} e_x for the base x."""
-        return raising_powers(self, self.base, self.ecc + 1)
+        self.base_power(self.ecc + 1)
+        return self._raised
 
 
 def build_operators(g: Graph, x: int) -> LocalOperators:
     """The local operator family at base x. Requires g connected."""
     return LocalOperators(g, local_metric(g, x))
+
+
+def describe(ops: LocalOperators) -> str:
+    """The graph and base an error or log line is about: the graph6 string,
+    cut after GRAPH6_SHOWN characters, with n and m."""
+    g = ops.graph
+    g6 = to_graph6(g)
+    if len(g6) > GRAPH6_SHOWN:
+        g6 = g6[:GRAPH6_SHOWN] + "..."
+    return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"
 
 
 def step(ops: LocalOperators, counts: Sequence[int], letter: str) -> list[int]:
@@ -178,12 +195,24 @@ def walk_column(ops: LocalOperators, shape: str, y: int) -> list[int]:
     return counts
 
 
+def raise_level(ops: LocalOperators, counts: Sequence[int], level: int) -> list[int]:
+    """R applied to a count vector supported on one level: entry w of the
+    result, for w one level up, sums the counts over w's neighbours, all
+    of which but those on the given level hold zero."""
+    out = [0] * len(counts)
+    adj = ops.graph.adj
+    for w in ops.metric.sphere(level + 1):
+        out[w] = sum(counts[u] for u in adj[w])
+    return out
+
+
 def raising_powers(ops: LocalOperators, v: int, max_m: int) -> list[list[int]]:
     """[R^0 e_v, R^1 e_v, ..., R^max_m e_v]: counts of the walks from v
     that raise the level at every step; powers past the last level are zero."""
     powers = [walk_column(ops, "", v)]
-    for _ in range(max_m):
-        powers.append(step(ops, powers[-1], "r"))
+    level = ops.metric.dist[v]
+    for m in range(max_m):
+        powers.append(raise_level(ops, powers[-1], level + m))
     return powers
 
 

@@ -282,10 +282,12 @@ class DistancePartition:
 
 def distance_partition(g: Graph, x: int, y: int,
                        metric_x: Optional[LocalMetric] = None) -> DistancePartition:
-    """Intersection cells of the spheres around the two ends of edge {x, y}.
+    """Intersection cells of the spheres around the two ends of edge {x, y},
+    from a BFS at each end.
 
-    metric_x, the BFS distances from x, is computed when not given; pass it
-    to partition several edges at x with one BFS from x.
+    metric_x, the BFS distances from x, is computed when not given. The
+    analysis takes every edge at x from edge_partitions instead; this
+    per-edge form serves the partition subcommand and is its test oracle.
     """
     if not g.has_edge(x, y):
         raise GraphError(f"vertices {g.labels[x]} and {g.labels[y]} are not adjacent")
@@ -301,6 +303,64 @@ def distance_partition(g: Graph, x: int, y: int,
     # would mean the BFS is broken
     assert all(abs(i - j) <= 1 for (i, j) in frozen)
     return DistancePartition(x, y, mx.ecc, my.ecc, frozen)
+
+
+def edge_partitions(g: Graph, metric_x: LocalMetric) -> dict[int, DistancePartition]:
+    """distance_partition(g, x, y) for every neighbour y of the base x of
+    metric_x, from one sweep over x's levels instead of a BFS per y.
+
+    Distances from a neighbour y differ from those from x by at most one,
+    so a vertex z on level i of x lies in cell (i, i - 1), (i, i) or
+    (i, i + 1) of y's partition. Two bitsets over the neighbours of x tell
+    which: A(z) holds the y with d(y, z) = i - 1 and B(z) those with
+    d(y, z) <= i. A(z) is {z} on level 1 and the union of A(w) over z's
+    neighbours w on level i - 1 further in; B(z) is the union of A(z), of
+    B(w) over those w and of A(w) over z's neighbours w on level i.
+    """
+    x, dist, adj = metric_x.base, metric_x.dist, g.adj
+    nbrs = g.neighbors(x)
+    bit = {y: 1 << k for k, y in enumerate(nbrs)}
+    a = [0] * g.n
+    b = [0] * g.n
+    for i, sphere in enumerate(metric_x.spheres[1:], start=1):
+        for z in sphere:
+            if i == 1:
+                a[z] = bit[z]
+            else:
+                for w in adj[z]:
+                    if dist[w] == i - 1:
+                        a[z] |= a[w]
+        for z in sphere:
+            reach = a[z]
+            for w in adj[z]:
+                if dist[w] == i - 1:
+                    reach |= b[w]
+                elif dist[w] == i:
+                    reach |= a[w]
+            b[z] = reach
+
+    out = {}
+    for y in nbrs:
+        mask = bit[y]
+        cells: dict[tuple[int, int], tuple[int, ...]] = {}
+        ecc_y = 0
+        for i, sphere in enumerate(metric_x.spheres):
+            down: list[int] = []
+            mid: list[int] = []
+            up: list[int] = []
+            for z in sphere:
+                if a[z] & mask:
+                    down.append(z)
+                elif b[z] & mask:
+                    mid.append(z)
+                else:
+                    up.append(z)
+            for j, members in ((i - 1, down), (i, mid), (i + 1, up)):
+                if members:
+                    cells[(i, j)] = tuple(members)
+                    ecc_y = max(ecc_y, j)
+        out[y] = DistancePartition(x, y, metric_x.ecc, ecc_y, cells)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import LocalOperators, raising_powers, solve_linear, step
-from .graphs import to_graph6
+from .exact import LocalOperators, describe, raising_powers, solve_linear, step
 
 log = logging.getLogger(__name__)
 
@@ -49,19 +49,70 @@ class PdrWitness:
     equation: str  # "alpha" or "beta"
 
 
-@dataclass(frozen=True)
 class PdrProfile:
     """Candidate ratio constants per level and whether they fit globally.
 
     alpha[i] and beta[i] are always the ratios taken at the first vertex of
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
+
+    The fit steps one level at a time and stops at the first witness, so
+    ok and witness are known on construction; alpha and beta continue the
+    same level loop over the remaining levels when first read.
     """
 
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-    ok: bool
-    witness: Optional[PdrWitness]
+    def __init__(self, ops: LocalOperators):
+        self._ops = ops
+        # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first vertex
+        self._firsts: list[tuple[int, int, int]] = []
+        self.witness: Optional[PdrWitness] = None
+        for i in range(ops.ecc + 1):
+            self.witness = self._level(i, check=True)
+            if self.witness is not None:
+                break
+        self.ok = self.witness is None
+
+    def _level(self, i: int, check: bool) -> Optional[PdrWitness]:
+        """Record level i's counts at its first vertex and, when check, return
+        the first vertex whose ratios differ from them."""
+        ops = self._ops
+        adj = ops.graph.adj
+        # R^i e_x and R^{i+1} e_x are supported on levels i and i + 1, so
+        # the lowering and flat steps at a level-i vertex z sum them over
+        # all of z's neighbours
+        here, above = ops.base_power(i), ops.base_power(i + 1)
+        sphere = ops.metric.sphere(i)
+        z0 = sphere[0]
+        down0 = sum(above[w] for w in adj[z0])
+        flat0 = sum(here[w] for w in adj[z0])
+        # every level vertex is reached by at least one geodesic, so the
+        # reference count is positive and the ratios are well defined
+        count0 = here[z0]
+        self._firsts.append((down0, flat0, count0))
+        if check:
+            # the ratios at z equal those at z0, cross-multiplied in integers
+            for z in sphere[1:]:
+                count = here[z]
+                if sum(above[w] for w in adj[z]) * count0 != down0 * count:
+                    return PdrWitness(i, z, "alpha")
+                if sum(here[w] for w in adj[z]) * count0 != flat0 * count:
+                    return PdrWitness(i, z, "beta")
+        return None
+
+    @cached_property
+    def _ratios(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        for i in range(len(self._firsts), self._ops.ecc + 1):
+            self._level(i, check=False)
+        return (tuple(Fraction(down, count) for down, _, count in self._firsts),
+                tuple(Fraction(flat, count) for _, flat, count in self._firsts))
+
+    @property
+    def alpha(self) -> tuple[Fraction, ...]:
+        return self._ratios[0]
+
+    @property
+    def beta(self) -> tuple[Fraction, ...]:
+        return self._ratios[1]
 
 
 def _columns(ops: LocalOperators, up: list[list[int]]) -> tuple[list[list[int]], ...]:
@@ -72,33 +123,8 @@ def _columns(ops: LocalOperators, up: list[list[int]]) -> tuple[list[list[int]],
 
 
 def fit_pdr(ops: LocalOperators) -> PdrProfile:
-    d = ops.ecc
-    powers, up_down, up_flat = _columns(ops, ops.base_powers)
-
-    alphas: list[Fraction] = []
-    betas: list[Fraction] = []
-    witness: Optional[PdrWitness] = None
-    for i in range(d + 1):
-        sphere = ops.metric.sphere(i)
-        z0 = sphere[0]
-        base_count = powers[i][z0]
-        down, flat = up_down[i + 1], up_flat[i]
-        # every level vertex is reached by at least one geodesic, so the
-        # reference count is positive and the ratios are well defined
-        alphas.append(Fraction(down[z0], base_count))
-        betas.append(Fraction(flat[z0], base_count))
-        if witness is not None:
-            continue
-        # the ratios at z equal those at z0, cross-multiplied in integers
-        for z in sphere:
-            r_count = powers[i][z]
-            if down[z] * base_count != down[z0] * r_count:
-                witness = PdrWitness(i, z, "alpha")
-                break
-            if flat[z] * base_count != flat[z0] * r_count:
-                witness = PdrWitness(i, z, "beta")
-                break
-    return PdrProfile(tuple(alphas), tuple(betas), witness is None, witness)
+    """The ratio fit at the base of ops, up to its first witness."""
+    return PdrProfile(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +254,9 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
             # equations admit solutions but none with a vanishing flat
             # scalar; treated as a failure of the condition
             log.warning(
-                "%s base %s level %d: flat-scalar side condition "
+                "%s level %d: flat-scalar side condition "
                 "conflicts with an otherwise consistent system",
-                to_graph6(g), g.labels[x], i)
+                describe(ops), i)
 
         consistent = sol_km.consistent and flat_ok
         if witness is None and not consistent:

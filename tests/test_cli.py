@@ -13,7 +13,7 @@ except ImportError:  # pragma: no cover
 from tkit.cli import main, _parse_shape
 from tkit.decompose import AlgebraicVerdict
 from tkit.constructions import path_graph
-from tkit.exact import build_operators
+from tkit.exact import GRAPH6_SHOWN, build_operators
 from tkit.graphs import GraphError, parse_graph6, to_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
@@ -215,8 +215,8 @@ class TestCheck:
                                  "--decompose")
         g = tkit.cli.load_graph(source)[0]
         graph6 = to_graph6(g)
-        if len(graph6) > decompose_module.GRAPH6_SHOWN:
-            graph6 = graph6[:decompose_module.GRAPH6_SHOWN] + "..."
+        if len(graph6) > GRAPH6_SHOWN:
+            graph6 = graph6[:GRAPH6_SHOWN] + "..."
         assert code == 2 and out == ""
         # the graph6 of path:512 has 21 807 characters; the line shows 40
         assert err == (f"error: {graph6} (n={g.n}, m={g.edge_count}) base {vertex}: "

@@ -20,7 +20,8 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             _cutoff, _graded_module, _level_dims,
-                            _nullspace_rows, _verify_and_summarize,
+                            _nullspace_rows, _split_subspace,
+                            _verify_and_summarize,
                             algebraic_verdict, commutant_basis, decompose,
                             dual_block_dims, generator_matrices,
                             graded_hom_dimension)
@@ -499,6 +500,29 @@ class TestMultiplicityFreeSplit:
         assert [gens[0].shape[0] for gens, _ in calls] == [10, 2, 3, 2]
         assert (json.loads(report_to_json(report))["decomposition"]
                 == _golden_decomposition("petersen", 0))
+
+
+class TestNonRealSplit:
+    def test_pauli_real_forms_accepted_whole(self):
+        # the real 4 x 4 forms [[A, -B], [B, A]] of the Pauli matrices
+        # A + iB are symmetric and act irreducibly on R^4, with the
+        # commutant C: multiplication by i is antisymmetric, so the
+        # symmetric part is the scalars and nothing splits
+        zero = np.zeros((2, 2))
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+        b = np.array([[0.0, -1.0], [1.0, 0.0]])   # sigma_y = i b
+        gens = [np.block([[sx, zero], [zero, sx]]),
+                np.block([[zero, -b], [b, zero]]),
+                np.block([[sz, zero], [zero, sz]])]
+        assert all(np.array_equal(G, G.T) for G in gens)
+        notes, flags = [], []
+        pieces = _split_subspace(np.eye(4), gens, np.random.default_rng(0),
+                                 1e-9, notes, flags)
+        assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(4))
+        assert notes == ["accepted dim-4 module with self-intertwiner "
+                         "dimension 2 and scalar symmetric part (non-real type)"]
+        assert flags == [False]
 
 
 class TestDualBlockDims:

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -66,18 +67,28 @@ class TestSolveLinear:
         assert sol.pivots == (0,)
 
     def test_rational_entries(self):
-        sol = solve_linear([[Fraction(1, 2)]], [Fraction(1, 3)])
-        assert sol.values == (Fraction(2, 3),)
+        sol = solve_linear([[Fraction(1, 2), 0]], [Fraction(1, 3)])
+        assert sol.values == (Fraction(2, 3), None)
+
+    def test_no_equations_leave_both_free(self):
+        sol = solve_linear([], [])
+        assert sol.consistent and sol.values == (None, None) and sol.pivots == ()
 
     def test_zero_rows_consistent(self):
         sol = solve_linear([[0, 0]], [0])
         assert sol.consistent and sol.values == (None, None)
 
-    @pytest.mark.parametrize("rows", [[[1], [0, 1]], [[1, 0], [1]]])
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 1, 2]], [[1, 0], [1]]])
     def test_ragged_rows_rejected(self, rows):
-        # a short row would shift its right-hand side into a coefficient column
+        # a short row would leave an unknown without a coefficient, and a
+        # long one would drop a term
         with pytest.raises(ValueError, match="row 1 has"):
             solve_linear(rows, [1, 2])
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_two_unknowns_only(self, width):
+        with pytest.raises(ValueError, match="row 0 has .* expected 2"):
+            solve_linear([[1] * width], [1])
 
     def test_integer_system_builds_only_the_values(self, monkeypatch):
         # the shape of the endpoint-one system at the centre of star:80:
@@ -110,7 +121,7 @@ def _assert_matches_oracle(rows, rhs):
 
 
 def _random_system(rng):
-    """0-10 equations in 1-4 unknowns: small ints, bigints up to 2^70 or
+    """1-10 equations in 2 unknowns: small ints, bigints up to 2^70 or
     Fractions, with zero rows, duplicated (scaled) rows and, for some,
     a right-hand side built from a known solution."""
     kind = rng.randrange(4)
@@ -124,7 +135,7 @@ def _random_system(rng):
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return rng.choice((0, 0, 1, -1, 2))
 
-    nr, nc = rng.randint(0, 10), rng.randint(1, 4)
+    nr, nc = rng.randint(1, 10), 2
     rows = [[entry() for _ in range(nc)] for _ in range(nr)]
     rhs = [entry() for _ in range(nr)]
     if nr and rng.random() < 0.3:
@@ -152,6 +163,43 @@ class TestSolveLinearOracle:
             rows, rhs = _random_system(rng)
             inconsistent += not _assert_matches_oracle(rows, rhs).consistent
         assert 1000 < inconsistent < 3000
+
+    @pytest.mark.parametrize("rows, rhs, expected", [
+        pytest.param([(0, 0), (0, 0)], [0, 0], (True, (None, None), (), None),
+                     id="rank-0"),
+        pytest.param([(0, 0), (0, 0), (0, 0)], [0, 3, 1],
+                     (False, (None, None), (), 1), id="rank-0-inconsistent"),
+        pytest.param([(2, 4), (1, 2), (3, 6)], [2, 1, 3],
+                     (True, (1, None), (0,), None), id="rank-1"),
+        pytest.param([(2, 4), (1, 2), (3, 6)], [2, 1, 4],
+                     (False, (None, None), (0,), 2), id="rank-1-inconsistent"),
+        pytest.param([(1, 1), (1, -1), (2, 0)], [3, 1, 4],
+                     (True, (2, 1), (0, 1), None), id="rank-2"),
+        pytest.param([(0, 0), (0, 2), (0, 1)], [0, 4, 2],
+                     (True, (None, 2), (1,), None), id="zero-first-column"),
+        pytest.param([(0, 0), (0, 2), (0, 1)], [0, 4, 3],
+                     (False, (None, None), (1,), 2),
+                     id="zero-first-column-inconsistent"),
+        # the pivot row 2 swaps with row 0, so row 1 is checked first
+        pytest.param([(0, 0), (0, 0), (1, 0)], [1, 2, 5],
+                     (False, (None, None), (0,), 1),
+                     id="inconsistent-before-swapped-pivot"),
+        pytest.param([(0, 1), (1, 0), (0, 0)], [2, 3, 1],
+                     (False, (None, None), (0, 1), 2),
+                     id="inconsistent-after-swapped-pivot"),
+        # column 1's pivot row 3 swaps with row 1, so row 2 is checked first
+        pytest.param([(1, 0), (2, 0), (0, 0), (1, 1)], [1, 3, 1, 2],
+                     (False, (None, None), (0, 1), 2),
+                     id="second-pivot-swapped"),
+        pytest.param([(F(1, 2), F(1, 3)), (F(-1, 4), 2), (1, F(7, 5))],
+                     [F(1, 2), F(-7, 2), F(-1, 10)],
+                     (True, (2, F(-3, 2)), (0, 1), None), id="fractions"),
+        pytest.param([(F(1, 2), F(1, 3)), (F(-1, 2), F(-1, 3)), (1, F(2, 3))],
+                     [F(1, 6), F(-1, 6), F(1, 2)],
+                     (False, (None, None), (0,), 2), id="fractions-inconsistent"),
+    ])
+    def test_two_unknown_systems(self, rows, rhs, expected):
+        assert _fields(_assert_matches_oracle(rows, rhs)) == expected
 
     @staticmethod
     def _check_endpoint1_systems(monkeypatch, instances):

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition,
-                         local_metric, make_graph, parse_edge_list, parse_graph6,
+                         edge_partitions, local_metric, make_graph, parse_edge_list, parse_graph6,
                          structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
 import tkit.regularity
-from tkit.constructions import cycle_graph, path_graph, petersen_graph, star_graph
+from tkit.constructions import (complete_graph, cycle_graph, path_graph,
+                                petersen_graph, star_graph)
 from tkit.exact import build_operators
 from tkit.regularity import fit_pdr, verify_condition_values
 from tkit.report import analyze, analyze_fitted
@@ -182,6 +183,24 @@ class TestDistancePartition:
         with pytest.raises(ValueError, match="not based at x"):
             distance_partition(g, 0, 1, local_metric(g, 1))
 
+    @pytest.mark.parametrize("graphs, directed_edges", [
+        pytest.param(lambda: (g for n in range(1, 6) for g in connected_graphs(n)),
+                     8588, id="all-n-le-5"),
+        pytest.param(lambda: [complete_graph(50)], 50 * 49, id="complete-50")])
+    def test_sweep_matches_per_edge_bfs(self, graphs, directed_edges):
+        # edge_partitions, one sweep over the base's levels, against one
+        # BFS per neighbour, at every edge and every base
+        edges = 0
+        for g in graphs():
+            for x in range(g.n):
+                metric = local_metric(g, x)
+                swept = edge_partitions(g, metric)
+                assert sorted(swept) == list(g.neighbors(x))
+                for y, part in swept.items():
+                    assert part == distance_partition(g, x, y)
+                    edges += 1
+        assert edges == directed_edges
+
     def test_bipartite_mid_cells_empty(self):
         for g in (cycle_graph(6), path_graph(5), star_graph(4)):
             for x, y in g.edges():
@@ -216,36 +235,62 @@ class TestStructureReport:
         assert rep.vacuous
 
 
-def test_analyze_runs_one_bfs_per_closed_neighbor(monkeypatch):
-    # the base's distances plus one BFS per neighbor serve the endpoint-one
-    # fit and the structure report alike
+def test_analyze_runs_one_bfs(monkeypatch):
+    # the base's distances serve the fits, and one sweep over its levels
+    # gives every neighbour's partition for the endpoint-one fit and the
+    # structure report alike
     calls = []
 
     def counting(g, x):
         calls.append(x)
         return local_metric(g, x)
 
+    def unused(*args, **kwargs):
+        raise AssertionError("per-neighbour BFS on the analysis path")
+
     for module in (tkit.graphs, tkit.exact):
         monkeypatch.setattr(module, "local_metric", counting)
+    monkeypatch.setattr(tkit.graphs, "distance_partition", unused)
     analyze(petersen_graph(), 0, with_decomposition=True)
-    assert sorted(calls) == [0, 1, 4, 5]
+    assert calls == [0]
 
 
 def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
-    # the base's raising vectors, kept in ops.base_powers, serve the ratio
-    # fit and the endpoint-one fit, so each start vertex is raised once:
-    # deg(x) + 1 calls
-    calls = []
-    original = tkit.exact.raising_powers
+    # the base is raised level by level by the ratio fit, its vectors kept
+    # for the endpoint-one fit; each neighbour is raised once, by
+    # raising_powers
+    calls, levels = [], []
+    original_powers = tkit.exact.raising_powers
+    original_raise = tkit.exact.raise_level
 
-    def counting(ops, v, max_m):
+    def counting_powers(ops, v, max_m):
         calls.append(v)
-        return original(ops, v, max_m)
+        return original_powers(ops, v, max_m)
+
+    def counting_raise(ops, counts, level):
+        levels.append(level)
+        return original_raise(ops, counts, level)
 
     for module in (tkit.exact, tkit.regularity):
-        monkeypatch.setattr(module, "raising_powers", counting)
+        monkeypatch.setattr(module, "raising_powers", counting_powers)
+    monkeypatch.setattr(tkit.exact, "raise_level", counting_raise)
     analyze(petersen_graph(), 0, with_decomposition=True)
-    assert sorted(calls) == [0, 1, 4, 5]
+    assert sorted(calls) == [1, 4, 5]
+    # the base from levels 0, 1 and 2; each neighbour from levels 1 and 2
+    assert sorted(levels) == [0, 1, 1, 1, 1, 2, 2, 2, 2]
+
+
+def _record_raises(monkeypatch):
+    """Patch raise_level to log (input vector, level) for every call."""
+    log = []
+    original = tkit.exact.raise_level
+
+    def counting(ops, counts, level):
+        log.append((counts, level))
+        return original(ops, counts, level)
+
+    monkeypatch.setattr(tkit.exact, "raise_level", counting)
+    return log
 
 
 def test_instance_data_built_once(monkeypatch):
@@ -266,11 +311,28 @@ def test_instance_data_built_once(monkeypatch):
         monkeypatch.setattr(module, "local_metric", counting_metric)
     for module in (tkit.exact, tkit.regularity):
         monkeypatch.setattr(module, "raising_powers", counting_powers)
+    raises = _record_raises(monkeypatch)
     ops = build_operators(petersen_graph(), 0)
     rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
     assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
-    assert sorted(searched) == [0, 1, 4, 5]
-    assert raised.count(0) == 1
+    assert searched == [0]
+    assert 0 not in raised
+    # a thin instance: the ratio fit raises the base once per level, and
+    # the endpoint-one fit reads those vectors
+    assert [level for counts, level in raises
+            if any(counts is p for p in ops.base_powers)] == [0, 1, 2]
+
+
+def test_ratio_fit_stops_at_its_witness(monkeypatch):
+    # path:6 from vertex 1 fails at level 1 of 4: the fit raises the base
+    # to level 2 only, and reading alpha continues the same levels
+    raises = _record_raises(monkeypatch)
+    ops = build_operators(path_graph(6), 1)
+    pdr = fit_pdr(ops)
+    assert not pdr.ok and pdr.witness.level == 1
+    assert [level for _, level in raises] == [0, 1]
+    assert pdr.alpha == (2, 0, 1, 1, 0)
+    assert [level for _, level in raises] == [0, 1, 2, 3, 4]
 
 
 class TestConnectedGraphs:

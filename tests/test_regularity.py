@@ -8,6 +8,8 @@ import pytest
 import golden
 from clausewise import fit_clausewise
 from numeric_oracle import no_endpoint1_modules, trivial_module_basis
+from pdr_oracle import fit_pdr_full
+from rooted import rooted_classes
 from tkit.cli import load_graph
 from tkit.constructions import (cycle_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3)
@@ -37,6 +39,12 @@ def _six_vertex_cover():
         seen.add(key)
         for mask in range(1, 32):
             yield make_graph(6, edges + [(v, 5) for v in range(5) if mask >> v & 1])
+
+
+def _golden_graphs():
+    """The named and graph6 graphs of the golden reports."""
+    return ([load_graph(name)[0] for name in golden.BUILTINS]
+            + [parse_graph6(g6) for g6 in golden.graph6_sources()])
 
 
 def fr(*vals):
@@ -84,6 +92,25 @@ class TestFitPdr:
                 if found >= 50:
                     return
         assert found, "expected some non-fitting instances on 5 vertices"
+
+    @pytest.mark.parametrize("instances", [
+        pytest.param(lambda: [pair for n in range(1, 6) for pair in rooted_classes(n)],
+                     id="rooted-n-le-5"),
+        pytest.param(lambda: [(g, x) for g in _golden_graphs() for x in range(g.n)],
+                     id="golden-graphs")])
+    def test_matches_full_fit(self, instances):
+        # the early-exit fit against every level stepped and every ratio
+        # formed (tests/pdr_oracle.py); witness before alpha, so that the
+        # ratios are completed after the fit stopped
+        failing = 0
+        for g, x in instances():
+            ops = build_operators(g, x)
+            pdr = fit_pdr(ops)
+            ok, witness, alpha, beta = fit_pdr_full(ops)
+            assert (pdr.ok, pdr.witness) == (ok, witness)
+            assert (pdr.alpha, pdr.beta) == (alpha, beta)
+            failing += not ok
+        assert failing
 
     def test_equal_counts_unequal_ratios_rejected(self):
         # at level 2 every vertex has 4 raise-then-lower walks, but vertex 6
@@ -247,10 +274,8 @@ class TestFitEndpoint1:
             return solve_linear(rows, rhs)
 
         monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
-        graphs = [load_graph(name)[0] for name in golden.BUILTINS]
-        graphs += [parse_graph6(g6) for g6 in golden.graph6_sources()]
         fitted = 0
-        for g in graphs:
+        for g in _golden_graphs():
             for x in range(g.n):
                 calls.clear()
                 ops = build_operators(g, x)
@@ -284,11 +309,36 @@ class TestFitEndpoint1:
                     if r.levelno == logging.WARNING
                     and "side condition conflicts" in r.getMessage()]
         assert [m.split(":")[0] for m in messages] == [
-            f"{to_graph6(g)} base {g.labels[4]} level {i}" for i in (1, 2, 3)]
+            f"{to_graph6(g)} (n=9, m=9) base {g.labels[4]} level {i}"
+            for i in (1, 2, 3)]
         assert [lv.consistent for lv in prof.levels] == [False, False, False, True]
         assert prof.levels[0].rho is None and prof.levels[3].rho == 1
         assert not prof.ok
         assert prof.witness == E1Witness(1, None, None, "rho-side-condition")
+
+    def test_side_condition_log_cuts_graph6(self, monkeypatch, caplog):
+        # the graph6 string of cycle:200 has 3 321 characters; the line
+        # shows its first 40, with n, m and the base; as above, the flat
+        # system of each level answers theta = 0, rho = 1
+        calls = []
+
+        def solve(rows, rhs):
+            calls.append(rows)
+            if len(calls) % 2 == 0:
+                return LinearSolution(True, (F(0), F(1)), (0, 1), None)
+            return solve_linear(rows, rhs)
+
+        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+        g = cycle_graph(200)
+        with caplog.at_level(logging.WARNING, logger="tkit.regularity"):
+            ops = build_operators(g, 0)
+            fit_endpoint1(ops, fit_pdr(ops))
+        messages = [r.getMessage() for r in caplog.records
+                    if "side condition conflicts" in r.getMessage()]
+        assert len(messages) == 99  # levels 1 to 99 have nonempty upward cells
+        for m in messages:
+            assert len(m) < 200
+            assert m.startswith(to_graph6(g)[:40] + "... (n=200, m=200) base 0 level ")
 
     def test_mu_unique_when_side_cell_exists(self):
         # whenever some vertex of the level sits outside every downward
