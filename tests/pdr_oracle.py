@@ -1,7 +1,8 @@
 """The ratio fit as it stood before it stopped at its first witness: every
-level is stepped with whole-graph steps and every ratio formed. It is the
-test oracle for tkit.regularity.fit_pdr, whose ok, witness, alpha and beta
-must equal these."""
+level is stepped with whole-graph steps and every ratio formed, and each
+vertex's ratios are compared with the first vertex's as Fractions. It is
+the test oracle for tkit.regularity.fit_pdr, whose ok, witness, alpha and
+beta must equal these."""
 from __future__ import annotations
 
 from fractions import Fraction

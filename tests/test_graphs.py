@@ -322,11 +322,9 @@ def test_instance_data_built_once(monkeypatch):
     assert [level for counts, level in raises
             if any(counts is p for p in ops.base_powers)] == [0, 1, 2]
 
-
-def test_ratio_fit_stops_at_its_witness(monkeypatch):
     # path:6 from vertex 1 fails at level 1 of 4: the fit raises the base
     # to level 2 only, and reading alpha continues the same levels
-    raises = _record_raises(monkeypatch)
+    raises.clear()
     ops = build_operators(path_graph(6), 1)
     pdr = fit_pdr(ops)
     assert not pdr.ok and pdr.witness.level == 1
