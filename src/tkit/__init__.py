@@ -19,7 +19,6 @@ from .decompose import (Subspace, ModuleSummary, DecompositionReport,
                         AlgebraicVerdict, DecompositionError, decompose,
                         algebraic_verdict, commutant_basis,
                         graded_hom_dimension, dual_block_dims,
-                        generator_matrices,
                         PASS, FAIL, VACUOUS, NOT_APPLICABLE)
 from .constructions import (example_graph, empty_graph, complete_graph,
                             path_graph, cycle_graph, star_graph,

@@ -30,22 +30,24 @@ point; the combinatorial fits elsewhere stay exact.
 """
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exact import LocalOperators, describe
+from .graphs import Graph
 
 log = logging.getLogger(__name__)
 
-# Largest dense array decompose may build, in bytes: the generator stack
-# (the adjacency matrix and ecc + 1 level projectors, 8 (ecc + 2) n^2
-# bytes; path:511 is the longest path within the limit), the graded
-# commutant system on the whole space (sum_i |S_i|^2 unknowns) and the
-# Kronecker stack of its first split, 8 (ecc + 2) n^4 bytes. Building the
-# system peaks at about twice its size, and np.linalg.qr copies the stack.
+# Largest dense array decompose may build, in bytes: the graded commutant
+# system on the whole space (sum_i |S_i|^2 unknowns) and the Kronecker
+# stack of its first split, 8 (ecc + 2) n^4 bytes. Building the system
+# peaks at about twice its size, and np.linalg.qr copies the stack. The level
+# projectors act as 0/1 masks and are never formed, so other arrays are n x n.
 MAX_DENSE_BYTES = 1 << 30
 
 PASS = "PASS"
@@ -55,8 +57,8 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 class DecompositionError(RuntimeError):
-    """Splitting or invariance verification kept failing across reseeded
-    attempts, or a dense array of the solve would exceed MAX_DENSE_BYTES."""
+    """Splitting or verification kept failing across reseeded attempts, or
+    the graded system or Kronecker stack would exceed MAX_DENSE_BYTES."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()):
         super().__init__(message)
@@ -118,15 +120,12 @@ class AlgebraicVerdict:
     reason: Optional[str] = None
 
 
-def generator_matrices(ops: LocalOperators) -> list[np.ndarray]:
-    """Adjacency matrix and level projectors as 0/1 float arrays."""
-    n = ops.graph.n
-    adjacency = np.zeros((n, n))
-    for u, nbrs in enumerate(ops.graph.adj):
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Adjacency matrix as a 0/1 float array."""
+    adjacency = np.zeros((g.n, g.n))
+    for u, nbrs in enumerate(g.adj):
         adjacency[u, list(nbrs)] = 1.0
-    dist = np.array(ops.metric.dist)
-    return [adjacency] + [np.diag((dist == i).astype(float))
-                          for i in range(ops.ecc + 1)]
+    return adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +231,17 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
-                    rng: np.random.Generator, tol: float,
-                    notes: list[str], flags: list[bool]) -> list[np.ndarray]:
+def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
+                    levels: Sequence[np.ndarray], rng: np.random.Generator,
+                    tol: float, notes: list[str], flags: list[bool]) -> list[np.ndarray]:
+    """Split the span of basis (orthonormal rows) into irreducible invariant
+    subspaces of the algebra generated by adjacency and the level masks."""
     k = basis.shape[0]
     if k == 1:
         return [basis]
-    restricted = [basis @ G @ basis.T for G in gens]
+    # basis E*_i is basis with the columns off level i zeroed
+    restricted = [basis @ adjacency @ basis.T] + [(basis * level) @ basis.T
+                                                  for level in levels]
     comm, flag = commutant_basis(restricted, tol)
     flags.append(flag)
     if not comm:
@@ -259,7 +262,6 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
         log.info(note)
         return [basis]
 
-    groups: list[np.ndarray] = []
     for _ in range(6):
         coeffs = rng.standard_normal(len(comm))
         sym = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
@@ -268,17 +270,7 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
         if len(groups) > 1:
             break
     else:
-        # deterministic fallback: split along a fixed non-scalar symmetric
-        # commutant element
-        for row in sym_basis:
-            cand = row.reshape(k, k)
-            cand = cand - (np.trace(cand) / k) * np.eye(k)
-            if np.linalg.norm(cand) > 1e-6:
-                groups = _eigengroups(cand / np.linalg.norm(cand), tol)
-                if len(groups) > 1:
-                    break
-        if len(groups) <= 1:
-            raise _SplitFailed(f"could not split a dim-{k} reducible subspace")
+        raise _SplitFailed(f"could not split a dim-{k} reducible subspace")
 
     if len(groups) == len(comm):
         # dim comm = sum_W m_W^2 dim End(W) >= sum_W m_W >= len(groups), so
@@ -287,7 +279,8 @@ def _split_subspace(basis: np.ndarray, gens: Sequence[np.ndarray],
         return [block.T @ basis for block in groups]
     out: list[np.ndarray] = []
     for block in groups:
-        out.extend(_split_subspace(block.T @ basis, gens, rng, tol, notes, flags))
+        out.extend(_split_subspace(block.T @ basis, adjacency, levels, rng, tol,
+                                   notes, flags))
     return out
 
 
@@ -335,8 +328,6 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     isomorphism classes.
     """
     n = ops.graph.n
-    _check_size(ops, "generator stack", 8 * (ops.ecc + 2) * n * n)
-    gens = generator_matrices(ops)
     residual_bound = 1e3 * tol
     worst: list[float] = []
     sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
@@ -344,12 +335,15 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     equations = unknowns + 2 * sum(a * b for a, b in zip(sizes, sizes[1:]))
     _check_size(ops, "graded commutant system", 8 * equations * unknowns)
     # an irreducible standard module needs no Kronecker solve and no split
+    adjacency = adjacency_matrix(ops.graph)
     dist = np.asarray(ops.metric.dist)
-    scalars, irreducible_flag = graded_hom_dimension(gens[0], dist, gens[0], dist, tol)
+    scalars, irreducible_flag = graded_hom_dimension(adjacency, dist, adjacency, dist, tol)
     irreducible = scalars == 1
     if not irreducible:
-        _check_size(ops, "Kronecker commutant stack", 8 * len(gens) * n ** 4)
-    scales = [max(1.0, np.linalg.norm(G)) for G in gens]
+        _check_size(ops, "Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
+    levels = [dist == i for i in range(ops.ecc + 1)]
+    # the Frobenius norm of a 0/1 generator is the root of its number of ones
+    scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
 
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
@@ -357,13 +351,14 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         flags: list[bool] = [irreducible_flag] if irreducible else []
         try:
             bases = ([np.eye(n)] if irreducible else
-                     _split_subspace(np.eye(n), gens, rng, tol, notes, flags))
+                     _split_subspace(np.eye(n), adjacency, levels, rng, tol,
+                                     notes, flags))
         except _SplitFailed as exc:
             log.info("%s attempt %d: %s", describe(ops), attempt, exc)
             continue
 
-        modules = _verify_and_summarize(bases, gens, scales, dist, ops, tol,
-                                        residual_bound, worst)
+        modules = _verify_and_summarize(bases, adjacency, levels, scales, dist,
+                                        ops, tol, residual_bound, worst)
         if modules is None:
             continue
 
@@ -395,14 +390,16 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         f"attempts", worst)
 
 
-def _verify_and_summarize(bases, gens, scales, dist, ops, tol, residual_bound,
-                          worst):
+def _verify_and_summarize(bases, adjacency, levels, scales, dist, ops, tol,
+                          residual_bound, worst):
     modules_raw = []
     for basis in bases:
         proj = basis.T @ basis
         residual = 0.0
-        for G, scale in zip(gens, scales):
-            gp = G @ proj
+        # A P, then each E*_i P as P with the rows off level i zeroed
+        products = itertools.chain([adjacency @ proj],
+                                   (proj * level[:, None] for level in levels))
+        for gp, scale in zip(products, scales):
             defect = np.linalg.norm(gp - proj @ gp)
             residual = max(residual, float(defect / scale))
         if residual > residual_bound:
@@ -425,7 +422,7 @@ def _verify_and_summarize(bases, gens, scales, dist, ops, tol, residual_bound,
     def graded_module(idx: int) -> tuple[np.ndarray, np.ndarray]:
         if idx not in graded:
             basis, dims = modules_raw[idx][:2]
-            graded[idx] = _graded_module(basis, ops, gens[0], dims)
+            graded[idx] = _graded_module(basis, ops, adjacency, dims)
         return graded[idx]
 
     iso_ids: list[int] = [-1] * len(modules_raw)

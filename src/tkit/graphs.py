@@ -202,19 +202,13 @@ def to_graph6(g: Graph) -> str:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise GraphError("graph too large for graph6 encoding")
-    bits: list[int] = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
-    return (head + bytes(body)).decode("ascii")
+    # bit k of the upper triangle, listed column by column, is the pair
+    # (row, col) with k = col (col - 1) / 2 + row; six bits to a byte, high first
+    body = bytearray(-(-n * (n - 1) // 12))
+    for u, v in g.edges():
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> k % 6
+    return (head + bytes(b + 63 for b in body)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +412,8 @@ def structure_report(g: Graph, x: int,
     d = partitions[nbrs[0]].ecc_x if nbrs else 0
     vacuous = len(nbrs) < 2
 
+    # per level, whether some neighbor has a nonempty mid cell there
+    any_mid = [any(partitions[z].cell(i, i) for z in nbrs) for i in range(d + 1)]
     records = []
     for y in nbrs:
         part = partitions[y]
@@ -425,10 +421,9 @@ def structure_report(g: Graph, x: int,
         mid = tuple(bool(part.cell(i, i)) for i in range(d + 1))
         down = tuple(bool(part.cell(i, i - 1)) for i in range(d + 1))
         # longest prefix where the upward cell is nonempty and every mid
-        # cell (over all neighbors z) is empty
+        # cell (over all neighbors) is empty
         t = 0
-        while (t + 1 <= d and up[t + 1]
-               and all(not partitions[z].cell(t + 1, t + 1) for z in nbrs)):
+        while t + 1 <= d and up[t + 1] and not any_mid[t + 1]:
             t += 1
         defined = all(not up[i] for i in range(t + 1, d + 1))
         records.append(NeighborThreshold(y, t if defined else None, up, mid, down))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import LocalOperators, describe, raising_powers, solve_linear, step
+from .exact import LocalOperators, describe, raising_powers, solve_linear
 
 log = logging.getLogger(__name__)
 
@@ -115,13 +115,6 @@ class PdrProfile:
         return self._ratios[1]
 
 
-def _columns(ops: LocalOperators, up: list[list[int]]) -> tuple[list[list[int]], ...]:
-    """Given the raising vectors up = [R^0 e_v, ..., R^max_m e_v], column
-    v of the walk-count matrices R^m, L R^m and F R^m for m = 0..max_m, as
-    count vectors indexed by vertex."""
-    return up, [step(ops, c, "l") for c in up], [step(ops, c, "f") for c in up]
-
-
 def fit_pdr(ops: LocalOperators) -> PdrProfile:
     """The ratio fit at the base of ops, up to its first witness."""
     return PdrProfile(ops)
@@ -187,19 +180,33 @@ class Endpoint1Profile:
 
 
 def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
-                       ) -> list[dict[int, tuple[list[int], ...]]]:
+                       ) -> list[dict[int, tuple]]:
     """Per level i = 1..ecc, for each neighbor y of the base, column y of
-    the four walk-count matrices of the endpoint-one equations:
-    up_only = R^{i-1}, up_after_down = R^i L, down_after_up = L R^i and
-    flat_after_up = F R^{i-1}. Column y of R^i L is R^i e_x for every
-    neighbor y, because L e_y = e_x, so it is read from ops.base_powers.
+    the four walk-count matrices of the endpoint-one equations, each
+    indexed by the level-i vertices z: up_only = R^{i-1}, up_after_down =
+    R^i L, down_after_up = L R^i and flat_after_up = F R^{i-1}. Column y
+    of R^i L is R^i e_x for every neighbor y, because L e_y = e_x, so it
+    is read from ops.base_powers. R^{i-1} e_y and R^i e_y are supported on
+    levels i and i + 1, so L and F push their counts from that one level
+    to the neighbours on level i.
     """
-    d = ops.ecc
+    adj, dist, sphere = ops.graph.adj, ops.metric.dist, ops.metric.sphere
     from_base = ops.base_powers
-    at = {y: _columns(ops, raising_powers(ops, y, d)) for y in nbrs}
-    return [{y: (up[i - 1], from_base[i], down[i], flat[i - 1])
-             for y, (up, down, flat) in at.items()}
-            for i in range(1, d + 1)]
+    at = {y: raising_powers(ops, y, ops.ecc) for y in nbrs}
+
+    def stepped(counts: list[int], level: int, i: int) -> dict[int, int]:
+        out = dict.fromkeys(sphere(i), 0)
+        for w in sphere(level):
+            if counts[w]:
+                for z in adj[w]:
+                    if dist[z] == i:
+                        out[z] += counts[w]
+        return out
+
+    return [{y: (up[i - 1], from_base[i],
+                 stepped(up[i], i + 1, i), stepped(up[i - 1], i, i))
+             for y, up in at.items()}
+            for i in range(1, ops.ecc + 1)]
 
 
 def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tkit.decompose import generator_matrices
+from numeric_oracle import generator_matrices
 from tkit.exact import LocalOperators
 
 

@@ -1,5 +1,8 @@
 """Numeric test oracles that the package itself does not need.
 
+* generator_matrices: the adjacency matrix and the level projectors as
+  dense float arrays, from matrix_oracle's integer build; decompose never
+  forms the projectors;
 * trivial_module_basis: the closure of the base indicator under the
   generators, ungraded;
 * no_endpoint1_modules: the endpoint-one existence test read off that
@@ -18,13 +21,21 @@ from typing import Sequence
 
 import numpy as np
 
-from tkit.decompose import (Subspace, _nullspace_rows, _orthonormal_rows,
-                            generator_matrices)
+from matrix_oracle import build_matrix_operators
+from tkit.decompose import Subspace, _nullspace_rows, _orthonormal_rows
 from tkit.exact import LocalOperators
 
 
 def _rows(w: Subspace | np.ndarray) -> np.ndarray:
     return w.basis if isinstance(w, Subspace) else np.asarray(w, dtype=float)
+
+
+def generator_matrices(ops: LocalOperators) -> list[np.ndarray]:
+    """The adjacency matrix, then the level projectors E*_0..E*_ecc, as
+    0/1 float arrays."""
+    mops = build_matrix_operators(ops.graph, ops.base)
+    return [np.array(m.entries, dtype=float)
+            for m in (mops.adjacency, *mops.duals)]
 
 
 def subspace_distance(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> float:

@@ -12,9 +12,9 @@ except ImportError:  # pragma: no cover
 
 from tkit.cli import main, _parse_shape
 from tkit.decompose import AlgebraicVerdict
-from tkit.constructions import path_graph
-from tkit.exact import GRAPH6_SHOWN, build_operators
-from tkit.graphs import GraphError, parse_graph6, to_graph6
+from tkit.constructions import cycle_graph
+from tkit.exact import build_operators, describe
+from tkit.graphs import GraphError, parse_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
 import tkit.scan
@@ -181,6 +181,31 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "EyW_ (n=6, m=7) base 1" in err and "Traceback" not in err
 
+    def test_split_failure_retries_then_exits_2(self, capsys, monkeypatch, caplog):
+        # no random draw splits: each attempt fails after six draws, is
+        # logged and reseeded, and the last one ends the decomposition
+        draws = []
+
+        def one_group(sym, tol):
+            draws.append(sym.shape)
+            return [sym]
+
+        monkeypatch.setattr(decompose_module, "_eigengroups", one_group)
+        ops = build_operators(cycle_graph(6), 0)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            with pytest.raises(decompose_module.DecompositionError,
+                               match="no verified decomposition after 4 attempts"):
+                decompose_module.decompose(ops)
+        assert draws == [(6, 6)] * 24
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{describe(ops)} attempt {k}: could not split a dim-6 reducible "
+            "subspace" for k in range(4)]
+        code, out, err = run_cli(capsys, "check", "cycle:6", "--vertex", "0",
+                                 "--decompose")
+        assert code == 2 and out == ""
+        assert err == (f"error: {describe(ops)}: no verified decomposition after "
+                       "4 attempts\n")
+
     def test_decomposition_error_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(decompose_module, "_verify_and_summarize",
                             lambda *a, **k: None)
@@ -190,53 +215,26 @@ class TestCheck:
         assert err.startswith("error: IheA@GUAo (n=10, m=15) base 3: no verified "
                               "decomposition")
 
-    @pytest.mark.parametrize("source,vertex,guarded,what,nbytes,limit", [
-        pytest.param("example", "1", "graded_hom_dimension",
-                     "graded commutant system", 3360, 3359,
+    @pytest.mark.parametrize("guarded,what,nbytes,limit", [
+        pytest.param("graded_hom_dimension", "graded commutant system", 3360, 3359,
                      id="graded_hom_dimension-graded commutant system-3360"),
-        pytest.param("example", "1", "commutant_basis",
-                     "Kronecker commutant stack", 41472, 41471,
-                     id="commutant_basis-Kronecker commutant stack-41472"),
-        pytest.param("path:512", "0", "generator_matrices", "generator stack",
-                     8 * 513 * 512 ** 2, 1 << 30,
-                     id="generator_matrices-generator stack-path512")])
-    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, source,
-                                             vertex, guarded, what, nbytes, limit):
+        pytest.param("commutant_basis", "Kronecker commutant stack", 41472, 41471,
+                     id="commutant_basis-Kronecker commutant stack-41472")])
+    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, guarded,
+                                             what, nbytes, limit):
         # the example at base 1 has levels of sizes 1, 2, 3: a 30 x 14 graded
         # system, and a reducible space whose first split would stack four
-        # 36 x 36 blocks; path:512 at an end has 513 generators of 512 x 512,
-        # above the 1 GiB limit itself
+        # 36 x 36 blocks
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{guarded} ran above the limit")
 
         monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", limit)
         monkeypatch.setattr(decompose_module, guarded, unreachable)
-        code, out, err = run_cli(capsys, "check", source, "--vertex", vertex,
+        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
                                  "--decompose")
-        g = tkit.cli.load_graph(source)[0]
-        graph6 = to_graph6(g)
-        if len(graph6) > GRAPH6_SHOWN:
-            graph6 = graph6[:GRAPH6_SHOWN] + "..."
         assert code == 2 and out == ""
-        # the graph6 of path:512 has 21 807 characters; the line shows 40
-        assert err == (f"error: {graph6} (n={g.n}, m={g.edge_count}) base {vertex}: "
-                       f"the {what} needs {nbytes} bytes, above the limit of "
-                       f"{limit}\n")
-        assert len(err) < 200
-
-    def test_generator_stack_at_limit(self, monkeypatch):
-        # path:511 at an end: 512 generators of 511 x 511 fit in 1 GiB, so
-        # decompose goes on to build them
-        class Built(Exception):
-            pass
-
-        def built(ops):
-            raise Built
-
-        monkeypatch.setattr(decompose_module, "generator_matrices", built)
-        assert decompose_module.MAX_DENSE_BYTES == 1 << 30
-        with pytest.raises(Built):
-            decompose_module.decompose(build_operators(path_graph(511), 0))
+        assert err == (f"error: EyW_ (n=6, m=7) base 1: the {what} needs {nbytes} "
+                       f"bytes, above the limit of {limit}\n")
 
     @pytest.mark.parametrize("argv", [
         ["check", "example", "--vertex", "1", "--decompose"],

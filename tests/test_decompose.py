@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import pytest
 import golden
 from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
-from numeric_oracle import (intertwiner_stack, kron_hom_dimension,
-                            level_dims_by_svd, subspace_distance,
-                            trivial_module_basis)
+from numeric_oracle import (generator_matrices, intertwiner_stack,
+                            kron_hom_dimension, level_dims_by_svd,
+                            subspace_distance, trivial_module_basis)
 from rooted import rooted_classes
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
@@ -21,10 +22,9 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             _cutoff, _graded_module, _level_dims,
                             _nullspace_rows, _split_subspace,
-                            _verify_and_summarize,
+                            _verify_and_summarize, adjacency_matrix,
                             algebraic_verdict, commutant_basis, decompose,
-                            dual_block_dims, generator_matrices,
-                            graded_hom_dimension)
+                            dual_block_dims, graded_hom_dimension)
 from tkit.exact import build_operators, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
@@ -54,16 +54,25 @@ class TestTrivialModuleBasis:
         assert trivial_module_basis(ops).dim == 3
 
 
-def test_generator_matrices_match_dense_build():
+def test_adjacency_matrix_matches_dense_build():
     for n in (1, 2, 3, 4):
         for g in connected_graphs(n):
-            for x in range(g.n):
-                mops = build_matrix_operators(g, x)
-                want = [mops.adjacency] + list(mops.duals)
-                got = generator_matrices(build_operators(g, x))
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, np.array(b.entries, dtype=float))
+            want = build_matrix_operators(g, 0).adjacency.entries
+            assert np.array_equal(adjacency_matrix(g), np.array(want, dtype=float))
+
+
+def test_path_end_forms_no_level_projectors():
+    # path:300 from an end has one vertex per level, and its standard module
+    # is irreducible; the 301 dense level projectors alone would take 217 MB
+    ops = build_operators(path_graph(300), 0)
+    tracemalloc.start()
+    try:
+        rep = decompose(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [m.level_dims for m in rep.modules] == [(1,) * 300]
+    assert peak < 32 << 20
 
 
 class TestCommutant:
@@ -117,7 +126,7 @@ def _ladder():
 
 
 def _scalars_only(ops):
-    adjacency, dist = generator_matrices(ops)[0], ops.metric.dist
+    adjacency, dist = adjacency_matrix(ops.graph), ops.metric.dist
     return graded_hom_dimension(adjacency, dist, adjacency, dist)[0] == 1
 
 
@@ -466,10 +475,11 @@ class TestLevelDims:
     @staticmethod
     def _assert_rejected(ops, basis):
         # past the invariance check, which would reject both on its own
-        gens = generator_matrices(ops)
+        dist = np.asarray(ops.metric.dist)
+        levels = [dist == i for i in range(ops.ecc + 1)]
         worst = []
-        assert _verify_and_summarize([basis], gens, [1.0] * len(gens),
-                                     np.asarray(ops.metric.dist), ops, 1e-9,
+        assert _verify_and_summarize([basis], adjacency_matrix(ops.graph), levels,
+                                     [1.0] * (len(levels) + 1), dist, ops, 1e-9,
                                      np.inf, worst) is None
         assert len(worst) == 1
 
@@ -503,24 +513,22 @@ class TestMultiplicityFreeSplit:
 
 
 class TestNonRealSplit:
-    def test_pauli_real_forms_accepted_whole(self):
-        # the real 4 x 4 forms [[A, -B], [B, A]] of the Pauli matrices
-        # A + iB are symmetric and act irreducibly on R^4, with the
-        # commutant C: multiplication by i is antisymmetric, so the
-        # symmetric part is the scalars and nothing splits
-        zero = np.zeros((2, 2))
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-        b = np.array([[0.0, -1.0], [1.0, 0.0]])   # sigma_y = i b
-        gens = [np.block([[sx, zero], [zero, sx]]),
-                np.block([[zero, -b], [b, zero]]),
-                np.block([[sz, zero], [zero, sz]])]
-        assert all(np.array_equal(G, G.T) for G in gens)
+    def test_complex_weighted_edge_accepted_whole(self):
+        # K4 minus an edge, levels {0, 1} and {2, 3}, with the flat edge
+        # {2, 3} weighted i: the Hermitian matrix H and the level projectors
+        # generate all of M_4(C). Their real 8 x 8 forms [[Re, -Im], [Im, Re]]
+        # are symmetric and act irreducibly on R^8, with the commutant C:
+        # multiplication by i is antisymmetric, so the symmetric part is the
+        # scalars and nothing splits
+        h = np.array([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1j], [0, 1, -1j, 0]])
+        adjacency = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        dist = np.array([0, 0, 1, 1] * 2)
+        assert np.array_equal(adjacency, adjacency.T)
         notes, flags = [], []
-        pieces = _split_subspace(np.eye(4), gens, np.random.default_rng(0),
-                                 1e-9, notes, flags)
-        assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(4))
-        assert notes == ["accepted dim-4 module with self-intertwiner "
+        pieces = _split_subspace(np.eye(8), adjacency, [dist == 0, dist == 1],
+                                 np.random.default_rng(0), 1e-9, notes, flags)
+        assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(8))
+        assert notes == ["accepted dim-8 module with self-intertwiner "
                          "dimension 2 and scalar symmetric part (non-real type)"]
         assert flags == [False]
 
