@@ -19,7 +19,8 @@ import json
 import logging
 import math
 import sys
-from typing import Optional, Sequence
+import time
+from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
@@ -30,7 +31,7 @@ from .exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
 from .graphs import Graph, GraphError, distance_partition, parse_edge_list, \
     parse_graph6, to_graph6
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
-from .scan import generate_connected_graph6, scan_corpus
+from .scan import PROGRESS_EVERY, generate_connected_graph6, scan_corpus
 
 log = logging.getLogger(__name__)
 
@@ -216,22 +217,37 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _progress_printer(total: Optional[int]) -> Callable[[int], None]:
+    """A progress callback for scan_corpus that prints, on stderr, the
+    graphs scanned, the rate since it was made and, when the corpus length
+    total is known, the time left at that rate."""
+    start = time.perf_counter()
+
+    def report(done: int) -> None:
+        rate = done / max(time.perf_counter() - start, 1e-9)
+        line = f"# scanned {done} graphs, {rate:.0f} graphs/s"
+        if total is not None:
+            line += f", ETA {(total - done) / rate:.0f} s"
+        print(line, file=sys.stderr)
+    return report
+
+
 def cmd_scan(args) -> int:
+    total: Optional[int] = None
     if args.generate is not None:
         if args.corpus is not None:
             raise GraphError("give either a corpus or --generate, not both")
         if args.generate > 7:
             raise GraphError("--generate supports n <= 7")
-        lines = generate_connected_graph6(args.generate)
+        lines: Iterable[str] = generate_connected_graph6(args.generate)
     elif args.corpus is not None:
         raw = _read_source(args.corpus)
-        lines = iter([ln.strip() for ln in raw.splitlines() if ln.strip()])
+        lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
+        total = len(lines)
     else:
         raise GraphError("scan needs a corpus path or --generate N")
 
-    progress = None
-    if args.progress:
-        progress = lambda n: print(f"# scanned {n} graphs", file=sys.stderr)
+    progress = _progress_printer(total) if args.progress else None
     summary = scan_corpus(lines, jobs=args.jobs, seed=args.seed, tol=args.tol,
                           progress=progress)
     if args.format == "table":
@@ -384,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: TK_JOBS or all cores; "
                         "at most the number of cores)")
-    p.add_argument("--progress", action="store_true")
+    p.add_argument("--progress", action="store_true",
+                   help=f"every {PROGRESS_EVERY} graphs, print on stderr the "
+                        "count, the rate and, for a corpus file, the time left")
     p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
     _add_common(p)
     p.set_defaults(func=cmd_scan)

@@ -254,6 +254,193 @@ def local_metric(g: Graph, x: int) -> LocalMetric:
 
 
 # ---------------------------------------------------------------------------
+# Rooted canonical form
+# ---------------------------------------------------------------------------
+
+def rooted_key(g: Graph, metric: LocalMetric) -> tuple[int, ...]:
+    """Canonical form of the rooted graph (g, base of metric): two rooted
+    graphs get equal keys exactly when an isomorphism maps one onto the
+    other and base onto base.
+
+    Individualisation-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014), seeded by the BFS levels. An ordered partition
+    of the vertices, first the levels in order, is refined until it is
+    equitable; then each vertex of its first smallest cell that is not a
+    singleton is individualised in turn and the search goes on below it.
+    At a leaf every cell is a single vertex, and the leaf's certificate is
+    the graph relabelled by cell position: each vertex's neighbour set as a
+    bitmask of positions, listed by position. The key is the least
+    certificate. Two prunings keep the search small, both sound because an
+    automorphism that fixes the current node maps the subtree below one
+    candidate onto the subtree below another:
+    - twins (u and v with N(u) - v = N(v) - u): swapping them is such an
+      automorphism, so a candidate twin of one already explored is
+      skipped; with them `complete:N` and `star:N` have one leaf;
+    - a leaf whose certificate equals the first or the least one so far
+      gives an automorphism that maps that earlier leaf's branch at their
+      common ancestor onto this one, so the search returns to that
+      ancestor.
+    Each leaf costs a refinement at every node on its branch. Graphs whose
+    equitable partitions keep large cells of vertices that are not twins,
+    as symmetric graphs do, explore more leaves: 16 at a vertex of the
+    6-cube.
+    """
+    n, adj = g.n, g.adj
+    twin = _twin_classes(g)
+    lab = [v for sphere in metric.spheres for v in sphere]
+    cell = [0] * n
+    size = [0] * n
+    starts = []
+    pos = 0
+    for sphere in metric.spheres:
+        starts.append(pos)
+        size[pos] = len(sphere)
+        for v in sphere:
+            cell[v] = pos
+        pos += len(sphere)
+    _refine(adj, lab, cell, size, starts)
+
+    # each reference leaf is (certificate, path of individualised vertices)
+    first: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    least = first
+    # one frame per inner node on the current branch: [node, position of
+    # its target cell, position of its next candidate, twin classes explored]
+    stack: list[list] = []
+    node = (lab, cell, size, ())
+    while True:
+        lab, cell, size, path = node
+        target = _target_cell(size, n)
+        if target is not None:
+            stack.append([node, target, target, set()])
+        else:
+            cert = _certificate(adj, lab, cell)
+            if first is None:
+                first = least = (cert, path)
+            else:
+                for ref in (first, least):
+                    if cert == ref[0]:
+                        common = next(i for i, (u, v) in enumerate(zip(path, ref[1]))
+                                      if u != v)
+                        del stack[common + 1:]
+                        break
+                else:
+                    if cert < least[0]:
+                        least = (cert, path)
+        node = None
+        while stack and node is None:
+            frame = stack[-1]
+            (lab, cell, size, path), s, i, explored = frame
+            end = s + size[s]
+            while i < end and twin[lab[i]] in explored:
+                i += 1
+            if i == end:
+                stack.pop()
+                continue
+            v = lab[i]
+            frame[2] = i + 1
+            explored.add(twin[v])
+            node = _individualise(adj, lab, cell, size, s, v) + (path + (v,),)
+        if node is None:
+            return least[0]
+
+
+def _twin_classes(g: Graph) -> list[int]:
+    """For each vertex, the least vertex of its twin class: u and v are
+    twins when N(u) - v = N(v) - u. Twins with a common neighbourhood and
+    adjacent twins with a common closed neighbourhood cannot both occur at
+    one vertex, so this is an equivalence relation."""
+    first_open: dict[frozenset[int], int] = {}
+    first_closed: dict[frozenset[int], int] = {}
+    twin = []
+    for v, nbrs in enumerate(g.adj):
+        u = first_open.setdefault(nbrs, v)
+        if u == v:
+            u = first_closed.setdefault(nbrs | {v}, v)
+        twin.append(twin[u] if u != v else v)
+    return twin
+
+
+def _refine(adj: tuple[frozenset[int], ...], lab: list[int], cell: list[int],
+            size: list[int], splitters: Iterable[int]) -> None:
+    """Split cells in place until the partition is equitable: every vertex
+    of a cell has as many neighbours in each cell as the others.
+
+    A cell is the run of lab at position s of length size[s], and cell[v]
+    is the position of v's run. A cell that the neighbour counts into a
+    splitter cell tell apart is split into fragments in the order of those
+    counts, kept at its position, so the result commutes with relabelling.
+    The fragments become splitters, except the first largest one when the
+    cell itself is not waiting to be one: the counts into it are those into
+    the cell minus those into the other fragments.
+    """
+    queue = deque(splitters)
+    waiting = set(queue)
+    while queue:
+        w = queue.popleft()
+        waiting.discard(w)
+        count: dict[int, int] = {}
+        for u in lab[w:w + size[w]]:
+            for v in adj[u]:
+                count[v] = count.get(v, 0) + 1
+        for s in sorted({cell[v] for v in count}):
+            k = size[s]
+            if k == 1:
+                continue
+            members = sorted(lab[s:s + k], key=lambda v: count.get(v, 0))
+            keys = [count.get(v, 0) for v in members]
+            if keys[0] == keys[-1]:
+                continue
+            lab[s:s + k] = members
+            frags = [s] + [s + i for i in range(1, k) if keys[i] != keys[i - 1]]
+            for a, b in zip(frags, frags[1:] + [s + k]):
+                size[a] = b - a
+                for v in lab[a:b]:
+                    cell[v] = a
+            if s not in waiting:
+                frags.remove(max(frags, key=lambda a: size[a]))
+            for a in frags:
+                if a not in waiting:
+                    queue.append(a)
+                    waiting.add(a)
+
+
+def _target_cell(size: list[int], n: int) -> Optional[int]:
+    """Position of the first smallest cell that is not a singleton, or
+    None when every cell is one."""
+    target = None
+    s = 0
+    while s < n:
+        if size[s] > 1 and (target is None or size[s] < size[target]):
+            target = s
+        s += size[s]
+    return target
+
+
+def _individualise(adj: tuple[frozenset[int], ...], lab: list[int],
+                   cell: list[int], size: list[int], s: int,
+                   v: int) -> tuple[list[int], list[int], list[int]]:
+    """Copies of the partition with v split off the front of its cell at
+    position s, refined again."""
+    lab, cell, size = lab[:], cell[:], size[:]
+    k = size[s]
+    i = lab.index(v, s, s + k)
+    lab[s], lab[i] = v, lab[s]
+    size[s], size[s + 1] = 1, k - 1
+    for u in lab[s + 1:s + k]:
+        cell[u] = s + 1
+    # the partition was equitable, so splitting by {v} makes it so again
+    _refine(adj, lab, cell, size, [s])
+    return lab, cell, size
+
+
+def _certificate(adj: tuple[frozenset[int], ...], lab: list[int],
+                 cell: list[int]) -> tuple[int, ...]:
+    """The graph relabelled by a discrete partition: at each position, the
+    positions of that vertex's neighbours as a bitmask."""
+    return tuple(sum(1 << cell[w] for w in adj[v]) for v in lab)
+
+
+# ---------------------------------------------------------------------------
 # Distance partition with respect to an edge
 # ---------------------------------------------------------------------------
 

@@ -5,24 +5,44 @@ trivial module is analyzed on both sides; any disagreement is a MISMATCH
 and carries a full report. Instances that pass both sides also get the
 structural cell predicates and the restricted-block dimension bounds
 checked, so a clean scan certifies the whole property suite on the corpus.
+
+What an instance yields depends only on its rooted graph, so each rooted
+isomorphism class is analyzed once per scan_corpus call. A class cache,
+keyed by graphs.rooted_key, keeps the outcome of the first agreeing
+instance of each class: its agreement, its dimension-bound findings
+(level, dim, bound), its structure problems and its varying-threshold
+flag. Later instances of the class replay it, each record carrying their
+own graph6 and base label. A MISMATCH is never stored, so every instance
+of a mismatching class is analyzed and reported as `check` reports it.
+About 1 % of the hits, those whose instance seed is divisible by
+SELF_CHECK_EVERY, are analyzed again and compared with the stored outcome;
+a difference is a MISMATCH that names the cache. The cache holds one
+entry per distinct thin rooted class met, in each worker, for one call.
 """
 from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator, Optional
 
 from .decompose import dual_block_dims
 from .exact import build_operators
 from .graphs import (GraphError, StructureReport, connected_graphs,
-                     parse_graph6, to_graph6)
+                     parse_graph6, rooted_key, to_graph6)
 from .regularity import fit_pdr
-from .report import (AGREE_FAIL, AGREE_PASS, AnalysisReport, analyze_fitted,
-                     report_to_dict)
+from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
+                     analyze_fitted, report_to_dict)
 
 CATEGORY_KEYS = ("agree-pass", "agree-fail", "skipped-not-thin", "vacuous")
+
+# A cache hit whose instance seed is divisible by this is analyzed again
+SELF_CHECK_EVERY = 100
+CACHE_MISMATCH = "outcome differs from the cached outcome of its rooted class"
+
+# Graphs between two progress calls of scan_corpus
+PROGRESS_EVERY = 2000
 
 
 @dataclass
@@ -55,6 +75,21 @@ class ScanSummary:
         }
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What an agreeing instance yields, apart from its graph6 and base
+    label: a property of its rooted class, kept in the class cache."""
+
+    agreement: str
+    dim_bounds: tuple[tuple[int, int, int], ...]  # (level, dim, bound), dim > bound
+    problems: tuple[str, ...]
+    varying: bool
+
+
+# rooted_key of a class -> the Outcome of its first agreeing instance
+ClassCache = dict[tuple[int, ...], Outcome]
+
+
 def instance_seed(base_seed: int, graph6: str, vertex: int) -> int:
     """Stable per-instance seed so scans are reproducible at any job count."""
     return (base_seed << 32) ^ zlib.crc32(f"{graph6}:{vertex}".encode())
@@ -78,11 +113,19 @@ def _structure_problems(s: StructureReport) -> tuple[list[str], bool]:
     return problems, s.threshold_constant is False
 
 
-def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9) -> dict[str, Any]:
-    """Cross-validate every base vertex of one graph6-encoded graph."""
+def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
+               cache: Optional[ClassCache] = None) -> dict[str, Any]:
+    """Cross-validate every base vertex of one graph6-encoded graph.
+
+    cache maps the rooted_key of each class analyzed before to its
+    Outcome, and gains the classes analyzed here; without one, a cache
+    serves this graph only.
+    """
     g = parse_graph6(graph6)
     if not g.is_connected():
         raise GraphError("graph is disconnected")
+    if cache is None:
+        cache = {}
     out: dict[str, Any] = {
         "graph6": to_graph6(g),
         "counts": {key: 0 for key in CATEGORY_KEYS},
@@ -102,44 +145,82 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9) -> dict[str, Any]
         if not pdr.ok:
             out["counts"]["skipped-not-thin"] += 1
             continue
-        report = analyze_fitted(ops, pdr, with_decomposition=True,
-                                seed=instance_seed(seed, out["graph6"], x), tol=tol)
-        if report.agreement == AGREE_PASS:
-            out["counts"]["agree-pass"] += 1
-            _deep_checks(report, out)
-        elif report.agreement == AGREE_FAIL:
-            out["counts"]["agree-fail"] += 1
+        key = rooted_key(g, ops.metric)
+        stored = cache.get(key)
+        seed_x = instance_seed(seed, out["graph6"], x)
+        if stored is None or seed_x % SELF_CHECK_EVERY == 0:
+            report = analyze_fitted(ops, pdr, with_decomposition=True,
+                                    seed=seed_x, tol=tol)
+            if report.agreement not in (AGREE_PASS, AGREE_FAIL):
+                out["mismatches"].append(report_to_dict(report))
+                continue
+            outcome = _outcome(report)
+            if stored is None:
+                cache[key] = outcome
+            elif outcome != stored:
+                out["mismatches"].append(report_to_dict(replace(
+                    report, agreement=MISMATCH, agreement_reason=CACHE_MISMATCH)))
+                continue
         else:
-            out["mismatches"].append(report_to_dict(report))
+            outcome = stored
+        out["counts"][outcome.agreement] += 1
+        _emit(outcome, out, g.labels[x])
     return out
 
 
-def _deep_checks(report: AnalysisReport, out: dict[str, Any]) -> None:
+def _outcome(report: AnalysisReport) -> Outcome:
+    """An agreeing report's outcome; a passing one also gets the deep
+    checks, the dimension bounds and the structure predicates."""
+    if report.agreement != AGREE_PASS:
+        return Outcome(report.agreement, (), (), False)
     rep = report.decomposition
-    base = report.graph.labels[report.base]
     d_prime = max(m.diameter for m in rep.endpoint1_modules())
+    dim_bounds = []
     for i, dim in enumerate(dual_block_dims(rep), start=1):
         bound = 2 if i <= d_prime + 1 else 1
         if dim > bound:
-            out["dim_bound_violations"].append({
-                "graph6": out["graph6"], "base": base, "level": i,
-                "dim": dim, "bound": bound,
-            })
+            dim_bounds.append((i, dim, bound))
     problems, varying = _structure_problems(report.structure)
-    for problem in problems:
+    return Outcome(AGREE_PASS, tuple(dim_bounds), tuple(problems), varying)
+
+
+def _emit(outcome: Outcome, out: dict[str, Any], base: str) -> None:
+    """An outcome's records, for the instance at this base of out's graph."""
+    for level, dim, bound in outcome.dim_bounds:
+        out["dim_bound_violations"].append({
+            "graph6": out["graph6"], "base": base, "level": level,
+            "dim": dim, "bound": bound,
+        })
+    for problem in outcome.problems:
         out["structure_violations"].append({
             "graph6": out["graph6"], "base": base, "problem": problem,
         })
-    if varying:
+    if outcome.varying:
         out["varying_thresholds"].append({"graph6": out["graph6"], "base": base})
 
 
-def _worker(args: tuple[int, str, int, float]) -> dict[str, Any]:
+def _worker(args: tuple[int, str, int, float],
+            cache: ClassCache) -> dict[str, Any]:
     record, graph6, seed, tol = args
     try:
-        return scan_graph(graph6, seed=seed, tol=tol)
+        return scan_graph(graph6, seed=seed, tol=tol, cache=cache)
     except GraphError as exc:
         raise GraphError(f"record {record} ({graph6}): {exc}") from None
+
+
+# The class cache of a pool worker process. The pool's initializer makes
+# it afresh in each worker, so it lives as long as the pool: one
+# scan_corpus call.
+_pool_cache: ClassCache = {}
+
+
+def _start_pool_worker() -> None:
+    global _pool_cache
+    _pool_cache = {}
+
+
+def _pool_worker(args: tuple[int, str, int, float]) -> dict[str, Any]:
+    return _worker(args, _pool_cache)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -159,18 +240,21 @@ def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
                 progress: Optional[Any] = None) -> ScanSummary:
     """Scan a stream of graph6 records. Work is distributed over processes
     but merged in input order, so the summary is independent of the job
-    count. A malformed or disconnected record raises GraphError naming its
-    1-based record number."""
+    count. Each process keeps its own class cache for this call only.
+    progress, when given, is called with the number of graphs merged every
+    PROGRESS_EVERY graphs. A malformed or disconnected record raises
+    GraphError naming its 1-based record number."""
     jobs = resolve_jobs(jobs)
     summary = ScanSummary()
     work = ((record, line, seed, tol)
             for record, line in enumerate(graph6_lines, start=1))
     if jobs == 1:
-        results: Iterator[dict[str, Any]] = map(_worker, work)
+        cache: ClassCache = {}
+        results: Iterator[dict[str, Any]] = (_worker(task, cache) for task in work)
         _merge(summary, results, progress)
     else:
-        with Pool(jobs) as pool:
-            results = pool.imap(_worker, work, chunksize=64)
+        with Pool(jobs, initializer=_start_pool_worker) as pool:
+            results = pool.imap(_pool_worker, work, chunksize=64)
             _merge(summary, results, progress)
     return summary
 
@@ -186,7 +270,7 @@ def _merge(summary: ScanSummary, results: Iterator[dict[str, Any]],
         summary.dim_bound_violations.extend(res["dim_bound_violations"])
         summary.structure_violations.extend(res["structure_violations"])
         summary.varying_thresholds.extend(res["varying_thresholds"])
-        if progress is not None and summary.graphs % 2000 == 0:
+        if progress is not None and summary.graphs % PROGRESS_EVERY == 0:
             progress(summary.graphs)
 
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import logging
+import re
 from importlib import resources
 
 import pytest
@@ -398,6 +399,27 @@ class TestScan:
         code, out, _ = run_cli(capsys, "scan", str(path), "--jobs", "1")
         assert code == 3
         assert json.loads(out.strip().splitlines()[0])["mismatch_count"] == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_on_stderr_only(self, capsys, monkeypatch, tmp_path, jobs):
+        path = tmp_path / "corpus.g6"
+        path.write_text("Bw\nDhc\nC~\nDLo\nCr\n")
+        code, quiet, err = run_cli(capsys, "scan", str(path), "--jobs", jobs)
+        assert code == 0 and err == ""
+        monkeypatch.setattr(tkit.scan, "PROGRESS_EVERY", 2)
+        code, out, err = run_cli(capsys, "scan", str(path), "--jobs", jobs, "--progress")
+        assert code == 0 and out == quiet
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for done, line in zip((2, 4), lines):
+            assert re.fullmatch(rf"# scanned {done} graphs, \d+ graphs/s, ETA \d+ s", line)
+        # an enumeration's length is not known: no ETA
+        monkeypatch.setattr(tkit.scan, "PROGRESS_EVERY", 10)
+        code, _, err = run_cli(capsys, "scan", "--generate", "4", "--jobs", jobs,
+                               "--progress")
+        assert code == 0 and len(err.splitlines()) == 3
+        assert all(re.fullmatch(r"# scanned \d0 graphs, \d+ graphs/s", line)
+                   for line in err.splitlines())
 
     def test_generate_bound(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--generate", "9")

@@ -2,8 +2,10 @@ import gzip
 import importlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
-                            _cutoff, _graded_module, _level_dims,
+                            DecompositionError, _cutoff, _graded_module, _level_dims,
                             _nullspace_rows, _split_subspace,
                             _verify_and_summarize, adjacency_matrix,
                             algebraic_verdict, commutant_basis, decompose,
@@ -531,6 +533,75 @@ class TestNonRealSplit:
         assert notes == ["accepted dim-8 module with self-intertwiner "
                          "dimension 2 and scalar symmetric part (non-real type)"]
         assert flags == [False]
+
+
+def _shapes(rep):
+    return [(m.endpoint, m.dim, m.level_dims, m.iso_class) for m in rep.modules]
+
+
+class TestRejectedAttempts:
+    """Every way decompose rejects an attempt and retries with a new draw,
+    reached by patching: no trivial module, dimensions that do not add up
+    to n, and an invariance residual above the bound. cycle:6 at a vertex
+    splits into a trivial module and one of endpoint 1."""
+
+    def _first_attempt(self, monkeypatch, rewrite, attempts=1):
+        # rewrite replaces the modules of the first `attempts` attempts
+        calls = []
+        verify = _verify_and_summarize
+
+        def patched(*args):
+            modules = verify(*args)
+            calls.append(len(modules))
+            return rewrite(modules) if len(calls) <= attempts else modules
+
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_verify_and_summarize", patched)
+        return calls
+
+    @pytest.fixture
+    def ops(self):
+        return build_operators(cycle_graph(6), 0)
+
+    def test_no_trivial_module(self, monkeypatch, ops):
+        def no_trivial(modules):
+            return [replace(m, endpoint=1) for m in modules]
+
+        calls = self._first_attempt(monkeypatch, no_trivial)
+        rep = decompose(ops)
+        assert calls == [2, 2]
+        assert _shapes(rep) == [(0, 4, (1, 1, 1, 1), 0), (1, 2, (0, 1, 1, 0), 1)]
+        calls = self._first_attempt(monkeypatch, no_trivial, attempts=4)
+        with pytest.raises(DecompositionError,
+                           match="no verified decomposition after 4 attempts") as exc:
+            decompose(ops)
+        assert len(exc.value.residuals) == 4
+        assert all(math.isnan(r) for r in exc.value.residuals)
+
+    def test_dimensions_short_of_n(self, monkeypatch, ops):
+        calls = self._first_attempt(monkeypatch, lambda modules: modules[:1])
+        rep = decompose(ops)
+        assert calls == [2, 2] and rep.total_dim == 6
+        self._first_attempt(monkeypatch, lambda modules: modules[:1], attempts=4)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(ops)
+        assert exc.value.residuals == ()
+
+    def test_residual_above_bound(self, monkeypatch, ops):
+        # the vertex indicators are not invariant: each attempt is rejected
+        # at the first one, with its residual kept for the error
+        calls = []
+
+        def indicators(basis, *args):
+            calls.append(basis.shape)
+            return list(np.eye(6)[:, None, :])
+
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_split_subspace", indicators)
+        with pytest.raises(DecompositionError) as exc:
+            decompose(ops)
+        assert calls == [(6, 6)] * 4 and len(exc.value.residuals) == 4
+        assert all(r > 1e3 * 1e-9 for r in exc.value.residuals)
 
 
 class TestDualBlockDims:

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from rooted import permutation_key
 from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition,
                          edge_partitions, local_metric, make_graph, parse_edge_list, parse_graph6,
-                         structure_report, to_graph6)
+                         rooted_key, structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
 import tkit.regularity
@@ -206,6 +208,93 @@ class TestDistancePartition:
             for x, y in g.edges():
                 part = distance_partition(g, x, y)
                 assert all(i != j for (i, j) in part.cells if part.cells[(i, j)])
+
+
+def _key(g, x):
+    return rooted_key(g, local_metric(g, x))
+
+
+def _hypercube(d):
+    return make_graph(1 << d, [(u, u | 1 << b) for u in range(1 << d)
+                               for b in range(d) if not u >> b & 1])
+
+
+class TestRootedKey:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equal_exactly_when_brute_force_keys_are(self, n):
+        classes = {}
+        count = 0
+        for g in connected_graphs(n):
+            for x in range(n):
+                classes.setdefault(_key(g, x), set()).add(permutation_key(g, x))
+                count += 1
+        brute = set().union(*classes.values())
+        assert all(len(keys) == 1 for keys in classes.values())
+        assert len(classes) == len(brute)
+        assert (count, len(classes)) == {1: (1, 1), 2: (2, 1), 3: (12, 3),
+                                         4: (152, 11), 5: (3640, 58)}[n]
+
+    def test_relabelling_and_base_orbits(self):
+        # the Petersen graph is vertex-transitive and has no twins; a path's
+        # bases are equivalent only under its reflection
+        g = petersen_graph()
+        rng = random.Random(7)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert len({_key(g, x) for x in range(g.n)} | {_key(h, x) for x in range(h.n)}) == 1
+        p = path_graph(6)
+        keys = [_key(p, x) for x in range(6)]
+        assert keys == keys[::-1] and len(set(keys)) == 3
+
+    def test_least_of_inequivalent_leaves(self, monkeypatch):
+        # a cubic graph on 10 vertices whose equitable partition at base 9
+        # is coarser than the orbits there: its leaves give two different
+        # certificates, and the key is the least wherever the search starts.
+        # By brute force over all 9! relabellings per base, its bases fall
+        # into 6 rooted classes
+        g = parse_graph6("IsGJA_LD_")
+        certificates = []
+        certificate = tkit.graphs._certificate
+
+        def recorded(*args):
+            certificates.append(certificate(*args))
+            return certificates[-1]
+
+        monkeypatch.setattr(tkit.graphs, "_certificate", recorded)
+        keys = [_key(g, x) for x in range(g.n)]
+        assert len(set(keys)) == 6
+        certificates.clear()
+        _key(g, 9)
+        assert len(set(certificates)) == 2
+        rng = random.Random(3)
+        for _ in range(10):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert [_key(h, perm[x]) for x in range(g.n)] == keys
+
+    @pytest.mark.parametrize("g,x,most", [
+        # every candidate is a twin of the first: one branch, one leaf
+        (complete_graph(200), 0, 1),
+        (star_graph(200), 0, 1),
+        (star_graph(200), 7, 1),
+        # no twins; the first branch offers 6 + 5 + 4 + 3 + 2 candidates and
+        # the first leaf below each gives the automorphism back, where
+        # individualisation alone would reach all 6! leaves
+        (_hypercube(6), 0, 20),
+    ], ids=["complete:200", "star:200-centre", "star:200-leaf", "Q6"])
+    def test_leaves_explored(self, monkeypatch, g, x, most):
+        leaves = []
+        certificate = tkit.graphs._certificate
+
+        def counted(*args):
+            leaves.append(1)
+            return certificate(*args)
+
+        monkeypatch.setattr(tkit.graphs, "_certificate", counted)
+        key = _key(g, x)
+        assert len(key) == g.n and 1 <= len(leaves) <= most
 
 
 def _structure(g, x):

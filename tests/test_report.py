@@ -1,7 +1,9 @@
 """The verdict rules that a clean corpus never reaches: the MISMATCH
-returns of the agreement rule that test_mismatch_path does not reach, and
-every problem of the structure checks, reached with crafted fits,
-decompositions and structure reports."""
+returns of the agreement rule that test_mismatch_path does not reach, the
+"non-thin" reason of the algebraic verdict, and every problem of the
+structure checks, reached with crafted fits, decompositions and structure
+reports."""
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from tkit.exact import build_operators
 from tkit.graphs import parse_graph6, structure_report
 from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
 from tkit.report import (AGREE_NA, AGREE_PASS, AGREE_VACUOUS, MISMATCH,
-                         _agreement)
+                         _agreement, analyze)
 from tkit.scan import _structure_problems
 
 THINNESS = "exact fit and decomposition disagree on thinness"
@@ -60,6 +62,25 @@ class TestAgreementMismatch:
         ops, pdr, endpoint1, rep = _sides(load_graph("cycle:6")[0], 0)
         assert _agreement(ops, pdr, endpoint1, rep, AlgebraicVerdict(VACUOUS)) == (
             MISMATCH, "no endpoint-one modules at a base of degree >= 2")
+
+
+class TestVerdictNonThin:
+    @pytest.mark.parametrize("iso_classes,reason", [
+        (1, "non-thin"), (2, "multiple iso classes + non-thin")])
+    def test_endpoint1_module_not_thin(self, monkeypatch, iso_classes, reason):
+        # K4 passes at every base; its decomposition is patched to claim an
+        # endpoint-one module that is not thin, so the sides disagree
+        def not_thin(ops, **kwargs):
+            return replace(decompose(ops, **kwargs), endpoint1_all_thin=False,
+                           endpoint1_iso_classes=iso_classes)
+
+        monkeypatch.setattr(importlib.import_module("tkit.report"), "decompose",
+                            not_thin)
+        report = analyze(parse_graph6("C~"), 0, with_decomposition=True)
+        assert report.verdict == AlgebraicVerdict(FAIL, reason)
+        assert report.endpoint1.ok
+        assert (report.agreement, report.agreement_reason) == (
+            MISMATCH, "combinatorial ok=True vs algebraic FAIL")
 
 
 def _clean_structure():
