@@ -18,6 +18,9 @@ About 1 % of the hits, those whose instance seed is divisible by
 SELF_CHECK_EVERY, are analyzed again and compared with the stored outcome;
 a difference is a MISMATCH that names the cache. The cache holds one
 entry per distinct thin rooted class met, in each worker, for one call.
+The key costs one refinement per node of its search, about 60 us an
+instance at n = 6 against 1.4 to 1.9 ms for an analysis; symmetric
+graphs without twins explore more leaves (see graphs.rooted_key).
 """
 from __future__ import annotations
 
