@@ -132,15 +132,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 # Rank and orthonormalization helpers
 # ---------------------------------------------------------------------------
 
-def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space, by SVD."""
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0:
-        return vt[:0]
-    cutoff = tol * max(1.0, float(s[0]))
-    return vt[s > cutoff]
-
-
 def _nullspace_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     """Orthonormal nullspace basis (rows) and a rank-instability flag.
 
@@ -252,8 +243,8 @@ def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
         return [basis]
 
     sym_parts = np.vstack([((M + M.T) / 2.0).reshape(-1) for M in comm])
-    sym_basis = _orthonormal_rows(sym_parts, 1e-8)
-    if sym_basis.shape[0] <= 1:
+    sym_sv = np.linalg.svd(sym_parts, compute_uv=False)
+    if np.count_nonzero(sym_sv > 1e-8 * max(1.0, float(sym_sv[0]))) <= 1:
         # no symmetric commutant element beyond scalars: irreducible over
         # the reals with a complex or quaternionic endomorphism ring
         note = (f"accepted dim-{k} module with self-intertwiner dimension "

@@ -1,11 +1,14 @@
 """The local operator family, level-stepped walk counts, and exact solving.
 
 Everything here is exact, with no tolerances. Walk counts are vectors
-indexed by vertex, pushed one level step at a time along adjacency lists.
-They grow exponentially with walk length, so entries are arbitrary
-precision by construction (plain Python ints). The linear systems have
-two unknowns and are solved in integers as well, by substitution into
-the two pivot rows; Fractions appear only in the solved values.
+indexed by vertex. Every count vector the fits read lies on one distance
+level of the base, because a raising, flat or lowering step takes a
+level's support to a single level, so step() is the one kernel: it pushes
+the counts of one level along the adjacency lists. Counts grow
+exponentially with walk length, so entries are arbitrary precision by
+construction (plain Python ints). The linear systems have two unknowns
+and are solved in integers as well, by substitution into the two pivot
+rows; Fractions appear only in the solved values.
 """
 from __future__ import annotations
 
@@ -106,8 +109,8 @@ class LocalOperators:
 
     The adjacency matrix splits into a lowering, a flat and a raising part
     (steps one level down, within a level, one level up). These operators
-    are never formed; step() applies one of them to a count vector by
-    walking the adjacency lists.
+    are never formed; step() applies one of them to a count vector on one
+    level by walking the adjacency lists of that level's vertices.
 
     partitions and the base's raising vectors, shared by the fits and the
     structure report, are built on first use and kept: most scanned
@@ -137,10 +140,10 @@ class LocalOperators:
 
     def base_power(self, m: int) -> list[int]:
         """R^m e_x for the base x, raising the kept powers one level at a
-        time up to m on first use."""
+        time, by step(), up to m on first use."""
         powers = self._raised
         while len(powers) <= m:
-            powers.append(raise_level(self, powers[-1], len(powers) - 1))
+            powers.append(step(self, powers[-1], len(powers) - 1, "r"))
         return powers[m]
 
     @property
@@ -165,20 +168,26 @@ def describe(ops: LocalOperators) -> str:
     return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"
 
 
-def step(ops: LocalOperators, counts: Sequence[int], letter: str) -> list[int]:
+def step(ops: LocalOperators, counts: Sequence[int], level: int,
+         letter: str) -> list[int]:
     """Apply the raising ("r"), flat ("f") or lowering ("l") part of the
-    adjacency matrix to a vector of walk counts indexed by vertex.
+    adjacency matrix to a vector of walk counts, indexed by vertex, whose
+    support lies on the given level.
 
     Entry w of the result is the number of walks that extend a counted walk
-    by one step of that kind and end at w.
+    by one step of that kind and end at w; the result lies on the level one
+    up, the same level or one down. Only the level's vertices are visited,
+    and only those with a nonzero count are pushed to their neighbours:
+    a neighbour's raising vectors have few nonzero entries, which a gather
+    over the target level would not skip.
     """
-    delta = _STEP[letter]
+    want = level + _STEP[letter]
     dist = ops.metric.dist
     adj = ops.graph.adj
     out = [0] * len(counts)
-    for u, c in enumerate(counts):
+    for u in ops.metric.sphere(level):
+        c = counts[u]
         if c:
-            want = dist[u] + delta
             for w in adj[u]:
                 if dist[w] == want:
                     out[w] += c
@@ -187,23 +196,15 @@ def step(ops: LocalOperators, counts: Sequence[int], letter: str) -> list[int]:
 
 def walk_column(ops: LocalOperators, shape: str, y: int) -> list[int]:
     """Walks from y whose step letters match shape, counted by endpoint:
-    column y of the product of the shape's level operators."""
+    column y of the product of the shape's level operators. A step that
+    leaves the levels 0..ecc leaves no walk."""
     counts = [0] * ops.graph.n
     counts[y] = 1
+    level = ops.metric.dist[y]
     for letter in shape:
-        counts = step(ops, counts, letter)
+        counts = step(ops, counts, level, letter)
+        level += _STEP[letter]
     return counts
-
-
-def raise_level(ops: LocalOperators, counts: Sequence[int], level: int) -> list[int]:
-    """R applied to a count vector supported on one level: entry w of the
-    result, for w one level up, sums the counts over w's neighbours, all
-    of which but those on the given level hold zero."""
-    out = [0] * len(counts)
-    adj = ops.graph.adj
-    for w in ops.metric.sphere(level + 1):
-        out[w] = sum(counts[u] for u in adj[w])
-    return out
 
 
 def raising_powers(ops: LocalOperators, v: int, max_m: int) -> list[list[int]]:
@@ -212,7 +213,7 @@ def raising_powers(ops: LocalOperators, v: int, max_m: int) -> list[list[int]]:
     powers = [walk_column(ops, "", v)]
     level = ops.metric.dist[v]
     for m in range(max_m):
-        powers.append(raise_level(ops, powers[-1], level + m))
+        powers.append(step(ops, powers[-1], level + m, "r"))
     return powers
 
 

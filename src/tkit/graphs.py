@@ -461,21 +461,16 @@ class DistancePartition:
         return self.cells.get((i, j), ())
 
 
-def distance_partition(g: Graph, x: int, y: int,
-                       metric_x: Optional[LocalMetric] = None) -> DistancePartition:
+def distance_partition(g: Graph, x: int, y: int) -> DistancePartition:
     """Intersection cells of the spheres around the two ends of edge {x, y},
     from a BFS at each end.
 
-    metric_x, the BFS distances from x, is computed when not given. The
-    analysis takes every edge at x from edge_partitions instead; this
+    The analysis takes every edge at x from edge_partitions instead; this
     per-edge form serves the partition subcommand and is its test oracle.
     """
     if not g.has_edge(x, y):
         raise GraphError(f"vertices {g.labels[x]} and {g.labels[y]} are not adjacent")
-    if metric_x is not None and metric_x.base != x:
-        raise ValueError("metric_x is not based at x")
-    mx = metric_x if metric_x is not None else local_metric(g, x)
-    my = local_metric(g, y)
+    mx, my = local_metric(g, x), local_metric(g, y)
     cells: dict[tuple[int, int], list[int]] = {}
     for v in range(g.n):
         cells.setdefault((mx.dist[v], my.dist[v]), []).append(v)

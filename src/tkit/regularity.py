@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import LocalOperators, describe, raising_powers, solve_linear
+from .exact import (LocalOperators, describe, raising_powers, solve_linear,
+                    step)
 
 log = logging.getLogger(__name__)
 
@@ -76,26 +77,25 @@ class PdrProfile:
         """Record level i's counts at its first vertex and, when check, return
         the first vertex whose ratios differ from them."""
         ops = self._ops
-        adj = ops.graph.adj
-        # R^i e_x and R^{i+1} e_x are supported on levels i and i + 1, so
-        # the lowering and flat steps at a level-i vertex z sum them over
-        # all of z's neighbours
-        here, above = ops.base_power(i), ops.base_power(i + 1)
+        # R^{i+1} e_x lies on level i + 1 and R^i e_x on level i, so
+        # L R^{i+1} e_x and F R^i e_x lie on level i
+        here = ops.base_power(i)
+        down = step(ops, ops.base_power(i + 1), i + 1, "l")
+        flat = step(ops, here, i, "f")
         sphere = ops.metric.sphere(i)
         z0 = sphere[0]
-        down0 = sum(above[w] for w in adj[z0])
-        flat0 = sum(here[w] for w in adj[z0])
         # every level vertex is reached by at least one geodesic, so the
         # reference count is positive and the ratios are well defined
         count0 = here[z0]
+        down0, flat0 = down[z0], flat[z0]
         self._firsts.append((down0, flat0, count0))
         if check:
             # the ratios at z equal those at z0, cross-multiplied in integers
             for z in sphere[1:]:
                 count = here[z]
-                if sum(above[w] for w in adj[z]) * count0 != down0 * count:
+                if down[z] * count0 != down0 * count:
                     return PdrWitness(i, z, "alpha")
-                if sum(here[w] for w in adj[z]) * count0 != flat0 * count:
+                if flat[z] * count0 != flat0 * count:
                     return PdrWitness(i, z, "beta")
         return None
 
@@ -182,29 +182,17 @@ class Endpoint1Profile:
 def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
                        ) -> list[dict[int, tuple]]:
     """Per level i = 1..ecc, for each neighbor y of the base, column y of
-    the four walk-count matrices of the endpoint-one equations, each
-    indexed by the level-i vertices z: up_only = R^{i-1}, up_after_down =
+    the four walk-count matrices of the endpoint-one equations, each a
+    vector by vertex that is read at the level-i vertices z: up_only = R^{i-1}, up_after_down =
     R^i L, down_after_up = L R^i and flat_after_up = F R^{i-1}. Column y
     of R^i L is R^i e_x for every neighbor y, because L e_y = e_x, so it
-    is read from ops.base_powers. R^{i-1} e_y and R^i e_y are supported on
-    levels i and i + 1, so L and F push their counts from that one level
-    to the neighbours on level i.
+    is read from ops.base_powers. R^{i-1} e_y and R^i e_y lie on levels i
+    and i + 1, and step() takes them to level i by F and L.
     """
-    adj, dist, sphere = ops.graph.adj, ops.metric.dist, ops.metric.sphere
     from_base = ops.base_powers
     at = {y: raising_powers(ops, y, ops.ecc) for y in nbrs}
-
-    def stepped(counts: list[int], level: int, i: int) -> dict[int, int]:
-        out = dict.fromkeys(sphere(i), 0)
-        for w in sphere(level):
-            if counts[w]:
-                for z in adj[w]:
-                    if dist[z] == i:
-                        out[z] += counts[w]
-        return out
-
     return [{y: (up[i - 1], from_base[i],
-                 stepped(up[i], i + 1, i), stepped(up[i - 1], i, i))
+                 step(ops, up[i], i + 1, "l"), step(ops, up[i - 1], i, "f"))
              for y, up in at.items()}
             for i in range(1, ops.ecc + 1)]
 

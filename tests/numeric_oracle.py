@@ -22,12 +22,21 @@ from typing import Sequence
 import numpy as np
 
 from matrix_oracle import build_matrix_operators
-from tkit.decompose import Subspace, _nullspace_rows, _orthonormal_rows
+from tkit.decompose import Subspace, _nullspace_rows
 from tkit.exact import LocalOperators
 
 
 def _rows(w: Subspace | np.ndarray) -> np.ndarray:
     return w.basis if isinstance(w, Subspace) else np.asarray(w, dtype=float)
+
+
+def _orthonormal_rows(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space, by SVD."""
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    if s.size == 0:
+        return vt[:0]
+    cutoff = tol * max(1.0, float(s[0]))
+    return vt[s > cutoff]
 
 
 def generator_matrices(ops: LocalOperators) -> list[np.ndarray]:

@@ -1,15 +1,21 @@
 """The ratio fit as it stood before it stopped at its first witness: every
-level is stepped with whole-graph steps and every ratio formed, and each
-vertex's ratios are compared with the first vertex's as Fractions. It is
-the test oracle for tkit.regularity.fit_pdr, whose ok, witness, alpha and
-beta must equal these."""
+level is stepped and every ratio formed, and each vertex's ratios are
+compared with the first vertex's as Fractions. The steps are products with
+the dense operators of matrix_oracle, so the oracle shares no kernel with
+the package. It is the test oracle for tkit.regularity.fit_pdr, whose ok,
+witness, alpha and beta must equal these."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from tkit.exact import LocalOperators, raising_powers, step
+from matrix_oracle import IntMatrix, build_matrix_operators
+from tkit.exact import LocalOperators
 from tkit.regularity import PdrWitness
+
+
+def _apply(mat: IntMatrix, col: Sequence[int]) -> list[int]:
+    return [sum(a * c for a, c in zip(row, col)) for row in mat.entries]
 
 
 def fit_pdr_full(ops: LocalOperators
@@ -17,9 +23,12 @@ def fit_pdr_full(ops: LocalOperators
                             tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(ok, witness, alpha, beta) of the ratio fit at the base of ops."""
     d = ops.ecc
-    powers = raising_powers(ops, ops.base, d + 1)
-    up_down = [step(ops, c, "l") for c in powers]
-    up_flat = [step(ops, c, "f") for c in powers]
+    mops = build_matrix_operators(ops.graph, ops.base)
+    powers = [[int(v == ops.base) for v in range(ops.graph.n)]]
+    for _ in range(d + 1):
+        powers.append(_apply(mops.raising, powers[-1]))
+    up_down = [_apply(mops.lowering, c) for c in powers]
+    up_flat = [_apply(mops.flat, c) for c in powers]
 
     alphas: list[Fraction] = []
     betas: list[Fraction] = []

@@ -279,10 +279,13 @@ class TestBuildOperators:
 class TestStep:
     def test_k2_parts(self):
         ops = build_operators(parse_edge_list("a b"), 0)
-        assert step(ops, [1, 0], "r") == [0, 1]
-        assert step(ops, [0, 1], "l") == [1, 0]
-        assert step(ops, [5, 7], "f") == [0, 0]
-        assert step(ops, [1, 0], "l") == [0, 0]
+        assert step(ops, [1, 0], 0, "r") == [0, 1]
+        assert step(ops, [0, 1], 1, "l") == [1, 0]
+        assert step(ops, [5, 0], 0, "f") == [0, 0]
+        assert step(ops, [0, 7], 1, "f") == [0, 0]
+        # lowering at the base and raising past the last level leave no walk
+        assert step(ops, [1, 0], 0, "l") == [0, 0]
+        assert step(ops, [0, 1], 1, "r") == [0, 0]
 
     def test_example_counts(self, example, example_ops):
         g, x = example
@@ -290,12 +293,15 @@ class TestStep:
         powers = raising_powers(example_ops, x, 3)
         assert [label(p) for p in powers] == [
             {"1": 1}, {"2": 1, "3": 1}, {"4": 1, "5": 2, "6": 1}, {}]
-        assert label(step(example_ops, powers[1], "f")) == {"2": 1, "3": 1}
-        assert label(step(example_ops, powers[2], "l")) == {"2": 3, "3": 3}
+        assert label(step(example_ops, powers[1], 1, "f")) == {"2": 1, "3": 1}
+        assert label(step(example_ops, powers[2], 2, "l")) == {"2": 3, "3": 3}
 
     def test_matches_matrix_products_exhaustive(self):
         # one step by each letter equals the matching dense operator
-        # applied to a column, on every connected graph with n <= 4
+        # applied to every single-level column R^m e_y, on every connected
+        # graph with n <= 4; this lowers e_x at the base and raises e_y on
+        # the last level, and m runs one past it, so the zero column past
+        # ecc is stepped too
         for n in (2, 3, 4):
             for g in connected_graphs(n):
                 for x in range(g.n):
@@ -303,12 +309,12 @@ class TestStep:
                     mops = build_matrix_operators(g, x)
                     mats = {"r": mops.raising, "f": mops.flat, "l": mops.lowering}
                     for y in range(g.n):
-                        for m in range(ops.ecc + 2):
-                            col = raising_powers(ops, y, m)[m]
+                        for m, col in enumerate(raising_powers(ops, y, ops.ecc + 1)):
+                            level = ops.metric.dist[y] + m
                             for letter, mat in mats.items():
                                 want = [sum(mat[z, w] * col[w] for w in range(g.n))
                                         for z in range(g.n)]
-                                assert step(ops, col, letter) == want
+                                assert step(ops, col, level, letter) == want
 
 
 class TestWalkTables:

@@ -174,17 +174,6 @@ class TestDistancePartition:
                     assert all(abs(i - j) <= 1 for (i, j) in part.cells)
                 break  # one edge per graph keeps this sweep quick
 
-    def test_given_base_metric_same_cells(self):
-        for g in connected_graphs(4):
-            for x, y in g.edges():
-                assert (distance_partition(g, x, y, local_metric(g, x))
-                        == distance_partition(g, x, y))
-
-    def test_metric_of_other_base_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="not based at x"):
-            distance_partition(g, 0, 1, local_metric(g, 1))
-
     @pytest.mark.parametrize("graphs, directed_edges", [
         pytest.param(lambda: (g for n in range(1, 6) for g in connected_graphs(n)),
                      8588, id="all-n-le-5"),
@@ -344,42 +333,39 @@ def test_analyze_runs_one_bfs(monkeypatch):
     assert calls == [0]
 
 
+def _record_raises(monkeypatch):
+    """Patch step to log (input vector, level) for every raising step. Every
+    raise goes through tkit.exact: base_power and raising_powers."""
+    log = []
+    original = tkit.exact.step
+
+    def counting(ops, counts, level, letter):
+        if letter == "r":
+            log.append((counts, level))
+        return original(ops, counts, level, letter)
+
+    monkeypatch.setattr(tkit.exact, "step", counting)
+    return log
+
+
 def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
     # the base is raised level by level by the ratio fit, its vectors kept
     # for the endpoint-one fit; each neighbour is raised once, by
     # raising_powers
-    calls, levels = [], []
+    calls = []
     original_powers = tkit.exact.raising_powers
-    original_raise = tkit.exact.raise_level
 
     def counting_powers(ops, v, max_m):
         calls.append(v)
         return original_powers(ops, v, max_m)
 
-    def counting_raise(ops, counts, level):
-        levels.append(level)
-        return original_raise(ops, counts, level)
-
     for module in (tkit.exact, tkit.regularity):
         monkeypatch.setattr(module, "raising_powers", counting_powers)
-    monkeypatch.setattr(tkit.exact, "raise_level", counting_raise)
+    raises = _record_raises(monkeypatch)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert sorted(calls) == [1, 4, 5]
     # the base from levels 0, 1 and 2; each neighbour from levels 1 and 2
-    assert sorted(levels) == [0, 1, 1, 1, 1, 2, 2, 2, 2]
-
-
-def _record_raises(monkeypatch):
-    """Patch raise_level to log (input vector, level) for every call."""
-    log = []
-    original = tkit.exact.raise_level
-
-    def counting(ops, counts, level):
-        log.append((counts, level))
-        return original(ops, counts, level)
-
-    monkeypatch.setattr(tkit.exact, "raise_level", counting)
-    return log
+    assert sorted(level for _, level in raises) == [0, 1, 1, 1, 1, 2, 2, 2, 2]
 
 
 def test_instance_data_built_once(monkeypatch):
