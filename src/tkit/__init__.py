@@ -14,7 +14,7 @@ from .exact import (LocalOperators, LinearSolution, build_operators, step,
                     raising_powers, solve_linear, shape_string,
                     SHAPE_FAMILIES)
 from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
-                         fit_pdr, fit_endpoint1, verify_condition_values)
+                         fit_pdr, fit_endpoint1)
 from .decompose import (Subspace, ModuleSummary, DecompositionReport,
                         AlgebraicVerdict, DecompositionError, decompose,
                         algebraic_verdict, commutant_basis,

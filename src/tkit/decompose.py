@@ -2,30 +2,30 @@
 subspaces of the local operator algebra.
 
 The algebra is generated by the adjacency matrix and the level projectors
-of a base vertex. Every module splits over the levels, and every
-intertwiner commutes with the level projectors, so it is block-diagonal by
-level. One graded solve, with sum_i d_i^2 unknowns for level dimensions
-d_i, gives the dimension of the intertwiners between two modules written
-in bases that follow the levels (graded_hom_dimension). It decides
-whether only scalars commute with the generators, in which case the whole
-space is one irreducible module, and whether two accepted modules are
-isomorphic. Only a reducible space is split, through its commutant solved
-as a Kronecker system with n^2 unknowns: a random symmetric element of it
-is sampled and eigen-split; eigenspaces are invariant subspaces, and any
+of a base vertex. The standard module is irreducible exactly when it
+equals the primary module T e_x, the closure of the base indicator under
+the generators. That closure is computed exactly, modulo a prime, one
+level at a time (_primary_dimension), so the decision reads no tolerance.
+Only a reducible space is split, through its commutant solved as a
+Kronecker system with n^2 unknowns: a random symmetric element of it is
+sampled and eigen-split; eigenspaces are invariant subspaces, and any
 piece whose self-intertwiner space is bigger than scalars is split again.
 A split with as many eigenspaces as the commutant has dimensions is
 accepted as it stands: by the Wedderburn count dim End_T(V) = sum_W m_W^2
 dim End(W) >= sum_W m_W over the isomorphism classes W, equality leaves
 every multiplicity m_W at 1, every class of real type and one irreducible
-module per eigenspace, so no piece needs a solve of its own. The level
-dimensions of a module are read off the traces of the level projectors on
-it; a basis that follows the levels (one SVD per level) is built only for
-the modules an isomorphism test compares. Every accepted module is
-post-verified against an invariance residual, so the randomness never
-affects the correctness of accepted output, only whether a retry is
-needed.
+module per eigenspace, so no piece needs a solve of its own. Every
+intertwiner commutes with the level projectors, so it is block-diagonal
+by level: whether two accepted modules are isomorphic is decided by one
+graded solve with sum_i d_i^2 unknowns for level dimensions d_i
+(graded_hom_dimension). The level dimensions of a module are read off the
+traces of the level projectors on it; a basis that follows the levels
+(one SVD per level) is built only for the modules an isomorphism test
+compares. Every accepted module is post-verified against an invariance
+residual, so the randomness never affects the correctness of accepted
+output, only whether a retry is needed.
 
-Eigenvalues are irrational in general, so this module works in floating
+Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
 """
 from __future__ import annotations
@@ -43,12 +43,18 @@ from .graphs import Graph
 
 log = logging.getLogger(__name__)
 
-# Largest dense array decompose may build, in bytes: the graded commutant
-# system on the whole space (sum_i |S_i|^2 unknowns) and the Kronecker
-# stack of its first split, 8 (ecc + 2) n^4 bytes. Building the system
-# peaks at about twice its size, and np.linalg.qr copies the stack. The level
-# projectors act as 0/1 masks and are never formed, so other arrays are n x n.
+# Largest dense array decompose may build, in bytes: the Kronecker stack
+# of a reducible space's first split, 8 (ecc + 2) n^4 bytes, which
+# np.linalg.qr copies. The level projectors act as 0/1 masks and are never
+# formed, so other arrays are n x n.
 MAX_DENSE_BYTES = 1 << 30
+
+# Attempts, each with its own random draw, before decompose gives up
+MAX_ATTEMPTS = 4
+
+# Modulus of the exact closure of the base indicator: below 2^31, so a
+# product of two residues stays below 2^62 in int64
+PRIME = 2_147_483_629
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -58,7 +64,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 class DecompositionError(RuntimeError):
     """Splitting or verification kept failing across reseeded attempts, or
-    the graded system or Kronecker stack would exceed MAX_DENSE_BYTES."""
+    the Kronecker stack would exceed MAX_DENSE_BYTES."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()):
         super().__init__(message)
@@ -178,9 +184,8 @@ def commutant_basis(generators: Sequence[np.ndarray],
 
 def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
                          adj_b: np.ndarray, level_b: Sequence[int],
-                         tol: float = 1e-9) -> tuple[int, bool]:
-    """Dimension of the space of intertwiners from module a to module b,
-    and the rank flag of that solve.
+                         tol: float = 1e-9) -> int:
+    """Dimension of the space of intertwiners from module a to module b.
 
     Each module is given by its adjacency matrix in an orthonormal basis
     whose vectors each lie on one distance level, and by the level of each
@@ -188,8 +193,7 @@ def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
     it is block-diagonal by level: the unknowns are its entries M[c, d]
     with c and d on one level, and (M A_a - A_b M)[p, q] can be nonzero
     only where the levels of p and q are at most one apart. For
-    irreducible modules a nonzero dimension means they are isomorphic, and
-    a module is irreducible when its self-intertwiners are the scalars.
+    irreducible modules a nonzero dimension means they are isomorphic.
     """
     level_a, level_b = np.asarray(level_a), np.asarray(level_b)
     gap = level_b[:, None] - level_a[None, :]
@@ -200,8 +204,8 @@ def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
     # (A_b M)[p, q] it is A_b[p, c] [d = q]
     system = (p == c) * adj_a[d, q] - adj_b[p, c] * (d == q)
     s = np.linalg.svd(system, compute_uv=False)
-    cutoff, flag = _cutoff(s, tol)
-    return c.size - int((s > cutoff).sum()), flag
+    cutoff, _ = _cutoff(s, tol)
+    return c.size - int((s > cutoff).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +309,46 @@ def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray
             np.repeat(np.arange(len(dims)), dims))
 
 
+def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> int:
+    """Dimension of the primary module T e_x modulo PRIME: the closure of
+    the base indicator (levels[0] is the base alone) under the adjacency
+    matrix and the level masks.
+
+    The closure keeps one echelon basis per level and a frontier of
+    (level, vector) pairs, each vector given on its level. A vector on
+    level i is multiplied by A's columns on level i in float64, exact for
+    0/1 entries, residues below 2^31 and n below 2^22; its parts on levels
+    i - 1, i and i + 1 that their level's basis does not span join it and
+    the frontier. A rank modulo a prime never exceeds the rank over Q, so
+    the result can only fall short of dim T e_x.
+    """
+    n = adjacency.shape[0]
+    spheres = [np.flatnonzero(level) for level in levels]
+    # per level, (pivot, row) with row[pivot] = 1 and zeros at earlier pivots
+    echelon: list[list[tuple[int, np.ndarray]]] = [[] for _ in spheres]
+    frontier = [(0, np.ones(1, dtype=np.int64))]
+    echelon[0].append((0, frontier[0][1]))
+    # the frontier keeps every basis vector, and the loop reaches each once
+    for i, vector in frontier:
+        if len(frontier) == n:
+            break
+        image = adjacency[:, spheres[i]] @ vector
+        for j in range(max(i - 1, 0), min(i + 2, len(spheres))):
+            basis = echelon[j]
+            if len(basis) == len(spheres[j]):
+                continue
+            part = image[spheres[j]].astype(np.int64) % PRIME
+            for pivot, row in basis:
+                if part[pivot]:
+                    part = (part - part[pivot] * row) % PRIME
+            nonzero = np.flatnonzero(part)
+            if nonzero.size:
+                part = part * pow(int(part[nonzero[0]]), -1, PRIME) % PRIME
+                basis.append((int(nonzero[0]), part))
+                frontier.append((j, part))
+    return len(frontier)
+
+
 def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
     if nbytes > MAX_DENSE_BYTES:
         raise DecompositionError(
@@ -312,8 +356,8 @@ def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
             f"limit of {MAX_DENSE_BYTES}")
 
 
-def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
-              max_retries: int = 4) -> DecompositionReport:
+def decompose(ops: LocalOperators, seed: int = 42,
+              tol: float = 1e-9) -> DecompositionReport:
     """Split the vertex space into verified irreducible invariant
     subspaces and summarize endpoints, level dimensions, thinness and
     isomorphism classes.
@@ -321,25 +365,22 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
     n = ops.graph.n
     residual_bound = 1e3 * tol
     worst: list[float] = []
-    sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
-    unknowns = sum(size * size for size in sizes)
-    equations = unknowns + 2 * sum(a * b for a, b in zip(sizes, sizes[1:]))
-    _check_size(ops, "graded commutant system", 8 * equations * unknowns)
-    # an irreducible standard module needs no Kronecker solve and no split
     adjacency = adjacency_matrix(ops.graph)
     dist = np.asarray(ops.metric.dist)
-    scalars, irreducible_flag = graded_hom_dimension(adjacency, dist, adjacency, dist, tol)
-    irreducible = scalars == 1
+    levels = [dist == i for i in range(ops.ecc + 1)]
+    # an irreducible standard module is T e_x; it needs no Kronecker solve
+    # and no split
+    irreducible = _primary_dimension(adjacency, levels) == n
     if not irreducible:
         _check_size(ops, "Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
-    levels = [dist == i for i in range(ops.ecc + 1)]
+    sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
     scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
 
-    for attempt in range(max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         notes: list[str] = []
-        flags: list[bool] = [irreducible_flag] if irreducible else []
+        flags: list[bool] = []
         try:
             bases = ([np.eye(n)] if irreducible else
                      _split_subspace(np.eye(n), adjacency, levels, rng, tol,
@@ -377,7 +418,7 @@ def decompose(ops: LocalOperators, seed: int = 42, tol: float = 1e-9,
         return report
 
     raise DecompositionError(
-        f"{describe(ops)}: no verified decomposition after {max_retries} "
+        f"{describe(ops)}: no verified decomposition after {MAX_ATTEMPTS} "
         f"attempts", worst)
 
 
@@ -425,9 +466,8 @@ def _verify_and_summarize(bases, adjacency, levels, scales, dist, ops, tol,
         for rep_idx, rep_id in reps:
             if modules_raw[rep_idx][1:4] != shape:
                 continue
-            h, _ = graded_hom_dimension(*graded_module(rep_idx),
-                                        *graded_module(pos), tol)
-            if h > 0:
+            if graded_hom_dimension(*graded_module(rep_idx),
+                                    *graded_module(pos), tol) > 0:
                 assigned = rep_id
                 break
         if assigned is None:

@@ -574,12 +574,6 @@ class StructureReport:
     thresholds_defined: bool
     threshold_constant: Optional[bool]  # all defined and equal; None if some undefined
 
-    def threshold(self, y: int) -> Optional[int]:
-        for rec in self.per_neighbor:
-            if rec.y == y:
-                return rec.threshold
-        raise GraphError(f"vertex {y} is not a neighbor of the base vertex")
-
 
 def structure_report(g: Graph, x: int,
                      partitions: Mapping[int, DistancePartition]) -> StructureReport:

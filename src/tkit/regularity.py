@@ -224,17 +224,16 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
     for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
+        sphere = ops.metric.sphere(i)
         rows: list[tuple[int, int]] = []
         rhs_mix: list[int] = []
         rhs_flat: list[int] = []
-        eqs: list[tuple[int, int]] = []
         for y in nbrs:
             up_only, up_after_down, down_after_up, flat_after_up = columns[y]
-            for z in ops.metric.sphere(i):
+            for z in sphere:
                 rows.append((up_only[z], up_after_down[z]))
                 rhs_mix.append(down_after_up[z])
                 rhs_flat.append(flat_after_up[z])
-                eqs.append((y, z))
 
         sol_km = solve_linear(rows, rhs_mix)
         sol_tr = solve_linear(rows, rhs_flat)
@@ -255,12 +254,14 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
         consistent = sol_km.consistent and flat_ok
         if witness is None and not consistent:
+            # row k is the equation of neighbour nbrs[k // |S_i|] and
+            # vertex sphere[k % |S_i|]
             if not sol_km.consistent:
-                y, z = eqs[sol_km.bad_row]
-                witness = E1Witness(i, y, z, "kappa-mu")
+                at_y, at_z = divmod(sol_km.bad_row, len(sphere))
+                witness = E1Witness(i, nbrs[at_y], sphere[at_z], "kappa-mu")
             elif not sol_tr.consistent:
-                y, z = eqs[sol_tr.bad_row]
-                witness = E1Witness(i, y, z, "theta-rho")
+                at_y, at_z = divmod(sol_tr.bad_row, len(sphere))
+                witness = E1Witness(i, nbrs[at_y], sphere[at_z], "theta-rho")
             else:
                 witness = E1Witness(i, None, None, "rho-side-condition")
 
@@ -277,43 +278,3 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
     ok = all(lv.consistent for lv in levels)
     return Endpoint1Profile(ok, tuple(levels), witness)
-
-
-def verify_condition_values(
-        ops: LocalOperators,
-        kappa: Sequence[Fraction],
-        mu: Sequence[Fraction],
-        theta: Sequence[Fraction],
-        rho: Sequence[Fraction],
-) -> Optional[E1Witness]:
-    """Substitute concrete scalars into the per-cell equations, clause by
-    clause, and return the first violation (None when all hold).
-
-    The scalar sequences are indexed by level starting at 1 and must have
-    length equal to the base vertex's eccentricity.
-    """
-    g = ops.graph
-    x = ops.base
-    nbrs = g.neighbors(x)
-    d = ops.ecc
-    if not (len(kappa) == len(mu) == len(theta) == len(rho) == d):
-        raise ValueError("scalar sequences must have one entry per level 1..ecc")
-    partitions = ops.partitions
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
-        k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
-        for y in nbrs:
-            up_only, up_after_down, down_after_up, flat_after_up = columns[y]
-            part = partitions[y]
-            for z in part.cell(i, i + 1) + part.cell(i, i):
-                if down_after_up[z] != m_i * up_after_down[z]:
-                    return E1Witness(i, y, z, "kappa-mu")
-                if flat_after_up[z] != r_i * up_after_down[z]:
-                    return E1Witness(i, y, z, "theta-rho")
-            for z in part.cell(i, i - 1):
-                if down_after_up[z] != k_i * up_only[z] + m_i * up_after_down[z]:
-                    return E1Witness(i, y, z, "kappa-mu")
-                if flat_after_up[z] != t_i * up_only[z] + r_i * up_after_down[z]:
-                    return E1Witness(i, y, z, "theta-rho")
-        if any(partitions[y].cell(i, i + 1) for y in nbrs) and r_i != 0:
-            return E1Witness(i, None, None, "rho-side-condition")
-    return None

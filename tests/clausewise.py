@@ -1,16 +1,22 @@
-"""Independent clause-split solver for the endpoint-one condition.
+"""Independent clause-split checks of the endpoint-one condition.
 
-The production fitter assembles a single linear system per level; this
-oracle follows the two-clause formulation literally (separate equations on
-the upward/mid cells and on the downward cells) and is used to confirm the
-unified system is equivalent. Its walk counts come from dense matrix
-products (matrix_oracle), not from the package's level-stepped vectors.
+The production fitter assembles a single linear system per level; these
+oracles follow the two-clause formulation literally (separate equations on
+the upward/mid cells and on the downward cells) and are used to confirm the
+unified system is equivalent:
+
+* fit_clausewise solves the clauses; its walk counts come from dense
+  matrix products (matrix_oracle), not from the package's level-stepped
+  vectors;
+* verify_condition_values substitutes given scalars into the clauses and
+  returns the first violation, which the golden witnesses pin.
 """
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from matrix_oracle import build_matrix_operators, matrix_raising_powers
 from tkit.exact import LocalOperators, solve_linear
+from tkit.regularity import E1Witness, _endpoint1_columns
 
 
 def _single_unknown(rows: list[tuple[int, int]]) -> tuple[Optional[Fraction], bool]:
@@ -100,3 +106,43 @@ def fit_clausewise(ops: LocalOperators):
         levels.append({"kappa": kappa, "mu": mu, "theta": theta, "rho": rho,
                        "ok": level_ok})
     return ok, levels
+
+
+def verify_condition_values(
+        ops: LocalOperators,
+        kappa: Sequence[Fraction],
+        mu: Sequence[Fraction],
+        theta: Sequence[Fraction],
+        rho: Sequence[Fraction],
+) -> Optional[E1Witness]:
+    """Substitute concrete scalars into the per-cell equations, clause by
+    clause, and return the first violation (None when all hold).
+
+    The scalar sequences are indexed by level starting at 1 and must have
+    length equal to the base vertex's eccentricity.
+    """
+    g = ops.graph
+    x = ops.base
+    nbrs = g.neighbors(x)
+    d = ops.ecc
+    if not (len(kappa) == len(mu) == len(theta) == len(rho) == d):
+        raise ValueError("scalar sequences must have one entry per level 1..ecc")
+    partitions = ops.partitions
+    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
+        k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
+        for y in nbrs:
+            up_only, up_after_down, down_after_up, flat_after_up = columns[y]
+            part = partitions[y]
+            for z in part.cell(i, i + 1) + part.cell(i, i):
+                if down_after_up[z] != m_i * up_after_down[z]:
+                    return E1Witness(i, y, z, "kappa-mu")
+                if flat_after_up[z] != r_i * up_after_down[z]:
+                    return E1Witness(i, y, z, "theta-rho")
+            for z in part.cell(i, i - 1):
+                if down_after_up[z] != k_i * up_only[z] + m_i * up_after_down[z]:
+                    return E1Witness(i, y, z, "kappa-mu")
+                if flat_after_up[z] != t_i * up_only[z] + r_i * up_after_down[z]:
+                    return E1Witness(i, y, z, "theta-rho")
+        if any(partitions[y].cell(i, i + 1) for y in nbrs) and r_i != 0:
+            return E1Witness(i, None, None, "rho-side-condition")
+    return None

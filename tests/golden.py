@@ -27,13 +27,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from clausewise import verify_condition_values
 from tkit.cli import load_graph, main
 from tkit.constructions import (apex_extension, complete_graph, empty_graph,
                                 example_graph)
 from tkit.exact import build_operators
 from tkit.graphs import connected_graphs, make_graph, parse_graph6, to_graph6
-from tkit.regularity import (NotApplicable, fit_endpoint1, fit_pdr,
-                             verify_condition_values)
+from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
 
 DATA = Path(__file__).resolve().parent / "data"
 REPORTS_PATH = DATA / "golden_check.ndjson.gz"

@@ -4,7 +4,8 @@
   dense float arrays, from matrix_oracle's integer build; decompose never
   forms the projectors;
 * trivial_module_basis: the closure of the base indicator under the
-  generators, ungraded;
+  generators, ungraded and in floating point; the float oracle of
+  decompose's exact closure modulo a prime (_primary_dimension);
 * no_endpoint1_modules: the endpoint-one existence test read off that
   closure;
 * intertwiner_stack and kron_hom_dimension: the Kronecker hom test, with

@@ -18,12 +18,13 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, predicted_profile,
                                 rook_graph_3x3)
 from tkit.decompose import algebraic_verdict, decompose
+from clausewise import verify_condition_values
 from matrix_oracle import build_matrix_operators, walk_table
 from numeric_oracle import subspace_distance
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
                         walk_column, walk_counts_from)
 from tkit.graphs import GraphError, make_graph
-from tkit.regularity import fit_endpoint1, fit_pdr, verify_condition_values
+from tkit.regularity import fit_endpoint1, fit_pdr
 from tkit.report import AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze
 from tkit.scan import generate_connected_graph6, scan_corpus
 

@@ -182,6 +182,16 @@ class TestCheck:
         assert code == 2 and out == ""
         assert "EyW_ (n=6, m=7) base 1" in err and "Traceback" not in err
 
+    def test_tiny_tol_irreducible_exits_0(self, capsys):
+        # irreducibility is decided exactly, and the whole space verifies
+        # with a zero residual, so no cutoff is read
+        code, out, err = run_cli(capsys, "check", "path:20", "--vertex", "0",
+                                 "--decompose", "--tol=1e-300")
+        assert code == 0 and err == ""
+        (doc,) = ndjson_lines(out)
+        modules = doc["decomposition"]["modules"]
+        assert [(m["dim"], m["residual"]) for m in modules] == [(20, 0.0)]
+
     def test_split_failure_retries_then_exits_2(self, capsys, monkeypatch, caplog):
         # no random draw splits: each attempt fails after six draws, is
         # logged and reseeded, and the last one ends the decomposition
@@ -217,15 +227,12 @@ class TestCheck:
                               "decomposition")
 
     @pytest.mark.parametrize("guarded,what,nbytes,limit", [
-        pytest.param("graded_hom_dimension", "graded commutant system", 3360, 3359,
-                     id="graded_hom_dimension-graded commutant system-3360"),
         pytest.param("commutant_basis", "Kronecker commutant stack", 41472, 41471,
                      id="commutant_basis-Kronecker commutant stack-41472")])
     def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, guarded,
                                              what, nbytes, limit):
-        # the example at base 1 has levels of sizes 1, 2, 3: a 30 x 14 graded
-        # system, and a reducible space whose first split would stack four
-        # 36 x 36 blocks
+        # the example at base 1 has levels of sizes 1, 2, 3 and a reducible
+        # space, whose first split would stack four 36 x 36 blocks
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{guarded} ran above the limit")
 

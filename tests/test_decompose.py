@@ -23,10 +23,11 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             DecompositionError, _cutoff, _graded_module,
-                            _level_dims, _nullspace_rows, _split_subspace,
-                            _verify_and_summarize, adjacency_matrix,
-                            algebraic_verdict, commutant_basis, decompose,
-                            dual_block_dims, graded_hom_dimension)
+                            _level_dims, _nullspace_rows, _primary_dimension,
+                            _split_subspace, _verify_and_summarize,
+                            adjacency_matrix, algebraic_verdict,
+                            commutant_basis, decompose, dual_block_dims,
+                            graded_hom_dimension)
 from tkit.exact import build_operators, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
@@ -127,9 +128,16 @@ def _ladder():
         (cube, 0), (apex.graph, apex.apex), (_connected_gnp(24, 0.15, 2023), 0)]
 
 
+def _closure_dimension(ops):
+    """_primary_dimension at the instance's base."""
+    dist = np.asarray(ops.metric.dist)
+    return _primary_dimension(adjacency_matrix(ops.graph),
+                              [dist == i for i in range(ops.ecc + 1)])
+
+
 def _scalars_only(ops):
-    adjacency, dist = adjacency_matrix(ops.graph), ops.metric.dist
-    return graded_hom_dimension(adjacency, dist, adjacency, dist)[0] == 1
+    # decompose's irreducibility decision
+    return _closure_dimension(ops) == ops.graph.n
 
 
 class TestScalarCommutant:
@@ -143,6 +151,19 @@ class TestScalarCommutant:
                     assert _scalars_only(ops) == want, (to_graph6(g), x)
                     count += want
         assert count > 1000
+
+    def test_closure_matches_float_closure_small_graphs(self):
+        # every instance with n <= 5: the exact closure of e_x and the
+        # float closure of the oracle have the same dimension
+        dims = set()
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for x in range(n):
+                    ops = build_operators(g, x)
+                    dim = _closure_dimension(ops)
+                    assert dim == trivial_module_basis(ops).dim, (to_graph6(g), x)
+                    dims.add((dim == n, dim == ops.ecc + 1))
+        assert dims == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_matches_kronecker_solve_seeded_graphs(self):
         rng = random.Random(20261018)
@@ -174,6 +195,24 @@ class TestScalarCommutant:
         assert [m.dim for m in rep.modules] == [g.n]
         assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
         assert calls == []
+
+    def test_star_centre_solves_no_whole_space_system(self, monkeypatch):
+        # the closure of e_x at the centre is 2-dimensional, so V is split;
+        # the graded solve only compares the 19 one-dimensional modules
+        g = star_graph(20)
+        calls = []
+
+        def counting(adj_a, level_a, adj_b, level_b, tol=1e-9):
+            calls.append((len(level_a), len(level_b)))
+            return graded_hom_dimension(adj_a, level_a, adj_b, level_b, tol)
+
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "graded_hom_dimension", counting)
+        ops = build_operators(g, 0)
+        rep = decompose(ops)
+        assert _closure_dimension(ops) == 2
+        assert sorted(m.dim for m in rep.modules) == [1] * 19 + [2]
+        assert calls and max(max(rows) for rows in calls) < g.n
 
 
 def _plain_nullspace(stack, tol=1e-9):
@@ -351,7 +390,7 @@ def _graded_vs_kronecker(ops):
     for i, (ma, (dims_a, adj_a, level_a)) in enumerate(zip(rep.modules, graded)):
         for mb, (dims_b, adj_b, level_b) in zip(rep.modules[i:], graded[i:]):
             if dims_a == dims_b:
-                dim, _ = graded_hom_dimension(adj_a, level_a, adj_b, level_b)
+                dim = graded_hom_dimension(adj_a, level_a, adj_b, level_b)
                 want = kron_hom_dimension(ma.subspace, mb.subspace, gens)
                 assert dim == want, (to_graph6(ops.graph), ops.base, ma.level_dims)
                 assert (dim > 0) == (ma.iso_class == mb.iso_class)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from clausewise import verify_condition_values
 from rooted import permutation_key
 from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition,
                          edge_partitions, local_metric, make_graph, parse_edge_list, parse_graph6,
@@ -13,7 +14,7 @@ import tkit.regularity
 from tkit.constructions import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, star_graph)
 from tkit.exact import build_operators
-from tkit.regularity import fit_pdr, verify_condition_values
+from tkit.regularity import fit_pdr
 from tkit.report import analyze, analyze_fitted
 
 EXAMPLE_EDGES = "1 2\n1 3\n2 3\n2 4\n2 5\n3 5\n3 6"

@@ -14,10 +14,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tkit.constructions import cartesian_product, complete_graph
-from tkit.decompose import FAIL, PASS
+from tkit.decompose import FAIL, PASS, _primary_dimension, adjacency_matrix
 from tkit.graphs import local_metric, make_graph
 from tkit.report import AGREE_FAIL, AGREE_PASS, analyze
 
@@ -83,6 +84,15 @@ def test_ratio_fit_gives_intersection_numbers(analysed, name):
     assert rep.pdr.alpha == tuple(
         Fraction(b[i] * (c[i + 1] if i < d else 0)) for i in range(d + 1))
     assert rep.pdr.beta == tuple(Fraction(k - b[i] - c[i]) for i in range(d + 1))
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_primary_module_is_thin(analysed, name):
+    # the ratio fit holds, so T e_x is spanned by R^i e_x, i = 0..d
+    b, _, rep = analysed[name]
+    dist = np.asarray(local_metric(rep.graph, 0).dist)
+    assert _primary_dimension(adjacency_matrix(rep.graph),
+                              [dist == i for i in range(len(b))]) == len(b)
 
 
 @pytest.mark.parametrize("name, d", [("Q3", 3), ("Q4", 4), ("H(4,2)", 4)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from clausewise import fit_clausewise
+from clausewise import fit_clausewise, verify_condition_values
 from numeric_oracle import no_endpoint1_modules, trivial_module_basis
 from pdr_oracle import fit_pdr_full
 from rooted import rooted_classes
@@ -19,7 +19,7 @@ from tkit.exact import (LinearSolution, build_operators, enumerate_walks,
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
 from tkit.regularity import (E1Witness, NotApplicable, PdrWitness,
-                             fit_endpoint1, fit_pdr, verify_condition_values)
+                             fit_endpoint1, fit_pdr)
 
 F = Fraction
 
