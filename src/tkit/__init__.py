@@ -17,8 +17,7 @@ from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
                          fit_pdr, fit_endpoint1)
 from .decompose import (Subspace, ModuleSummary, DecompositionReport,
                         AlgebraicVerdict, DecompositionError, decompose,
-                        algebraic_verdict, commutant_basis,
-                        graded_hom_dimension, dual_block_dims,
+                        algebraic_verdict, commutant_basis, dual_block_dims,
                         PASS, FAIL, VACUOUS, NOT_APPLICABLE)
 from .constructions import (example_graph, empty_graph, complete_graph,
                             path_graph, cycle_graph, star_graph,

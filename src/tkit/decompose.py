@@ -14,16 +14,15 @@ A split with as many eigenspaces as the commutant has dimensions is
 accepted as it stands: by the Wedderburn count dim End_T(V) = sum_W m_W^2
 dim End(W) >= sum_W m_W over the isomorphism classes W, equality leaves
 every multiplicity m_W at 1, every class of real type and one irreducible
-module per eigenspace, so no piece needs a solve of its own. Every
-intertwiner commutes with the level projectors, so it is block-diagonal
-by level: whether two accepted modules are isomorphic is decided by one
-graded solve with sum_i d_i^2 unknowns for level dimensions d_i
-(graded_hom_dimension). The level dimensions of a module are read off the
-traces of the level projectors on it; a basis that follows the levels
-(one SVD per level) is built only for the modules an isomorphism test
-compares. Every accepted module is post-verified against an invariance
-residual, so the randomness never affects the correctness of accepted
-output, only whether a retry is needed.
+module per eigenspace, so no piece needs a solve of its own. The
+commutant of the whole space, which the first split solves, spans every
+intertwiner: whether two accepted modules are isomorphic is read off it as
+a trace that is an integer, dim Hom_T(U, W) (_hom_dimension), with no
+further solve and no tolerance. The level dimensions of a module are read
+off the traces of the level projectors on it. Every accepted module is
+post-verified against an invariance residual, so the randomness never
+affects the correctness of accepted output, only whether a retry is
+needed; a trace more than 0.25 from an integer also rejects the attempt.
 
 Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
@@ -44,9 +43,14 @@ from .graphs import Graph
 log = logging.getLogger(__name__)
 
 # Largest dense array decompose may build, in bytes: the Kronecker stack
-# of a reducible space's first split, 8 (ecc + 2) n^4 bytes, which
-# np.linalg.qr copies. The level projectors act as 0/1 masks and are never
-# formed, so other arrays are n x n.
+# of a reducible space's first split, 8 (ecc + 2) n^4 bytes. The limit
+# bounds the stack, not the peak: np.linalg.qr copies the stack and the
+# SVD adds its workspace, and the peak RSS measured 3.2 to 4 times the
+# stack (check star:40 --vertex 0 --decompose: 257 MiB for a 65 MiB stack;
+# star:60: 1 001 MiB for 317 MiB), so a stack at the limit may peak near
+# 4 GiB. The level projectors act as 0/1 masks and are never formed, so
+# other arrays are n x n or, like the commutant basis, no larger than one
+# n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts, each with its own random draw, before decompose gives up
@@ -110,7 +114,6 @@ class DecompositionReport:
     endpoint1_iso_classes: int
     endpoint1_all_thin: bool
     total_dim: int
-    n: int
     seed: int
     tol: float
     rank_flag: bool
@@ -160,8 +163,9 @@ def _cutoff(s: np.ndarray, tol: float) -> tuple[float, bool]:
 
 
 def commutant_basis(generators: Sequence[np.ndarray],
-                    tol: float = 1e-9) -> tuple[list[np.ndarray], bool]:
-    """Orthonormal basis of all matrices commuting with every generator.
+                    tol: float = 1e-9) -> tuple[np.ndarray, bool]:
+    """Orthonormal basis of all matrices commuting with every generator,
+    stacked as an array of shape (dim, n, n), and a rank-instability flag.
 
     Solved as the stacked nullspace of M -> MG - GM over all generators G,
     acting on M flattened row-major, with n^2 unknowns. The dimension
@@ -179,33 +183,7 @@ def commutant_basis(generators: Sequence[np.ndarray],
         np.multiply(eye[:, None, :, None], G.T[None, :, None, :], out=block)
         block -= G[:, None, :, None] * eye[None, :, None, :]
     null, flag = _nullspace_rows(stack, tol)
-    return [v.reshape(k, k) for v in null], flag
-
-
-def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
-                         adj_b: np.ndarray, level_b: Sequence[int],
-                         tol: float = 1e-9) -> int:
-    """Dimension of the space of intertwiners from module a to module b.
-
-    Each module is given by its adjacency matrix in an orthonormal basis
-    whose vectors each lie on one distance level, and by the level of each
-    basis vector. An intertwiner M commutes with the level projectors, so
-    it is block-diagonal by level: the unknowns are its entries M[c, d]
-    with c and d on one level, and (M A_a - A_b M)[p, q] can be nonzero
-    only where the levels of p and q are at most one apart. For
-    irreducible modules a nonzero dimension means they are isomorphic.
-    """
-    level_a, level_b = np.asarray(level_a), np.asarray(level_b)
-    gap = level_b[:, None] - level_a[None, :]
-    c, d = np.nonzero(gap == 0)
-    p, q = np.nonzero(np.abs(gap) <= 1)
-    p, q = p[:, None], q[:, None]
-    # coefficient of M[c, d] in (M A_a)[p, q] is [p = c] A_a[d, q], in
-    # (A_b M)[p, q] it is A_b[p, c] [d = q]
-    system = (p == c) * adj_a[d, q] - adj_b[p, c] * (d == q)
-    s = np.linalg.svd(system, compute_uv=False)
-    cutoff, _ = _cutoff(s, tol)
-    return c.size - int((s > cutoff).sum())
+    return null.reshape(-1, k, k), flag
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +206,26 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
                     levels: Sequence[np.ndarray], rng: np.random.Generator,
-                    tol: float, notes: list[str], flags: list[bool]) -> list[np.ndarray]:
+                    tol: float, notes: list[str],
+                    flags: list[bool]) -> tuple[list[np.ndarray], np.ndarray]:
     """Split the span of basis (orthonormal rows) into irreducible invariant
-    subspaces of the algebra generated by adjacency and the level masks."""
+    subspaces of the algebra generated by adjacency and the level masks.
+    Also returns the commutant of the span as commutant_basis stacks it, in
+    the coordinates of basis."""
     k = basis.shape[0]
     if k == 1:
-        return [basis]
+        return [basis], np.ones((1, 1, 1))
     # basis E*_i is basis with the columns off level i zeroed
     restricted = [basis @ adjacency @ basis.T] + [(basis * level) @ basis.T
                                                   for level in levels]
     comm, flag = commutant_basis(restricted, tol)
     flags.append(flag)
-    if not comm:
+    if not len(comm):
         # the identity always commutes; a cutoff below rounding noise
         # rejects even it
         raise _SplitFailed(f"empty commutant of a dim-{k} subspace at tol {tol:g}")
     if len(comm) == 1:
-        return [basis]
+        return [basis], comm
 
     sym_parts = np.vstack([((M + M.T) / 2.0).reshape(-1) for M in comm])
     sym_sv = np.linalg.svd(sym_parts, compute_uv=False)
@@ -255,7 +236,7 @@ def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
                 f"{len(comm)} and scalar symmetric part (non-real type)")
         notes.append(note)
         log.info(note)
-        return [basis]
+        return [basis], comm
 
     for _ in range(6):
         coeffs = rng.standard_normal(len(comm))
@@ -271,12 +252,12 @@ def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
         # dim comm = sum_W m_W^2 dim End(W) >= sum_W m_W >= len(groups), so
         # equality leaves every m_W = 1, every class of real type and one
         # irreducible module per eigenspace: nothing is left to split
-        return [block.T @ basis for block in groups]
+        return [block.T @ basis for block in groups], comm
     out: list[np.ndarray] = []
     for block in groups:
         out.extend(_split_subspace(block.T @ basis, adjacency, levels, rng, tol,
-                                   notes, flags))
-    return out
+                                   notes, flags)[0])
+    return out, comm
 
 
 def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -288,25 +269,6 @@ def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]
     if np.abs(traces - dims).max() > 0.25:
         return None
     return tuple(int(dim) for dim in dims)
-
-
-def _graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray,
-                   dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency matrix of an invariant subspace with level dimensions dims
-    in an orthonormal basis whose vectors each lie on one level, and the
-    level of each of those vectors."""
-    graded = np.zeros(basis.shape)
-    start = 0
-    for i, dim in enumerate(dims):
-        if dim:
-            idx = list(ops.metric.sphere(i))
-            # the level projector restricted to an invariant subspace is
-            # idempotent, so its dim nonzero singular values sit at 1
-            _, _, vt = np.linalg.svd(basis[:, idx], full_matrices=False)
-            graded[start:start + dim, idx] = vt[:dim]
-            start += dim
-    return (graded @ adjacency @ graded.T,
-            np.repeat(np.arange(len(dims)), dims))
 
 
 def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> int:
@@ -382,15 +344,16 @@ def decompose(ops: LocalOperators, seed: int = 42,
         notes: list[str] = []
         flags: list[bool] = []
         try:
-            bases = ([np.eye(n)] if irreducible else
-                     _split_subspace(np.eye(n), adjacency, levels, rng, tol,
-                                     notes, flags))
+            # an irreducible V is one module and needs no iso test
+            bases, comm = (([np.eye(n)], None) if irreducible else
+                           _split_subspace(np.eye(n), adjacency, levels, rng,
+                                           tol, notes, flags))
         except _SplitFailed as exc:
             log.info("%s attempt %d: %s", describe(ops), attempt, exc)
             continue
 
-        modules = _verify_and_summarize(bases, adjacency, levels, scales, dist,
-                                        ops, tol, residual_bound, worst)
+        modules = _verify_and_summarize(bases, comm, adjacency, levels, scales,
+                                        dist, residual_bound, worst)
         if modules is None:
             continue
 
@@ -407,7 +370,6 @@ def decompose(ops: LocalOperators, seed: int = 42,
             endpoint1_iso_classes=len({m.iso_class for m in e1}),
             endpoint1_all_thin=all(m.thin for m in e1),
             total_dim=sum(m.dim for m in modules),
-            n=n,
             seed=seed,
             tol=tol,
             rank_flag=any(flags),
@@ -422,18 +384,39 @@ def decompose(ops: LocalOperators, seed: int = 42,
         f"attempts", worst)
 
 
-def _verify_and_summarize(bases, adjacency, levels, scales, dist, ops, tol,
+def _hom_dimension(image: np.ndarray, basis: np.ndarray) -> Optional[int]:
+    """dim Hom_T(U, W) for invariant subspaces U and W with orthonormal row
+    bases B_U and B_W, given image = M_k B_U^T over an orthonormal basis
+    M_k of the whole space's commutant End_T(V), and basis = B_W; None when
+    the trace below is more than 0.25 from an integer.
+
+    T is closed under transpose, so the projectors P_U and P_W lie in
+    End_T(V), and M -> P_W M P_U is an orthogonal projection of End_T(V)
+    onto the intertwiners from U to W, extended by zero off U. Its trace,
+    sum_k ||B_W M_k B_U^T||_F^2, is their dimension. For irreducible
+    modules a nonzero dimension means they are isomorphic.
+    """
+    trace = float(np.square(np.matmul(basis, image)).sum())
+    dim = round(trace)
+    return None if abs(trace - dim) > 0.25 else dim
+
+
+def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
                           residual_bound, worst):
+    n = adjacency.shape[0]
     modules_raw = []
     for basis in bases:
-        proj = basis.T @ basis
         residual = 0.0
-        # A P, then each E*_i P as P with the rows off level i zeroed
-        products = itertools.chain([adjacency @ proj],
-                                   (proj * level[:, None] for level in levels))
-        for gp, scale in zip(products, scales):
-            defect = np.linalg.norm(gp - proj @ gp)
-            residual = max(residual, float(defect / scale))
+        # the whole space is invariant, and with its identity basis every
+        # product below is exact, so it would give 0.0 as well
+        if basis.shape[0] < n:
+            proj = basis.T @ basis
+            # A P, then each E*_i P as P with the rows off level i zeroed
+            products = itertools.chain([adjacency @ proj],
+                                       (proj * level[:, None] for level in levels))
+            for gp, scale in zip(products, scales):
+                defect = np.linalg.norm(gp - proj @ gp)
+                residual = max(residual, float(defect / scale))
         if residual > residual_bound:
             worst.append(residual)
             return None
@@ -445,36 +428,33 @@ def _verify_and_summarize(bases, adjacency, levels, scales, dist, ops, tol,
             return None
         modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual))
 
+    # modules of one shape are adjacent in this order, and only they can
+    # be isomorphic
     order = sorted(range(len(modules_raw)),
                    key=lambda idx: (modules_raw[idx][2], modules_raw[idx][0].shape[0],
                                     modules_raw[idx][1], idx))
-    # graded bases only for the modules an iso test reads, each built once
-    graded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def graded_module(idx: int) -> tuple[np.ndarray, np.ndarray]:
-        if idx not in graded:
-            basis, dims = modules_raw[idx][:2]
-            graded[idx] = _graded_module(basis, ops, adjacency, dims)
-        return graded[idx]
-
-    iso_ids: list[int] = [-1] * len(modules_raw)
+    iso_ids = [-1] * len(modules_raw)
     next_id = 0
-    reps: list[tuple[int, int]] = []  # (module index, iso id)
-    for pos in order:
-        shape = modules_raw[pos][1:4]
-        assigned = None
-        for rep_idx, rep_id in reps:
-            if modules_raw[rep_idx][1:4] != shape:
-                continue
-            if graded_hom_dimension(*graded_module(rep_idx),
-                                    *graded_module(pos), tol) > 0:
-                assigned = rep_id
-                break
-        if assigned is None:
-            assigned = next_id
-            reps.append((pos, assigned))
-            next_id += 1
-        iso_ids[pos] = assigned
+    for _, group in itertools.groupby(order, key=lambda idx: modules_raw[idx][1]):
+        group = list(group)
+        reps: list[tuple[int, np.ndarray]] = []  # (iso id, comm @ B_rep^T)
+        for pos in group:
+            basis, residual = modules_raw[pos][0], modules_raw[pos][4]
+            for rep_id, image in reps:
+                hom = _hom_dimension(image, basis)
+                if hom is None:
+                    worst.append(residual)
+                    return None
+                if hom:
+                    iso_ids[pos] = rep_id
+                    break
+            else:
+                iso_ids[pos] = next_id
+                next_id += 1
+                # only a later module of the group reads the image; an
+                # irreducible V, one module, has no commutant
+                if pos != group[-1]:
+                    reps.append((iso_ids[pos], np.matmul(comm, basis.T)))
 
     modules = []
     for pos in order:

@@ -4,7 +4,12 @@ Every (graph, base vertex) instance with base degree at least 2 and a thin
 trivial module is analyzed on both sides; any disagreement is a MISMATCH
 and carries a full report. Instances that pass both sides also get the
 structural cell predicates and the restricted-block dimension bounds
-checked, so a clean scan certifies the whole property suite on the corpus.
+checked. The dimension bounds cannot fail there: on a PASS decomposition
+the trivial module is thin and the endpoint-one modules form one thin
+class with contiguous support, so dual_block_dims, which they read, is 2
+on levels 1..d'+1 and 1 above by construction. They add no evidence
+beyond the verdict until the block dimensions come from a route of their
+own; the structure predicates are the independent check.
 
 What an instance yields depends only on its rooted graph, so each rooted
 isomorphism class is analyzed once per scan_corpus call. A class cache,

@@ -8,10 +8,14 @@
   decompose's exact closure modulo a prime (_primary_dimension);
 * no_endpoint1_modules: the endpoint-one existence test read off that
   closure;
+* graded_module and graded_hom_dimension: the graded hom test, one SVD
+  per level for a basis that follows the levels and one solve with
+  sum_i d_i^2 unknowns for level dimensions d_i; decompose reads the same
+  dimension off the whole space's commutant as a trace (_hom_dimension);
 * intertwiner_stack and kron_hom_dimension: the Kronecker hom test, with
-  n_a n_b unknowns and every generator, that graded_hom_dimension replaced;
-  intertwiner_stack(gens, gens) is also the np.kron build of the stack
-  commutant_basis fills in place;
+  n_a n_b unknowns and every generator, which the graded test replaced
+  before the trace did; intertwiner_stack(gens, gens) is also the np.kron
+  build of the stack commutant_basis fills in place;
 * level_dims_by_svd: level dimensions counted by one SVD per level, where
   decompose reads them off the traces of the level projectors;
 * subspace_distance between two row-basis subspaces.
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from matrix_oracle import build_matrix_operators
-from tkit.decompose import Subspace, _nullspace_rows
+from tkit.decompose import Subspace, _cutoff, _nullspace_rows
 from tkit.exact import LocalOperators
 
 
@@ -120,6 +124,51 @@ def kron_hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
                               [bb @ G @ bb.T for G in generators])
     null, _ = _nullspace_rows(stack, tol)
     return null.shape[0]
+
+
+def graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray,
+                  dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency matrix of an invariant subspace with level dimensions dims
+    in an orthonormal basis whose vectors each lie on one level, and the
+    level of each of those vectors."""
+    graded = np.zeros(basis.shape)
+    start = 0
+    for i, dim in enumerate(dims):
+        if dim:
+            idx = list(ops.metric.sphere(i))
+            # the level projector restricted to an invariant subspace is
+            # idempotent, so its dim nonzero singular values sit at 1
+            _, _, vt = np.linalg.svd(basis[:, idx], full_matrices=False)
+            graded[start:start + dim, idx] = vt[:dim]
+            start += dim
+    return (graded @ adjacency @ graded.T,
+            np.repeat(np.arange(len(dims)), dims))
+
+
+def graded_hom_dimension(adj_a: np.ndarray, level_a: Sequence[int],
+                         adj_b: np.ndarray, level_b: Sequence[int],
+                         tol: float = 1e-9) -> int:
+    """Dimension of the space of intertwiners from module a to module b.
+
+    Each module is given by its adjacency matrix in an orthonormal basis
+    whose vectors each lie on one distance level, and by the level of each
+    basis vector (graded_module). An intertwiner M commutes with the level
+    projectors, so it is block-diagonal by level: the unknowns are its
+    entries M[c, d] with c and d on one level, and (M A_a - A_b M)[p, q]
+    can be nonzero only where the levels of p and q are at most one apart.
+    For irreducible modules a nonzero dimension means they are isomorphic.
+    """
+    level_a, level_b = np.asarray(level_a), np.asarray(level_b)
+    gap = level_b[:, None] - level_a[None, :]
+    c, d = np.nonzero(gap == 0)
+    p, q = np.nonzero(np.abs(gap) <= 1)
+    p, q = p[:, None], q[:, None]
+    # coefficient of M[c, d] in (M A_a)[p, q] is [p = c] A_a[d, q], in
+    # (A_b M)[p, q] it is A_b[p, c] [d = q]
+    system = (p == c) * adj_a[d, q] - adj_b[p, c] * (d == q)
+    s = np.linalg.svd(system, compute_uv=False)
+    cutoff, _ = _cutoff(s, tol)
+    return c.size - int((s > cutoff).sum())
 
 
 def level_dims_by_svd(basis: np.ndarray, ops: LocalOperators) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ import pytest
 import golden
 from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
-from numeric_oracle import (generator_matrices, intertwiner_stack,
+from numeric_oracle import (generator_matrices, graded_hom_dimension,
+                            graded_module, intertwiner_stack,
                             kron_hom_dimension, level_dims_by_svd,
                             subspace_distance, trivial_module_basis)
 from rooted import rooted_classes
@@ -22,12 +23,11 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
-                            DecompositionError, _cutoff, _graded_module,
+                            DecompositionError, _cutoff, _hom_dimension,
                             _level_dims, _nullspace_rows, _primary_dimension,
                             _split_subspace, _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
-                            commutant_basis, decompose, dual_block_dims,
-                            graded_hom_dimension)
+                            commutant_basis, decompose, dual_block_dims)
 from tkit.exact import build_operators, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
@@ -140,6 +140,33 @@ def _scalars_only(ops):
     return _closure_dimension(ops) == ops.graph.n
 
 
+# the np.linalg routines that solve, factor or decompose
+_SOLVERS = ("svd", "qr", "eigh", "eigvalsh", "eig", "eigvals", "solve",
+            "lstsq", "pinv", "inv", "matrix_rank")
+
+
+def _no_solver(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+    return fail
+
+
+def _during_verification(monkeypatch, **replacements):
+    """Replace np.linalg functions by name while _verify_and_summarize runs,
+    and only then."""
+    # tkit.decompose is also the name of the package's function
+    module = importlib.import_module("tkit.decompose")
+    verify = module._verify_and_summarize
+
+    def patched(*args):
+        with monkeypatch.context() as inner:
+            for name, replacement in replacements.items():
+                inner.setattr(np.linalg, name, replacement)
+            return verify(*args)
+
+    monkeypatch.setattr(module, "_verify_and_summarize", patched)
+
+
 class TestScalarCommutant:
     def test_matches_kronecker_solve_small_graphs(self):
         count = 0
@@ -196,23 +223,40 @@ class TestScalarCommutant:
         assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
         assert calls == []
 
-    def test_star_centre_solves_no_whole_space_system(self, monkeypatch):
-        # the closure of e_x at the centre is 2-dimensional, so V is split;
-        # the graded solve only compares the 19 one-dimensional modules
-        g = star_graph(20)
-        calls = []
-
-        def counting(adj_a, level_a, adj_b, level_b, tol=1e-9):
-            calls.append((len(level_a), len(level_b)))
-            return graded_hom_dimension(adj_a, level_a, adj_b, level_b, tol)
-
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                            "graded_hom_dimension", counting)
-        ops = build_operators(g, 0)
+    def test_star_centre_assigns_classes_without_a_solve(self, monkeypatch):
+        # the closure of e_x at the centre is 2-dimensional, so V is split.
+        # 19 copies of one class leave fewer eigenspaces than commutant
+        # dimensions, so the 2-dimensional trivial piece is solved again;
+        # those are the only solves, and the 19 one-dimensional modules are
+        # compared by traces on the whole space's commutant
+        calls = _commutant_calls(monkeypatch)
+        _during_verification(monkeypatch, **{name: _no_solver(name)
+                                             for name in _SOLVERS})
+        ops = build_operators(star_graph(20), 0)
         rep = decompose(ops)
         assert _closure_dimension(ops) == 2
+        assert [gens[0].shape[0] for gens, _ in calls] == [ops.graph.n, 2]
         assert sorted(m.dim for m in rep.modules) == [1] * 19 + [2]
-        assert calls and max(max(rows) for rows in calls) < g.n
+        assert rep.endpoint1_count == 19 and rep.endpoint1_iso_classes == 1
+
+    @pytest.mark.parametrize("name,products", [("path:20", 0), ("cycle:6", 2 * 5)])
+    def test_whole_space_module_forms_no_residual_products(self, monkeypatch,
+                                                           name, products):
+        # one norm per generator product of a module's residual: none for
+        # the identity basis of an irreducible V, 2 + ecc for each of the
+        # two modules of cycle:6 at a vertex
+        norms = []
+        real_norm = np.linalg.norm
+
+        def counting(*args, **kwargs):
+            norms.append(args[0].shape)
+            return real_norm(*args, **kwargs)
+
+        _during_verification(monkeypatch, norm=counting)
+        rep = decompose(build_operators(load_graph(name)[0], 0))
+        assert len(norms) == products
+        if not products:
+            assert [(m.dim, m.residual) for m in rep.modules] == [(20, 0.0)]
 
 
 def _plain_nullspace(stack, tol=1e-9):
@@ -378,40 +422,65 @@ class TestHomDimension:
         assert kron_hom_dimension(e1[0].subspace, e1[1].subspace, gens) == 1
 
 
-def _graded_vs_kronecker(ops):
-    """Graded and Kronecker hom dimensions between every pair of
-    decomposed modules with the same level dimensions."""
+@pytest.fixture
+def split_commutants(monkeypatch):
+    """Filled with the whole space's commutant of every split decompose
+    runs, as _split_subspace returns it."""
+    comms = []
+
+    def recording(basis, *args):
+        pieces, comm = _split_subspace(basis, *args)
+        if basis.shape[0] == basis.shape[1]:
+            comms.append(comm)
+        return pieces, comm
+
+    monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                        "_split_subspace", recording)
+    return comms
+
+
+def _hom_three_ways(ops, comms):
+    """Between every pair of decomposed modules with the same level
+    dimensions: the trace decompose reads off the commutant of its accepted
+    split, the graded oracle and the Kronecker oracle, which must agree."""
+    comms.clear()
     rep = decompose(ops)
+    n = ops.graph.n
+    # an irreducible V is not split, and its commutant is the scalars
+    comm = comms[-1] if comms else np.eye(n)[None] / math.sqrt(n)
     gens = generator_matrices(ops)
-    graded = [(m.level_dims, *_graded_module(m.subspace.basis, ops, gens[0],
-                                             m.level_dims))
+    graded = [graded_module(m.subspace.basis, ops, gens[0], m.level_dims)
               for m in rep.modules]
     pairs = []
-    for i, (ma, (dims_a, adj_a, level_a)) in enumerate(zip(rep.modules, graded)):
-        for mb, (dims_b, adj_b, level_b) in zip(rep.modules[i:], graded[i:]):
-            if dims_a == dims_b:
-                dim = graded_hom_dimension(adj_a, level_a, adj_b, level_b)
-                want = kron_hom_dimension(ma.subspace, mb.subspace, gens)
-                assert dim == want, (to_graph6(ops.graph), ops.base, ma.level_dims)
+    for i, (ma, graded_a) in enumerate(zip(rep.modules, graded)):
+        image = np.matmul(comm, ma.subspace.basis.T)
+        for mb, graded_b in zip(rep.modules[i:], graded[i:]):
+            if ma.level_dims == mb.level_dims:
+                dim = _hom_dimension(image, mb.subspace.basis)
+                assert dim == graded_hom_dimension(*graded_a, *graded_b) \
+                    == kron_hom_dimension(ma.subspace, mb.subspace, gens), \
+                    (to_graph6(ops.graph), ops.base, ma.level_dims)
                 assert (dim > 0) == (ma.iso_class == mb.iso_class)
                 pairs.append((ma is mb, dim))
     return pairs
 
 
 class TestGradedHomDimension:
-    def test_matches_kronecker_small_graphs(self):
+    def test_matches_kronecker_small_graphs(self, split_commutants):
         # every base of every connected graph with n <= 5, one per rooted
         # isomorphism class
         pairs = [pair for n in range(1, 6) for g, x in rooted_classes(n)
-                 for pair in _graded_vs_kronecker(build_operators(g, x))]
+                 for pair in _hom_three_ways(build_operators(g, x),
+                                             split_commutants)]
         assert {(False, 0), (False, 1), (True, 1)} <= set(pairs)
 
     @pytest.mark.parametrize("source", list(golden.BUILTINS) + golden.apex_graph6s())
-    def test_matches_kronecker_named_graphs(self, source):
+    def test_matches_kronecker_named_graphs(self, split_commutants, source):
         g = load_graph(source)[0] if source in golden.BUILTINS else parse_graph6(source)
         for x in range(g.n):
             assert all(dim == 1 for same, dim in
-                       _graded_vs_kronecker(build_operators(g, x)) if same)
+                       _hom_three_ways(build_operators(g, x), split_commutants)
+                       if same)
 
     def test_kronecker_stack_bit_identical(self, example_ops):
         # commutant_basis fills the stack the Kronecker hom oracle builds
@@ -519,8 +588,8 @@ class TestLevelDims:
         dist = np.asarray(ops.metric.dist)
         levels = [dist == i for i in range(ops.ecc + 1)]
         worst = []
-        assert _verify_and_summarize([basis], adjacency_matrix(ops.graph), levels,
-                                     [1.0] * (len(levels) + 1), dist, ops, 1e-9,
+        assert _verify_and_summarize([basis], None, adjacency_matrix(ops.graph),
+                                     levels, [1.0] * (len(levels) + 1), dist,
                                      np.inf, worst) is None
         assert len(worst) == 1
 
@@ -566,9 +635,10 @@ class TestNonRealSplit:
         dist = np.array([0, 0, 1, 1] * 2)
         assert np.array_equal(adjacency, adjacency.T)
         notes, flags = [], []
-        pieces = _split_subspace(np.eye(8), adjacency, [dist == 0, dist == 1],
-                                 np.random.default_rng(0), 1e-9, notes, flags)
+        pieces, comm = _split_subspace(np.eye(8), adjacency, [dist == 0, dist == 1],
+                                       np.random.default_rng(0), 1e-9, notes, flags)
         assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(8))
+        assert comm.shape == (2, 8, 8)
         assert notes == ["accepted dim-8 module with self-intertwiner "
                          "dimension 2 and scalar symmetric part (non-real type)"]
         assert flags == [False]
@@ -577,8 +647,9 @@ class TestNonRealSplit:
 class TestRejectedAttempts:
     """Every way decompose rejects an attempt and retries with a new draw,
     reached by patching: no trivial module, dimensions that do not add up
-    to n, and an invariance residual above the bound. cycle:6 at a vertex
-    splits into a trivial module and one of endpoint 1."""
+    to n, an invariance residual above the bound and a hom trace that is
+    not an integer. cycle:6 at a vertex splits into a trivial module and
+    one of endpoint 1."""
 
     def _first_attempt(self, monkeypatch, rewrite, attempts=1):
         # rewrite replaces the modules of the first `attempts` attempts
@@ -630,7 +701,7 @@ class TestRejectedAttempts:
 
         def indicators(basis, *args):
             calls.append(basis.shape)
-            return list(np.eye(6)[:, None, :])
+            return list(np.eye(6)[:, None, :]), None
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "_split_subspace", indicators)
@@ -638,6 +709,37 @@ class TestRejectedAttempts:
             decompose(ops)
         assert calls == [(6, 6)] * 4 and len(exc.value.residuals) == 4
         assert all(r > 1e3 * 1e-9 for r in exc.value.residuals)
+
+    @pytest.mark.parametrize("attempts", [1, 4])
+    def test_hom_trace_not_integral(self, monkeypatch, attempts):
+        # star:3 at its centre has two isomorphic modules of endpoint 1 and
+        # dimension 1, so the trace between them is 1; the whole space's
+        # commutant basis scaled by the root of 1/2 puts it at 1/2
+        ops = build_operators(star_graph(3), 0)
+        want = decompose(ops)
+        splits = []
+
+        def halved(basis, *args):
+            pieces, comm = _split_subspace(basis, *args)
+            if basis.shape[0] == 4:
+                splits.append(len(pieces))
+                if len(splits) <= attempts:
+                    comm = comm * math.sqrt(0.5)
+            return pieces, comm
+
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_split_subspace", halved)
+        if attempts == 4:
+            with pytest.raises(DecompositionError) as exc:
+                decompose(ops)
+            assert splits == [3] * 4 and len(exc.value.residuals) == 4
+            assert all(0 <= r < 1e-12 for r in exc.value.residuals)
+            return
+        rep = decompose(ops)
+        assert splits == [3, 3]
+        assert [(m.level_dims, m.iso_class) for m in rep.modules] == [
+            ((1, 1), 0), ((0, 1), 1), ((0, 1), 1)]
+        assert [m.level_dims for m in want.modules] == [(1, 1), (0, 1), (0, 1)]
 
 
 class TestDualBlockDims:
