@@ -26,8 +26,7 @@ from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
 from .decompose import DecompositionError
-from .exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
-                    shape_string, walk_column)
+from .exact import SHAPE_FAMILIES, build_operators, enumerate_walks, walk_column
 from .graphs import Graph, GraphError, distance_partition, parse_edge_list, \
     parse_graph6, to_graph6
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
@@ -292,9 +291,8 @@ def cmd_oracle(args) -> int:
     y = g.index_of(args.y)
     z = g.index_of(args.z)
     family, m = _parse_shape(args.shape)
-    shape = shape_string(family, m)
-    stepped = walk_column(build_operators(g, x), shape, y)[z]
-    from_enum = enumerate_walks(g, x, shape, y, z)
+    stepped = walk_column(build_operators(g, x), args.shape, y)[z]
+    from_enum = enumerate_walks(g, x, args.shape, y, z)
     agree = stepped == from_enum
     print(json.dumps({
         "shape": args.shape, "family": family, "m": m,

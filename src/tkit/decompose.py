@@ -6,23 +6,20 @@ of a base vertex. The standard module is irreducible exactly when it
 equals the primary module T e_x, the closure of the base indicator under
 the generators. That closure is computed exactly, modulo a prime, one
 level at a time (_primary_dimension), so the decision reads no tolerance.
-Only a reducible space is split, through its commutant solved as a
-Kronecker system with n^2 unknowns: a random symmetric element of it is
-sampled and eigen-split; eigenspaces are invariant subspaces, and any
-piece whose self-intertwiner space is bigger than scalars is split again.
-A split with as many eigenspaces as the commutant has dimensions is
-accepted as it stands: by the Wedderburn count dim End_T(V) = sum_W m_W^2
-dim End(W) >= sum_W m_W over the isomorphism classes W, equality leaves
-every multiplicity m_W at 1, every class of real type and one irreducible
-module per eigenspace, so no piece needs a solve of its own. The
-commutant of the whole space, which the first split solves, spans every
-intertwiner: whether two accepted modules are isomorphic is read off it as
-a trace that is an integer, dim Hom_T(U, W) (_hom_dimension), with no
-further solve and no tolerance. The level dimensions of a module are read
-off the traces of the level projectors on it. Every accepted module is
-post-verified against an invariance residual, so the randomness never
-affects the correctness of accepted output, only whether a retry is
-needed; a trace more than 0.25 from an integer also rejects the attempt.
+Only a reducible space is split, with one solve: its commutant End_T(V),
+a Kronecker system with n^2 unknowns, which spans every intertwiner. One
+random symmetric element of it is eigen-split, and every eigenspace U
+passes one rule: dim End_T(U) = dim Hom_T(U, U), read off End_T(V) as a
+trace that is an integer (_hom_dimension), is 1, or is larger with no
+symmetric element beyond scalars (an irreducible of non-real type);
+otherwise the attempt is rejected and the next one draws again. Whether
+two accepted modules are isomorphic is the same trace, dim Hom_T(U, W),
+with no further solve and no tolerance. The level dimensions of a module
+are read off the traces of the level projectors on it. Every accepted
+module is post-verified against an invariance residual, so the randomness
+never affects the correctness of accepted output, only whether a retry
+is needed; a trace more than 0.25 from an integer also rejects the
+attempt.
 
 Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
@@ -43,14 +40,14 @@ from .graphs import Graph
 log = logging.getLogger(__name__)
 
 # Largest dense array decompose may build, in bytes: the Kronecker stack
-# of a reducible space's first split, 8 (ecc + 2) n^4 bytes. The limit
-# bounds the stack, not the peak: np.linalg.qr copies the stack and the
-# SVD adds its workspace, and the peak RSS measured 3.2 to 4 times the
+# of a reducible space's one commutant solve, 8 (ecc + 2) n^4 bytes. The
+# limit bounds the stack, not the peak: np.linalg.qr copies the stack and
+# the SVD adds its workspace, and the peak RSS measured 3.2 to 4 times the
 # stack (check star:40 --vertex 0 --decompose: 257 MiB for a 65 MiB stack;
 # star:60: 1 001 MiB for 317 MiB), so a stack at the limit may peak near
-# 4 GiB. The level projectors act as 0/1 masks and are never formed, so
-# other arrays are n x n or, like the commutant basis, no larger than one
-# n^2 x n^2 block of the stack.
+# 4 GiB. The level projectors are formed only as the n x n diagonal
+# generators of that stack, so other arrays are n x n or, like the
+# commutant basis, no larger than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts, each with its own random draw, before decompose gives up
@@ -204,39 +201,40 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
-                    levels: Sequence[np.ndarray], rng: np.random.Generator,
-                    tol: float, notes: list[str],
-                    flags: list[bool]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Split the span of basis (orthonormal rows) into irreducible invariant
-    subspaces of the algebra generated by adjacency and the level masks.
-    Also returns the commutant of the span as commutant_basis stacks it, in
-    the coordinates of basis."""
-    k = basis.shape[0]
-    if k == 1:
-        return [basis], np.ones((1, 1, 1))
-    # basis E*_i is basis with the columns off level i zeroed
-    restricted = [basis @ adjacency @ basis.T] + [(basis * level) @ basis.T
-                                                  for level in levels]
-    comm, flag = commutant_basis(restricted, tol)
-    flags.append(flag)
+def _irreducible(k: int, end_dim: Optional[int], endomorphisms: np.ndarray,
+                 notes: list[str]) -> bool:
+    """Whether a dim-k invariant subspace U is irreducible, given
+    end_dim = dim End_T(U) and matrices spanning End_T(U): End_T(U) is the
+    scalars, or has no symmetric element beyond them whose projectors
+    would split U (non-real type, which a note records)."""
+    if end_dim == 1:
+        return True
+    if not end_dim:
+        return False
+    sym_parts = np.vstack([((M + M.T) / 2.0).reshape(-1) for M in endomorphisms])
+    sym_sv = np.linalg.svd(sym_parts, compute_uv=False)
+    if np.count_nonzero(sym_sv > 1e-8 * max(1.0, float(sym_sv[0]))) > 1:
+        return False
+    note = (f"accepted dim-{k} module with self-intertwiner dimension "
+            f"{end_dim} and scalar symmetric part (non-real type)")
+    notes.append(note)
+    log.info(note)
+    return True
+
+
+def _split(comm: np.ndarray, rng: np.random.Generator, tol: float,
+           notes: list[str]) -> list[np.ndarray]:
+    """Split the vertex space into irreducible invariant subspaces, given
+    as orthonormal row bases, by the eigenspaces of a random symmetric
+    element of its commutant End_T(V), stacked as commutant_basis returns
+    it."""
+    n = comm.shape[1]
     if not len(comm):
         # the identity always commutes; a cutoff below rounding noise
         # rejects even it
-        raise _SplitFailed(f"empty commutant of a dim-{k} subspace at tol {tol:g}")
-    if len(comm) == 1:
-        return [basis], comm
-
-    sym_parts = np.vstack([((M + M.T) / 2.0).reshape(-1) for M in comm])
-    sym_sv = np.linalg.svd(sym_parts, compute_uv=False)
-    if np.count_nonzero(sym_sv > 1e-8 * max(1.0, float(sym_sv[0]))) <= 1:
-        # no symmetric commutant element beyond scalars: irreducible over
-        # the reals with a complex or quaternionic endomorphism ring
-        note = (f"accepted dim-{k} module with self-intertwiner dimension "
-                f"{len(comm)} and scalar symmetric part (non-real type)")
-        notes.append(note)
-        log.info(note)
-        return [basis], comm
+        raise _SplitFailed(f"empty commutant of a dim-{n} subspace at tol {tol:g}")
+    if _irreducible(n, len(comm), comm, notes):
+        return [np.eye(n)]
 
     for _ in range(6):
         coeffs = rng.standard_normal(len(comm))
@@ -246,18 +244,21 @@ def _split_subspace(basis: np.ndarray, adjacency: np.ndarray,
         if len(groups) > 1:
             break
     else:
-        raise _SplitFailed(f"could not split a dim-{k} reducible subspace")
+        raise _SplitFailed(f"could not split a dim-{n} reducible subspace")
 
-    if len(groups) == len(comm):
-        # dim comm = sum_W m_W^2 dim End(W) >= sum_W m_W >= len(groups), so
-        # equality leaves every m_W = 1, every class of real type and one
-        # irreducible module per eigenspace: nothing is left to split
-        return [block.T @ basis for block in groups], comm
-    out: list[np.ndarray] = []
+    pieces = []
     for block in groups:
-        out.extend(_split_subspace(block.T @ basis, adjacency, levels, rng, tol,
-                                   notes, flags)[0])
-    return out, comm
+        # C-ordered, and with eigh's negative zeros printed as 0.0
+        basis = np.ascontiguousarray(block.T) + 0.0
+        if len(basis) > 1:
+            # End_T(U) of a piece U is spanned by the compressions of
+            # End_T(V), and its dimension is the trace dim Hom_T(U, U)
+            image = np.matmul(comm, basis.T)
+            if not _irreducible(len(basis), _hom_dimension(image, basis),
+                                np.matmul(basis, image), notes):
+                raise _SplitFailed(f"a dim-{len(basis)} eigenspace is not irreducible")
+        pieces.append(basis)
+    return pieces
 
 
 def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -311,13 +312,6 @@ def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> i
     return len(frontier)
 
 
-def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
-    if nbytes > MAX_DENSE_BYTES:
-        raise DecompositionError(
-            f"{describe(ops)}: the {what} needs {nbytes} bytes, above the "
-            f"limit of {MAX_DENSE_BYTES}")
-
-
 def decompose(ops: LocalOperators, seed: int = 42,
               tol: float = 1e-9) -> DecompositionReport:
     """Split the vertex space into verified irreducible invariant
@@ -333,8 +327,16 @@ def decompose(ops: LocalOperators, seed: int = 42,
     # an irreducible standard module is T e_x; it needs no Kronecker solve
     # and no split
     irreducible = _primary_dimension(adjacency, levels) == n
+    comm, rank_flag = None, False
     if not irreducible:
-        _check_size(ops, "Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
+        nbytes = 8 * (ops.ecc + 2) * n ** 4
+        if nbytes > MAX_DENSE_BYTES:
+            raise DecompositionError(
+                f"{describe(ops)}: the Kronecker commutant stack needs {nbytes} "
+                f"bytes, above the limit of {MAX_DENSE_BYTES}")
+        # the one solve: no attempt and no piece solves again
+        comm, rank_flag = commutant_basis(
+            [adjacency] + [np.diag(level.astype(float)) for level in levels], tol)
     sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
     scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
@@ -342,12 +344,9 @@ def decompose(ops: LocalOperators, seed: int = 42,
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         notes: list[str] = []
-        flags: list[bool] = []
         try:
             # an irreducible V is one module and needs no iso test
-            bases, comm = (([np.eye(n)], None) if irreducible else
-                           _split_subspace(np.eye(n), adjacency, levels, rng,
-                                           tol, notes, flags))
+            bases = [np.eye(n)] if irreducible else _split(comm, rng, tol, notes)
         except _SplitFailed as exc:
             log.info("%s attempt %d: %s", describe(ops), attempt, exc)
             continue
@@ -372,7 +371,7 @@ def decompose(ops: LocalOperators, seed: int = 42,
             total_dim=sum(m.dim for m in modules),
             seed=seed,
             tol=tol,
-            rank_flag=any(flags),
+            rank_flag=rank_flag,
             notes=tuple(notes),
         )
         if report.total_dim != n:

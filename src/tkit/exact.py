@@ -233,7 +233,7 @@ def shape_string(family: str, m: int) -> str:
 def walk_counts_from(g: Graph, x: int, shape: str, y: int,
                      metric: Optional[LocalMetric] = None) -> dict[int, int]:
     """Count walks from y of the given shape by explicit depth-first
-    enumeration, keyed by endpoint.
+    enumeration on a stack, keyed by endpoint.
 
     The shape is a string over {r, f, l}: each letter constrains one step
     to raise, keep or lower the distance from x. This enumerates every
@@ -250,16 +250,15 @@ def walk_counts_from(g: Graph, x: int, shape: str, y: int,
     steps = [_STEP[ch] for ch in shape]
     depth = len(steps)
 
-    def walk(v: int, k: int) -> None:
+    # one (vertex, length) entry per walk prefix still to extend
+    stack = [(y, 0)]
+    while stack:
+        v, k = stack.pop()
         if k == depth:
             counts[v] = counts.get(v, 0) + 1
-            return
+            continue
         want = dist[v] + steps[k]
-        for w in adj[v]:
-            if dist[w] == want:
-                walk(w, k + 1)
-
-    walk(y, 0)
+        stack.extend((w, k + 1) for w in adj[v] if dist[w] == want)
     return counts
 
 

@@ -232,7 +232,7 @@ class TestCheck:
     def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, guarded,
                                              what, nbytes, limit):
         # the example at base 1 has levels of sizes 1, 2, 3 and a reducible
-        # space, whose first split would stack four 36 x 36 blocks
+        # space, whose commutant solve would stack four 36 x 36 blocks
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{guarded} ran above the limit")
 
@@ -476,6 +476,14 @@ class TestOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["walk_table"] == doc["enumeration"] == "0"
+
+    def test_walk_longer_than_recursion_limit(self, capsys):
+        # 999 raising steps from the end of path:1000: one walk, with more
+        # steps than Python's default recursion limit of 1000 frames
+        code, out, _ = run_cli(capsys, "oracle", "path:1000", "0", "r" * 999,
+                               "0", "999")
+        assert code == 0 and '"agree":true' in out
+        assert json.loads(out)["enumeration"] == "1"
 
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(tkit.cli, "enumerate_walks", lambda *a, **k: 999)

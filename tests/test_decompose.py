@@ -2,6 +2,7 @@ import gzip
 import importlib
 import itertools
 import json
+import logging
 import math
 import random
 import tracemalloc
@@ -25,10 +26,10 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             DecompositionError, _cutoff, _hom_dimension,
                             _level_dims, _nullspace_rows, _primary_dimension,
-                            _split_subspace, _verify_and_summarize,
+                            _split, _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
                             commutant_basis, decompose, dual_block_dims)
-from tkit.exact import build_operators, raising_powers
+from tkit.exact import build_operators, describe, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, to_graph6)
 from tkit.regularity import fit_pdr
@@ -225,17 +226,16 @@ class TestScalarCommutant:
 
     def test_star_centre_assigns_classes_without_a_solve(self, monkeypatch):
         # the closure of e_x at the centre is 2-dimensional, so V is split.
-        # 19 copies of one class leave fewer eigenspaces than commutant
-        # dimensions, so the 2-dimensional trivial piece is solved again;
-        # those are the only solves, and the 19 one-dimensional modules are
-        # compared by traces on the whole space's commutant
+        # The whole space's commutant is the only solve: the 2-dimensional
+        # trivial piece is accepted by its trace, and the 19 one-dimensional
+        # modules are compared by traces on the same commutant
         calls = _commutant_calls(monkeypatch)
         _during_verification(monkeypatch, **{name: _no_solver(name)
                                              for name in _SOLVERS})
         ops = build_operators(star_graph(20), 0)
         rep = decompose(ops)
         assert _closure_dimension(ops) == 2
-        assert [gens[0].shape[0] for gens, _ in calls] == [ops.graph.n, 2]
+        assert [gens[0].shape[0] for gens, _ in calls] == [ops.graph.n]
         assert sorted(m.dim for m in rep.modules) == [1] * 19 + [2]
         assert rep.endpoint1_count == 19 and rep.endpoint1_iso_classes == 1
 
@@ -425,17 +425,15 @@ class TestHomDimension:
 @pytest.fixture
 def split_commutants(monkeypatch):
     """Filled with the whole space's commutant of every split decompose
-    runs, as _split_subspace returns it."""
+    runs, as _split reads it."""
     comms = []
 
-    def recording(basis, *args):
-        pieces, comm = _split_subspace(basis, *args)
-        if basis.shape[0] == basis.shape[1]:
-            comms.append(comm)
-        return pieces, comm
+    def recording(comm, *args):
+        comms.append(comm)
+        return _split(comm, *args)
 
     monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                        "_split_subspace", recording)
+                        "_split", recording)
     return comms
 
 
@@ -532,19 +530,29 @@ class TestKroneckerStackInPlace:
                 negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
         assert len(calls) == 18 and negative_zeros > 0
 
-    def test_restricted_generators_small_graphs(self, monkeypatch):
-        # one base per rooted class with n <= 5: the whole space and the
-        # restricted generators of every piece that is split again
+
+
+class TestOneCommutantSolve:
+    @pytest.mark.parametrize("instances", [
+        pytest.param(lambda: [gx for n in range(1, 6) for gx in rooted_classes(n)],
+                     id="rooted-classes-n5"),
+        pytest.param(lambda: list(_named_instances()), id="named-graphs")])
+    def test_solves_at_most_once(self, monkeypatch, instances):
+        # one base per rooted class with n <= 5, every base of the named
+        # graphs: a reducible space is solved once, on the whole space's
+        # generators, and no piece is solved; an irreducible one not at all
         calls = _commutant_calls(monkeypatch)
-        sizes = []
-        for n in range(1, 6):
-            for g, x in rooted_classes(n):
-                decompose(build_operators(g, x))
-                for gens, stack in calls:
-                    assert stack.tobytes() == intertwiner_stack(gens, gens).tobytes()
-                    sizes.append((gens[0].shape[0], n))
-                calls.clear()
-        assert any(k < n for k, n in sizes)
+        solved = 0
+        for g, x in instances():
+            ops = build_operators(g, x)
+            decompose(ops)
+            assert len(calls) == (_closure_dimension(ops) < g.n), (to_graph6(g), x)
+            for gens, stack in calls:
+                assert gens[0].shape[0] == g.n
+                assert stack.tobytes() == intertwiner_stack(gens, gens).tobytes()
+            solved += len(calls)
+            calls.clear()
+        assert solved > 10
 
 
 def _golden_graphs():
@@ -604,52 +612,82 @@ def _golden_decomposition(label, base):
 
 class TestMultiplicityFreeSplit:
     def test_cycle6_one_kronecker_solve(self, monkeypatch):
-        # two classes, each once: the commutant has dimension 2 and the first
-        # eigen-split has two pieces, accepted without solving on them
+        # two classes, each once: the commutant has dimension 2 and the
+        # eigen-split has two pieces, each accepted by its trace
         calls = _commutant_calls(monkeypatch)
         rep = decompose(build_operators(cycle_graph(6), 0))
         assert [gens[0].shape[0] for gens, _ in calls] == [6]
         assert [m.level_dims for m in rep.modules] == [(1, 1, 1, 1), (0, 1, 1, 0)]
 
-    def test_repeated_class_still_recurses(self, monkeypatch):
+    def test_repeated_class_one_solve(self, monkeypatch):
         # Petersen at a vertex has two classes that occur twice: a commutant
-        # of dimension 1 + 4 + 4 + 1 = 10 and fewer eigenspaces, so pieces
-        # are split again; the modules are those of the golden report
+        # of dimension 1 + 4 + 4 + 1 = 10 and more dimensions than
+        # eigenspaces, yet every piece is accepted by its trace with no
+        # solve of its own; the modules are those of the golden report
         calls = _commutant_calls(monkeypatch)
         report = analyze(petersen_graph(), 0, with_decomposition=True)
-        assert [gens[0].shape[0] for gens, _ in calls] == [10, 2, 3, 2]
+        assert [gens[0].shape[0] for gens, _ in calls] == [10]
         assert (json.loads(report_to_json(report))["decomposition"]
                 == _golden_decomposition("petersen", 0))
 
 
+_NON_REAL_NOTE = ("accepted dim-8 module with self-intertwiner dimension 2 "
+                  "and scalar symmetric part (non-real type)")
+
+
+def _complex_k4_minus_edge():
+    """K4 minus an edge, levels {0, 1} and {2, 3}, with the flat edge {2, 3}
+    weighted i, in the real 8 x 8 form [[Re, -Im], [Im, Re]]: the adjacency
+    matrix and the level of each coordinate."""
+    h = np.array([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1j], [0, 1, -1j, 0]])
+    adjacency = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    assert np.array_equal(adjacency, adjacency.T)
+    return adjacency, np.array([0, 0, 1, 1] * 2)
+
+
 class TestNonRealSplit:
     def test_complex_weighted_edge_accepted_whole(self):
-        # K4 minus an edge, levels {0, 1} and {2, 3}, with the flat edge
-        # {2, 3} weighted i: the Hermitian matrix H and the level projectors
-        # generate all of M_4(C). Their real 8 x 8 forms [[Re, -Im], [Im, Re]]
-        # are symmetric and act irreducibly on R^8, with the commutant C:
-        # multiplication by i is antisymmetric, so the symmetric part is the
-        # scalars and nothing splits
-        h = np.array([[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 1j], [0, 1, -1j, 0]])
-        adjacency = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        dist = np.array([0, 0, 1, 1] * 2)
-        assert np.array_equal(adjacency, adjacency.T)
-        notes, flags = [], []
-        pieces, comm = _split_subspace(np.eye(8), adjacency, [dist == 0, dist == 1],
-                                       np.random.default_rng(0), 1e-9, notes, flags)
+        # the Hermitian matrix H and the level projectors generate all of
+        # M_4(C). Their real forms are symmetric and act irreducibly on R^8,
+        # with the commutant C: multiplication by i is antisymmetric, so the
+        # symmetric part is the scalars and nothing splits
+        adjacency, dist = _complex_k4_minus_edge()
+        comm, flag = commutant_basis([adjacency, np.diag(dist == 0) * 1.0,
+                                      np.diag(dist == 1) * 1.0])
+        notes = []
+        pieces = _split(comm, np.random.default_rng(0), 1e-9, notes)
         assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(8))
-        assert comm.shape == (2, 8, 8)
-        assert notes == ["accepted dim-8 module with self-intertwiner "
-                         "dimension 2 and scalar symmetric part (non-real type)"]
-        assert flags == [False]
+        assert comm.shape == (2, 8, 8) and not flag
+        assert notes == [_NON_REAL_NOTE]
+
+    def test_two_copies_split_into_non_real_pieces(self, monkeypatch):
+        # two copies of that module: the commutant is M_2(C), of dimension
+        # 8, with symmetric elements beyond the scalars, so V is split. Each
+        # of the two eigenspaces has the self-intertwiner trace 2 and a
+        # scalar symmetric part, and is accepted with no solve of its own
+        adjacency, dist = _complex_k4_minus_edge()
+        adjacency, dist = np.kron(np.eye(2), adjacency), np.tile(dist, 2)
+        gens = [adjacency, np.diag(dist == 0) * 1.0, np.diag(dist == 1) * 1.0]
+        comm, flag = commutant_basis(gens)
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "commutant_basis", _no_solver("commutant_basis"))
+        notes = []
+        pieces = _split(comm, np.random.default_rng(0), 1e-9, notes)
+        assert [piece.shape for piece in pieces] == [(8, 16)] * 2
+        assert comm.shape == (8, 16, 16) and not flag
+        assert notes == [_NON_REAL_NOTE] * 2
+        for piece in pieces:
+            proj = piece.T @ piece
+            for gen in gens:
+                assert np.linalg.norm(gen @ proj - proj @ gen) < 1e-9
 
 
 class TestRejectedAttempts:
     """Every way decompose rejects an attempt and retries with a new draw,
     reached by patching: no trivial module, dimensions that do not add up
-    to n, an invariance residual above the bound and a hom trace that is
-    not an integer. cycle:6 at a vertex splits into a trivial module and
-    one of endpoint 1."""
+    to n, an invariance residual above the bound, a hom trace that is not
+    an integer and an eigenspace that is not irreducible. cycle:6 at a
+    vertex splits into a trivial module and one of endpoint 1."""
 
     def _first_attempt(self, monkeypatch, rewrite, attempts=1):
         # rewrite replaces the modules of the first `attempts` attempts
@@ -699,15 +737,15 @@ class TestRejectedAttempts:
         # at the first one, with its residual kept for the error
         calls = []
 
-        def indicators(basis, *args):
-            calls.append(basis.shape)
-            return list(np.eye(6)[:, None, :]), None
+        def indicators(comm, *args):
+            calls.append(comm.shape)
+            return list(np.eye(6)[:, None, :])
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                            "_split_subspace", indicators)
+                            "_split", indicators)
         with pytest.raises(DecompositionError) as exc:
             decompose(ops)
-        assert calls == [(6, 6)] * 4 and len(exc.value.residuals) == 4
+        assert calls == [(2, 6, 6)] * 4 and len(exc.value.residuals) == 4
         assert all(r > 1e3 * 1e-9 for r in exc.value.residuals)
 
     @pytest.mark.parametrize("attempts", [1, 4])
@@ -718,17 +756,16 @@ class TestRejectedAttempts:
         ops = build_operators(star_graph(3), 0)
         want = decompose(ops)
         splits = []
+        verify = _verify_and_summarize
 
-        def halved(basis, *args):
-            pieces, comm = _split_subspace(basis, *args)
-            if basis.shape[0] == 4:
-                splits.append(len(pieces))
-                if len(splits) <= attempts:
-                    comm = comm * math.sqrt(0.5)
-            return pieces, comm
+        def halved(bases, comm, *args):
+            splits.append(len(bases))
+            if len(splits) <= attempts:
+                comm = comm * math.sqrt(0.5)
+            return verify(bases, comm, *args)
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                            "_split_subspace", halved)
+                            "_verify_and_summarize", halved)
         if attempts == 4:
             with pytest.raises(DecompositionError) as exc:
                 decompose(ops)
@@ -740,6 +777,48 @@ class TestRejectedAttempts:
         assert [(m.level_dims, m.iso_class) for m in rep.modules] == [
             ((1, 1), 0), ((0, 1), 1), ((0, 1), 1)]
         assert [m.level_dims for m in want.modules] == [(1, 1), (0, 1), (0, 1)]
+
+    @pytest.mark.parametrize("attempts", [1, 4])
+    def test_merged_eigenspaces_rejected(self, monkeypatch, caplog, attempts):
+        # star:3 at its centre splits into its 2-dimensional trivial module
+        # and two isomorphic modules of dimension 1. A draw that merges the
+        # latter two eigenspaces gives a piece whose self-intertwiners are
+        # M_2(R), of dimension 4, so its attempt is rejected and redrawn
+        ops = build_operators(star_graph(3), 0)
+        want = decompose(ops)
+        module = importlib.import_module("tkit.decompose")
+        real = module._eigengroups
+        merged = []
+
+        def merging(sym, tol):
+            groups = real(sym, tol)
+            if len(merged) < attempts:
+                ones = [block for block in groups if block.shape[1] == 1]
+                merged.append(len(ones))
+                groups = [block for block in groups if block.shape[1] > 1] + [np.hstack(ones)]
+            return groups
+
+        monkeypatch.setattr(module, "_eigengroups", merging)
+        calls = _commutant_calls(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            if attempts == 4:
+                with pytest.raises(DecompositionError) as exc:
+                    decompose(ops)
+                assert exc.value.residuals == ()
+            else:
+                rep = decompose(ops)
+                # attempt 1 draws other bases of the two isomorphic modules
+                assert _without_floats(rep) == _without_floats(want)
+        assert merged == [2] * attempts and len(calls) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{describe(ops)} attempt {k}: a dim-2 eigenspace is not irreducible"
+            for k in range(attempts)]
+
+
+def _without_floats(rep):
+    """The report with its module bases and residuals blanked."""
+    return replace(rep, modules=tuple(replace(m, subspace=None, residual=None)
+                                      for m in rep.modules))
 
 
 class TestDualBlockDims:
