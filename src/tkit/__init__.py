@@ -8,7 +8,7 @@ on whole corpora.
 from .graphs import (Graph, GraphError, LocalMetric, DistancePartition,
                      StructureReport, make_graph, parse_edge_list,
                      parse_graph6, to_graph6, local_metric, distance_partition,
-                     structure_report, connected_graphs)
+                     structure_report, connected_graphs, generate_connected_graph6)
 from .exact import (LocalOperators, LinearSolution, build_operators, step,
                     walk_column, enumerate_walks, walk_counts_from,
                     raising_powers, solve_linear, shape_string,
@@ -26,6 +26,6 @@ from .constructions import (example_graph, empty_graph, complete_graph,
                             PredictedScalars, is_distance_regular_around)
 from .report import (AnalysisReport, analyze, report_to_dict, report_to_json,
                      MISMATCH, AGREE_PASS, AGREE_FAIL, AGREE_VACUOUS, AGREE_NA)
-from .scan import ScanSummary, scan_corpus, scan_graph, generate_connected_graph6
+from .scan import ScanSummary, scan_corpus, scan_graph
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ from .constructions import (apex_extension, complete_graph, cycle_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
 from .decompose import DecompositionError
 from .exact import SHAPE_FAMILIES, build_operators, enumerate_walks, walk_column
-from .graphs import Graph, GraphError, distance_partition, parse_edge_list, \
-    parse_graph6, to_graph6
+from .graphs import CONNECTED_GRAPH_COUNTS, Graph, GraphError, distance_partition, \
+    generate_connected_graph6, parse_edge_list, parse_graph6, to_graph6
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
-from .scan import PROGRESS_EVERY, generate_connected_graph6, scan_corpus
+from .scan import PROGRESS_EVERY, scan_corpus
 
 log = logging.getLogger(__name__)
 
@@ -239,6 +239,7 @@ def cmd_scan(args) -> int:
         if args.generate > 7:
             raise GraphError("--generate supports n <= 7")
         lines: Iterable[str] = generate_connected_graph6(args.generate)
+        total = CONNECTED_GRAPH_COUNTS.get(args.generate)
     elif args.corpus is not None:
         raw = _read_source(args.corpus)
         lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]

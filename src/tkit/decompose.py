@@ -64,8 +64,9 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 class DecompositionError(RuntimeError):
-    """Splitting or verification kept failing across reseeded attempts, or
-    the Kronecker stack would exceed MAX_DENSE_BYTES."""
+    """Splitting or verification kept failing across reseeded attempts, the
+    commutant solve kept no element at the cutoff, or the Kronecker stack
+    would exceed MAX_DENSE_BYTES."""
 
     def __init__(self, message: str, residuals: Sequence[float] = ()):
         super().__init__(message)
@@ -229,10 +230,6 @@ def _split(comm: np.ndarray, rng: np.random.Generator, tol: float,
     element of its commutant End_T(V), stacked as commutant_basis returns
     it."""
     n = comm.shape[1]
-    if not len(comm):
-        # the identity always commutes; a cutoff below rounding noise
-        # rejects even it
-        raise _SplitFailed(f"empty commutant of a dim-{n} subspace at tol {tol:g}")
     if _irreducible(n, len(comm), comm, notes):
         return [np.eye(n)]
 
@@ -337,6 +334,12 @@ def decompose(ops: LocalOperators, seed: int = 42,
         # the one solve: no attempt and no piece solves again
         comm, rank_flag = commutant_basis(
             [adjacency] + [np.diag(level.astype(float)) for level in levels], tol)
+        if not len(comm):
+            # the identity always commutes; a cutoff below rounding noise
+            # rejects even it, and no random draw can bring it back
+            reason = f"empty commutant of a dim-{n} subspace at tol {tol:g}"
+            log.info("%s: %s", describe(ops), reason)
+            raise DecompositionError(f"{describe(ops)}: {reason}")
     sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
     scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]

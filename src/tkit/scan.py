@@ -37,7 +37,9 @@ from typing import Any, Iterable, Iterator, Optional
 
 from .decompose import dual_block_dims
 from .exact import build_operators
-from .graphs import (GraphError, StructureReport, connected_graphs,
+# generate_connected_graph6 is imported here too, where callers of the scan
+# have always found it
+from .graphs import (GraphError, StructureReport, generate_connected_graph6,
                      parse_graph6, rooted_key, to_graph6)
 from .regularity import fit_pdr
 from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
@@ -280,9 +282,3 @@ def _merge(summary: ScanSummary, results: Iterator[dict[str, Any]],
         summary.varying_thresholds.extend(res["varying_thresholds"])
         if progress is not None and summary.graphs % PROGRESS_EVERY == 0:
             progress(summary.graphs)
-
-
-def generate_connected_graph6(n: int) -> Iterator[str]:
-    """graph6 records of every connected labeled graph on n vertices."""
-    for g in connected_graphs(n):
-        yield to_graph6(g)

@@ -175,12 +175,17 @@ class TestCheck:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    def test_tiny_tol_exits_2(self, capsys):
-        # a cutoff below rounding noise leaves no commutant to split with
-        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
-                                 "--decompose", "--tol=1e-300")
+    def test_tiny_tol_exits_2(self, capsys, caplog):
+        # a cutoff below rounding noise leaves no commutant to split with,
+        # and no redraw brings one back: one log line, no retry
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
+                                     "--decompose", "--tol=1e-300")
+        reason = "empty commutant of a dim-6 subspace at tol 1e-300"
         assert code == 2 and out == ""
-        assert "EyW_ (n=6, m=7) base 1" in err and "Traceback" not in err
+        assert [r.getMessage() for r in caplog.records] == [
+            f"EyW_ (n=6, m=7) base 1: {reason}"]
+        assert err == f"error: EyW_ (n=6, m=7) base 1: {reason}\n"
 
     def test_tiny_tol_irreducible_exits_0(self, capsys):
         # irreducibility is decided exactly, and the whole space verifies
@@ -420,13 +425,19 @@ class TestScan:
         assert len(lines) == 2
         for done, line in zip((2, 4), lines):
             assert re.fullmatch(rf"# scanned {done} graphs, \d+ graphs/s, ETA \d+ s", line)
-        # an enumeration's length is not known: no ETA
+        # an enumeration's length is known from its table: an ETA too
         monkeypatch.setattr(tkit.scan, "PROGRESS_EVERY", 10)
         code, _, err = run_cli(capsys, "scan", "--generate", "4", "--jobs", jobs,
                                "--progress")
         assert code == 0 and len(err.splitlines()) == 3
-        assert all(re.fullmatch(r"# scanned \d0 graphs, \d+ graphs/s", line)
+        assert all(re.fullmatch(r"# scanned \d0 graphs, \d+ graphs/s, ETA \d+ s", line)
                    for line in err.splitlines())
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_generate_below_one_rejected(self, capsys, n):
+        code, out, err = run_cli(capsys, "scan", "--generate", n)
+        assert code == 2 and out == ""
+        assert err == "error: n must be positive\n"
 
     def test_generate_bound(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--generate", "9")

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from clausewise import verify_condition_values
+from corpus_oracle import oracle_connected_graph6
 from rooted import permutation_key
-from tkit.graphs import (Graph, GraphError, connected_graphs, distance_partition,
-                         edge_partitions, local_metric, make_graph, parse_edge_list, parse_graph6,
+from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, connected_graphs,
+                         distance_partition, edge_partitions, generate_connected_graph6,
+                         local_metric, make_graph, parse_edge_list, parse_graph6,
                          rooted_key, structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
@@ -418,3 +420,27 @@ class TestConnectedGraphs:
 
     def test_all_connected(self):
         assert all(g.is_connected() for g in connected_graphs(4))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_records_match_oracle(self, n):
+        # the same records in the same order as building and searching
+        # each mask's graph
+        records = list(generate_connected_graph6(n))
+        assert records == list(oracle_connected_graph6(n))
+        assert [to_graph6(g) for g in connected_graphs(n)] == records
+
+    def test_count_table(self):
+        assert sorted(CONNECTED_GRAPH_COUNTS) == list(range(1, 8))
+        for n in range(1, 7):
+            assert sum(1 for _ in generate_connected_graph6(n)) == CONNECTED_GRAPH_COUNTS[n]
+
+    def test_seven_vertices(self):
+        # OEIS A001187
+        assert sum(1 for _ in generate_connected_graph6(7)) == 1866256
+        assert CONNECTED_GRAPH_COUNTS[7] == 1866256
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        for enumeration in (generate_connected_graph6, connected_graphs):
+            with pytest.raises(GraphError, match="n must be positive"):
+                next(enumeration(n))
