@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "at most the number of cores)")
     p.add_argument("--progress", action="store_true",
                    help=f"every {PROGRESS_EVERY} graphs, print on stderr the "
-                        "count, the rate and, for a corpus file, the time left")
+                        "count, the rate and the time left")
     p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
