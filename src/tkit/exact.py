@@ -1,14 +1,16 @@
 """The local operator family, level-stepped walk counts, and exact solving.
 
 Everything here is exact, with no tolerances. Walk counts are vectors
-indexed by vertex. Every count vector the fits read lies on one distance
-level of the base, because a raising, flat or lowering step takes a
-level's support to a single level, so step() is the one kernel: it pushes
-the counts of one level along the adjacency lists. Counts grow
-exponentially with walk length, so entries are arbitrary precision by
-construction (plain Python ints). The linear systems have two unknowns
-and are solved in integers as well, by substitution into the two pivot
-rows; Fractions appear only in the solved values.
+indexed by vertex. The base's R^i e_x are the BFS's geodesic counts
+(LocalMetric.paths); every other count vector the fits read starts at a
+neighbour of the base and lies on one distance level, because a raising,
+flat or lowering step takes a level's support to a single level, so
+step() is the one kernel for them: it pushes the counts of one level
+along the adjacency lists. Counts grow exponentially with walk length, so
+entries are arbitrary precision by construction (plain Python ints). The
+linear systems have two unknowns and are solved in integers as well, by
+substitution into the two pivot rows; Fractions appear only in the solved
+values.
 """
 from __future__ import annotations
 
@@ -112,10 +114,11 @@ class LocalOperators:
     are never formed; step() applies one of them to a count vector on one
     level by walking the adjacency lists of that level's vertices.
 
-    partitions and the base's raising vectors, shared by the fits and the
-    structure report, are built on first use and kept: most scanned
-    instances need neither, and the ratio fit raises the base only as far
-    as it reads.
+    The base's raising vectors need no step: R^i e_x is the number of
+    geodesics from the base on level i, which the BFS counts as
+    metric.paths. partitions, shared by the endpoint-one fit and the
+    structure report, is built on first use and kept: most scanned
+    instances never need it.
     """
 
     graph: Graph
@@ -133,24 +136,6 @@ class LocalOperators:
     def partitions(self) -> dict[int, DistancePartition]:
         """Distance partition of each edge {x, y} at the base x, by y."""
         return edge_partitions(self.graph, self.metric)
-
-    @cached_property
-    def _raised(self) -> list[list[int]]:
-        return [walk_column(self, "", self.base)]
-
-    def base_power(self, m: int) -> list[int]:
-        """R^m e_x for the base x, raising the kept powers one level at a
-        time, by step(), up to m on first use."""
-        powers = self._raised
-        while len(powers) <= m:
-            powers.append(step(self, powers[-1], len(powers) - 1, "r"))
-        return powers[m]
-
-    @property
-    def base_powers(self) -> list[list[int]]:
-        """R^0 e_x, ..., R^{ecc+1} e_x for the base x."""
-        self.base_power(self.ecc + 1)
-        return self._raised
 
 
 def build_operators(g: Graph, x: int) -> LocalOperators:

@@ -222,12 +222,14 @@ def to_graph6(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class LocalMetric:
-    """Distances from a base vertex: dist array, eccentricity, spheres."""
+    """Distances from a base vertex: dist array, eccentricity, spheres, and
+    paths[v], the number of geodesics from the base to v."""
 
     base: int
     dist: tuple[int, ...]
     ecc: int
     spheres: tuple[tuple[int, ...], ...]
+    paths: tuple[int, ...]
 
     def sphere(self, i: int) -> tuple[int, ...]:
         if 0 <= i <= self.ecc:
@@ -236,26 +238,34 @@ class LocalMetric:
 
 
 def local_metric(g: Graph, x: int) -> LocalMetric:
-    """BFS distances from x. Requires g connected."""
+    """BFS distances from x, one level at a time, and geodesic counts:
+    paths[w] sums paths[u] over the neighbours u of w one level down.
+    Requires g connected."""
     if not 0 <= x < g.n:
         raise GraphError(f"base vertex {x} out of range")
     dist = [-1] * g.n
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    paths = [0] * g.n
+    dist[x], paths[x] = 0, 1
+    spheres = []
+    level = [x]
+    while level:
+        spheres.append(tuple(sorted(level)))
+        up = len(spheres)
+        reached = []
+        for u in level:
+            count = paths[u]
+            for w in g.adj[u]:
+                d = dist[w]
+                if d < 0:
+                    dist[w], paths[w] = up, count
+                    reached.append(w)
+                elif d == up:
+                    paths[w] += count
+        level = reached
     if min(dist) < 0:
         missing = dist.index(-1)
         raise GraphError(f"graph is disconnected: vertex {g.labels[missing]} unreachable")
-    ecc = max(dist)
-    spheres: list[list[int]] = [[] for _ in range(ecc + 1)]
-    for v, d in enumerate(dist):
-        spheres[d].append(v)
-    return LocalMetric(x, tuple(dist), ecc, tuple(tuple(s) for s in spheres))
+    return LocalMetric(x, tuple(dist), len(spheres) - 1, tuple(spheres), tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ class PdrProfile:
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
 
-    The fit steps one level at a time and stops at the first witness, so
-    ok and witness are known on construction; alpha and beta continue the
+    R^i e_x is the geodesic count metric.paths on level i, so each level is
+    one sweep over its adjacency lists. The fit stops at the first witness,
+    so ok and witness are known on construction; alpha and beta continue the
     same level loop over the remaining levels when first read.
     """
 
@@ -76,27 +77,29 @@ class PdrProfile:
     def _level(self, i: int, check: bool) -> Optional[PdrWitness]:
         """Record level i's counts at its first vertex and, when check, return
         the first vertex whose ratios differ from them."""
-        ops = self._ops
-        # R^{i+1} e_x lies on level i + 1 and R^i e_x on level i, so
-        # L R^{i+1} e_x and F R^i e_x lie on level i
-        here = ops.base_power(i)
-        down = step(ops, ops.base_power(i + 1), i + 1, "l")
-        flat = step(ops, here, i, "f")
-        sphere = ops.metric.sphere(i)
-        z0 = sphere[0]
-        # every level vertex is reached by at least one geodesic, so the
-        # reference count is positive and the ratios are well defined
-        count0 = here[z0]
-        down0, flat0 = down[z0], flat[z0]
-        self._firsts.append((down0, flat0, count0))
-        if check:
-            # the ratios at z equal those at z0, cross-multiplied in integers
-            for z in sphere[1:]:
-                count = here[z]
-                if down[z] * count0 != down0 * count:
-                    return PdrWitness(i, z, "alpha")
-                if flat[z] * count0 != flat0 * count:
-                    return PdrWitness(i, z, "beta")
+        metric = self._ops.metric
+        dist, paths, adj = metric.dist, metric.paths, self._ops.graph.adj
+        sphere = metric.sphere(i)
+        # (L R^{i+1} e_x)[z] and (F R^i e_x)[z] sum the geodesic counts of
+        # z's neighbours one level up and on its own level
+        for z in sphere if check else sphere[:1]:
+            down = flat = 0
+            for w in adj[z]:
+                d = dist[w]
+                if d > i:
+                    down += paths[w]
+                elif d == i:
+                    flat += paths[w]
+            if z == sphere[0]:
+                # every level vertex is reached by at least one geodesic, so
+                # the reference count is positive and the ratios well defined
+                down0, flat0, count0 = down, flat, paths[z]
+                self._firsts.append((down0, flat0, count0))
+            # the ratios at z equal the first vertex's, cross-multiplied
+            elif down * count0 != down0 * paths[z]:
+                return PdrWitness(i, z, "alpha")
+            elif flat * count0 != flat0 * paths[z]:
+                return PdrWitness(i, z, "beta")
         return None
 
     @cached_property
@@ -181,17 +184,17 @@ class Endpoint1Profile:
 
 def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
                        ) -> list[dict[int, tuple]]:
-    """Per level i = 1..ecc, for each neighbor y of the base, column y of
-    the four walk-count matrices of the endpoint-one equations, each a
-    vector by vertex that is read at the level-i vertices z: up_only = R^{i-1}, up_after_down =
-    R^i L, down_after_up = L R^i and flat_after_up = F R^{i-1}. Column y
-    of R^i L is R^i e_x for every neighbor y, because L e_y = e_x, so it
-    is read from ops.base_powers. R^{i-1} e_y and R^i e_y lie on levels i
-    and i + 1, and step() takes them to level i by F and L.
+    """Per level i = 1..ecc, for each neighbor y of the base, column y of the
+    four walk-count matrices of the endpoint-one equations, as vectors by
+    vertex read at the level-i vertices z: up_only = R^{i-1}, up_after_down
+    = R^i L, down_after_up = L R^i and flat_after_up = F R^{i-1}. Column y
+    of R^i L is R^i e_x, because L e_y = e_x: the geodesic counts
+    ops.metric.paths. R^{i-1} e_y and R^i e_y lie on levels i and i + 1,
+    and step() takes them to level i by F and L.
     """
-    from_base = ops.base_powers
+    from_base = ops.metric.paths
     at = {y: raising_powers(ops, y, ops.ecc) for y in nbrs}
-    return [{y: (up[i - 1], from_base[i],
+    return [{y: (up[i - 1], from_base,
                  step(ops, up[i], i + 1, "l"), step(ops, up[i - 1], i, "f"))
              for y, up in at.items()}
             for i in range(1, ops.ecc + 1)]

@@ -15,7 +15,7 @@ import tkit.graphs
 import tkit.regularity
 from tkit.constructions import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, star_graph)
-from tkit.exact import build_operators
+from tkit.exact import build_operators, walk_counts_from
 from tkit.regularity import fit_pdr
 from tkit.report import analyze, analyze_fitted
 
@@ -143,6 +143,28 @@ class TestLocalMetric:
         g = parse_edge_list("a b")
         with pytest.raises(GraphError):
             local_metric(g, 9)
+
+    def test_paths_example(self):
+        g = parse_edge_list(EXAMPLE_EDGES)
+        m = local_metric(g, g.index_of("1"))
+        # 5 is reached through 2 and through 3
+        assert {g.labels[v]: m.paths[v] for v in range(g.n)} == {
+            "1": 1, "2": 1, "3": 1, "4": 1, "5": 2, "6": 1}
+
+    def test_paths_are_enumerated_geodesics(self):
+        # on every connected graph with n <= 5 and at every base, paths[v]
+        # is the number of raising walks from the base to v, each walk
+        # enumerated on a stack
+        bases = 0
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for x in range(g.n):
+                    m = local_metric(g, x)
+                    for v in range(g.n):
+                        walks = walk_counts_from(g, x, "r" * m.dist[v], x, m)
+                        assert m.paths[v] == walks[v]
+                    bases += 1
+        assert bases == 1 + 2 * 1 + 3 * 4 + 4 * 38 + 5 * 728
 
 
 class TestDistancePartition:
@@ -336,25 +358,29 @@ def test_analyze_runs_one_bfs(monkeypatch):
     assert calls == [0]
 
 
-def _record_raises(monkeypatch):
-    """Patch step to log (input vector, level) for every raising step. Every
-    raise goes through tkit.exact: base_power and raising_powers."""
+def _record_steps(monkeypatch):
+    """Patch step to log (input vector, level, letter) for every step. Every
+    walk count from a neighbour of the base goes through tkit.exact: the
+    endpoint-one fit's flat and lowering steps, and raising_powers."""
     log = []
     original = tkit.exact.step
 
     def counting(ops, counts, level, letter):
-        if letter == "r":
-            log.append((counts, level))
+        log.append((counts, level, letter))
         return original(ops, counts, level, letter)
 
-    monkeypatch.setattr(tkit.exact, "step", counting)
+    for module in (tkit.exact, tkit.regularity):
+        monkeypatch.setattr(module, "step", counting)
     return log
 
 
+def _raise_levels(log):
+    return [level for _, level, letter in log if letter == "r"]
+
+
 def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
-    # the base is raised level by level by the ratio fit, its vectors kept
-    # for the endpoint-one fit; each neighbour is raised once, by
-    # raising_powers
+    # the base is never raised: its raising vectors are the BFS's geodesic
+    # counts; each neighbour is raised once, by raising_powers
     calls = []
     original_powers = tkit.exact.raising_powers
 
@@ -364,22 +390,26 @@ def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
 
     for module in (tkit.exact, tkit.regularity):
         monkeypatch.setattr(module, "raising_powers", counting_powers)
-    raises = _record_raises(monkeypatch)
+    steps = _record_steps(monkeypatch)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert sorted(calls) == [1, 4, 5]
-    # the base from levels 0, 1 and 2; each neighbour from levels 1 and 2
-    assert sorted(level for _, level in raises) == [0, 1, 1, 1, 1, 2, 2, 2, 2]
+    # each neighbour from levels 1 and 2
+    assert sorted(_raise_levels(steps)) == [1, 1, 1, 2, 2, 2]
 
 
 def test_instance_data_built_once(monkeypatch):
-    # a verification after the report reads the partitions and the base's
-    # raising vectors the report built, from the same ops
-    searched, raised = [], []
+    # a verification after the report reads the partitions the report built
+    # and the geodesic counts of the one BFS, from the same ops
+    searched, swept, raised = [], [], []
     original = tkit.exact.raising_powers
 
     def counting_metric(g, x):
         searched.append(x)
         return local_metric(g, x)
+
+    def counting_sweep(g, metric):
+        swept.append(metric.base)
+        return edge_partitions(g, metric)
 
     def counting_powers(ops, v, max_m):
         raised.append(v)
@@ -387,28 +417,37 @@ def test_instance_data_built_once(monkeypatch):
 
     for module in (tkit.graphs, tkit.exact):
         monkeypatch.setattr(module, "local_metric", counting_metric)
+    monkeypatch.setattr(tkit.exact, "edge_partitions", counting_sweep)
     for module in (tkit.exact, tkit.regularity):
         monkeypatch.setattr(module, "raising_powers", counting_powers)
-    raises = _record_raises(monkeypatch)
+    steps = _record_steps(monkeypatch)
     ops = build_operators(petersen_graph(), 0)
     rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
     assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
-    assert searched == [0]
+    assert searched == [0] and swept == [0]
     assert 0 not in raised
-    # a thin instance: the ratio fit raises the base once per level, and
-    # the endpoint-one fit reads those vectors
-    assert [level for counts, level in raises
-            if any(counts is p for p in ops.base_powers)] == [0, 1, 2]
+    # a thin instance: the report and the verification each raise the
+    # three neighbours, and no step reads the base's geodesic counts
+    assert sorted(_raise_levels(steps)) == [1] * 6 + [2] * 6
+    assert not any(counts is ops.metric.paths for counts, _, _ in steps)
 
-    # path:6 from vertex 1 fails at level 1 of 4: the fit raises the base
-    # to level 2 only, and reading alpha continues the same levels
-    raises.clear()
+    # path:6 from vertex 1 fails at level 1 of 4, and reading alpha
+    # continues the same levels
     ops = build_operators(path_graph(6), 1)
     pdr = fit_pdr(ops)
     assert not pdr.ok and pdr.witness.level == 1
-    assert [level for _, level in raises] == [0, 1]
     assert pdr.alpha == (2, 0, 1, 1, 0)
-    assert [level for _, level in raises] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("g, x", [(petersen_graph(), 0), (path_graph(6), 1)],
+                         ids=["petersen", "path6-at-1"])
+def test_ratio_fit_takes_no_step(monkeypatch, g, x):
+    # the ratio fit reads R^i e_x as the BFS's geodesic counts and sums
+    # them over each level's adjacency lists
+    steps = _record_steps(monkeypatch)
+    pdr = fit_pdr(build_operators(g, x))
+    assert pdr.alpha and pdr.beta
+    assert steps == []
 
 
 class TestConnectedGraphs:

@@ -8,7 +8,8 @@ Neumaier, Distance-Regular Graphs, 1989). The hypercube Q_d has one thin
 irreducible module class per endpoint r <= d/2, of dimension d - 2r + 1 and
 multiplicity C(d, r) - C(d, r - 1) (Go, "The Terwilliger algebra of the
 hypercube", European J. Combin. 2002). The graphs are built here, not by the
-package.
+package. The ratio fit also runs on two graphs too large to decompose
+here (Q9's Kronecker stack is above MAX_DENSE_BYTES).
 """
 import itertools
 import math
@@ -19,7 +20,9 @@ import pytest
 
 from tkit.constructions import cartesian_product, complete_graph
 from tkit.decompose import FAIL, PASS, _primary_dimension, adjacency_matrix
+from tkit.exact import build_operators
 from tkit.graphs import local_metric, make_graph
+from tkit.regularity import fit_pdr
 from tkit.report import AGREE_FAIL, AGREE_PASS, analyze
 
 
@@ -63,6 +66,12 @@ GRAPHS = {
     "J(7,2)": lambda: johnson(7, 2),
 }
 
+# fitted, not decomposed
+AT_SCALE = {
+    "Q9": lambda: hypercube(9),
+    "J(10,5)": lambda: johnson(10, 5),
+}
+
 
 @pytest.fixture(scope="module")
 def analysed():
@@ -74,16 +83,37 @@ def analysed():
     return out
 
 
+def _ratios(b, c):
+    """The ratio fit's alpha_i = b_i c_{i+1} and beta_i = a_i."""
+    d = len(b) - 1
+    k = b[0]
+    # b_d = 0, so alpha_d = 0 needs no c_{d+1}
+    return (tuple(Fraction(b[i] * (c[i + 1] if i < d else 0)) for i in range(d + 1)),
+            tuple(Fraction(k - b[i] - c[i]) for i in range(d + 1)))
+
+
 @pytest.mark.parametrize("name", GRAPHS)
 def test_ratio_fit_gives_intersection_numbers(analysed, name):
     b, c, rep = analysed[name]
-    d = len(b) - 1
-    k = b[0]
     assert rep.pdr.ok
-    # b_d = 0, so alpha_d = 0 needs no c_{d+1}
-    assert rep.pdr.alpha == tuple(
-        Fraction(b[i] * (c[i + 1] if i < d else 0)) for i in range(d + 1))
-    assert rep.pdr.beta == tuple(Fraction(k - b[i] - c[i]) for i in range(d + 1))
+    assert (rep.pdr.alpha, rep.pdr.beta) == _ratios(b, c)
+
+
+@pytest.mark.parametrize("name", AT_SCALE)
+def test_ratio_fit_at_scale(name):
+    g, b, c = AT_SCALE[name]()
+    pdr = fit_pdr(build_operators(g, 0))
+    assert pdr.ok
+    assert (pdr.alpha, pdr.beta) == _ratios(b, c)
+
+
+@pytest.mark.parametrize("name", [*GRAPHS, *AT_SCALE])
+def test_geodesic_counts(name):
+    # R^i e_x = c_1 ... c_i on level i
+    g, _, c = {**GRAPHS, **AT_SCALE}[name]()
+    metric = local_metric(g, 0)
+    assert [{metric.paths[v] for v in sphere} for sphere in metric.spheres] == [
+        {math.prod(c[1:i + 1])} for i in range(len(c))]
 
 
 @pytest.mark.parametrize("name", GRAPHS)
