@@ -43,7 +43,8 @@ log = logging.getLogger(__name__)
 # count (star:N has N leaves) and at most BUILTIN_MAX_N, and so is the
 # number of vertices construct builds. At the limit, complete:1000 builds
 # its 499 500 edges in 0.6 s and 135 MiB, and `check complete:1000
-# --vertex 0` takes 1.9-2.2 s and 248 MiB (2 cores, Python 3.11).
+# --vertex 0` takes 1.7-2.5 s and 239 MiB as a whole process on a shared
+# 2-core host (Python 3.11).
 BUILTIN_MAX_N = 1000
 _FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
              "star": star_graph, "empty": empty_graph}
@@ -102,9 +103,9 @@ def _parse_text(text: str, input_format: str) -> Graph:
         return parse_edge_list(text)
     if input_format == "graph6":
         return _parse_graph6_text(text)
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if lines and all(len(ln.split()) == 2 for ln in lines):
+    # a graph6 record has no whitespace, so a line of two or more tokens
+    # makes the text an edge list, and its parser names any bad line
+    if any(len(ln.split("#", 1)[0].split()) >= 2 for ln in text.splitlines()):
         return parse_edge_list(text)
     return _parse_graph6_text(text)
 

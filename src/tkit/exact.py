@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .graphs import (DistancePartition, Graph, LocalMetric, edge_partitions,
-                     local_metric, to_graph6)
+from .graphs import CellPattern, Graph, LocalMetric, cell_pattern, local_metric, to_graph6
 
 SHAPE_FAMILIES = ("r", "rl", "lr", "rf")
 _STEP = {"r": 1, "f": 0, "l": -1}
@@ -116,9 +115,9 @@ class LocalOperators:
 
     The base's raising vectors need no step: R^i e_x is the number of
     geodesics from the base on level i, which the BFS counts as
-    metric.paths. partitions, shared by the endpoint-one fit and the
-    structure report, is built on first use and kept: most scanned
-    instances never need it.
+    metric.paths. cells, shared by the endpoint-one fit and the structure
+    report, is built on first use and kept: most scanned instances never
+    need it.
     """
 
     graph: Graph
@@ -133,9 +132,10 @@ class LocalOperators:
         return self.metric.ecc
 
     @cached_property
-    def partitions(self) -> dict[int, DistancePartition]:
-        """Distance partition of each edge {x, y} at the base x, by y."""
-        return edge_partitions(self.graph, self.metric)
+    def cells(self) -> CellPattern:
+        """The nonempty cells of the distance partition of each edge at
+        the base."""
+        return cell_pattern(self.graph, self.metric)
 
 
 def build_operators(g: Graph, x: int) -> LocalOperators:

@@ -480,8 +480,10 @@ def distance_partition(g: Graph, x: int, y: int) -> DistancePartition:
     """Intersection cells of the spheres around the two ends of edge {x, y},
     from a BFS at each end.
 
-    The analysis takes every edge at x from edge_partitions instead; this
-    per-edge form serves the partition subcommand and is its test oracle.
+    The analysis reads only which cells are nonempty, for every edge at x
+    at once, from cell_pattern; this per-edge form, with the vertices of
+    each cell, serves the partition subcommand and is the test oracle of
+    cell_pattern and of the structure report.
     """
     if not g.has_edge(x, y):
         raise GraphError(f"vertices {g.labels[x]} and {g.labels[y]} are not adjacent")
@@ -496,9 +498,23 @@ def distance_partition(g: Graph, x: int, y: int) -> DistancePartition:
     return DistancePartition(x, y, mx.ecc, my.ecc, frozen)
 
 
-def edge_partitions(g: Graph, metric_x: LocalMetric) -> dict[int, DistancePartition]:
-    """distance_partition(g, x, y) for every neighbour y of the base x of
-    metric_x, from one sweep over x's levels instead of a BFS per y.
+@dataclass(frozen=True)
+class CellPattern:
+    """Which cells of the distance partitions of the edges at a base x are
+    nonempty. On level i of x, bit k of down[i], mid[i] and up[i] is set
+    when cell (i, i - 1), (i, i) or (i, i + 1) of the edge {x, nbrs[k]}
+    holds a vertex."""
+
+    nbrs: tuple[int, ...]
+    down: tuple[int, ...]
+    mid: tuple[int, ...]
+    up: tuple[int, ...]
+
+
+def cell_pattern(g: Graph, metric_x: LocalMetric) -> CellPattern:
+    """The nonempty cells of distance_partition(g, x, y) for every neighbour
+    y of the base x of metric_x, from one sweep over x's levels instead of
+    a BFS per y.
 
     Distances from a neighbour y differ from those from x by at most one,
     so a vertex z on level i of x lies in cell (i, i - 1), (i, i) or
@@ -510,9 +526,12 @@ def edge_partitions(g: Graph, metric_x: LocalMetric) -> dict[int, DistancePartit
     """
     x, dist, adj = metric_x.base, metric_x.dist, g.adj
     nbrs = g.neighbors(x)
+    full = (1 << len(nbrs)) - 1
     bit = {y: 1 << k for k, y in enumerate(nbrs)}
     a = [0] * g.n
     b = [0] * g.n
+    # x is one step from every neighbour
+    down, mid, up = [0], [0], [full]
     for i, sphere in enumerate(metric_x.spheres[1:], start=1):
         for z in sphere:
             if i == 1:
@@ -521,6 +540,7 @@ def edge_partitions(g: Graph, metric_x: LocalMetric) -> dict[int, DistancePartit
                 for w in adj[z]:
                     if dist[w] == i - 1:
                         a[z] |= a[w]
+        down_i = mid_i = up_i = 0
         for z in sphere:
             reach = a[z]
             for w in adj[z]:
@@ -529,29 +549,13 @@ def edge_partitions(g: Graph, metric_x: LocalMetric) -> dict[int, DistancePartit
                 elif dist[w] == i:
                     reach |= a[w]
             b[z] = reach
-
-    out = {}
-    for y in nbrs:
-        mask = bit[y]
-        cells: dict[tuple[int, int], tuple[int, ...]] = {}
-        ecc_y = 0
-        for i, sphere in enumerate(metric_x.spheres):
-            down: list[int] = []
-            mid: list[int] = []
-            up: list[int] = []
-            for z in sphere:
-                if a[z] & mask:
-                    down.append(z)
-                elif b[z] & mask:
-                    mid.append(z)
-                else:
-                    up.append(z)
-            for j, members in ((i - 1, down), (i, mid), (i + 1, up)):
-                if members:
-                    cells[(i, j)] = tuple(members)
-                    ecc_y = max(ecc_y, j)
-        out[y] = DistancePartition(x, y, metric_x.ecc, ecc_y, cells)
-    return out
+            down_i |= a[z]
+            mid_i |= reach & ~a[z]
+            up_i |= full & ~reach
+        down.append(down_i)
+        mid.append(mid_i)
+        up.append(up_i)
+    return CellPattern(nbrs, tuple(down), tuple(mid), tuple(up))
 
 
 # ---------------------------------------------------------------------------
@@ -590,43 +594,31 @@ class StructureReport:
     threshold_constant: Optional[bool]  # all defined and equal; None if some undefined
 
 
-def structure_report(g: Graph, x: int,
-                     partitions: Mapping[int, DistancePartition]) -> StructureReport:
-    """Evaluate the cell-pattern predicates of the distance partitions
-    around x, one partition per neighbor y.
-
-    partitions maps each neighbor y of x to distance_partition(g, x, y),
-    as LocalOperators.partitions holds them.
-    """
-    nbrs = g.neighbors(x)
-    # a connected graph where x has no neighbor is a single vertex
-    d = partitions[nbrs[0]].ecc_x if nbrs else 0
+def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
+    """Evaluate the cell-pattern predicates of the distance partitions of
+    the edges at x, from cells = cell_pattern(g, local_metric(g, x)), as
+    LocalOperators.cells holds it."""
+    nbrs = cells.nbrs
+    d = len(cells.up) - 1
     vacuous = len(nbrs) < 2
 
-    # per level, whether some neighbor has a nonempty mid cell there
-    any_mid = [any(partitions[z].cell(i, i) for z in nbrs) for i in range(d + 1)]
     records = []
-    for y in nbrs:
-        part = partitions[y]
-        up = tuple(bool(part.cell(i, i + 1)) for i in range(d + 1))
-        mid = tuple(bool(part.cell(i, i)) for i in range(d + 1))
-        down = tuple(bool(part.cell(i, i - 1)) for i in range(d + 1))
+    for k, y in enumerate(nbrs):
+        up = tuple(bool(m >> k & 1) for m in cells.up)
+        mid = tuple(bool(m >> k & 1) for m in cells.mid)
+        down = tuple(bool(m >> k & 1) for m in cells.down)
         # longest prefix where the upward cell is nonempty and every mid
         # cell (over all neighbors) is empty
         t = 0
-        while t + 1 <= d and up[t + 1] and not any_mid[t + 1]:
+        while t + 1 <= d and up[t + 1] and not cells.mid[t + 1]:
             t += 1
-        defined = all(not up[i] for i in range(t + 1, d + 1))
+        defined = not any(up[t + 1:])
         records.append(NeighborThreshold(y, t if defined else None, up, mid, down))
 
-    down_ok = all(rec.down_nonempty[i] for rec in records for i in range(1, d + 1))
-
-    up_blocks = True
-    for i in range(1, d + 1):
-        if any(rec.up_nonempty[i] for rec in records):
-            if any(rec.mid_nonempty[j] for rec in records for j in range(1, i + 1)):
-                up_blocks = False
-                break
+    full = (1 << len(nbrs)) - 1
+    down_ok = all(m == full for m in cells.down[1:])
+    last_up = max((i for i in range(1, d + 1) if cells.up[i]), default=0)
+    up_blocks = not any(cells.mid[1:last_up + 1])
 
     contiguous = True
     for rec in records:

@@ -222,7 +222,6 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     nbrs = g.neighbors(x)
     if len(nbrs) < 2:
         raise NotApplicable(REASON_LEAF)
-    partitions = ops.partitions
 
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
@@ -240,7 +239,7 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
         sol_km = solve_linear(rows, rhs_mix)
         sol_tr = solve_linear(rows, rhs_flat)
-        up_nonempty = any(partitions[y].cell(i, i + 1) for y in nbrs)
+        up_nonempty = bool(ops.cells.up[i])
         # rho is determined exactly when it is a pivot, and values[1] then
         # holds it; a vertex z of a nonempty upward cell gives the row
         # (0, R^i e_x[z]) with R^i e_x[z] > 0, which fixes rho, so there the

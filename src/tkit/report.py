@@ -57,7 +57,7 @@ def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
                    tol: float = 1e-9) -> AnalysisReport:
     """The pipeline after the BFS and the ratio fit, given their results."""
     g, x = ops.graph, ops.base
-    structure = structure_report(g, x, ops.partitions)
+    structure = structure_report(g, x, ops.cells)
 
     endpoint1: Optional[Endpoint1Profile] = None
     endpoint1_reason: Optional[str] = None

@@ -10,11 +10,15 @@ unified system is equivalent:
   vectors;
 * verify_condition_values substitutes given scalars into the clauses and
   returns the first violation, which the golden witnesses pin.
+
+Both take their cells from distance_partition, a BFS at each end of every
+edge at the base, not from the package's cell sweep.
 """
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from matrix_oracle import build_matrix_operators, matrix_raising_powers
+from structure_oracle import partitions_at
 from tkit.exact import LocalOperators, solve_linear
 from tkit.regularity import E1Witness, _endpoint1_columns
 
@@ -41,7 +45,7 @@ def fit_clausewise(ops: LocalOperators):
     g = ops.graph
     x = ops.base
     nbrs = g.neighbors(x)
-    parts = ops.partitions
+    parts = partitions_at(g, x)
     d = ops.ecc
     mops = build_matrix_operators(g, x)
     powers = matrix_raising_powers(mops, d)
@@ -127,7 +131,7 @@ def verify_condition_values(
     d = ops.ecc
     if not (len(kappa) == len(mu) == len(theta) == len(rho) == d):
         raise ValueError("scalar sequences must have one entry per level 1..ecc")
-    partitions = ops.partitions
+    partitions = partitions_at(g, x)
     for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
         k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
         for y in nbrs:

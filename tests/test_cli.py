@@ -294,6 +294,21 @@ class TestCheck:
         assert code == 0
         assert len(ndjson_lines(out)) == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 2\n2 3 4\n", "line 3: expected two vertex tokens, got 3"),
+        ("0 1\n1\n", "line 2: expected two vertex tokens, got 1"),
+        ("Bw\nBw\n", "expected a single graph6 record"),
+    ], ids=["three-tokens", "one-token", "two-graph6-records"])
+    def test_auto_input_names_the_bad_line(self, capsys, tmp_path, text, message):
+        # a line of two or more tokens makes the text an edge list, so a
+        # malformed line of one is reported as such, not as bad graph6
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        for fmt in ("auto", "edgelist" if "line" in message else "graph6"):
+            code, _, err = run_cli(capsys, "check", str(path), "--all-vertices",
+                                   "--input", fmt)
+            assert code == 2 and message in err
+
 
 class TestConstruct:
     def test_empty_fiber_edgelist(self, capsys):

@@ -6,8 +6,9 @@ import pytest
 from clausewise import verify_condition_values
 from corpus_oracle import oracle_connected_graph6
 from rooted import permutation_key
-from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, connected_graphs,
-                         distance_partition, edge_partitions, generate_connected_graph6,
+from structure_oracle import oracle_structure_report, partitions_at
+from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, cell_pattern,
+                         connected_graphs, distance_partition, generate_connected_graph6,
                          local_metric, make_graph, parse_edge_list, parse_graph6,
                          rooted_key, structure_report, to_graph6)
 import tkit.exact
@@ -204,17 +205,25 @@ class TestDistancePartition:
                      8588, id="all-n-le-5"),
         pytest.param(lambda: [complete_graph(50)], 50 * 49, id="complete-50")])
     def test_sweep_matches_per_edge_bfs(self, graphs, directed_edges):
-        # edge_partitions, one sweep over the base's levels, against one
-        # BFS per neighbour, at every edge and every base
+        # cell_pattern, one sweep over the base's levels, against one BFS
+        # per neighbour: every bit of every level, at every edge and base
         edges = 0
         for g in graphs():
             for x in range(g.n):
                 metric = local_metric(g, x)
-                swept = edge_partitions(g, metric)
-                assert sorted(swept) == list(g.neighbors(x))
-                for y, part in swept.items():
-                    assert part == distance_partition(g, x, y)
+                cells = cell_pattern(g, metric)
+                assert cells.nbrs == g.neighbors(x)
+                levels = metric.ecc + 1
+                assert len(cells.down) == len(cells.mid) == len(cells.up) == levels
+                for k, y in enumerate(cells.nbrs):
+                    part = distance_partition(g, x, y)
+                    for i in range(levels):
+                        for j, masks in ((i - 1, cells.down), (i, cells.mid),
+                                         (i + 1, cells.up)):
+                            assert bool(masks[i] >> k & 1) == bool(part.cell(i, j))
                     edges += 1
+                assert all(m >> len(cells.nbrs) == 0
+                           for masks in (cells.down, cells.mid, cells.up) for m in masks)
         assert edges == directed_edges
 
     def test_bipartite_mid_cells_empty(self):
@@ -312,7 +321,7 @@ class TestRootedKey:
 
 
 def _structure(g, x):
-    return structure_report(g, x, build_operators(g, x).partitions)
+    return structure_report(g, x, build_operators(g, x).cells)
 
 
 class TestStructureReport:
@@ -336,6 +345,20 @@ class TestStructureReport:
     def test_leaf_base_vacuous(self):
         rep = _structure(path_graph(3), 0)
         assert rep.vacuous
+
+    @pytest.mark.parametrize("instances, count", [
+        pytest.param(lambda: ((g, x) for n in range(1, 6) for g in connected_graphs(n)
+                              for x in range(g.n)), 3807, id="all-n-le-5"),
+        pytest.param(lambda: [(complete_graph(50), 0), (star_graph(20), 0),
+                              (_hypercube(4), 0)], 3, id="complete-50-star-20-Q4")])
+    def test_matches_per_edge_oracle(self, instances, count):
+        # the report read off the bitmasks equals the one read cell by cell
+        # from a distance partition per neighbour
+        seen = 0
+        for g, x in instances():
+            assert _structure(g, x) == oracle_structure_report(g, x, partitions_at(g, x))
+            seen += 1
+        assert seen == count
 
 
 def test_analyze_runs_one_bfs(monkeypatch):
@@ -398,8 +421,9 @@ def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
 
 
 def test_instance_data_built_once(monkeypatch):
-    # a verification after the report reads the partitions the report built
-    # and the geodesic counts of the one BFS, from the same ops
+    # the report's instance runs one BFS and one cell sweep; a verification
+    # after it reads the geodesic counts of that BFS from the same ops, and
+    # takes its cells from a BFS at each end of every edge, its own route
     searched, swept, raised = [], [], []
     original = tkit.exact.raising_powers
 
@@ -409,7 +433,7 @@ def test_instance_data_built_once(monkeypatch):
 
     def counting_sweep(g, metric):
         swept.append(metric.base)
-        return edge_partitions(g, metric)
+        return cell_pattern(g, metric)
 
     def counting_powers(ops, v, max_m):
         raised.append(v)
@@ -417,14 +441,15 @@ def test_instance_data_built_once(monkeypatch):
 
     for module in (tkit.graphs, tkit.exact):
         monkeypatch.setattr(module, "local_metric", counting_metric)
-    monkeypatch.setattr(tkit.exact, "edge_partitions", counting_sweep)
+    monkeypatch.setattr(tkit.exact, "cell_pattern", counting_sweep)
     for module in (tkit.exact, tkit.regularity):
         monkeypatch.setattr(module, "raising_powers", counting_powers)
     steps = _record_steps(monkeypatch)
     ops = build_operators(petersen_graph(), 0)
     rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
-    assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
     assert searched == [0] and swept == [0]
+    assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
+    assert swept == [0]
     assert 0 not in raised
     # a thin instance: the report and the verification each raise the
     # three neighbours, and no step reads the base's geodesic counts

@@ -10,6 +10,7 @@ from clausewise import fit_clausewise, verify_condition_values
 from numeric_oracle import no_endpoint1_modules, trivial_module_basis
 from pdr_oracle import fit_pdr_full
 from rooted import rooted_classes
+from structure_oracle import partitions_at
 from tkit.cli import load_graph
 from tkit.constructions import (cycle_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3)
@@ -165,7 +166,7 @@ class TestFitEndpoint1:
                 pdr = fit_pdr(ops)
                 if not pdr.ok:
                     continue
-                parts = ops.partitions
+                parts = partitions_at(g, x)
                 prof = fit_endpoint1(ops, pdr)
                 if prof.ok or prof.witness is None or prof.witness.y is None:
                     continue
@@ -351,7 +352,7 @@ class TestFitEndpoint1:
                 pdr = fit_pdr(ops)
                 if not pdr.ok:
                     continue
-                parts = ops.partitions
+                parts = partitions_at(g, x)
                 prof = fit_endpoint1(ops, pdr)
                 if not prof.ok:
                     continue

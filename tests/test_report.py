@@ -87,7 +87,7 @@ def _clean_structure():
     """cycle:6 at base 0: threshold 2 at both neighbors, eccentricity 3, no
     mid cell, and no problem."""
     g = load_graph("cycle:6")[0]
-    s = structure_report(g, 0, build_operators(g, 0).partitions)
+    s = structure_report(g, 0, build_operators(g, 0).cells)
     assert [rec.threshold for rec in s.per_neighbor] == [2, 2] and s.ecc == 3
     assert _structure_problems(s) == ([], False)
     return s

@@ -27,9 +27,10 @@ def test_every_traced_name_resolves(tracing):
 
 
 def test_instance_data_is_traced(tracing, tmp_path):
-    # build_operators runs the one BFS, from the base; ops.partitions is one
-    # sweep over its levels, with no BFS per neighbour; the ratio fit raises
-    # the base itself, so raising_powers runs once per neighbour
+    # build_operators runs the one BFS, from the base; ops.cells is one
+    # sweep over its levels, with no BFS per neighbour; the base's raising
+    # vectors are that BFS's geodesic counts, so raising_powers runs once
+    # per neighbour
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     try:
