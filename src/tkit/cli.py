@@ -103,9 +103,10 @@ def _parse_text(text: str, input_format: str) -> Graph:
         return parse_edge_list(text)
     if input_format == "graph6":
         return _parse_graph6_text(text)
-    # a graph6 record has no whitespace, so a line of two or more tokens
-    # makes the text an edge list, and its parser names any bad line
-    if any(len(ln.split("#", 1)[0].split()) >= 2 for ln in text.splitlines()):
+    # a graph6 record has no whitespace and no '#' (its bytes are 63-126),
+    # so a comment or a line of two or more tokens makes the text an edge
+    # list, and its parser names any bad line
+    if "#" in text or any(len(ln.split()) >= 2 for ln in text.splitlines()):
         return parse_edge_list(text)
     return _parse_graph6_text(text)
 

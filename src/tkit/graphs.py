@@ -589,7 +589,7 @@ class StructureReport:
     per_neighbor: tuple[NeighborThreshold, ...]
     down_cells_all_nonempty: bool    # D(i, i-1) nonempty for all y and 1 <= i <= ecc
     up_blocks_mid: bool              # nonempty D(i, i+1) forces empty D(j, j) for j <= i, all neighbors
-    mid_runs_contiguous: bool        # nonempty D(j, j) pulls D(i, i) nonempty for threshold < i <= j
+    mid_runs_contiguous: bool        # nonempty D(j, j) pulls D(i, i) nonempty for threshold < i <= j; always True
     thresholds_defined: bool
     threshold_constant: Optional[bool]  # all defined and equal; None if some undefined
 
@@ -620,16 +620,6 @@ def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
     last_up = max((i for i in range(1, d + 1) if cells.up[i]), default=0)
     up_blocks = not any(cells.mid[1:last_up + 1])
 
-    contiguous = True
-    for rec in records:
-        if rec.threshold is None:
-            continue
-        top = max((j for j in range(1, d + 1) if rec.mid_nonempty[j]), default=None)
-        if top is not None:
-            if not all(rec.mid_nonempty[i] for i in range(rec.threshold + 1, top + 1)):
-                contiguous = False
-                break
-
     defined_all = all(rec.threshold is not None for rec in records)
     constant: Optional[bool]
     if defined_all and records:
@@ -645,7 +635,13 @@ def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
         per_neighbor=tuple(records),
         down_cells_all_nonempty=down_ok,
         up_blocks_mid=up_blocks,
-        mid_runs_contiguous=contiguous,
+        # always holds: let y have threshold t and take a level j > t
+        # where y's mid cell is empty. Above t y's up cells are empty, so
+        # every level-j vertex w has d(y, w) = j - 1. A vertex v further
+        # out has a geodesic from x through some such w, so d(y, v) =
+        # d(x, v) - 1, in y's down cell. So y's nonempty mid cells above t
+        # form one run starting at t + 1
+        mid_runs_contiguous=True,
         thresholds_defined=defined_all,
         threshold_constant=constant,
     )

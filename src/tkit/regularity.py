@@ -8,23 +8,20 @@ Two fits, both over exact rationals with zero tolerance:
   local operator algebra being thin.
 
 * fit_endpoint1 decides, per level, whether four scalars can reproduce the
-  mixed walk counts between the base's neighbors and the level, including
-  the forced vanishing of the flat scalar when some upward partition cell
-  is nonempty. Success characterizes a unique thin irreducible module at
-  endpoint one.
+  mixed walk counts between the base's neighbors and the level. Success
+  characterizes a unique thin irreducible module at endpoint one. The
+  characterization also needs the flat scalar to vanish on a level where
+  some upward partition cell is nonempty; the equations themselves fix it
+  at zero there (see fit_endpoint1), so no separate check is made.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import (LocalOperators, describe, raising_powers, solve_linear,
-                    step)
-
-log = logging.getLogger(__name__)
+from .exact import LocalOperators, raising_powers, solve_linear, step
 
 
 class NotApplicable(Exception):
@@ -132,7 +129,10 @@ class E1Witness:
     level: int
     y: Optional[int]
     z: Optional[int]
-    equation: str  # "kappa-mu", "theta-rho" or "rho-side-condition"
+    # "kappa-mu" or "theta-rho"; the report schema also admits
+    # "rho-side-condition", which the equations never leave open (see
+    # fit_endpoint1)
+    equation: str
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,16 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
     over all neighbors y of the base and all level-i vertices z. The
     up_only coefficient vanishes exactly off the downward partition cell,
-    so this single system covers both cell cases. When some upward cell at
-    level i is nonempty, the level also needs rho_i = 0.
+    so this single system covers both cell cases.
+
+    When some upward cell at level i is nonempty, the characterization
+    also needs rho_i = 0, and a consistent flat system already fixes it
+    there. Take z in the upward cell of y, so d(y, z) = i + 1. The
+    support of R^{i-1} e_y lies at distance i - 1 from y, and z and its
+    neighbours lie further out, so up_only(y, z) = 0 and flat_after_up(y,
+    z), a sum of R^{i-1} e_y over z's level-i neighbours, is 0 too. z's
+    equation reads 0 = rho_i * R^i e_x[z], with a positive geodesic count,
+    so rho_i is a pivot and equals 0.
 
     pdr is fit_pdr(ops). The fit applies only when the trivial module is
     thin (pdr.ok) and the base has at least two neighbors; otherwise it
@@ -239,42 +247,26 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
         sol_km = solve_linear(rows, rhs_mix)
         sol_tr = solve_linear(rows, rhs_flat)
-        up_nonempty = bool(ops.cells.up[i])
         # rho is determined exactly when it is a pivot, and values[1] then
-        # holds it; a vertex z of a nonempty upward cell gives the row
-        # (0, R^i e_x[z]) with R^i e_x[z] > 0, which fixes rho, so there the
-        # side condition holds iff the equations fix rho at zero
+        # holds it
         forced_zero = sol_tr.consistent and sol_tr.values[1] == 0
-        flat_ok = sol_tr.consistent and (forced_zero or not up_nonempty)
-        if sol_tr.consistent and not flat_ok:
-            # equations admit solutions but none with a vanishing flat
-            # scalar; treated as a failure of the condition
-            log.warning(
-                "%s level %d: flat-scalar side condition "
-                "conflicts with an otherwise consistent system",
-                describe(ops), i)
-
-        consistent = sol_km.consistent and flat_ok
+        consistent = sol_km.consistent and sol_tr.consistent
         if witness is None and not consistent:
             # row k is the equation of neighbour nbrs[k // |S_i|] and
             # vertex sphere[k % |S_i|]
-            if not sol_km.consistent:
-                at_y, at_z = divmod(sol_km.bad_row, len(sphere))
-                witness = E1Witness(i, nbrs[at_y], sphere[at_z], "kappa-mu")
-            elif not sol_tr.consistent:
-                at_y, at_z = divmod(sol_tr.bad_row, len(sphere))
-                witness = E1Witness(i, nbrs[at_y], sphere[at_z], "theta-rho")
-            else:
-                witness = E1Witness(i, None, None, "rho-side-condition")
+            sol, equation = ((sol_km, "kappa-mu") if not sol_km.consistent
+                             else (sol_tr, "theta-rho"))
+            at_y, at_z = divmod(sol.bad_row, len(sphere))
+            witness = E1Witness(i, nbrs[at_y], sphere[at_z], equation)
 
         levels.append(LevelFit(
             level=i,
             kappa=sol_km.values[0] if sol_km.consistent else None,
             mu=sol_km.values[1] if sol_km.consistent else None,
-            theta=sol_tr.values[0] if flat_ok else None,
-            rho=sol_tr.values[1] if flat_ok else None,
+            theta=sol_tr.values[0] if sol_tr.consistent else None,
+            rho=sol_tr.values[1] if sol_tr.consistent else None,
             consistent=consistent,
-            up_cell_nonempty=up_nonempty,
+            up_cell_nonempty=bool(ops.cells.up[i]),
             rho_forced_zero=forced_zero,
         ))
 

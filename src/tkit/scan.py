@@ -9,7 +9,11 @@ the trivial module is thin and the endpoint-one modules form one thin
 class with contiguous support, so dual_block_dims, which they read, is 2
 on levels 1..d'+1 and 1 above by construction. They add no evidence
 beyond the verdict until the block dimensions come from a route of their
-own; the structure predicates are the independent check.
+own; the structure predicates are the independent check. Two cell
+properties always hold on a passing instance and are not checked (the
+proofs are in graphs.structure_report and _structure_problems): the
+nonempty mid cells above a neighbour's threshold are contiguous, and a
+tree's thresholds equal its eccentricity.
 
 What an instance yields depends only on its rooted graph, so each rooted
 isomorphism class is analyzed once per scan_corpus call. A class cache,
@@ -120,10 +124,12 @@ def _structure_problems(s: StructureReport) -> tuple[list[str], bool]:
         problems.append("nonempty upward cell coexists with a mid cell below it")
     if not s.thresholds_defined:
         problems.append("threshold pattern undefined for some neighbor")
-    if not s.mid_runs_contiguous:
-        problems.append("mid cells not contiguous above the threshold")
-    if s.is_tree and any(rec.threshold != s.ecc for rec in s.per_neighbor):
-        problems.append("tree threshold differs from eccentricity")
+    # a tree's thresholds all equal its eccentricity on a passing instance:
+    # its trivial module is thin, so with one geodesic to each vertex the
+    # ratio fit gives every vertex of a level the same number of children
+    # and every branch reaches the eccentricity. A tree has no mid cell,
+    # and with deg(x) >= 2 every neighbour's up cells on levels 1..ecc hold
+    # the other branches, so every threshold is ecc
     if any(rec.mid_nonempty[1] for rec in s.per_neighbor if len(rec.mid_nonempty) > 1):
         if any(rec.threshold != 0 for rec in s.per_neighbor):
             problems.append("nonempty level-1 mid cell but nonzero threshold")

@@ -294,20 +294,100 @@ class TestCheck:
         assert code == 0
         assert len(ndjson_lines(out)) == 3
 
-    @pytest.mark.parametrize("text, message", [
-        ("0 1\n1 2\n2 3 4\n", "line 3: expected two vertex tokens, got 3"),
-        ("0 1\n1\n", "line 2: expected two vertex tokens, got 1"),
-        ("Bw\nBw\n", "expected a single graph6 record"),
-    ], ids=["three-tokens", "one-token", "two-graph6-records"])
-    def test_auto_input_names_the_bad_line(self, capsys, tmp_path, text, message):
-        # a line of two or more tokens makes the text an edge list, so a
-        # malformed line of one is reported as such, not as bad graph6
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("0 1\n1 2\n2 3 4\n", "edgelist", "line 3: expected two vertex tokens, got 3"),
+        ("0 1\n1\n", "edgelist", "line 2: expected two vertex tokens, got 1"),
+        ("Bw\nBw\n", "graph6", "expected a single graph6 record"),
+        ("# a comment\n", "edgelist", "no edges found"),
+    ], ids=["three-tokens", "one-token", "two-graph6-records", "comment-only"])
+    def test_auto_input_names_the_bad_line(self, capsys, tmp_path, text, fmt, message):
+        # a line of two or more tokens, or a '#', which no graph6 record
+        # holds, makes the text an edge list, so a malformed line of one is
+        # reported as such, not as bad graph6
         path = tmp_path / "g.txt"
         path.write_text(text)
-        for fmt in ("auto", "edgelist" if "line" in message else "graph6"):
+        for fmt in ("auto", fmt):
             code, _, err = run_cli(capsys, "check", str(path), "--all-vertices",
                                    "--input", fmt)
             assert code == 2 and message in err
+
+
+    def test_table_with_decomposition(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "example", "--vertex", "1",
+                               "--decompose", "--format", "table")
+        assert code == 0
+        assert out.splitlines()[-5:] == [
+            "decomposition: 3 modules, verdict PASS",
+            "  endpoint 0 dim 3 levels [1, 1, 1] thin=True class 0",
+            "  endpoint 1 dim 2 levels [0, 1, 1] thin=True class 1",
+            "  endpoint 2 dim 1 levels [0, 0, 1] thin=True class 2",
+            "agreement: agree-pass"]
+        code, out, _ = run_cli(capsys, "check", "example", "--vertex", "2",
+                               "--decompose", "--format", "table")
+        assert "verdict NOT_APPLICABLE (trivial module not thin)" in out
+
+    def test_exit_3_on_mismatch(self, capsys, monkeypatch):
+        # K4 passes on both sides at every base; the numeric verdict is
+        # forced to FAIL at the second base only, so that instance disagrees
+        verdict = report_module.algebraic_verdict
+        calls = []
+
+        def forced(rep):
+            calls.append(rep)
+            if len(calls) == 2:
+                return AlgebraicVerdict(decompose_module.FAIL, "forced")
+            return verdict(rep)
+
+        monkeypatch.setattr(report_module, "algebraic_verdict", forced)
+        code, out, _ = run_cli(capsys, "check", "complete:4", "--all-vertices",
+                               "--decompose")
+        assert code == 3
+        assert [doc["agreement"] for doc in ndjson_lines(out)] == [
+            "agree-pass", "MISMATCH", "agree-pass", "agree-pass"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("text, argv, message", [
+        ("~~??????????\n", ["check", "{path}", "--all-vertices"],
+         "graph6 offset 1: 8-byte size header not supported"),
+        ("~?\n", ["check", "{path}", "--all-vertices"],
+         "graph6 offset 0: truncated extended size header"),
+        ("~?!?\n", ["check", "{path}", "--all-vertices"],
+         "graph6 offset 2: byte out of range"),
+        ("!\n", ["check", "{path}", "--all-vertices"],
+         "graph6 offset 0: size byte out of range"),
+        ("?\n", ["check", "{path}", "--all-vertices"],
+         "graph6 encodes an empty vertex set"),
+        (">>graph6<<\n", ["check", "{path}", "--all-vertices"],
+         "empty graph6 input"),
+        ("", ["check", "{path}", "--all-vertices"],
+         "expected a single graph6 record"),
+        ("\n", ["check", "{path}", "--all-vertices", "--input", "edgelist"],
+         "no edges found"),
+        ("Bw\n", ["scan", "{path}", "--generate", "3"],
+         "give either a corpus or --generate, not both"),
+        ("a b\nc d\n", ["oracle", "{path}", "a", "r", "b", "b"],
+         "oracle needs a connected graph"),
+        ("a b\nc d\n", ["partition", "{path}", "a", "b"],
+         "partition needs a connected graph"),
+        ("", ["check", "example", "--vertex", "1", "--tol", "abc"],
+         "--tol: expected a positive finite number, got 'abc'"),
+    ], ids=["graph6-8-byte-header", "graph6-truncated-header",
+            "graph6-bad-header-byte", "graph6-size-byte", "graph6-no-vertices",
+            "graph6-empty-record", "empty-file", "edgelist-no-edges",
+            "scan-corpus-and-generate", "oracle-disconnected",
+            "partition-disconnected", "tol-not-a-number"])
+    def test_exits_2_with_a_message(self, capsys, tmp_path, text, argv, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        try:
+            code = main([arg.format(path=path) for arg in argv])
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert out == ""
 
 
 class TestConstruct:

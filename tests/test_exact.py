@@ -11,11 +11,12 @@ import tkit
 from fraction_oracle import solve_linear_fraction
 from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
 from rooted import rooted_classes
-from tkit.exact import (SHAPE_FAMILIES, build_operators, enumerate_walks,
-                        raising_powers, shape_string, solve_linear, step,
-                        walk_column, walk_counts_from)
-from tkit.graphs import connected_graphs, local_metric, parse_edge_list
-from tkit.constructions import complete_graph, star_graph
+from tkit.exact import (GRAPH6_SHOWN, SHAPE_FAMILIES, build_operators,
+                        describe, enumerate_walks, raising_powers,
+                        shape_string, solve_linear, step, walk_column,
+                        walk_counts_from)
+from tkit.graphs import connected_graphs, local_metric, parse_edge_list, to_graph6
+from tkit.constructions import complete_graph, cycle_graph, star_graph
 from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
 
 
@@ -422,6 +423,15 @@ def test_walk_counts_grow_without_overflow():
     assert max(counts) > 2 ** 64
     # level 1 is a K8, so closed flat walks follow (7^k + 7 (-1)^k) / 8
     assert counts[1] == (7 ** 26 + 7) // 8
+
+
+def test_describe_cuts_graph6():
+    # the graph6 string of cycle:200 has 3 321 characters; the description
+    # shows its first 40, with n, m and the base
+    g = cycle_graph(200)
+    assert len(to_graph6(g)) == 3321 and GRAPH6_SHOWN == 40
+    assert describe(build_operators(g, 0)) == (
+        to_graph6(g)[:40] + "... (n=200, m=200) base 0")
 
 
 @pytest.mark.parametrize("module", ["exact", "regularity", "graphs"])

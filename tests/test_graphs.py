@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -359,6 +360,61 @@ class TestStructureReport:
             assert _structure(g, x) == oracle_structure_report(g, x, partitions_at(g, x))
             seen += 1
         assert seen == count
+
+
+    def test_mid_runs_contiguous_above_threshold(self):
+        # the lemma behind mid_runs_contiguous = True: the oracle's loop
+        # finds no gap in any neighbour's mid cells above its threshold;
+        # every 8th n = 6 graph, every base (n <= 5 is covered above)
+        seen = above = 0
+        for g in itertools.islice(connected_graphs(6), 0, None, 8):
+            for x in range(g.n):
+                rep = oracle_structure_report(g, x, partitions_at(g, x))
+                assert rep.mid_runs_contiguous
+                seen += 1
+                above += any(rec.threshold is not None
+                             and any(rec.mid_nonempty[rec.threshold + 1:])
+                             for rec in rep.per_neighbor)
+        assert (seen, above) == (20028, 7787)
+
+    @pytest.mark.parametrize("trees, count, at_root", [
+        pytest.param(lambda: (g for n in range(3, 7) for g in connected_graphs(n)
+                              if g.edge_count == n - 1), 78, 16, id="all-n-le-6"),
+        pytest.param(lambda: [_spherical_tree([5, 1, 1, 1, 3]),
+                              _spherical_tree([2, 2, 2, 2])], 2, 2, id="spherical")])
+    def test_thin_tree_thresholds_are_eccentricity(self, trees, count, at_root):
+        # the lemma behind dropping the scan's tree-threshold problem: at a
+        # base of degree >= 2 with a thin trivial module, every neighbour's
+        # threshold of a tree is the base's eccentricity; the spherically
+        # symmetric trees are thin at their roots only
+        checked = roots = 0
+        for g in trees():
+            for x in range(g.n):
+                ops = build_operators(g, x)
+                if g.degree(x) < 2 or not fit_pdr(ops).ok:
+                    continue
+                rep = structure_report(g, x, ops.cells)
+                assert rep.is_tree
+                assert [rec.threshold for rec in rep.per_neighbor] == [
+                    rep.ecc] * g.degree(x)
+                checked += 1
+                roots += x == 0
+        assert (checked, roots) == (count, at_root)
+
+
+def _spherical_tree(children):
+    """The rooted tree, root 0, whose level-i vertices each have
+    children[i] children."""
+    edges, level, n = [], [0], 1
+    for k in children:
+        nxt = []
+        for v in level:
+            for _ in range(k):
+                edges.append((v, n))
+                nxt.append(n)
+                n += 1
+        level = nxt
+    return make_graph(n, edges)
 
 
 def test_analyze_runs_one_bfs(monkeypatch):

@@ -97,16 +97,10 @@ class TestStructureProblems:
     @pytest.mark.parametrize("field,problem", [
         ("down_cells_all_nonempty", "empty downward cell"),
         ("up_blocks_mid", "nonempty upward cell coexists with a mid cell below it"),
-        ("thresholds_defined", "threshold pattern undefined for some neighbor"),
-        ("mid_runs_contiguous", "mid cells not contiguous above the threshold")])
+        ("thresholds_defined", "threshold pattern undefined for some neighbor")])
     def test_failed_predicate(self, field, problem):
         s = replace(_clean_structure(), **{field: False})
         assert _structure_problems(s) == ([problem], False)
-
-    def test_tree_threshold_below_eccentricity(self):
-        s = replace(_clean_structure(), is_tree=True)
-        assert _structure_problems(s) == (
-            ["tree threshold differs from eccentricity"], False)
 
     def test_level1_mid_cell_with_nonzero_threshold(self):
         s = _clean_structure()
