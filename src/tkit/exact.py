@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .graphs import CellPattern, Graph, LocalMetric, cell_pattern, local_metric, to_graph6
+from .graphs import CellPattern, Graph, LocalMetric, cell_pattern, local_metric
 
 SHAPE_FAMILIES = ("r", "rl", "lr", "rf")
 _STEP = {"r": 1, "f": 0, "l": -1}
@@ -147,7 +147,7 @@ def describe(ops: LocalOperators) -> str:
     """The graph and base an error or log line is about: the graph6 string,
     cut after GRAPH6_SHOWN characters, with n and m."""
     g = ops.graph
-    g6 = to_graph6(g)
+    g6 = g.graph6
     if len(g6) > GRAPH6_SHOWN:
         g6 = g6[:GRAPH6_SHOWN] + "..."
     return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -51,6 +52,16 @@ class Graph:
             return self.labels.index(label)
         except ValueError:
             raise GraphError(f"unknown vertex label {label!r}") from None
+
+    @cached_property
+    def graph6(self) -> str:
+        """to_graph6(self), encoded on first use and kept."""
+        return to_graph6(self)
+
+    def __getstate__(self) -> dict:
+        # the kept graph6 string is not part of the graph, so a graph
+        # pickles the same whether or not it was read
+        return {k: v for k, v in vars(self).items() if k != "graph6"}
 
     def is_connected(self) -> bool:
         if self.n == 0:

@@ -8,7 +8,8 @@ Two fits, both over exact rationals with zero tolerance:
   local operator algebra being thin.
 
 * fit_endpoint1 decides, per level, whether four scalars can reproduce the
-  mixed walk counts between the base's neighbors and the level. Success
+  mixed walk counts between the base's neighbors and the level, with the
+  counts of all neighbours packed into one integer per vertex. Success
   characterizes a unique thin irreducible module at endpoint one. The
   characterization also needs the flat scalar to vanish on a level where
   some upward partition cell is nonempty; the equations themselves fix it
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exact import LocalOperators, raising_powers, solve_linear, step
+from .exact import LinearSolution, LocalOperators, solve_linear
 
 
 class NotApplicable(Exception):
@@ -182,22 +183,63 @@ class Endpoint1Profile:
             for name in ("kappa", "mu", "theta", "rho"))
 
 
-def _endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]
-                       ) -> list[dict[int, tuple]]:
-    """Per level i = 1..ecc, for each neighbor y of the base, column y of the
-    four walk-count matrices of the endpoint-one equations, as vectors by
-    vertex read at the level-i vertices z: up_only = R^{i-1}, up_after_down
-    = R^i L, down_after_up = L R^i and flat_after_up = F R^{i-1}. Column y
-    of R^i L is R^i e_x, because L e_y = e_x: the geodesic counts
-    ops.metric.paths. R^{i-1} e_y and R^i e_y lie on levels i and i + 1,
-    and step() takes them to level i by F and L.
+def _lane(packed: int, k: int, width: int) -> int:
+    return packed >> width * k & ((1 << width) - 1)
+
+
+def _low_lane(packed: int, width: int) -> int:
+    """The lowest nonzero lane of a nonzero packed int; a negative one is
+    read in two's complement, whose lowest set bit is the same."""
+    return ((packed & -packed).bit_length() - 1) // width
+
+
+def _packed_solve(sphere: Sequence[int], up: Sequence[int], paths: Sequence[int],
+                  width: int, ones: int, *rhss: Sequence[int]
+                  ) -> tuple[LinearSolution, ...]:
+    """Solve one level's rows (up_only, up_after_down) = (lane k of up[z],
+    paths[z]), for every lane k and level vertex z, against each packed
+    right-hand side rhs (lane k of rhs[z]), checking all rows of a vertex
+    at once.
+
+    The first pivot is the first vertex's lowest nonzero up lane (every
+    level vertex has one: the up lanes of z sum to paths[z] > 0). The
+    second is the first row independent of it, found by comparing the
+    lanes of p0 * paths[z] * ones and p1 * up[z]; when none is, it is the
+    unit row (0, 1) with right-hand side 0, as in solve_linear. On a
+    consistent system the values do not depend on which rows pivot: in
+    rank 2 they are unique, and in rank 1 every row gives v0 = pb / p0
+    with v1 free. bad_row, in solve_linear's (neighbour, vertex) row
+    order, is some row that fails, not necessarily elimination's first.
     """
-    from_base = ops.metric.paths
-    at = {y: raising_powers(ops, y, ops.ecc) for y in nbrs}
-    return [{y: (up[i - 1], from_base,
-                 step(ops, up[i], i + 1, "l"), step(ops, up[i - 1], i, "f"))
-             for y, up in at.items()}
-            for i in range(1, ops.ecc + 1)]
+    z0 = sphere[0]
+    k0 = _low_lane(up[z0], width)
+    p0, p1 = _lane(up[z0], k0, width), paths[z0]
+    q = next(((z, _low_lane(diff, width)) for z in sphere
+              if (diff := p0 * paths[z] * ones ^ p1 * up[z])), None)
+    if q:
+        zq, kq = q
+        q0, q1 = _lane(up[zq], kq, width), paths[zq]
+    else:
+        q0, q1 = 0, 1
+    det = p0 * q1 - p1 * q0
+    pivots = (0, 1) if q else (0,)
+
+    def solve(rhs: Sequence[int]) -> LinearSolution:
+        pb = _lane(rhs[z0], k0, width)
+        qb = _lane(rhs[zq], kq, width) if q else 0
+        # Cramer's rule on the two pivot rows: v0 = n0 / det, v1 = n1 / det
+        n0, n1 = pb * q1 - p1 * qb, p0 * qb - q0 * pb
+        n1_ones = n1 * ones
+        for at_z, z in enumerate(sphere):
+            # lane k is det * rhs_k - n0 * up_k - n1 * paths[z]
+            diff = det * rhs[z] - n0 * up[z] - n1_ones * paths[z]
+            if diff:
+                bad_row = _low_lane(diff, width) * len(sphere) + at_z
+                return LinearSolution(False, (None, None), pivots, bad_row)
+        return LinearSolution(True, (Fraction(n0, det), Fraction(n1, det) if q else None),
+                              pivots, None)
+
+    return tuple(solve(rhs) for rhs in rhss)
 
 
 def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
@@ -219,6 +261,12 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     equation reads 0 = rho_i * R^i e_x[z], with a positive geodesic count,
     so rho_i is a pivot and equals 0.
 
+    The counts of all neighbours y are carried at once, as the lanes of
+    one packed int per vertex, so each level is one sweep over its
+    adjacency lists and every row of a vertex is checked by one integer
+    identity (_packed_solve). A failing level is solved again row by row
+    with solve_linear, whose first bad row is the witness.
+
     pdr is fit_pdr(ops). The fit applies only when the trivial module is
     thin (pdr.ok) and the base has at least two neighbors; otherwise it
     raises NotApplicable.
@@ -231,29 +279,66 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     if len(nbrs) < 2:
         raise NotApplicable(REASON_LEAF)
 
+    metric = ops.metric
+    dist, paths, adj = metric.dist, metric.paths, g.adj
+    # Lane k of a packed count, width bits wide, holds the count for the
+    # neighbour nbrs[k]; up[z] packs up_only = R^{i-1} e_y[z] for z on
+    # level i. Its lanes sum to R^{i-1} R e_x[z] = paths[z], so each is at
+    # most P = max(paths), and the lanes of down (L R^i e_y) and flat
+    # (F R^{i-1} e_y), sums of up over at most maxdeg neighbours, are at
+    # most M = maxdeg * P. A pivot determinant is at most P^2 and a Cramer
+    # numerator at most P * M in size, so every lane of a checked
+    # difference det * rhs - n0 * up - n1 * paths * ones is below 3 P^2 M
+    # < 2^width in size. No sum carries, and a packed difference is zero
+    # exactly when all its lanes are: below its lowest nonzero lane L it
+    # is zero, and modulo the next lane boundary it is L shifted, which is
+    # not zero since 0 < |L| < 2^width.
+    p_max = max(paths)
+    m_max = max(map(len, adj)) * p_max
+    width = (3 * p_max * p_max * m_max).bit_length()
+    ones = ((1 << width * len(nbrs)) - 1) // ((1 << width) - 1)
+    up = [0] * g.n
+    down = [0] * g.n
+    flat = [0] * g.n
+    for k, y in enumerate(nbrs):
+        up[y] = 1 << width * k
+
+    def sweep(j: int) -> None:
+        """One pass over level j's adjacency lists: raise its up counts to
+        level j + 1, lower them into down on level j - 1, and sum them
+        over each vertex's neighbours on level j into flat."""
+        for z in metric.sphere(j):
+            u, f = up[z], 0
+            for w in adj[z]:
+                d = dist[w]
+                if d == j:
+                    f += up[w]
+                elif d > j:
+                    up[w] += u
+                else:
+                    down[w] += u
+            flat[z] = f
+
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
-        sphere = ops.metric.sphere(i)
-        rows: list[tuple[int, int]] = []
-        rhs_mix: list[int] = []
-        rhs_flat: list[int] = []
-        for y in nbrs:
-            up_only, up_after_down, down_after_up, flat_after_up = columns[y]
-            for z in sphere:
-                rows.append((up_only[z], up_after_down[z]))
-                rhs_mix.append(down_after_up[z])
-                rhs_flat.append(flat_after_up[z])
-
-        sol_km = solve_linear(rows, rhs_mix)
-        sol_tr = solve_linear(rows, rhs_flat)
+    sweep(1)
+    for i in range(1, ops.ecc + 1):
+        sweep(i + 1)  # completes down on level i
+        sphere = metric.sphere(i)
+        sol_km, sol_tr = _packed_solve(sphere, up, paths, width, ones, down, flat)
+        if not (sol_km.consistent and sol_tr.consistent):
+            # the reports name elimination's first bad row, so a failing
+            # level is solved again row by row; row k is the equation of
+            # neighbour nbrs[k // |S_i|] and vertex sphere[k % |S_i|]
+            keys = [(k, z) for k in range(len(nbrs)) for z in sphere]
+            rows = [(_lane(up[z], k, width), paths[z]) for k, z in keys]
+            sol_km = solve_linear(rows, [_lane(down[z], k, width) for k, z in keys])
+            sol_tr = solve_linear(rows, [_lane(flat[z], k, width) for k, z in keys])
         # rho is determined exactly when it is a pivot, and values[1] then
         # holds it
         forced_zero = sol_tr.consistent and sol_tr.values[1] == 0
         consistent = sol_km.consistent and sol_tr.consistent
         if witness is None and not consistent:
-            # row k is the equation of neighbour nbrs[k // |S_i|] and
-            # vertex sphere[k % |S_i|]
             sol, equation = ((sol_km, "kappa-mu") if not sol_km.consistent
                              else (sol_tr, "theta-rho"))
             at_y, at_z = divmod(sol.bad_row, len(sphere))

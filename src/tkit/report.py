@@ -15,7 +15,7 @@ from typing import Any, Optional
 from .decompose import (FAIL, PASS, VACUOUS, AlgebraicVerdict,
                         DecompositionReport, algebraic_verdict, decompose)
 from .exact import LocalOperators, build_operators
-from .graphs import Graph, StructureReport, structure_report, to_graph6
+from .graphs import Graph, StructureReport, structure_report
 from .regularity import (REASON_NOT_THIN, Endpoint1Profile, NotApplicable,
                          PdrProfile, fit_endpoint1, fit_pdr)
 
@@ -217,7 +217,7 @@ def report_to_dict(r: AnalysisReport, include_bases: bool = False) -> dict[str, 
     g = r.graph
     return {
         "schema": SCHEMA_ID,
-        "graph": {"n": g.n, "m": g.edge_count, "graph6": to_graph6(g)},
+        "graph": {"n": g.n, "m": g.edge_count, "graph6": g.graph6},
         "base": {
             "label": g.labels[r.base],
             "index": r.base,

@@ -17,10 +17,11 @@ edge at the base, not from the package's cell sweep.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from endpoint1_oracle import endpoint1_columns
 from matrix_oracle import build_matrix_operators, matrix_raising_powers
 from structure_oracle import partitions_at
 from tkit.exact import LocalOperators, solve_linear
-from tkit.regularity import E1Witness, _endpoint1_columns
+from tkit.regularity import E1Witness
 
 
 def _single_unknown(rows: list[tuple[int, int]]) -> tuple[Optional[Fraction], bool]:
@@ -132,7 +133,7 @@ def verify_condition_values(
     if not (len(kappa) == len(mu) == len(theta) == len(rho) == d):
         raise ValueError("scalar sequences must have one entry per level 1..ecc")
     partitions = partitions_at(g, x)
-    for i, columns in enumerate(_endpoint1_columns(ops, nbrs), start=1):
+    for i, columns in enumerate(endpoint1_columns(ops, nbrs), start=1):
         k_i, m_i, t_i, r_i = kappa[i - 1], mu[i - 1], theta[i - 1], rho[i - 1]
         for y in nbrs:
             up_only, up_after_down, down_after_up, flat_after_up = columns[y]

@@ -57,18 +57,28 @@ MUTANTS = (
            "        want = dist[v] + abs(steps[k])\n",
            ("tests/test_exact.py",)),
     # unified vs clause-wise endpoint-one fit
+    # (the packed sweep's flat sums are all zero, so the flat system
+    # always holds)
     Mutant("unified-ignores-flat-system", "unified vs clause-wise", "regularity.py",
-           "        consistent = sol_km.consistent and sol_tr.consistent\n",
-           "        consistent = sol_km.consistent\n",
+           "                    f += up[w]\n", "                    f += 0\n",
            ("tests/test_regularity.py::TestClausewiseEquivalence",)),
     Mutant("unified-shifts-kappa", "unified vs clause-wise", "regularity.py",
-           "                rows.append((up_only[z], up_after_down[z]))\n",
-           "                rows.append((up_only[z], up_only[z] + up_after_down[z]))\n",
+           "(Fraction(n0, det), Fraction(n1, det) if q else None)",
+           "(Fraction(n0 + det, det), Fraction(n1, det) if q else None)",
            ("tests/test_regularity.py::TestClausewiseEquivalence",)),
+    # packed fit vs the stepped, row-by-row fit (tests/endpoint1_oracle.py)
+    Mutant("packed-width-from-paths-alone", "packed vs stepped", "regularity.py",
+           "    width = (3 * p_max * p_max * m_max).bit_length()\n",
+           "    width = p_max.bit_length() + 1\n",
+           ("tests/test_regularity.py::TestSteppedOracle",)),
+    # the witness is then the packed check's failing row, not elimination's
+    Mutant("packed-fallback-skipped", "packed vs stepped", "regularity.py",
+           "        if not (sol_km.consistent and sol_tr.consistent):\n",
+           "        if False:\n",
+           ("tests/test_golden.py",)),
     # exact fit vs numeric verdict, on the exhaustive n <= 6 scans
     Mutant("exact-ignores-flat-system", "exact vs numeric", "regularity.py",
-           "        consistent = sol_km.consistent and sol_tr.consistent\n",
-           "        consistent = sol_km.consistent\n",
+           "                    f += up[w]\n", "                    f += 0\n",
            (CROSS_VALIDATION,)),
     Mutant("verdict-allows-two-classes", "exact vs numeric", "decompose.py",
            "    if report.endpoint1_iso_classes > 1:\n",
@@ -106,6 +116,9 @@ MUTANTS = (
     Mutant("rho-forced-zero-unread", "endpoint-one report keys", "regularity.py",
            "        forced_zero = sol_tr.consistent and sol_tr.values[1] == 0\n",
            "        forced_zero = sol_tr.consistent\n",
+           ("tests/test_regularity.py::TestFitEndpoint1",)),
+    Mutant("packed-rank-one-pins-mu-rho", "endpoint-one report keys", "regularity.py",
+           "Fraction(n1, det) if q else None", "Fraction(n1, det)",
            ("tests/test_regularity.py::TestFitEndpoint1",)),
     Mutant("hom-trace-not-integral", "numeric iso classes", "decompose.py",
            "    return None if abs(trace - dim) > 0.25 else dim\n",

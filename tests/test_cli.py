@@ -662,3 +662,49 @@ class TestJobsResolution:
     def test_unknown_core_count(self, monkeypatch):
         monkeypatch.setattr(tkit.scan.os, "cpu_count", lambda: None)
         assert resolve_jobs(4) == 1
+
+
+class TestParserBuiltOnce:
+    # main builds its parser once per process; each call in a mixed run of
+    # subcommands and options must parse, print and exit as it does on a
+    # parser built for that call alone
+    CALLS = (
+        ("-v", "check", "example", "--decompose"),
+        ("check", "example"),
+        ("check", "petersen", "--vertex", "0", "-v"),
+        ("-v", "check", "example", "--vertex", "2", "-v", "--format", "table"),
+        ("check", "example", "--no-such-option"),
+        ("scan", "--generate", "4", "--jobs", "1"),
+        ("check", "path:4", "--all-vertices"),
+        ("partition", "example", "1", "2"),
+        ("check", "example", "--decompose", "--seed", "7"),
+        ("check", "example"),
+    )
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_successive_calls_match_fresh_ones(self, capsys):
+        tkit.cli._parser.cache_clear()
+        successive = [self._run(capsys, argv) for argv in self.CALLS]
+        assert tkit.cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.CALLS:
+            tkit.cli._parser.cache_clear()
+            fresh.append(self._run(capsys, argv))
+        assert successive == fresh
+        assert [code for code, _, _ in successive] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+
+    def test_successive_namespaces_match_fresh_ones(self):
+        parser = tkit.cli._parser()
+        for argv in self.CALLS:
+            if "--no-such-option" in argv:
+                continue
+            assert (vars(parser.parse_args(list(argv)))
+                    == vars(tkit.cli.build_parser().parse_args(list(argv))))

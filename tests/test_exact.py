@@ -8,6 +8,8 @@ import pytest
 
 import tkit
 
+import endpoint1_oracle
+from endpoint1_oracle import fit_endpoint1_stepped
 from fraction_oracle import solve_linear_fraction
 from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
 from rooted import rooted_classes
@@ -17,7 +19,7 @@ from tkit.exact import (GRAPH6_SHOWN, SHAPE_FAMILIES, build_operators,
                         walk_counts_from)
 from tkit.graphs import connected_graphs, local_metric, parse_edge_list, to_graph6
 from tkit.constructions import complete_graph, cycle_graph, star_graph
-from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
+from tkit.regularity import NotApplicable, fit_pdr
 
 
 class TestIntMatrix:
@@ -204,17 +206,19 @@ class TestSolveLinearOracle:
 
     @staticmethod
     def _check_endpoint1_systems(monkeypatch, instances):
+        # the systems of the stepped endpoint-one fit, which solves every
+        # level row by row
         systems = []
 
         def solve(rows, rhs):
             systems.append(len(rows))
             return _assert_matches_oracle(rows, rhs)
 
-        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+        monkeypatch.setattr(endpoint1_oracle, "solve_linear", solve)
         for g, x in instances:
             ops = build_operators(g, x)
             try:
-                fit_endpoint1(ops, fit_pdr(ops))
+                fit_endpoint1_stepped(ops, fit_pdr(ops))
             except NotApplicable:
                 pass
         return systems

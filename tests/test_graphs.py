@@ -1,9 +1,11 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import endpoint1_oracle
 from clausewise import verify_condition_values
 from corpus_oracle import oracle_connected_graph6
 from rooted import permutation_key
@@ -14,12 +16,11 @@ from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, cell_pattern
                          rooted_key, structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
-import tkit.regularity
 from tkit.constructions import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, star_graph)
 from tkit.exact import build_operators, walk_counts_from
 from tkit.regularity import fit_pdr
-from tkit.report import analyze, analyze_fitted
+from tkit.report import analyze, analyze_fitted, report_to_dict
 
 EXAMPLE_EDGES = "1 2\n1 3\n2 3\n2 4\n2 5\n3 5\n3 6"
 
@@ -438,9 +439,10 @@ def test_analyze_runs_one_bfs(monkeypatch):
 
 
 def _record_steps(monkeypatch):
-    """Patch step to log (input vector, level, letter) for every step. Every
-    walk count from a neighbour of the base goes through tkit.exact: the
-    endpoint-one fit's flat and lowering steps, and raising_powers."""
+    """Patch step to log (input vector, level, letter) for every step, in
+    the package and in the stepped endpoint-one oracle, which raises each
+    neighbour of the base with raising_powers and lowers and flattens its
+    vectors with step."""
     log = []
     original = tkit.exact.step
 
@@ -448,7 +450,7 @@ def _record_steps(monkeypatch):
         log.append((counts, level, letter))
         return original(ops, counts, level, letter)
 
-    for module in (tkit.exact, tkit.regularity):
+    for module in (tkit.exact, endpoint1_oracle):
         monkeypatch.setattr(module, "step", counting)
     return log
 
@@ -457,31 +459,20 @@ def _raise_levels(log):
     return [level for _, level, letter in log if letter == "r"]
 
 
-def test_analyze_raises_each_closed_neighbor_once(monkeypatch):
-    # the base is never raised: its raising vectors are the BFS's geodesic
-    # counts; each neighbour is raised once, by raising_powers
-    calls = []
-    original_powers = tkit.exact.raising_powers
-
-    def counting_powers(ops, v, max_m):
-        calls.append(v)
-        return original_powers(ops, v, max_m)
-
-    for module in (tkit.exact, tkit.regularity):
-        monkeypatch.setattr(module, "raising_powers", counting_powers)
+def test_analyze_takes_no_step(monkeypatch):
+    # the base's raising vectors are the BFS's geodesic counts, and the
+    # endpoint-one fit raises every neighbour at once, as the lanes of one
+    # packed count per vertex
     steps = _record_steps(monkeypatch)
     analyze(petersen_graph(), 0, with_decomposition=True)
-    assert sorted(calls) == [1, 4, 5]
-    # each neighbour from levels 1 and 2
-    assert sorted(_raise_levels(steps)) == [1, 1, 1, 2, 2, 2]
+    assert steps == []
 
 
 def test_instance_data_built_once(monkeypatch):
     # the report's instance runs one BFS and one cell sweep; a verification
     # after it reads the geodesic counts of that BFS from the same ops, and
     # takes its cells from a BFS at each end of every edge, its own route
-    searched, swept, raised = [], [], []
-    original = tkit.exact.raising_powers
+    searched, swept = [], []
 
     def counting_metric(g, x):
         searched.append(x)
@@ -491,25 +482,19 @@ def test_instance_data_built_once(monkeypatch):
         swept.append(metric.base)
         return cell_pattern(g, metric)
 
-    def counting_powers(ops, v, max_m):
-        raised.append(v)
-        return original(ops, v, max_m)
-
     for module in (tkit.graphs, tkit.exact):
         monkeypatch.setattr(module, "local_metric", counting_metric)
     monkeypatch.setattr(tkit.exact, "cell_pattern", counting_sweep)
-    for module in (tkit.exact, tkit.regularity):
-        monkeypatch.setattr(module, "raising_powers", counting_powers)
     steps = _record_steps(monkeypatch)
     ops = build_operators(petersen_graph(), 0)
     rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
     assert searched == [0] and swept == [0]
+    assert steps == []
     assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
     assert swept == [0]
-    assert 0 not in raised
-    # a thin instance: the report and the verification each raise the
-    # three neighbours, and no step reads the base's geodesic counts
-    assert sorted(_raise_levels(steps)) == [1] * 6 + [2] * 6
+    # the verification steps the three neighbours from levels 1 and 2 by
+    # the oracle's route, and no step reads the base's geodesic counts
+    assert sorted(_raise_levels(steps)) == [1] * 3 + [2] * 3
     assert not any(counts is ops.metric.paths for counts, _, _ in steps)
 
     # path:6 from vertex 1 fails at level 1 of 4, and reading alpha
@@ -529,6 +514,29 @@ def test_ratio_fit_takes_no_step(monkeypatch, g, x):
     pdr = fit_pdr(build_operators(g, x))
     assert pdr.alpha and pdr.beta
     assert steps == []
+
+
+def test_graph6_encoded_once(monkeypatch):
+    # Graph.graph6 is to_graph6 on first read and kept: the reports of all
+    # bases of one graph encode it once, and equality, hashing and pickles
+    # do not see the kept string
+    encoded = []
+    original = tkit.graphs.to_graph6
+
+    def counting(g):
+        encoded.append(g)
+        return original(g)
+
+    monkeypatch.setattr(tkit.graphs, "to_graph6", counting)
+    g, fresh = petersen_graph(), petersen_graph()
+    before = pickle.dumps(g)
+    docs = [report_to_dict(analyze(g, x)) for x in range(g.n)]
+    assert len(encoded) == 1
+    assert {doc["graph"]["graph6"] for doc in docs} == {original(g)} == {g.graph6}
+    assert g == fresh and hash(g) == hash(fresh)
+    assert pickle.dumps(g) == before == pickle.dumps(fresh)
+    restored = pickle.loads(before)
+    assert restored == g and "graph6" not in vars(restored)
 
 
 class TestConnectedGraphs:

@@ -6,12 +6,14 @@ import pytest
 
 import golden
 from clausewise import fit_clausewise, verify_condition_values
+from endpoint1_oracle import fit_endpoint1_stepped
 from numeric_oracle import no_endpoint1_modules, trivial_module_basis
 from pdr_oracle import fit_pdr_full
 from rooted import rooted_classes
 from structure_oracle import partitions_at
 from tkit.cli import load_graph
-from tkit.constructions import (cycle_graph, example_graph, path_graph,
+from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
+                                empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3)
 import tkit.regularity
 from tkit.exact import (build_operators, enumerate_walks, shape_string,
@@ -48,6 +50,60 @@ def _golden_graphs():
 
 def fr(*vals):
     return tuple(F(v) for v in vals)
+
+
+def _count_solves(monkeypatch):
+    """Log the row count of every solve_linear call of fit_endpoint1."""
+    calls = []
+
+    def solve(rows, rhs):
+        calls.append(len(rows))
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
+    return calls
+
+
+def _hypercube(d):
+    return make_graph(1 << d, [(u, u | 1 << b) for u in range(1 << d)
+                               for b in range(d) if not u >> b & 1])
+
+
+def _small_instances():
+    """Every base of every connected graph with n <= 5 and of every 8th
+    one with n = 6."""
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            yield from ((g, x) for x in range(n))
+    for g in itertools.islice(connected_graphs(6), 0, None, 8):
+        yield from ((g, x) for x in range(6))
+
+
+def _gnp_instances():
+    """Every base of 60 seeded connected G(n, p) for each n = 7..14; the
+    dense ones hold most of the thin bases."""
+    rng = random.Random(2211)
+    for n in range(7, 15):
+        made = 0
+        while made < 60:
+            p = rng.uniform(0.5, 0.98)
+            g = make_graph(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < p])
+            if g.is_connected():
+                made += 1
+                yield from ((g, x) for x in range(n))
+
+
+def _apex_instances():
+    """The apex of the extension of each thin rooted class with n <= 5 by
+    the fibres C4, C5, K3 and 3K1."""
+    for n in range(2, 6):
+        for g, x in rooted_classes(n):
+            if fit_pdr(build_operators(g, x)).ok:
+                for fibre in (cycle_graph(4), cycle_graph(5), complete_graph(3),
+                              empty_graph(3)):
+                    ax = apex_extension(g, x, fibre)
+                    yield ax.graph, ax.apex
 
 
 class TestFitPdr:
@@ -264,16 +320,12 @@ class TestFitEndpoint1:
                         checked += pinned
         assert checked > 100
 
-    def test_two_solves_per_level(self, monkeypatch):
-        # the named graphs of the golden reports, every base
-        calls = []
-
-        def solve(rows, rhs):
-            calls.append(len(rows))
-            return solve_linear(rows, rhs)
-
-        monkeypatch.setattr(tkit.regularity, "solve_linear", solve)
-        fitted = 0
+    def test_two_solves_per_failing_level(self, monkeypatch):
+        # a level whose packed check passes takes no solve_linear call; a
+        # failing one is solved again row by row, for elimination's
+        # witness; the named graphs of the golden reports, every base
+        calls = _count_solves(monkeypatch)
+        fitted = failing = 0
         for g in _golden_graphs():
             for x in range(g.n):
                 calls.clear()
@@ -282,9 +334,11 @@ class TestFitEndpoint1:
                     prof = fit_endpoint1(ops, fit_pdr(ops))
                 except NotApplicable:
                     continue
-                assert len(calls) == 2 * len(prof.levels)
+                assert len(calls) == 2 * sum(not lv.consistent for lv in prof.levels)
                 fitted += 1
+                failing += not prof.ok
         assert fitted == 41  # one per line of the golden witness table
+        assert failing
 
     def test_mu_unique_when_side_cell_exists(self):
         # whenever some vertex of the level sits outside every downward
@@ -308,6 +362,36 @@ class TestFitEndpoint1:
                         for y in g.neighbors(x))
                     if side_exists:
                         assert lv.mu is not None
+
+
+class TestSteppedOracle:
+    """fit_endpoint1 against the fit that steps each neighbour and solves
+    every row (tests/endpoint1_oracle.py): the levels with their four
+    scalars and rho_forced_zero, and the witness. solve_linear runs twice
+    on each failing level and never on another."""
+
+    @pytest.mark.parametrize("instances, least_failing", [
+        pytest.param(_small_instances, 30, id="n-le-5-and-every-8th-n6"),
+        # a thin base of a random graph almost always fits
+        pytest.param(_gnp_instances, 0, id="gnp-7-to-14"),
+        pytest.param(_apex_instances, 30, id="apex-c4-c5-k3-3k1"),
+        pytest.param(lambda: [(_hypercube(8), 0), (complete_graph(200), 0)], 0,
+                     id="q8-and-k200")])
+    def test_equals_stepped_fit(self, monkeypatch, instances, least_failing):
+        calls = _count_solves(monkeypatch)
+        fitted = failing = 0
+        for g, x in instances():
+            ops = build_operators(g, x)
+            pdr = fit_pdr(ops)
+            if not pdr.ok or g.degree(x) < 2:
+                continue
+            calls.clear()
+            prof = fit_endpoint1(ops, pdr)
+            assert prof == fit_endpoint1_stepped(ops, pdr)
+            assert len(calls) == 2 * sum(not lv.consistent for lv in prof.levels)
+            fitted += 1
+            failing += not prof.ok
+        assert fitted > failing >= least_failing
 
 
 class TestVerifyConditionValues:

@@ -29,8 +29,9 @@ def test_every_traced_name_resolves(tracing):
 def test_instance_data_is_traced(tracing, tmp_path):
     # build_operators runs the one BFS, from the base; ops.cells is one
     # sweep over its levels, with no BFS per neighbour; the base's raising
-    # vectors are that BFS's geodesic counts, so raising_powers runs once
-    # per neighbour
+    # vectors are that BFS's geodesic counts, and the endpoint-one fit
+    # raises the neighbours as packed lanes, so raising_powers never runs;
+    # every level of the Petersen graph fits, so solve_linear never runs
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     try:
@@ -41,5 +42,6 @@ def test_instance_data_is_traced(tracing, tmp_path):
              for name, entry in tracing.self_times(tracer.take()).items()}
     assert calls["graphs.local_metric"] == 1
     assert "graphs.distance_partition" not in calls
-    assert calls["exact.raising_powers"] == 3
+    assert "exact.raising_powers" not in calls
+    assert "exact.solve_linear" not in calls
     assert calls["regularity.fit_endpoint1"] == 1
