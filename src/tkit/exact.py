@@ -2,15 +2,16 @@
 
 Everything here is exact, with no tolerances. Walk counts are vectors
 indexed by vertex. The base's R^i e_x are the BFS's geodesic counts
-(LocalMetric.paths); every other count vector the fits read starts at a
-neighbour of the base and lies on one distance level, because a raising,
-flat or lowering step takes a level's support to a single level, so
-step() is the one kernel for them: it pushes the counts of one level
-along the adjacency lists. Counts grow exponentially with walk length, so
-entries are arbitrary precision by construction (plain Python ints). The
-linear systems have two unknowns and are solved in integers as well, by
-substitution into the two pivot rows; Fractions appear only in the solved
-values.
+(LocalMetric.paths), and the endpoint-one fit raises the base's
+neighbours itself, all at once as packed lanes. A raising, flat or
+lowering step takes a level's support to a single level, so step() is
+the one kernel for walk counts on a level: it pushes the counts of one
+level along the adjacency lists, and walk_column and raising_powers,
+built on it, serve the oracle subcommand and the tests. Counts grow
+exponentially with walk length, so entries are arbitrary precision by
+construction (plain Python ints). The linear systems have two unknowns
+and are solved in integers as well, by substitution into the two pivot
+rows; Fractions appear only in the solved values.
 """
 from __future__ import annotations
 

@@ -184,6 +184,7 @@ class Endpoint1Profile:
 
 
 def _lane(packed: int, k: int, width: int) -> int:
+    """Lane k, width bits wide, of a nonnegative packed int."""
     return packed >> width * k & ((1 << width) - 1)
 
 
