@@ -120,11 +120,10 @@ def _parse_graph6_text(text: str) -> Graph:
 
 
 def _resolve_base(g: Graph, args, default: Optional[int]) -> list[int]:
-    if getattr(args, "all_vertices", False):
+    if args.all_vertices:
         return list(range(g.n))
-    label = getattr(args, "vertex", None)
-    if label is not None:
-        return [g.index_of(label)]
+    if args.vertex is not None:
+        return [g.index_of(args.vertex)]
     if default is not None:
         return [default]
     raise GraphError("no base vertex: pass --vertex LABEL or --all-vertices")
@@ -371,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(example, petersen, rook3x3, cycle:N, "
                                   "path:N, complete:N, star:N; "
                                   f"N <= {BUILTIN_MAX_N})")
-    p.add_argument("--vertex", help="base vertex label")
-    p.add_argument("--all-vertices", action="store_true")
+    bases = p.add_mutually_exclusive_group()
+    bases.add_argument("--vertex", help="base vertex label")
+    bases.add_argument("--all-vertices", action="store_true")
     p.add_argument("--decompose", action="store_true",
                    help="also run the numeric module decomposition")
     p.add_argument("--include-bases", action="store_true",

@@ -5,10 +5,11 @@ The algebra is generated by the adjacency matrix and the level projectors
 of a base vertex. The standard module is irreducible exactly when it
 equals the primary module T e_x, the closure of the base indicator under
 the generators. That closure is computed exactly, modulo a prime, one
-level at a time (_primary_dimension), so the decision reads no tolerance.
-Only a reducible space is split, with one solve: its commutant End_T(V),
-a Kronecker system with n^2 unknowns, which spans every intertwiner. One
-random symmetric element of it is eigen-split, and every eigenspace U
+level at a time (_primary_dimension), and reads no tolerance. Short of n,
+one solve gives the commutant End_T(V), a Kronecker system with n^2
+unknowns, which spans every intertwiner; V is still irreducible when it
+is the scalars (a closure that under-counted). One random symmetric
+element of it is eigen-split, and every eigenspace U
 passes one rule: dim End_T(U) = dim Hom_T(U, U), read off End_T(V) as a
 trace that is an integer (_hom_dimension), is 1, or is larger with no
 symmetric element beyond scalars (an irreducible of non-real type);
@@ -39,15 +40,16 @@ from .graphs import Graph
 
 log = logging.getLogger(__name__)
 
-# Largest dense array decompose may build, in bytes: the Kronecker stack
-# of a reducible space's one commutant solve, 8 (ecc + 2) n^4 bytes. The
-# limit bounds the stack, not the peak: np.linalg.qr copies the stack and
-# the SVD adds its workspace, and the peak RSS measured 3.2 to 4 times the
-# stack (check star:40 --vertex 0 --decompose: 257 MiB for a 65 MiB stack;
-# star:60: 1 001 MiB for 317 MiB), so a stack at the limit may peak near
-# 4 GiB. The level projectors are formed only as the n x n diagonal
-# generators of that stack, so other arrays are n x n or, like the
-# commutant basis, no larger than one n^2 x n^2 block of the stack.
+# Largest dense array decompose may build, in bytes: an n x n array, 8 n^2
+# bytes, checked before any is built, and the Kronecker stack of the one
+# commutant solve, 8 (ecc + 2) n^4 bytes. The limit bounds the stack, not
+# the peak: np.linalg.qr copies the stack and the SVD adds its workspace,
+# and the peak RSS measured 3.2 to 4 times the stack (check star:40
+# --vertex 0 --decompose: 257 MiB for a 65 MiB stack; star:60: 1 001 MiB
+# for 317 MiB), so a stack at the limit may peak near 4 GiB. The level
+# projectors are formed only as the n x n diagonal generators of that
+# stack, so other arrays are n x n or, like the commutant basis, no larger
+# than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts, each with its own random draw, before decompose gives up
@@ -225,14 +227,11 @@ def _irreducible(k: int, end_dim: Optional[int], endomorphisms: np.ndarray,
 
 def _split(comm: np.ndarray, rng: np.random.Generator, tol: float,
            notes: list[str]) -> list[np.ndarray]:
-    """Split the vertex space into irreducible invariant subspaces, given
-    as orthonormal row bases, by the eigenspaces of a random symmetric
-    element of its commutant End_T(V), stacked as commutant_basis returns
-    it."""
+    """Split a reducible vertex space into irreducible invariant subspaces,
+    given as orthonormal row bases, by the eigenspaces of a random
+    symmetric element of its commutant End_T(V), stacked as
+    commutant_basis returns it."""
     n = comm.shape[1]
-    if _irreducible(n, len(comm), comm, notes):
-        return [np.eye(n)]
-
     for _ in range(6):
         coeffs = rng.standard_normal(len(comm))
         sym = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
@@ -309,6 +308,13 @@ def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> i
     return len(frontier)
 
 
+def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
+    if nbytes > MAX_DENSE_BYTES:
+        raise DecompositionError(
+            f"{describe(ops)}: {what} needs {nbytes} bytes, above the limit "
+            f"of {MAX_DENSE_BYTES}")
+
+
 def decompose(ops: LocalOperators, seed: int = 42,
               tol: float = 1e-9) -> DecompositionReport:
     """Split the vertex space into verified irreducible invariant
@@ -316,6 +322,7 @@ def decompose(ops: LocalOperators, seed: int = 42,
     isomorphism classes.
     """
     n = ops.graph.n
+    _check_size(ops, f"a dense {n} x {n} array", 8 * n * n)
     residual_bound = 1e3 * tol
     worst: list[float] = []
     adjacency = adjacency_matrix(ops.graph)
@@ -326,11 +333,7 @@ def decompose(ops: LocalOperators, seed: int = 42,
     irreducible = _primary_dimension(adjacency, levels) == n
     comm, rank_flag = None, False
     if not irreducible:
-        nbytes = 8 * (ops.ecc + 2) * n ** 4
-        if nbytes > MAX_DENSE_BYTES:
-            raise DecompositionError(
-                f"{describe(ops)}: the Kronecker commutant stack needs {nbytes} "
-                f"bytes, above the limit of {MAX_DENSE_BYTES}")
+        _check_size(ops, "the Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
         # the one solve: no attempt and no piece solves again
         comm, rank_flag = commutant_basis(
             [adjacency] + [np.diag(level.astype(float)) for level in levels], tol)
@@ -340,6 +343,11 @@ def decompose(ops: LocalOperators, seed: int = 42,
             reason = f"empty commutant of a dim-{n} subspace at tol {tol:g}"
             log.info("%s: %s", describe(ops), reason)
             raise DecompositionError(f"{describe(ops)}: {reason}")
+        # the closure can only under-count. An irreducible V is T e_x, and
+        # phi in End_T(V) commutes with E*_0, so phi e_x = c e_x and phi =
+        # c I on T e_x = V; a reducible V has the orthogonal projector onto
+        # a submodule (T is closed under transpose), so dim End_T(V) >= 2
+        irreducible = len(comm) == 1
     sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
     scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
@@ -364,22 +372,20 @@ def decompose(ops: LocalOperators, seed: int = 42,
             worst.append(float("nan"))
             continue
         e1 = [m for m in modules if m.endpoint == 1]
-        report = DecompositionReport(
+        return DecompositionReport(
             modules=tuple(modules),
             trivial_index=endpoint0[0],
             trivial_thin=modules[endpoint0[0]].thin,
             endpoint1_count=len(e1),
             endpoint1_iso_classes=len({m.iso_class for m in e1}),
             endpoint1_all_thin=all(m.thin for m in e1),
-            total_dim=sum(m.dim for m in modules),
+            # the bases are np.eye(n) or an n x n matrix's eigengroups
+            total_dim=n,
             seed=seed,
             tol=tol,
             rank_flag=rank_flag,
             notes=tuple(notes),
         )
-        if report.total_dim != n:
-            continue
-        return report
 
     raise DecompositionError(
         f"{describe(ops)}: no verified decomposition after {MAX_ATTEMPTS} "

@@ -105,8 +105,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated vertex pairs, one edge per line.
 
     `#` starts a comment. Vertices are named by their tokens; the vertex set
-    is the union of mentioned tokens, ordered numerically when every token is
-    a decimal integer and lexicographically otherwise.
+    is the union of mentioned tokens, ordered numerically (ties such as `01`
+    and `1` by the token) when every token is a decimal integer and
+    lexicographically otherwise.
     """
     pairs: list[tuple[str, str]] = []
     tokens: set[str] = set()
@@ -125,7 +126,7 @@ def parse_edge_list(text: str) -> Graph:
     if not tokens:
         raise GraphError("no edges found")
     if all(_is_int(t) for t in tokens):
-        ordered = sorted(tokens, key=int)
+        ordered = sorted(tokens, key=lambda t: (int(t), t))
     else:
         ordered = sorted(tokens)
     index = {t: i for i, t in enumerate(ordered)}

@@ -209,8 +209,8 @@ def _packed_solve(sphere: Sequence[int], up: Sequence[int], paths: Sequence[int]
     unit row (0, 1) with right-hand side 0, as in solve_linear. On a
     consistent system the values do not depend on which rows pivot: in
     rank 2 they are unique, and in rank 1 every row gives v0 = pb / p0
-    with v1 free. bad_row, in solve_linear's (neighbour, vertex) row
-    order, is some row that fails, not necessarily elimination's first.
+    with v1 free. An inconsistent system has no bad_row: the caller
+    solves it again row by row for elimination's first.
     """
     z0 = sphere[0]
     k0 = _low_lane(up[z0], width)
@@ -231,12 +231,10 @@ def _packed_solve(sphere: Sequence[int], up: Sequence[int], paths: Sequence[int]
         # Cramer's rule on the two pivot rows: v0 = n0 / det, v1 = n1 / det
         n0, n1 = pb * q1 - p1 * qb, p0 * qb - q0 * pb
         n1_ones = n1 * ones
-        for at_z, z in enumerate(sphere):
+        for z in sphere:
             # lane k is det * rhs_k - n0 * up_k - n1 * paths[z]
-            diff = det * rhs[z] - n0 * up[z] - n1_ones * paths[z]
-            if diff:
-                bad_row = _low_lane(diff, width) * len(sphere) + at_z
-                return LinearSolution(False, (None, None), pivots, bad_row)
+            if det * rhs[z] - n0 * up[z] - n1_ones * paths[z]:
+                return LinearSolution(False, (None, None), pivots, None)
         return LinearSolution(True, (Fraction(n0, det), Fraction(n1, det) if q else None),
                               pivots, None)
 

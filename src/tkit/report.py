@@ -94,7 +94,8 @@ def _agreement(ops: LocalOperators, pdr: PdrProfile,
         if verdict is not None and verdict.status != VACUOUS:
             return MISMATCH, "leaf base must have no endpoint-one modules"
         return AGREE_VACUOUS, None
-    if decomposition is None or verdict is None or endpoint1 is None:
+    # fit_endpoint1 raises only in the cases above; verdict comes with decomposition
+    if decomposition is None:
         return AGREE_NA, "decomposition not run"
     if not decomposition.trivial_thin:
         return MISMATCH, "exact fit and decomposition disagree on thinness"

@@ -71,7 +71,7 @@ MUTANTS = (
            "    width = (3 * p_max * p_max * m_max).bit_length()\n",
            "    width = p_max.bit_length() + 1\n",
            ("tests/test_regularity.py::TestSteppedOracle",)),
-    # the witness is then the packed check's failing row, not elimination's
+    # the packed check names no failing row, so the witness has none
     Mutant("packed-fallback-skipped", "packed vs stepped", "regularity.py",
            "        if not (sol_km.consistent and sol_tr.consistent):\n",
            "        if False:\n",
@@ -120,6 +120,23 @@ MUTANTS = (
     Mutant("packed-rank-one-pins-mu-rho", "endpoint-one report keys", "regularity.py",
            "Fraction(n1, det) if q else None", "Fraction(n1, det)",
            ("tests/test_regularity.py::TestFitEndpoint1",)),
+    # a closure that under-counts modulo the prime is overruled by the
+    # commutant; without that, V is split and no draw splits the scalars
+    Mutant("undercount-not-overruled", "irreducibility decision", "decompose.py",
+           "        irreducible = len(comm) == 1\n",
+           "        irreducible = len(comm) == 0\n",
+           ("tests/test_decompose.py::TestScalarCommutant",)),
+    Mutant("dense-square-unchecked", "resource limits", "decompose.py",
+           'f"a dense {n} x {n} array", 8 * n * n)', 'f"a dense {n} x {n} array", 0)',
+           ("tests/test_cli.py::TestCheck::test_dense_array_above_limit_exits_2",)),
+    Mutant("edge-list-ties-by-hash", "edge-list vertex order", "graphs.py",
+           "key=lambda t: (int(t), t)", "key=int",
+           ("tests/test_graphs.py::TestParseEdgeList",)),
+    # apex_extension no longer checks its distances at build time
+    Mutant("apex-joins-one-vertex", "apex distances", "constructions.py",
+           "        edges.append((x * s.n + si, apex))\n",
+           "        edges.append((x * s.n, apex))\n",
+           ("tests/test_constructions.py::TestApexExtension",)),
     Mutant("hom-trace-not-integral", "numeric iso classes", "decompose.py",
            "    return None if abs(trace - dim) > 0.25 else dim\n",
            "    return dim\n",

@@ -231,23 +231,30 @@ class TestCheck:
         assert err.startswith("error: IheA@GUAo (n=10, m=15) base 3: no verified "
                               "decomposition")
 
-    @pytest.mark.parametrize("guarded,what,nbytes,limit", [
-        pytest.param("commutant_basis", "Kronecker commutant stack", 41472, 41471,
-                     id="commutant_basis-Kronecker commutant stack-41472")])
-    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, guarded,
-                                             what, nbytes, limit):
+    @pytest.mark.parametrize("source,base,guarded,what,nbytes", [
         # the example at base 1 has levels of sizes 1, 2, 3 and a reducible
         # space, whose commutant solve would stack four 36 x 36 blocks
+        pytest.param("example", "1", "commutant_basis",
+                     "the Kronecker commutant stack", 41472,
+                     id="commutant_basis-Kronecker commutant stack-41472"),
+        # path:20 at an end vertex is irreducible, so its largest arrays are
+        # 20 x 20; their size is checked before anything is built
+        pytest.param("path:20", "0", "adjacency_matrix", "a dense 20 x 20 array",
+                     3200, id="adjacency_matrix-dense 20 x 20 array-3200")])
+    def test_dense_array_above_limit_exits_2(self, capsys, monkeypatch, source,
+                                             base, guarded, what, nbytes):
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{guarded} ran above the limit")
 
-        monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", limit)
+        g, _ = tkit.cli.load_graph(source)
+        ops = build_operators(g, g.index_of(base))
+        monkeypatch.setattr(decompose_module, "MAX_DENSE_BYTES", nbytes - 1)
         monkeypatch.setattr(decompose_module, guarded, unreachable)
-        code, out, err = run_cli(capsys, "check", "example", "--vertex", "1",
+        code, out, err = run_cli(capsys, "check", source, "--vertex", base,
                                  "--decompose")
         assert code == 2 and out == ""
-        assert err == (f"error: EyW_ (n=6, m=7) base 1: the {what} needs {nbytes} "
-                       f"bytes, above the limit of {limit}\n")
+        assert err == (f"error: {describe(ops)}: {what} needs {nbytes} bytes, "
+                       f"above the limit of {nbytes - 1}\n")
 
     @pytest.mark.parametrize("argv", [
         ["check", "example", "--vertex", "1", "--decompose"],
@@ -372,11 +379,14 @@ class TestBadInput:
          "partition needs a connected graph"),
         ("", ["check", "example", "--vertex", "1", "--tol", "abc"],
          "--tol: expected a positive finite number, got 'abc'"),
+        ("", ["check", "example", "--vertex", "1", "--all-vertices"],
+         "argument --all-vertices: not allowed with argument --vertex"),
     ], ids=["graph6-8-byte-header", "graph6-truncated-header",
             "graph6-bad-header-byte", "graph6-size-byte", "graph6-no-vertices",
             "graph6-empty-record", "empty-file", "edgelist-no-edges",
             "scan-corpus-and-generate", "oracle-disconnected",
-            "partition-disconnected", "tol-not-a-number"])
+            "partition-disconnected", "tol-not-a-number",
+            "check-vertex-and-all-vertices"])
     def test_exits_2_with_a_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "input.txt"
         path.write_text(text)

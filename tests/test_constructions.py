@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rooted import rooted_classes
 from tkit.constructions import (ApexResult, apex_extension, cartesian_product,
                                 complete_graph, cycle_graph, empty_graph,
                                 example_graph, is_distance_regular_around,
@@ -110,12 +111,24 @@ class TestApexExtension:
         assert ax2.graph.edge_count == ax.graph.edge_count + 6
 
     def test_distance_invariant(self):
-        g, x = example_graph()
-        ax = apex_extension(g, x, complete_graph(3))
-        base = local_metric(g, x)
-        apexm = local_metric(ax.graph, ax.apex)
-        for v, (gi, si) in ax.origin.items():
-            assert apexm.dist[v] == base.dist[gi] + 1
+        # d(w, (g', s')) = 1 + d(x, g') and ecc(w) = ecc(x) + 1, proved in
+        # apex_extension's docstring, on every rooted class with n <= 4
+        # and five fibres, on the example with K3 and on Petersen with K2;
+        # "w" labels the apex only
+        fibres = [empty_graph(2), complete_graph(2), empty_graph(3),
+                  complete_graph(3), cycle_graph(4)]
+        cases = [(g, x, s) for n in range(1, 5) for g, x in rooted_classes(n)
+                 for s in fibres] + [(*example_graph(), complete_graph(3)),
+                                     (petersen_graph(), 0, complete_graph(2))]
+        for g, x, s in cases:
+            ax = apex_extension(g, x, s)
+            base = local_metric(g, x)
+            apexm = local_metric(ax.graph, ax.apex)
+            assert [apexm.dist[v] for v in ax.origin] == [
+                base.dist[gi] + 1 for gi, _ in ax.origin.values()]
+            assert apexm.ecc == base.ecc + 1
+            assert ax.graph.labels.index("w") == ax.apex
+        assert len(cases) == (1 + 1 + 3 + 11) * 5 + 2
 
     def test_sphere_structure(self):
         g, x = example_graph()

@@ -1,3 +1,4 @@
+import collections
 import gzip
 import importlib
 import itertools
@@ -25,13 +26,13 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             DecompositionError, _cutoff, _hom_dimension,
-                            _level_dims, _nullspace_rows, _primary_dimension,
-                            _split, _verify_and_summarize,
+                            _irreducible, _level_dims, _nullspace_rows,
+                            _primary_dimension, _split, _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
                             commutant_basis, decompose, dual_block_dims)
 from tkit.exact import build_operators, describe, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
-                         parse_graph6, to_graph6)
+                         parse_graph6, rooted_key, to_graph6)
 from tkit.regularity import fit_pdr
 from tkit.report import analyze, report_to_json
 
@@ -137,7 +138,8 @@ def _closure_dimension(ops):
 
 
 def _scalars_only(ops):
-    # decompose's irreducibility decision
+    # decompose's irreducibility decision when the closure does not
+    # under-count
     return _closure_dimension(ops) == ops.graph.n
 
 
@@ -170,15 +172,22 @@ def _during_verification(monkeypatch, **replacements):
 
 class TestScalarCommutant:
     def test_matches_kronecker_solve_small_graphs(self):
-        count = 0
-        for n in range(1, 6):
-            for g in connected_graphs(n):
-                for x in range(n):
-                    ops = build_operators(g, x)
-                    want = len(commutant_basis(generator_matrices(ops))[0]) == 1
-                    assert _scalars_only(ops) == want, (to_graph6(g), x)
-                    count += want
-        assert count > 1000
+        # every base of the n <= 5 corpus and of every 8th n = 6 graph: the
+        # commutant has more than the scalars exactly when the closure is
+        # short of n, so no closure here under-counts. Both sides are
+        # invariants of the rooted graph, checked once per rooted class
+        graphs = itertools.chain(*map(connected_graphs, range(1, 6)),
+                                 itertools.islice(connected_graphs(6), 0, None, 8))
+        scalars = {}
+        for g in graphs:
+            for x in range(g.n):
+                ops = build_operators(g, x)
+                key = rooted_key(g, ops.metric)
+                if key not in scalars:
+                    scalars[key] = len(commutant_basis(generator_matrices(ops))[0]) == 1
+                    assert _scalars_only(ops) == scalars[key], (to_graph6(g), x)
+        # 73 classes with n <= 5 and 387 of the 407 with n = 6
+        assert collections.Counter(scalars.values()) == {False: 334, True: 126}
 
     def test_closure_matches_float_closure_small_graphs(self):
         # every instance with n <= 5: the exact closure of e_x and the
@@ -223,6 +232,22 @@ class TestScalarCommutant:
         assert [m.dim for m in rep.modules] == [g.n]
         assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["path:20", "gnp-24"])
+    def test_closure_undercount_confirmed_by_one_solve(self, monkeypatch, name):
+        # a closure one short of n, as an under-count modulo the prime would
+        # give: the one commutant solve finds only the scalars, so V is
+        # still one module with the identity basis
+        g = (load_graph(name)[0] if name != "gnp-24"
+             else _connected_gnp(24, 0.15, 2023))
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_primary_dimension",
+                            lambda adjacency, levels: adjacency.shape[0] - 1)
+        calls = _commutant_calls(monkeypatch)
+        rep = decompose(build_operators(g, 0))
+        assert [m.dim for m in rep.modules] == [g.n]
+        assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
+        assert [gens[0].shape[0] for gens, _ in calls] == [g.n]
 
     def test_star_centre_assigns_classes_without_a_solve(self, monkeypatch):
         # the closure of e_x at the centre is 2-dimensional, so V is split.
@@ -650,13 +675,14 @@ class TestNonRealSplit:
         # the Hermitian matrix H and the level projectors generate all of
         # M_4(C). Their real forms are symmetric and act irreducibly on R^8,
         # with the commutant C: multiplication by i is antisymmetric, so the
-        # symmetric part is the scalars and nothing splits
+        # symmetric part is the scalars and the space is accepted whole.
+        # Its level 0 is 4-dimensional, so it is no standard module, which
+        # is never of non-real type; it stands for a piece of one
         adjacency, dist = _complex_k4_minus_edge()
         comm, flag = commutant_basis([adjacency, np.diag(dist == 0) * 1.0,
                                       np.diag(dist == 1) * 1.0])
         notes = []
-        pieces = _split(comm, np.random.default_rng(0), 1e-9, notes)
-        assert len(pieces) == 1 and np.array_equal(pieces[0], np.eye(8))
+        assert _irreducible(8, 2, comm, notes)
         assert comm.shape == (2, 8, 8) and not flag
         assert notes == [_NON_REAL_NOTE]
 
@@ -684,10 +710,10 @@ class TestNonRealSplit:
 
 class TestRejectedAttempts:
     """Every way decompose rejects an attempt and retries with a new draw,
-    reached by patching: no trivial module, dimensions that do not add up
-    to n, an invariance residual above the bound, a hom trace that is not
-    an integer and an eigenspace that is not irreducible. cycle:6 at a
-    vertex splits into a trivial module and one of endpoint 1."""
+    reached by patching: no trivial module, an invariance residual above
+    the bound, a hom trace that is not an integer and an eigenspace that
+    is not irreducible. cycle:6 at a vertex splits into a trivial module
+    and one of endpoint 1."""
 
     def _first_attempt(self, monkeypatch, rewrite, attempts=1):
         # rewrite replaces the modules of the first `attempts` attempts
@@ -722,15 +748,6 @@ class TestRejectedAttempts:
             decompose(ops)
         assert len(exc.value.residuals) == 4
         assert all(math.isnan(r) for r in exc.value.residuals)
-
-    def test_dimensions_short_of_n(self, monkeypatch, ops):
-        calls = self._first_attempt(monkeypatch, lambda modules: modules[:1])
-        rep = decompose(ops)
-        assert calls == [2, 2] and rep.total_dim == 6
-        self._first_attempt(monkeypatch, lambda modules: modules[:1], attempts=4)
-        with pytest.raises(DecompositionError) as exc:
-            decompose(ops)
-        assert exc.value.residuals == ()
 
     def test_residual_above_bound(self, monkeypatch, ops):
         # the vertex indicators are not invariant: each attempt is rejected

@@ -1,7 +1,11 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,22 @@ class TestParseEdgeList:
     def test_numeric_ordering(self):
         g = parse_edge_list("10 2\n2 1")
         assert g.labels == ("1", "2", "10")
+
+    def test_equal_values_ordered_by_token_under_any_hash_seed(self):
+        # "01", "+1" and "1" are all 1, and "1_0" and "10" are 10; the
+        # token set's iteration order changes with the string hash seed
+        text = "01 2\n1 2\n1 3\n+1 10\n1_0 3\n"
+        code = ("import sys; from tkit.graphs import parse_edge_list, to_graph6; "
+                "g = parse_edge_list(sys.stdin.read()); print(*g.labels, to_graph6(g))")
+        src = str(Path(tkit.graphs.__file__).resolve().parents[1])
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code], input=text, capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}).stdout
+            for seed in range(1, 5)}
+        g = parse_edge_list(text)
+        assert g.labels == ("+1", "01", "1", "2", "3", "10", "1_0")
+        assert outputs == {" ".join(g.labels) + f" {to_graph6(g)}\n"}
 
 
 class TestMakeGraph:
