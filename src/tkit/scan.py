@@ -2,34 +2,35 @@
 
 Every (graph, base vertex) instance with base degree at least 2 and a thin
 trivial module is analyzed on both sides; any disagreement is a MISMATCH
-and carries a full report. Instances that pass both sides also get the
-structural cell predicates and the restricted-block dimension bounds
-checked. The dimension bounds cannot fail there: on a PASS decomposition
-the trivial module is thin and the endpoint-one modules form one thin
-class with contiguous support, so dual_block_dims, which they read, is 2
-on levels 1..d'+1 and 1 above by construction. They add no evidence
-beyond the verdict until the block dimensions come from a route of their
-own; the structure predicates are the independent check. Two cell
-properties always hold on a passing instance and are not checked (the
-proofs are in graphs.structure_report and _structure_problems): the
-nonempty mid cells above a neighbour's threshold are contiguous, and a
-tree's thresholds equal its eccentricity.
+and carries a full report. Instances that pass both sides also get one
+suite of structural cell predicates checked (_structure_problems). A check
+whose outcome a passing instance already fixes is not made; each proof is
+a comment at its site:
+- the restricted-block dimensions dim E*_i T E*_1 are at most 2 on levels
+  1..d'+1 and 1 above, read off a PASS decomposition (_outcome). The
+  summary key dim_bound_violations stays, always 0, until the next schema
+  change;
+- every downward cell is nonempty, since the ratio fit holds
+  (_structure_problems);
+- the nonempty mid cells above a neighbour's threshold are contiguous
+  (graphs.structure_report);
+- a tree's thresholds equal its eccentricity (_structure_problems).
 
 What an instance yields depends only on its rooted graph, so each rooted
 isomorphism class is analyzed once per scan_corpus call. A class cache,
 keyed by graphs.rooted_key, keeps the outcome of the first agreeing
-instance of each class: its agreement, its dimension-bound findings
-(level, dim, bound), its structure problems and its varying-threshold
-flag. Later instances of the class replay it, each record carrying their
-own graph6 and base label. A MISMATCH is never stored, so every instance
-of a mismatching class is analyzed and reported as `check` reports it.
-About 1 % of the hits, those whose instance seed is divisible by
-SELF_CHECK_EVERY, are analyzed again and compared with the stored outcome;
-a difference is a MISMATCH that names the cache. The cache holds one
-entry per distinct thin rooted class met, in each worker, for one call.
-The key costs one refinement per node of its search, about 60 us an
-instance at n = 6 against 1.4 to 1.9 ms for an analysis; symmetric
-graphs without twins explore more leaves (see graphs.rooted_key).
+instance of each class: its agreement, its structure problems and its
+varying-threshold flag. Later instances of the class replay it, each
+record carrying their own graph6 and base label. A MISMATCH is never
+stored, so every instance of a mismatching class is analyzed and reported
+as `check` reports it. About 1 % of the hits, those whose instance seed is
+divisible by SELF_CHECK_EVERY, are analyzed again and compared with the
+stored outcome; a difference is a MISMATCH that names the cache. The
+cache holds one entry per distinct thin rooted class met, in each worker,
+for one call. The key costs one refinement per node of its search, about
+60 us an instance at n = 6 against 1.4 to 1.9 ms for an analysis;
+symmetric graphs without twins explore more leaves (see
+graphs.rooted_key).
 
 The corpus of `scan --generate n`, generate_connected_graph6(n), builds
 no graph: records come off edge masks, and connectivity off a table of
@@ -46,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator, Optional
 
-from .decompose import dual_block_dims
 from .exact import build_operators
 # generate_connected_graph6 is re-exported for callers that import the
 # corpus with the scan
@@ -73,7 +73,6 @@ class ScanSummary:
     counts: dict[str, int] = field(
         default_factory=lambda: {key: 0 for key in CATEGORY_KEYS})
     mismatches: list[dict[str, Any]] = field(default_factory=list)
-    dim_bound_violations: list[dict[str, Any]] = field(default_factory=list)
     structure_violations: list[dict[str, Any]] = field(default_factory=list)
     # passing instances whose per-neighbor threshold is not constant; an
     # open question is probed here, so these are collected, never asserted
@@ -81,8 +80,7 @@ class ScanSummary:
 
     @property
     def clean(self) -> bool:
-        return not (self.mismatches or self.dim_bound_violations
-                    or self.structure_violations)
+        return not (self.mismatches or self.structure_violations)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -90,7 +88,8 @@ class ScanSummary:
             "instances": self.instances,
             "counts": dict(self.counts),
             "mismatch_count": len(self.mismatches),
-            "dim_bound_violations": len(self.dim_bound_violations),
+            # always 0: the bounds are not checked (see _outcome)
+            "dim_bound_violations": 0,
             "structure_violations": len(self.structure_violations),
             "varying_threshold_count": len(self.varying_thresholds),
         }
@@ -102,7 +101,6 @@ class Outcome:
     label: a property of its rooted class, kept in the class cache."""
 
     agreement: str
-    dim_bounds: tuple[tuple[int, int, int], ...]  # (level, dim, bound), dim > bound
     problems: tuple[str, ...]
     varying: bool
 
@@ -117,9 +115,13 @@ def instance_seed(base_seed: int, graph6: str, vertex: int) -> int:
 
 
 def _structure_problems(s: StructureReport) -> tuple[list[str], bool]:
+    # every downward cell is nonempty once the ratio fit holds: if the first
+    # vertex of a level i < ecc had no neighbour one level up, the fit
+    # would give every vertex of level i none, and level i + 1 would be
+    # empty. So from every neighbour y = z_1 a path z_1, ..., z_i climbs to
+    # each level 1 <= i <= ecc, and d(y, z_i) = i - 1 puts z_i in y's
+    # downward cell on level i
     problems = []
-    if not s.down_cells_all_nonempty:
-        problems.append("empty downward cell")
     if not s.up_blocks_mid:
         problems.append("nonempty upward cell coexists with a mid cell below it")
     if not s.thresholds_defined:
@@ -154,6 +156,7 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         "counts": {key: 0 for key in CATEGORY_KEYS},
         "instances": 0,
         "mismatches": [],
+        # always empty (see _outcome); perfbench/make_expected.py reads it
         "dim_bound_violations": [],
         "structure_violations": [],
         "varying_thresholds": [],
@@ -192,28 +195,21 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
 
 
 def _outcome(report: AnalysisReport) -> Outcome:
-    """An agreeing report's outcome; a passing one also gets the deep
-    checks, the dimension bounds and the structure predicates."""
+    """An agreeing report's outcome; a passing one also gets the structure
+    predicates checked."""
     if report.agreement != AGREE_PASS:
-        return Outcome(report.agreement, (), (), False)
-    rep = report.decomposition
-    d_prime = max(m.diameter for m in rep.endpoint1_modules())
-    dim_bounds = []
-    for i, dim in enumerate(dual_block_dims(rep), start=1):
-        bound = 2 if i <= d_prime + 1 else 1
-        if dim > bound:
-            dim_bounds.append((i, dim, bound))
+        return Outcome(report.agreement, (), False)
+    # no bound is checked on dim E*_i T E*_1 = sum_W dim(E*_i W) dim(E*_1 W)
+    # over the iso classes W, since a PASS fixes it: decompose keeps one
+    # endpoint-0 module, which is thin; the endpoint-one modules form one
+    # thin class on the contiguous levels 1..1+d'; every other class has
+    # dim(E*_1 W) = 0. So the sum is at most 1 + [i <= d' + 1]
     problems, varying = _structure_problems(report.structure)
-    return Outcome(AGREE_PASS, tuple(dim_bounds), tuple(problems), varying)
+    return Outcome(AGREE_PASS, tuple(problems), varying)
 
 
 def _emit(outcome: Outcome, out: dict[str, Any], base: str) -> None:
     """An outcome's records, for the instance at this base of out's graph."""
-    for level, dim, bound in outcome.dim_bounds:
-        out["dim_bound_violations"].append({
-            "graph6": out["graph6"], "base": base, "level": level,
-            "dim": dim, "bound": bound,
-        })
     for problem in outcome.problems:
         out["structure_violations"].append({
             "graph6": out["graph6"], "base": base, "problem": problem,
@@ -290,7 +286,6 @@ def _merge(summary: ScanSummary, results: Iterator[dict[str, Any]],
         for key in CATEGORY_KEYS:
             summary.counts[key] += res["counts"][key]
         summary.mismatches.extend(res["mismatches"])
-        summary.dim_bound_violations.extend(res["dim_bound_violations"])
         summary.structure_violations.extend(res["structure_violations"])
         summary.varying_thresholds.extend(res["varying_thresholds"])
         if progress is not None and summary.graphs % PROGRESS_EVERY == 0:

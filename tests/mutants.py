@@ -153,6 +153,10 @@ MUTANTS = (
            "        mid_runs_contiguous=True,\n",
            "        mid_runs_contiguous=False,\n",
            ("tests/test_graphs.py::TestStructureReport",)),
+    # the scan's structure suite records a failed predicate
+    Mutant("structure-problem-dropped", "scan structure suite", "scan.py",
+           "    if not s.up_blocks_mid:\n", "    if False:\n",
+           ("tests/test_scan.py",)),
 )
 
 

@@ -34,7 +34,7 @@ from tkit.exact import build_operators, describe, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, rooted_key, to_graph6)
 from tkit.regularity import fit_pdr
-from tkit.report import analyze, report_to_json
+from tkit.report import AGREE_PASS, analyze, report_to_json
 
 
 class TestTrivialModuleBasis:
@@ -864,6 +864,32 @@ class TestDualBlockDims:
         for x in range(g.n):
             ops = build_operators(g, x)
             assert dual_block_dims(decompose(ops)) == closure_block_dims(ops), x
+
+    def test_pass_fixes_the_block_dims(self):
+        # the lemma behind dropping the scan's dimension bounds: on every
+        # agree-pass instance the block dims are 2 on levels 1..d'+1 and 1
+        # above; every agree-pass rooted class of the n <= 5 corpus and of
+        # every 8th n = 6 graph
+        graphs = itertools.chain(*map(connected_graphs, range(1, 6)),
+                                 itertools.islice(connected_graphs(6), 0, None, 8))
+        seen = set()
+        passes = 0
+        for g in graphs:
+            for x in range(g.n):
+                ops = build_operators(g, x)
+                key = rooted_key(g, ops.metric)
+                if g.degree(x) < 2 or not fit_pdr(ops).ok or key in seen:
+                    continue
+                seen.add(key)
+                report = analyze(g, x, with_decomposition=True)
+                if report.agreement != AGREE_PASS:
+                    continue
+                rep = report.decomposition
+                d_prime = max(m.diameter for m in rep.endpoint1_modules())
+                assert dual_block_dims(rep) == (2,) * (d_prime + 1) + (1,) * (
+                    ops.ecc - d_prime - 1), (to_graph6(g), x)
+                passes += 1
+        assert passes == 45
 
     def test_closure_undercounts_irreducible_standard_module(self):
         # base 0 is adjacent to all 7 other vertices and the whole space is

@@ -383,6 +383,23 @@ class TestStructureReport:
         assert seen == count
 
 
+    def test_thin_base_down_cells_nonempty(self):
+        # the lemma behind dropping the scan's "empty downward cell"
+        # problem: once the ratio fit holds, every neighbour's downward
+        # cells on levels 1..ecc are nonempty; every base of degree >= 2 of
+        # every connected graph with n <= 6
+        thin = 0
+        for n in range(3, 7):
+            for g in connected_graphs(n):
+                for x in range(n):
+                    ops = build_operators(g, x)
+                    if g.degree(x) < 2 or not fit_pdr(ops).ok:
+                        continue
+                    assert structure_report(g, x, ops.cells).down_cells_all_nonempty, \
+                        (to_graph6(g), x)
+                    thin += 1
+        assert thin == 5962
+
     def test_mid_runs_contiguous_above_threshold(self):
         # the lemma behind mid_runs_contiguous = True: the oracle's loop
         # finds no gap in any neighbour's mid cells above its threshold;

@@ -95,7 +95,6 @@ def _clean_structure():
 
 class TestStructureProblems:
     @pytest.mark.parametrize("field,problem", [
-        ("down_cells_all_nonempty", "empty downward cell"),
         ("up_blocks_mid", "nonempty upward cell coexists with a mid cell below it"),
         ("thresholds_defined", "threshold pattern undefined for some neighbor")])
     def test_failed_predicate(self, field, problem):

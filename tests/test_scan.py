@@ -96,36 +96,34 @@ def test_scan_graph_alone_caches_that_graph(analyses):
     assert len(analyses) == 2
 
 
+UP_CELL_PROBLEM = "nonempty upward cell coexists with a mid cell below it"
+
+
+def forced_structure(monkeypatch, seeds, **fields):
+    """Make the analyses with these instance seeds report their structure
+    with fields replaced."""
+    analyze_fitted = tkit.scan.analyze_fitted
+
+    def forced(ops, pdr, **kwargs):
+        report = analyze_fitted(ops, pdr, **kwargs)
+        if kwargs["seed"] in seeds:
+            report = replace(report, structure=replace(report.structure, **fields))
+        return report
+
+    monkeypatch.setattr(tkit.scan, "analyze_fitted", forced)
+
+
 def test_replayed_findings_name_their_instance(monkeypatch, analyses):
-    # the 4-cycle at any base, forced to break a dimension bound and a
-    # structure predicate and to vary its thresholds; no other rooted class
-    # is touched
+    # the 4-cycle at any base, forced to break a structure predicate and to
+    # vary its thresholds; no other rooted class is touched
     instances = class_instances(4, to_graph6(cycle_graph(4)), 0)
     assert len(instances) == 12
     seeds = {instance_seed(42, graph, int(base)) for graph, base in instances}
-    dual_block_dims = tkit.scan.dual_block_dims
-    analyze_fitted = tkit.scan.analyze_fitted
-
-    def forced_dims(rep):
-        dims = dual_block_dims(rep)
-        return (3,) + dims[1:] if rep.seed in seeds else dims
-
-    def forced_structure(ops, pdr, **kwargs):
-        report = analyze_fitted(ops, pdr, **kwargs)
-        if kwargs["seed"] in seeds:
-            report = replace(report, structure=replace(
-                report.structure, down_cells_all_nonempty=False,
-                threshold_constant=False))
-        return report
-
-    monkeypatch.setattr(tkit.scan, "dual_block_dims", forced_dims)
-    monkeypatch.setattr(tkit.scan, "analyze_fitted", forced_structure)
+    forced_structure(monkeypatch, seeds, up_blocks_mid=False,
+                     threshold_constant=False)
     summary = scan_corpus(generate_connected_graph6(4), jobs=1)
-    assert summary.dim_bound_violations == [
-        {"graph6": graph, "base": base, "level": 1, "dim": 3, "bound": 2}
-        for graph, base in instances]
     assert summary.structure_violations == [
-        {"graph6": graph, "base": base, "problem": "empty downward cell"}
+        {"graph6": graph, "base": base, "problem": UP_CELL_PROBLEM}
         for graph, base in instances]
     assert summary.varying_thresholds == [
         {"graph6": graph, "base": base} for graph, base in instances]
@@ -136,19 +134,13 @@ def test_replayed_findings_name_their_instance(monkeypatch, analyses):
 def test_self_check_reports_a_stale_outcome(capsys, monkeypatch, tmp_path):
     # two labelled 5-cycles: DLo is analyzed at base 0 and replays at 1-4;
     # Dhc at base 0 is a hit that the self-check selects, and its fresh
-    # analysis is forced to find a dimension bound the stored outcome lacks
+    # analysis is forced to find a structure problem the stored outcome lacks
     target = instance_seed(42, "Dhc", 0)
     assert target % SELF_CHECK_EVERY == 0
-    dual_block_dims = tkit.scan.dual_block_dims
-
-    def forced(rep):
-        dims = dual_block_dims(rep)
-        return (3,) + dims[1:] if rep.seed == target else dims
-
-    monkeypatch.setattr(tkit.scan, "dual_block_dims", forced)
+    forced_structure(monkeypatch, {target}, up_blocks_mid=False)
     summary = scan_corpus(["DLo", "Dhc"], jobs=1)
     assert summary.counts["agree-pass"] == 9
-    assert summary.dim_bound_violations == []
+    assert summary.structure_violations == []
     (mismatch,) = summary.mismatches
     assert (mismatch["agreement"], mismatch["agreement_reason"]) == (MISMATCH, CACHE_MISMATCH)
     assert (mismatch["graph"]["graph6"], mismatch["base"]["label"], mismatch["seed"]) == (
