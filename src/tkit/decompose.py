@@ -8,19 +8,20 @@ the generators. That closure is computed exactly, modulo a prime, one
 level at a time (_primary_dimension), and reads no tolerance. Short of n,
 one solve gives the commutant End_T(V), a Kronecker system with n^2
 unknowns, which spans every intertwiner; V is still irreducible when it
-is the scalars (a closure that under-counted). One random symmetric
-element of it is eigen-split, and every eigenspace U
-passes one rule: dim End_T(U) = dim Hom_T(U, U), read off End_T(V) as a
+is the scalars (a closure that under-counted). Each attempt draws one
+random symmetric element of it, splits V into its eigenspaces and checks
+every piece U: dim End_T(U) = dim Hom_T(U, U), read off End_T(V) as a
 trace that is an integer (_hom_dimension), is 1, or is larger with no
-symmetric element beyond scalars (an irreducible of non-real type);
-otherwise the attempt is rejected and the next one draws again. Whether
-two accepted modules are isomorphic is the same trace, dim Hom_T(U, W),
-with no further solve and no tolerance. The level dimensions of a module
-are read off the traces of the level projectors on it. Every accepted
-module is post-verified against an invariance residual, so the randomness
-never affects the correctness of accepted output, only whether a retry
-is needed; a trace more than 0.25 from an integer also rejects the
-attempt.
+symmetric element beyond scalars (an irreducible of non-real type); its
+invariance residual is within the bound; and it is graded on contiguous
+levels. Whether two accepted modules are isomorphic is the same trace,
+dim Hom_T(U, W), with no further solve and no tolerance; a trace more
+than 0.25 from an integer, or other than one module of endpoint 0, also
+rejects the attempt. A rejected attempt is logged with its reason and
+the next one draws again; as every accepted module passed every check,
+the randomness never affects the correctness of accepted output, only
+whether a retry is needed. The level dimensions of a module are read off
+the traces of the level projectors on it.
 
 Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
@@ -52,7 +53,8 @@ log = logging.getLogger(__name__)
 # than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
-# Attempts, each with its own random draw, before decompose gives up
+# Attempts before decompose gives up. Attempt k makes one random draw, the
+# first of default_rng([seed, k]), and a rejected attempt logs its reason
 MAX_ATTEMPTS = 4
 
 # Modulus of the exact closure of the base indicator: below 2^31, so a
@@ -75,8 +77,13 @@ class DecompositionError(RuntimeError):
         self.residuals = tuple(residuals)
 
 
-class _SplitFailed(Exception):
-    pass
+class _Rejected(Exception):
+    """A rejected attempt: its reason, and the invariance residual of the
+    module that failed, when one was measured."""
+
+    def __init__(self, reason: str, residual: Optional[float] = None):
+        super().__init__(reason)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -204,57 +211,43 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _irreducible(k: int, end_dim: Optional[int], endomorphisms: np.ndarray,
-                 notes: list[str]) -> bool:
-    """Whether a dim-k invariant subspace U is irreducible, given
-    end_dim = dim End_T(U) and matrices spanning End_T(U): End_T(U) is the
-    scalars, or has no symmetric element beyond them whose projectors
-    would split U (non-real type, which a note records)."""
+def _irreducible(basis: np.ndarray, comm: np.ndarray, notes: list[str]) -> bool:
+    """Whether an invariant subspace U with orthonormal row basis B is
+    irreducible, given the commutant basis M_k of End_T(V): End_T(U),
+    spanned by the compressions B M_k B^T and of dimension dim Hom_T(U, U),
+    is the scalars, or has no symmetric element beyond them whose
+    projectors would split U (non-real type, which a note records)."""
+    image = np.matmul(comm, basis.T)
+    end_dim = _hom_dimension(image, basis)
     if end_dim == 1:
         return True
     if not end_dim:
         return False
+    endomorphisms = np.matmul(basis, image)
     sym_parts = np.vstack([((M + M.T) / 2.0).reshape(-1) for M in endomorphisms])
     sym_sv = np.linalg.svd(sym_parts, compute_uv=False)
     if np.count_nonzero(sym_sv > 1e-8 * max(1.0, float(sym_sv[0]))) > 1:
         return False
-    note = (f"accepted dim-{k} module with self-intertwiner dimension "
-            f"{end_dim} and scalar symmetric part (non-real type)")
+    note = (f"accepted dim-{len(basis)} module with self-intertwiner "
+            f"dimension {end_dim} and scalar symmetric part (non-real type)")
     notes.append(note)
     log.info(note)
     return True
 
 
-def _split(comm: np.ndarray, rng: np.random.Generator, tol: float,
-           notes: list[str]) -> list[np.ndarray]:
-    """Split a reducible vertex space into irreducible invariant subspaces,
-    given as orthonormal row bases, by the eigenspaces of a random
-    symmetric element of its commutant End_T(V), stacked as
-    commutant_basis returns it."""
-    n = comm.shape[1]
-    for _ in range(6):
-        coeffs = rng.standard_normal(len(comm))
-        sym = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
-        sym /= max(1.0, float(np.linalg.norm(sym)))
-        groups = _eigengroups(sym, tol)
-        if len(groups) > 1:
-            break
-    else:
-        raise _SplitFailed(f"could not split a dim-{n} reducible subspace")
-
-    pieces = []
-    for block in groups:
-        # C-ordered, and with eigh's negative zeros printed as 0.0
-        basis = np.ascontiguousarray(block.T) + 0.0
-        if len(basis) > 1:
-            # End_T(U) of a piece U is spanned by the compressions of
-            # End_T(V), and its dimension is the trace dim Hom_T(U, U)
-            image = np.matmul(comm, basis.T)
-            if not _irreducible(len(basis), _hom_dimension(image, basis),
-                                np.matmul(basis, image), notes):
-                raise _SplitFailed(f"a dim-{len(basis)} eigenspace is not irreducible")
-        pieces.append(basis)
-    return pieces
+def _split(comm: np.ndarray, rng: np.random.Generator, tol: float) -> list[np.ndarray]:
+    """Orthonormal row bases of the eigenspaces of one random symmetric
+    element of a reducible vertex space's commutant End_T(V), stacked as
+    commutant_basis returns it; _Rejected when the draw has one eigenspace.
+    """
+    coeffs = rng.standard_normal(len(comm))
+    sym = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
+    sym /= max(1.0, float(np.linalg.norm(sym)))
+    groups = _eigengroups(sym, tol)
+    if len(groups) == 1:
+        raise _Rejected(f"could not split a dim-{comm.shape[1]} reducible subspace")
+    # C-ordered, and with eigh's negative zeros printed as 0.0
+    return [np.ascontiguousarray(block.T) + 0.0 for block in groups]
 
 
 def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]]:
@@ -324,7 +317,6 @@ def decompose(ops: LocalOperators, seed: int = 42,
     n = ops.graph.n
     _check_size(ops, f"a dense {n} x {n} array", 8 * n * n)
     residual_bound = 1e3 * tol
-    worst: list[float] = []
     adjacency = adjacency_matrix(ops.graph)
     dist = np.asarray(ops.metric.dist)
     levels = [dist == i for i in range(ops.ecc + 1)]
@@ -352,24 +344,22 @@ def decompose(ops: LocalOperators, seed: int = 42,
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
     scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
 
+    residuals: list[float] = []
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
-        notes: list[str] = []
         try:
             # an irreducible V is one module and needs no iso test
-            bases = [np.eye(n)] if irreducible else _split(comm, rng, tol, notes)
-        except _SplitFailed as exc:
+            bases = [np.eye(n)] if irreducible else _split(comm, rng, tol)
+            modules, notes = _verify_and_summarize(bases, comm, adjacency, levels,
+                                                   scales, dist, residual_bound)
+            endpoint0 = [i for i, m in enumerate(modules) if m.endpoint == 0]
+            if len(endpoint0) != 1:
+                raise _Rejected(f"{len(endpoint0)} modules of endpoint 0, not one",
+                                float("nan"))
+        except _Rejected as exc:
             log.info("%s attempt %d: %s", describe(ops), attempt, exc)
-            continue
-
-        modules = _verify_and_summarize(bases, comm, adjacency, levels, scales,
-                                        dist, residual_bound, worst)
-        if modules is None:
-            continue
-
-        endpoint0 = [i for i, m in enumerate(modules) if m.endpoint == 0]
-        if len(endpoint0) != 1:
-            worst.append(float("nan"))
+            if exc.residual is not None:
+                residuals.append(exc.residual)
             continue
         e1 = [m for m in modules if m.endpoint == 1]
         return DecompositionReport(
@@ -389,7 +379,7 @@ def decompose(ops: LocalOperators, seed: int = 42,
 
     raise DecompositionError(
         f"{describe(ops)}: no verified decomposition after {MAX_ATTEMPTS} "
-        f"attempts", worst)
+        f"attempts", residuals)
 
 
 def _hom_dimension(image: np.ndarray, basis: np.ndarray) -> Optional[int]:
@@ -410,14 +400,22 @@ def _hom_dimension(image: np.ndarray, basis: np.ndarray) -> Optional[int]:
 
 
 def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
-                          residual_bound, worst):
+                          residual_bound):
+    """Summaries of an attempt's modules, ordered by shape, and the notes
+    of its modules of non-real type; the first check that fails, piece by
+    piece in the split's order, raises _Rejected."""
     n = adjacency.shape[0]
+    notes: list[str] = []
     modules_raw = []
     for basis in bases:
+        k = basis.shape[0]
         residual = 0.0
-        # the whole space is invariant, and with its identity basis every
-        # product below is exact, so it would give 0.0 as well
-        if basis.shape[0] < n:
+        # the whole space was decided irreducible before any split, and is
+        # invariant: with its identity basis every product below is exact,
+        # so it would give 0.0 as well
+        if k < n:
+            if k > 1 and not _irreducible(basis, comm, notes):
+                raise _Rejected(f"a dim-{k} eigenspace is not irreducible")
             proj = basis.T @ basis
             # A P, then each E*_i P as P with the rows off level i zeroed
             products = itertools.chain([adjacency @ proj],
@@ -426,14 +424,13 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
                 defect = np.linalg.norm(gp - proj @ gp)
                 residual = max(residual, float(defect / scale))
         if residual > residual_bound:
-            worst.append(residual)
-            return None
+            raise _Rejected(f"a dim-{k} module's invariance residual "
+                            f"{residual:.3g} is above {residual_bound:g}", residual)
         dims = _level_dims(basis, dist)
         nz = [i for i, dim in enumerate(dims or ()) if dim > 0]
-        if (not nz or nz != list(range(nz[0], nz[-1] + 1))
-                or sum(dims) != basis.shape[0]):
-            worst.append(residual)
-            return None
+        if not nz or nz != list(range(nz[0], nz[-1] + 1)) or sum(dims) != k:
+            raise _Rejected(f"a dim-{k} module is not graded on contiguous levels",
+                            residual)
         modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual))
 
     # modules of one shape are adjacent in this order, and only they can
@@ -451,8 +448,8 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
             for rep_id, image in reps:
                 hom = _hom_dimension(image, basis)
                 if hom is None:
-                    worst.append(residual)
-                    return None
+                    raise _Rejected(f"a hom trace between dim-{len(basis)} "
+                                    "modules is not an integer", residual)
                 if hom:
                     iso_ids[pos] = rep_id
                     break
@@ -476,7 +473,7 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
             iso_class=iso_ids[pos],
             residual=residual,
         ))
-    return modules
+    return modules, notes
 
 
 def algebraic_verdict(report: DecompositionReport) -> AlgebraicVerdict:

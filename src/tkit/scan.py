@@ -51,7 +51,7 @@ from .exact import build_operators
 # generate_connected_graph6 is re-exported for callers that import the
 # corpus with the scan
 from .graphs import (GraphError, StructureReport, generate_connected_graph6,
-                     parse_graph6, rooted_key, to_graph6)
+                     parse_graph6, rooted_key)
 from .regularity import fit_pdr
 from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
                      analyze_fitted, report_to_dict)
@@ -152,7 +152,7 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
     if cache is None:
         cache = {}
     out: dict[str, Any] = {
-        "graph6": to_graph6(g),
+        "graph6": g.graph6,
         "counts": {key: 0 for key in CATEGORY_KEYS},
         "instances": 0,
         "mismatches": [],

@@ -126,6 +126,16 @@ MUTANTS = (
            "        irreducible = len(comm) == 1\n",
            "        irreducible = len(comm) == 0\n",
            ("tests/test_decompose.py::TestScalarCommutant",)),
+    # every check of a piece is made in verification, which rejects the
+    # attempt and keeps the residual it measured for the error
+    Mutant("piece-irreducibility-off", "numeric rejection path", "decompose.py",
+           "            if k > 1 and not _irreducible(basis, comm, notes):\n",
+           "            if False:\n",
+           ("tests/test_decompose.py::TestRejectedAttempts",)),
+    Mutant("rejected-residual-dropped", "numeric rejection path", "decompose.py",
+           "                residuals.append(exc.residual)\n",
+           "                pass\n",
+           ("tests/test_decompose.py::TestRejectedAttempts",)),
     Mutant("dense-square-unchecked", "resource limits", "decompose.py",
            'f"a dense {n} x {n} array", 8 * n * n)', 'f"a dense {n} x {n} array", 0)',
            ("tests/test_cli.py::TestCheck::test_dense_array_above_limit_exits_2",)),

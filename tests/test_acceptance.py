@@ -17,15 +17,16 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, predicted_profile,
                                 rook_graph_3x3)
-from tkit.decompose import algebraic_verdict, decompose
+from tkit.decompose import algebraic_verdict, decompose, dual_block_dims
 from clausewise import verify_condition_values
 from matrix_oracle import build_matrix_operators, walk_table
 from numeric_oracle import subspace_distance
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
                         walk_column, walk_counts_from)
-from tkit.graphs import GraphError, make_graph
+from tkit.graphs import GraphError, connected_graphs, make_graph, rooted_key
 from tkit.regularity import fit_endpoint1, fit_pdr
-from tkit.report import AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze
+from tkit.report import (AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze,
+                         analyze_fitted)
 from tkit.scan import generate_connected_graph6, scan_corpus
 
 F = Fraction
@@ -179,14 +180,34 @@ def test_criterion_07_walk_count_oracle():
         assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_08_block_dimension_bounds(scans):
-    with _gate(8, "restricted-block dimensions within 2/1 bounds on all passes"):
-        total_pass = 0
-        for n in (4, 5, 6):
-            summary, _ = scans[n]
-            assert summary.to_dict()["dim_bound_violations"] == 0
-            total_pass += summary.counts["agree-pass"]
-        assert total_pass > 0
+def test_criterion_08_block_dimension_bounds():
+    with _gate(8, "restricted-block dimensions 2 on levels 1..d'+1 and 1 "
+                  "above on all passes"):
+        # the lemma behind the scan's not checking the bounds, on every
+        # agree-pass rooted class of the connected graphs with n <= 6
+        seen = set()
+        passes = 0
+        for g in itertools.chain(*map(connected_graphs, range(1, 7))):
+            for x in range(g.n):
+                if g.degree(x) < 2:
+                    continue
+                ops = build_operators(g, x)
+                pdr = fit_pdr(ops)
+                if not pdr.ok:
+                    continue
+                key = rooted_key(g, ops.metric)
+                if key in seen:
+                    continue
+                seen.add(key)
+                report = analyze_fitted(ops, pdr, with_decomposition=True)
+                if report.agreement != AGREE_PASS:
+                    continue
+                rep = report.decomposition
+                d_prime = max(m.diameter for m in rep.endpoint1_modules())
+                assert dual_block_dims(rep) == (2,) * (d_prime + 1) + (1,) * (
+                    ops.ecc - d_prime - 1), (g.graph6, x)
+                passes += 1
+        assert passes == 50
 
 
 def test_criterion_09_partition_structure_suite(scans):

@@ -1,8 +1,12 @@
 import importlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,21 @@ import tkit.scan
 # the package re-exports the decompose() function under the module's name
 decompose_module = importlib.import_module("tkit.decompose")
 report_module = importlib.import_module("tkit.report")
+
+
+# a tkit command line whose first random draw of a decomposition does not
+# split, so that attempt is rejected
+_FIRST_DRAW_UNSPLIT = """
+import importlib, sys
+module = importlib.import_module("tkit.decompose")
+real, draws = module._eigengroups, []
+def one_group_first(sym, tol):
+    draws.append(sym.shape)
+    return [sym] if len(draws) == 1 else real(sym, tol)
+module._eigengroups = one_group_first
+from tkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def run_cli(capsys, *argv):
@@ -198,8 +217,8 @@ class TestCheck:
         assert [(m["dim"], m["residual"]) for m in modules] == [(20, 0.0)]
 
     def test_split_failure_retries_then_exits_2(self, capsys, monkeypatch, caplog):
-        # no random draw splits: each attempt fails after six draws, is
-        # logged and reseeded, and the last one ends the decomposition
+        # no random draw splits: each attempt makes one draw, is logged and
+        # reseeded, and the last one ends the decomposition
         draws = []
 
         def one_group(sym, tol):
@@ -212,7 +231,7 @@ class TestCheck:
             with pytest.raises(decompose_module.DecompositionError,
                                match="no verified decomposition after 4 attempts"):
                 decompose_module.decompose(ops)
-        assert draws == [(6, 6)] * 24
+        assert draws == [(6, 6)] * 4
         assert [r.getMessage() for r in caplog.records] == [
             f"{describe(ops)} attempt {k}: could not split a dim-6 reducible "
             "subspace" for k in range(4)]
@@ -222,9 +241,27 @@ class TestCheck:
         assert err == (f"error: {describe(ops)}: no verified decomposition after "
                        "4 attempts\n")
 
+    def test_rejected_attempt_logged_on_stderr_only(self):
+        # the first draw is forced not to split: with -v its rejection is
+        # one INFO line on stderr, and stdout is that of the run without -v
+        argv = ["check", "cycle:6", "--vertex", "0", "--decompose"]
+        src = str(Path(tkit.cli.__file__).resolve().parents[1])
+        quiet, verbose = (subprocess.run(
+            [sys.executable, "-c", _FIRST_DRAW_UNSPLIT, *argv, *flag],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            for flag in ([], ["-v"]))
+        ops = build_operators(cycle_graph(6), 0)
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stdout == verbose.stdout and quiet.stderr == ""
+        assert ndjson_lines(quiet.stdout)[0]["decomposition"]["modules"]
+        assert verbose.stderr == (f"INFO tkit.decompose: {describe(ops)} attempt 0: "
+                                  "could not split a dim-6 reducible subspace\n")
+
     def test_decomposition_error_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(decompose_module, "_verify_and_summarize",
-                            lambda *a, **k: None)
+        def rejected(*args):
+            raise decompose_module._Rejected("stub")
+
+        monkeypatch.setattr(decompose_module, "_verify_and_summarize", rejected)
         code, out, err = run_cli(capsys, "check", "petersen", "--vertex", "3",
                                  "--decompose")
         assert code == 2 and out == ""

@@ -27,14 +27,15 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             DecompositionError, _cutoff, _hom_dimension,
                             _irreducible, _level_dims, _nullspace_rows,
-                            _primary_dimension, _split, _verify_and_summarize,
+                            _primary_dimension, _Rejected, _split,
+                            _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
                             commutant_basis, decompose, dual_block_dims)
 from tkit.exact import build_operators, describe, raising_powers
 from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
                          parse_graph6, rooted_key, to_graph6)
 from tkit.regularity import fit_pdr
-from tkit.report import AGREE_PASS, analyze, report_to_json
+from tkit.report import analyze, report_to_json
 
 
 class TestTrivialModuleBasis:
@@ -602,29 +603,32 @@ class TestLevelDims:
                 modules += 1
         assert modules > 100
 
-    def test_random_subspace_not_graded(self, example_ops):
+    def test_random_subspace_not_graded(self, monkeypatch, example_ops):
         basis = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 2)))[0].T
         dist = np.asarray(example_ops.metric.dist)
         assert _level_dims(basis, dist) is None
-        self._assert_rejected(example_ops, basis)
+        self._assert_rejected(monkeypatch, example_ops, basis)
 
-    def test_levels_not_contiguous(self, example_ops):
+    def test_levels_not_contiguous(self, monkeypatch, example_ops):
         # the base and one vertex at distance 2: graded, with a gap at level 1
         dist = np.asarray(example_ops.metric.dist)
         basis = np.eye(6)[[example_ops.base, list(dist).index(2)]]
         assert _level_dims(basis, dist) == (1, 0, 1)
-        self._assert_rejected(example_ops, basis)
+        self._assert_rejected(monkeypatch, example_ops, basis)
 
     @staticmethod
-    def _assert_rejected(ops, basis):
-        # past the invariance check, which would reject both on its own
+    def _assert_rejected(monkeypatch, ops, basis):
+        # past the irreducibility test and the invariance check, which
+        # would reject both on their own
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_irreducible", lambda *args: True)
         dist = np.asarray(ops.metric.dist)
         levels = [dist == i for i in range(ops.ecc + 1)]
-        worst = []
-        assert _verify_and_summarize([basis], None, adjacency_matrix(ops.graph),
-                                     levels, [1.0] * (len(levels) + 1), dist,
-                                     np.inf, worst) is None
-        assert len(worst) == 1
+        with pytest.raises(_Rejected, match="^a dim-2 module is not graded on "
+                                            "contiguous levels$") as exc:
+            _verify_and_summarize([basis], None, adjacency_matrix(ops.graph),
+                                  levels, [1.0] * (len(levels) + 1), dist, np.inf)
+        assert 0 < exc.value.residual < np.inf
 
 
 def _golden_decomposition(label, base):
@@ -682,7 +686,7 @@ class TestNonRealSplit:
         comm, flag = commutant_basis([adjacency, np.diag(dist == 0) * 1.0,
                                       np.diag(dist == 1) * 1.0])
         notes = []
-        assert _irreducible(8, 2, comm, notes)
+        assert _irreducible(np.eye(8), comm, notes)
         assert comm.shape == (2, 8, 8) and not flag
         assert notes == [_NON_REAL_NOTE]
 
@@ -690,30 +694,32 @@ class TestNonRealSplit:
         # two copies of that module: the commutant is M_2(C), of dimension
         # 8, with symmetric elements beyond the scalars, so V is split. Each
         # of the two eigenspaces has the self-intertwiner trace 2 and a
-        # scalar symmetric part, and is accepted with no solve of its own
+        # scalar symmetric part, and is accepted with no solve of its own,
+        # as one class: the hom trace between the copies is 2 as well
         adjacency, dist = _complex_k4_minus_edge()
         adjacency, dist = np.kron(np.eye(2), adjacency), np.tile(dist, 2)
-        gens = [adjacency, np.diag(dist == 0) * 1.0, np.diag(dist == 1) * 1.0]
-        comm, flag = commutant_basis(gens)
+        levels = [dist == 0, dist == 1]
+        comm, flag = commutant_basis([adjacency] + [np.diag(level) * 1.0
+                                                    for level in levels])
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "commutant_basis", _no_solver("commutant_basis"))
-        notes = []
-        pieces = _split(comm, np.random.default_rng(0), 1e-9, notes)
+        pieces = _split(comm, np.random.default_rng(0), 1e-9)
+        modules, notes = _verify_and_summarize(pieces, comm, adjacency, levels,
+                                               [1.0] * 3, dist, 1e-6)
         assert [piece.shape for piece in pieces] == [(8, 16)] * 2
         assert comm.shape == (8, 16, 16) and not flag
         assert notes == [_NON_REAL_NOTE] * 2
-        for piece in pieces:
-            proj = piece.T @ piece
-            for gen in gens:
-                assert np.linalg.norm(gen @ proj - proj @ gen) < 1e-9
+        assert [(m.level_dims, m.iso_class) for m in modules] == [((4, 4), 0)] * 2
+        assert all(m.residual < 1e-9 for m in modules)
 
 
 class TestRejectedAttempts:
     """Every way decompose rejects an attempt and retries with a new draw,
-    reached by patching: no trivial module, an invariance residual above
-    the bound, a hom trace that is not an integer and an eigenspace that
-    is not irreducible. cycle:6 at a vertex splits into a trivial module
-    and one of endpoint 1."""
+    reached by patching: no split, no trivial module, an invariance
+    residual above the bound, a piece that is not graded, a hom trace that
+    is not an integer and an eigenspace that is not irreducible. Each
+    rejected attempt logs one line with its reason. cycle:6 at a vertex
+    splits into a trivial module and one of endpoint 1."""
 
     def _first_attempt(self, monkeypatch, rewrite, attempts=1):
         # rewrite replaces the modules of the first `attempts` attempts
@@ -721,35 +727,63 @@ class TestRejectedAttempts:
         verify = _verify_and_summarize
 
         def patched(*args):
-            modules = verify(*args)
+            modules, notes = verify(*args)
             calls.append(len(modules))
-            return rewrite(modules) if len(calls) <= attempts else modules
+            return (rewrite(modules) if len(calls) <= attempts else modules), notes
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "_verify_and_summarize", patched)
         return calls
 
+    @staticmethod
+    def _messages(caplog):
+        return [r.getMessage() for r in caplog.records]
+
     @pytest.fixture
     def ops(self):
         return build_operators(cycle_graph(6), 0)
 
-    def test_no_trivial_module(self, monkeypatch, ops):
+    def test_no_split(self, monkeypatch, caplog, ops):
+        # a draw with one eigenspace rejects its attempt, and the next
+        # attempt draws once more
+        module = importlib.import_module("tkit.decompose")
+        real = module._eigengroups
+        draws = []
+
+        def one_group_first(sym, tol):
+            draws.append(sym.shape)
+            return [sym] if len(draws) == 1 else real(sym, tol)
+
+        monkeypatch.setattr(module, "_eigengroups", one_group_first)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            rep = decompose(ops)
+        assert draws == [(6, 6)] * 2
+        assert [m.level_dims for m in rep.modules] == [(1, 1, 1, 1), (0, 1, 1, 0)]
+        assert self._messages(caplog) == [
+            f"{describe(ops)} attempt 0: could not split a dim-6 reducible subspace"]
+
+    def test_no_trivial_module(self, monkeypatch, caplog, ops):
         def no_trivial(modules):
             return [replace(m, endpoint=1) for m in modules]
 
         calls = self._first_attempt(monkeypatch, no_trivial)
-        rep = decompose(ops)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            rep = decompose(ops)
         assert calls == [2, 2]
         assert [(m.endpoint, m.level_dims) for m in rep.modules] == [
             (0, (1, 1, 1, 1)), (1, (0, 1, 1, 0))]
         self._first_attempt(monkeypatch, no_trivial, attempts=4)
-        with pytest.raises(DecompositionError,
-                           match="no verified decomposition after 4 attempts") as exc:
-            decompose(ops)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            with pytest.raises(DecompositionError,
+                               match="no verified decomposition after 4 attempts") as exc:
+                decompose(ops)
         assert len(exc.value.residuals) == 4
         assert all(math.isnan(r) for r in exc.value.residuals)
+        assert self._messages(caplog) == [
+            f"{describe(ops)} attempt {k}: 0 modules of endpoint 0, not one"
+            for k in (0, 0, 1, 2, 3)]
 
-    def test_residual_above_bound(self, monkeypatch, ops):
+    def test_residual_above_bound(self, monkeypatch, caplog, ops):
         # the vertex indicators are not invariant: each attempt is rejected
         # at the first one, with its residual kept for the error
         calls = []
@@ -760,40 +794,71 @@ class TestRejectedAttempts:
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "_split", indicators)
-        with pytest.raises(DecompositionError) as exc:
-            decompose(ops)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            with pytest.raises(DecompositionError) as exc:
+                decompose(ops)
         assert calls == [(2, 6, 6)] * 4 and len(exc.value.residuals) == 4
         assert all(r > 1e3 * 1e-9 for r in exc.value.residuals)
+        assert self._messages(caplog) == [
+            f"{describe(ops)} attempt {k}: a dim-1 module's invariance residual "
+            f"{r:.3g} is above 1e-06" for k, r in enumerate(exc.value.residuals)]
+
+    def test_not_graded(self, monkeypatch, caplog, ops):
+        # level traces more than 0.25 from an integer reject the attempt,
+        # with the residual of the piece kept for the error
+        read = []
+
+        def not_graded(basis, dist):
+            read.append(len(basis))
+
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+                            "_level_dims", not_graded)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            with pytest.raises(DecompositionError) as exc:
+                decompose(ops)
+        assert len(read) == 4 and set(read) == {2, 4}
+        assert len(exc.value.residuals) == 4
+        assert all(0 <= r < 1e-12 for r in exc.value.residuals)
+        assert self._messages(caplog) == [
+            f"{describe(ops)} attempt {k}: a dim-{dim} module is not graded on "
+            "contiguous levels" for k, dim in enumerate(read)]
 
     @pytest.mark.parametrize("attempts", [1, 4])
-    def test_hom_trace_not_integral(self, monkeypatch, attempts):
+    def test_hom_trace_not_integral(self, monkeypatch, caplog, attempts):
         # star:3 at its centre has two isomorphic modules of endpoint 1 and
         # dimension 1, so the trace between them is 1; the whole space's
         # commutant basis scaled by the root of 1/2 puts it at 1/2
         ops = build_operators(star_graph(3), 0)
         want = decompose(ops)
+        module = importlib.import_module("tkit.decompose")
         splits = []
-        verify = _verify_and_summarize
 
         def halved(bases, comm, *args):
             splits.append(len(bases))
-            if len(splits) <= attempts:
-                comm = comm * math.sqrt(0.5)
-            return verify(bases, comm, *args)
+            if len(splits) > attempts:
+                return _verify_and_summarize(bases, comm, *args)
+            # the pieces pass their irreducibility test on the true commutant
+            with monkeypatch.context() as inner:
+                inner.setattr(module, "_irreducible", lambda basis, _, notes:
+                              _irreducible(basis, comm, notes))
+                return _verify_and_summarize(bases, comm * math.sqrt(0.5), *args)
 
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                            "_verify_and_summarize", halved)
-        if attempts == 4:
-            with pytest.raises(DecompositionError) as exc:
-                decompose(ops)
-            assert splits == [3] * 4 and len(exc.value.residuals) == 4
-            assert all(0 <= r < 1e-12 for r in exc.value.residuals)
-            return
-        rep = decompose(ops)
-        assert splits == [3, 3]
-        assert [(m.level_dims, m.iso_class) for m in rep.modules] == [
-            ((1, 1), 0), ((0, 1), 1), ((0, 1), 1)]
-        assert [m.level_dims for m in want.modules] == [(1, 1), (0, 1), (0, 1)]
+        monkeypatch.setattr(module, "_verify_and_summarize", halved)
+        with caplog.at_level(logging.INFO, logger="tkit.decompose"):
+            if attempts == 4:
+                with pytest.raises(DecompositionError) as exc:
+                    decompose(ops)
+                assert splits == [3] * 4 and len(exc.value.residuals) == 4
+                assert all(0 <= r < 1e-12 for r in exc.value.residuals)
+            else:
+                rep = decompose(ops)
+                assert splits == [3, 3]
+                assert [(m.level_dims, m.iso_class) for m in rep.modules] == [
+                    ((1, 1), 0), ((0, 1), 1), ((0, 1), 1)]
+                assert [m.level_dims for m in want.modules] == [(1, 1), (0, 1), (0, 1)]
+        assert self._messages(caplog) == [
+            f"{describe(ops)} attempt {k}: a hom trace between dim-1 modules is "
+            "not an integer" for k in range(attempts)]
 
     @pytest.mark.parametrize("attempts", [1, 4])
     def test_merged_eigenspaces_rejected(self, monkeypatch, caplog, attempts):
@@ -827,7 +892,7 @@ class TestRejectedAttempts:
                 # attempt 1 draws other bases of the two isomorphic modules
                 assert _without_floats(rep) == _without_floats(want)
         assert merged == [2] * attempts and len(calls) == 1
-        assert [r.getMessage() for r in caplog.records] == [
+        assert self._messages(caplog) == [
             f"{describe(ops)} attempt {k}: a dim-2 eigenspace is not irreducible"
             for k in range(attempts)]
 
@@ -864,32 +929,6 @@ class TestDualBlockDims:
         for x in range(g.n):
             ops = build_operators(g, x)
             assert dual_block_dims(decompose(ops)) == closure_block_dims(ops), x
-
-    def test_pass_fixes_the_block_dims(self):
-        # the lemma behind dropping the scan's dimension bounds: on every
-        # agree-pass instance the block dims are 2 on levels 1..d'+1 and 1
-        # above; every agree-pass rooted class of the n <= 5 corpus and of
-        # every 8th n = 6 graph
-        graphs = itertools.chain(*map(connected_graphs, range(1, 6)),
-                                 itertools.islice(connected_graphs(6), 0, None, 8))
-        seen = set()
-        passes = 0
-        for g in graphs:
-            for x in range(g.n):
-                ops = build_operators(g, x)
-                key = rooted_key(g, ops.metric)
-                if g.degree(x) < 2 or not fit_pdr(ops).ok or key in seen:
-                    continue
-                seen.add(key)
-                report = analyze(g, x, with_decomposition=True)
-                if report.agreement != AGREE_PASS:
-                    continue
-                rep = report.decomposition
-                d_prime = max(m.diameter for m in rep.endpoint1_modules())
-                assert dual_block_dims(rep) == (2,) * (d_prime + 1) + (1,) * (
-                    ops.ecc - d_prime - 1), (to_graph6(g), x)
-                passes += 1
-        assert passes == 45
 
     def test_closure_undercounts_irreducible_standard_module(self):
         # base 0 is adjacent to all 7 other vertices and the whole space is
