@@ -48,9 +48,9 @@ log = logging.getLogger(__name__)
 # and the peak RSS measured 3.2 to 4 times the stack (check star:40
 # --vertex 0 --decompose: 257 MiB for a 65 MiB stack; star:60: 1 001 MiB
 # for 317 MiB), so a stack at the limit may peak near 4 GiB. The level
-# projectors are formed only as the n x n diagonal generators of that
-# stack, so other arrays are n x n or, like the commutant basis, no larger
-# than one n^2 x n^2 block of the stack.
+# projectors are never formed (commutant_basis takes their diagonals), so
+# other arrays are n x n or, like the commutant basis, no larger than one
+# n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts before decompose gives up. Attempt k makes one random draw, the
@@ -173,6 +173,7 @@ def commutant_basis(generators: Sequence[np.ndarray],
                     tol: float = 1e-9) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of all matrices commuting with every generator,
     stacked as an array of shape (dim, n, n), and a rank-instability flag.
+    A 1-D generator stands for the diagonal matrix it lists.
 
     Solved as the stacked nullspace of M -> MG - GM over all generators G,
     acting on M flattened row-major, with n^2 unknowns. The dimension
@@ -182,11 +183,18 @@ def commutant_basis(generators: Sequence[np.ndarray],
     k = generators[0].shape[0]
     size = k * k
     eye = np.eye(k)
-    stack = np.empty((len(generators) * size, size))
+    stack = np.zeros((len(generators) * size, size))
     for j, G in enumerate(generators):
+        block = stack[j * size:(j + 1) * size]
+        if G.ndim == 1:
+            # kron(eye, diag(G)) - kron(diag(G), eye) is diagonal, with
+            # G[p] - G[i] at row (i, p); for G >= 0, as the level indicators
+            # are, these are the bytes of the np.kron build, zeros included
+            block.flat[::size + 1] = (G[None, :] - G[:, None]).reshape(-1)
+            continue
         # kron(eye, G.T) - kron(G, eye), written in place as the products
         # np.kron forms: block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q]
-        block = stack[j * size:(j + 1) * size].reshape(k, k, k, k)
+        block = block.reshape(k, k, k, k)
         np.multiply(eye[:, None, :, None], G.T[None, :, None, :], out=block)
         block -= G[:, None, :, None] * eye[None, :, None, :]
     null, flag = _nullspace_rows(stack, tol)
@@ -328,7 +336,7 @@ def decompose(ops: LocalOperators, seed: int = 42,
         _check_size(ops, "the Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
         # the one solve: no attempt and no piece solves again
         comm, rank_flag = commutant_basis(
-            [adjacency] + [np.diag(level.astype(float)) for level in levels], tol)
+            [adjacency] + [level.astype(float) for level in levels], tol)
         if not len(comm):
             # the identity always commutes; a cutoff below rounding noise
             # rejects even it, and no random draw can bring it back

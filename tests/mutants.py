@@ -73,7 +73,7 @@ MUTANTS = (
            ("tests/test_regularity.py::TestSteppedOracle",)),
     # the packed check names no failing row, so the witness has none
     Mutant("packed-fallback-skipped", "packed vs stepped", "regularity.py",
-           "        if not (sol_km.consistent and sol_tr.consistent):\n",
+           "        if witness is None and not consistent:\n",
            "        if False:\n",
            ("tests/test_golden.py",)),
     # exact fit vs numeric verdict, on the exhaustive n <= 6 scans
@@ -110,8 +110,8 @@ MUTANTS = (
            ("tests/test_graphs.py::TestConnectedGraphs",)),
     # single checks, each with a test of its own
     Mutant("pdr-beta-unchecked", "ratio fit", "regularity.py",
-           "            elif flat * count0 != flat0 * paths[z]:\n",
-           "            elif False:\n",
+           "                elif flat * count0 != flat0 * paths[z]:\n",
+           "                elif False:\n",
            ("tests/test_regularity.py::TestFitPdr",)),
     Mutant("rho-forced-zero-unread", "endpoint-one report keys", "regularity.py",
            "        forced_zero = sol_tr.consistent and sol_tr.values[1] == 0\n",
@@ -163,6 +163,20 @@ MUTANTS = (
            "        mid_runs_contiguous=True,\n",
            "        mid_runs_contiguous=False,\n",
            ("tests/test_graphs.py::TestStructureReport",)),
+    # the graph6 decoder keeps the string to_graph6 writes and checks the
+    # padding itself
+    Mutant("graph6-kept-raw", "graph6 decoder", "graphs.py",
+           'vars(g)["graph6"] = (_graph6_header(n) + body).decode("ascii")',
+           'vars(g)["graph6"] = data.decode("ascii")',
+           ("tests/test_graphs.py::TestGraph6",)),
+    Mutant("graph6-padding-unchecked", "graph6 decoder", "graphs.py",
+           "    if bits.find(1, nbits) >= 0:\n", "    if False:\n",
+           ("tests/test_graphs.py::TestGraph6",)),
+    # a level projector's diagonal block: the sign flip keeps the
+    # nullspace, but not the bytes the QR and SVD see
+    Mutant("diagonal-block-sign", "Kronecker stack", "decompose.py",
+           "(G[None, :] - G[:, None])", "(G[:, None] - G[None, :])",
+           ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
     # the scan's structure suite records a failed predicate
     Mutant("structure-problem-dropped", "scan structure suite", "scan.py",
            "    if not s.up_blocks_mid:\n", "    if False:\n",

@@ -101,7 +101,10 @@ def intertwiner_stack(gens_a: Sequence[np.ndarray],
                       gens_b: Sequence[np.ndarray]) -> np.ndarray:
     """Stacked matrix of M -> M G_a - G_b M over the generator pairs, acting
     on M flattened row-major; its nullspace is the intertwiners from a to b.
-    Filled block by block into one preallocated array."""
+    A 1-D generator stands for the diagonal matrix it lists, expanded with
+    np.diag. Filled block by block into one preallocated array."""
+    gens_a = [np.diag(ga) if ga.ndim == 1 else ga for ga in gens_a]
+    gens_b = [np.diag(gb) if gb.ndim == 1 else gb for gb in gens_b]
     ka, kb = gens_a[0].shape[0], gens_b[0].shape[0]
     size = ka * kb
     stack = np.empty((len(gens_a) * size, size))

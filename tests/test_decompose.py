@@ -556,6 +556,29 @@ class TestKroneckerStackInPlace:
                 negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
         assert len(calls) == 18 and negative_zeros > 0
 
+    @pytest.mark.parametrize("instances", [
+        pytest.param(lambda: [gx for n in range(1, 6) for gx in rooted_classes(n)],
+                     id="rooted-classes-n5"),
+        pytest.param(lambda: [(load_graph(name)[0], x) for name in ("cycle:20", "star:20")
+                              for x in (0, 1)], id="cycle-20-star-20")])
+    def test_decompose_stack_has_the_dense_bytes(self, monkeypatch, instances):
+        # decompose hands commutant_basis the level projectors as their
+        # diagonals, and the stack it solves has the bytes of the np.kron
+        # build from the dense projectors of tests/matrix_oracle.py
+        calls = _commutant_calls(monkeypatch)
+        solved = 0
+        for g, x in instances():
+            ops = build_operators(g, x)
+            decompose(ops)
+            for gens, stack in calls:
+                assert [G.ndim for G in gens] == [2] + [1] * (ops.ecc + 1)
+                want = intertwiner_stack(generator_matrices(ops), generator_matrices(ops))
+                assert stack.tobytes() == want.tobytes(), (to_graph6(g), x)
+            solved += len(calls)
+            calls.clear()
+        # star:20 and cycle:20 are reducible at every base
+        assert solved >= 4
+
 
 
 class TestOneCommutantSolve:

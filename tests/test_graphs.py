@@ -12,6 +12,7 @@ import pytest
 import endpoint1_oracle
 from clausewise import verify_condition_values
 from corpus_oracle import oracle_connected_graph6
+from graph6_oracle import oracle_to_graph6
 from rooted import permutation_key
 from structure_oracle import oracle_structure_report, partitions_at
 from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, cell_pattern,
@@ -137,6 +138,80 @@ class TestGraph6:
         # P3 body byte with a trailing padding bit set
         with pytest.raises(GraphError, match="padding"):
             parse_graph6(bytes([63 + 3, 63 + 0b101001]))
+
+    # "EhEG" is the 6-cycle: n = 6, a 3-byte body of 15 pair bits and 3
+    # padding bits, "G" = 63 + 0b001000
+    @pytest.mark.parametrize("record, message", [
+        (b"E!EG", "graph6 offset 1: byte out of range"),
+        (b"Eh!G", "graph6 offset 2: byte out of range"),
+        (b"EhE\x7f", "graph6 offset 3: byte out of range"),
+        # the first bad byte is named, before a later, smaller one
+        (b"E\x7f!G", "graph6 offset 1: byte out of range"),
+        (b"Eh\x7f\x7f", "graph6 offset 2: byte out of range"),
+        (b"~??Eh!G", "graph6 offset 5: byte out of range"),
+        (b"  >>graph6<<EhE!\n", "graph6 offset 3: byte out of range"),
+        # "H" sets the last padding bit, "K" the first
+        (b"EhEH", "graph6 offset 3: nonzero padding bits"),
+        (b"EhEK", "graph6 offset 3: nonzero padding bits"),
+        (b"~??EhEK", "graph6 offset 6: nonzero padding bits"),
+        (b"EhE", "graph6 offset 1: body has 2 bytes, expected 3"),
+    ])
+    def test_body_errors_name_their_offset(self, record, message):
+        with pytest.raises(GraphError) as err:
+            parse_graph6(record)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("record", [
+        "EhEG", "~??EhEG", ">>graph6<<EhEG", "  EhEG\n", "\t>>graph6<<~??EhEG \r\n",
+        b"~??EhEG"])
+    def test_kept_string_is_canonical(self, record):
+        g = parse_graph6(record)
+        assert g == cycle_graph(6)
+        assert g.graph6 == "EhEG" == to_graph6(g) == oracle_to_graph6(g)
+
+    def test_kept_string_is_the_encoding_small(self):
+        # every record with n <= 6
+        count = 0
+        for n in range(1, 7):
+            for record in generate_connected_graph6(n):
+                g = parse_graph6(record)
+                assert g.graph6 == record == to_graph6(g) == oracle_to_graph6(g)
+                count += 1
+        assert count == sum(CONNECTED_GRAPH_COUNTS[n] for n in range(1, 7))
+
+    def test_kept_string_is_the_encoding_seeded(self):
+        # seeded graphs up to n = 200, dense and sparse, with both headers
+        rng = random.Random(20261019)
+        for n in [1, 2, 3, 7, 12, 61, 62, 63, 64, 100, 157, 200]:
+            for p in (0.05, 0.5, 0.95):
+                edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+                record = oracle_to_graph6(make_graph(n, edges))
+                g = parse_graph6(record)
+                assert sorted(g.edges()) == sorted(edges)
+                assert g.graph6 == record == to_graph6(g), (n, p)
+
+    def test_encoder_matches_oracle(self):
+        # n = 1000 has 499 500 pair bits, more than one encoding block
+        rng = random.Random(20261019)
+        sparse = make_graph(1000, [(u, v) for v in range(1000) for u in range(v)
+                                   if rng.random() < 0.01])
+        graphs = [complete_graph(200), path_graph(300), star_graph(120),
+                  cycle_graph(64), make_graph(1, []), path_graph(1000), sparse]
+        for g in graphs:
+            assert to_graph6(g) == oracle_to_graph6(g), g.n
+
+    def test_pickle_ignores_kept_string(self):
+        # parse_graph6 keeps the string at once; the pickle is that of the
+        # same graph built without one
+        for record in ["EhEG", "~??EhEG", "Bw", "@"]:
+            g = parse_graph6(record)
+            assert "graph6" in vars(g)
+            h = make_graph(g.n, g.edges())
+            assert "graph6" not in vars(h)
+            assert pickle.dumps(g) == pickle.dumps(h)
+            restored = pickle.loads(pickle.dumps(g))
+            assert restored == g and "graph6" not in vars(restored)
+            assert restored.graph6 == g.graph6
 
 
 class TestLocalMetric:

@@ -64,6 +64,14 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _witness_rows(ops, prof):
+    """The row counts _count_solves logs for a fit: one solve of the
+    deg(x) |S_i| rows of its first failing level i, if any."""
+    failing = [lv.level for lv in prof.levels if not lv.consistent]
+    return [ops.graph.degree(ops.base) * len(ops.metric.sphere(i))
+            for i in failing[:1]]
+
+
 def _hypercube(d):
     return make_graph(1 << d, [(u, u | 1 << b) for u in range(1 << d)
                                for b in range(d) if not u >> b & 1])
@@ -320,10 +328,11 @@ class TestFitEndpoint1:
                         checked += pinned
         assert checked > 100
 
-    def test_two_solves_per_failing_level(self, monkeypatch):
-        # a level whose packed check passes takes no solve_linear call; a
-        # failing one is solved again row by row, for elimination's
-        # witness; the named graphs of the golden reports, every base
+    def test_one_solve_per_failing_fit(self, monkeypatch):
+        # a level whose packed check passes takes no solve_linear call; of
+        # a failing fit, only the failing system of the first failing level
+        # is solved again row by row, for elimination's witness; the named
+        # graphs of the golden reports, every base
         calls = _count_solves(monkeypatch)
         fitted = failing = 0
         for g in _golden_graphs():
@@ -334,7 +343,7 @@ class TestFitEndpoint1:
                     prof = fit_endpoint1(ops, fit_pdr(ops))
                 except NotApplicable:
                     continue
-                assert len(calls) == 2 * sum(not lv.consistent for lv in prof.levels)
+                assert calls == _witness_rows(ops, prof)
                 fitted += 1
                 failing += not prof.ok
         assert fitted == 41  # one per line of the golden witness table
@@ -367,8 +376,9 @@ class TestFitEndpoint1:
 class TestSteppedOracle:
     """fit_endpoint1 against the fit that steps each neighbour and solves
     every row (tests/endpoint1_oracle.py): the levels with their four
-    scalars and rho_forced_zero, and the witness. solve_linear runs twice
-    on each failing level and never on another."""
+    scalars and rho_forced_zero, and the witness. solve_linear runs once
+    on a failing fit, on its first failing level, and never on a fit that
+    holds."""
 
     @pytest.mark.parametrize("instances, least_failing", [
         pytest.param(_small_instances, 30, id="n-le-5-and-every-8th-n6"),
@@ -388,7 +398,7 @@ class TestSteppedOracle:
             calls.clear()
             prof = fit_endpoint1(ops, pdr)
             assert prof == fit_endpoint1_stepped(ops, pdr)
-            assert len(calls) == 2 * sum(not lv.consistent for lv in prof.levels)
+            assert calls == _witness_rows(ops, prof)
             fitted += 1
             failing += not prof.ok
         assert fitted > failing >= least_failing
