@@ -394,9 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", help="graph6 file or '-'")
     p.add_argument("--generate", type=int, metavar="N",
                    help="enumerate all connected graphs on N labeled vertices")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: TK_JOBS or all cores; "
-                        "at most the number of cores)")
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="processes: the parent and N - 1 forked workers "
+                        "(default: TK_JOBS or all cores; at most the number "
+                        "of cores)")
     p.add_argument("--progress", action="store_true",
                    help=f"every {PROGRESS_EVERY} graphs, print on stderr the "
                         "count, the rate and the time left")

@@ -17,23 +17,24 @@ a comment at its site:
 - a tree's thresholds equal its eccentricity (_structure_problems).
 
 What an instance yields depends only on its rooted graph, so each rooted
-isomorphism class is analyzed once per scan_corpus call. A class cache,
-keyed by graphs.rooted_key, keeps the outcome of the first agreeing
-instance of each class: its agreement, its structure problems and its
-varying-threshold flag. Later instances of the class replay it, each
-record carrying their own graph6 and base label. A MISMATCH is never
+isomorphism class is analyzed once per scan process and scan_corpus call.
+A class cache, keyed by graphs.rooted_key, keeps the outcome of the first
+agreeing instance of each class: its agreement, its structure problems
+and its varying-threshold flag. Later instances of the class replay it,
+each record carrying their own graph6 and base label. A MISMATCH is never
 stored, so every instance of a mismatching class is analyzed and reported
 as `check` reports it. About 1 % of the hits, those whose instance seed is
 divisible by SELF_CHECK_EVERY, are analyzed again and compared with the
-stored outcome; a difference is a MISMATCH that names the cache. The
-cache holds one entry per distinct thin rooted class met, in each worker,
-for one call. The key costs one refinement per node of its search, a
-median of 50 to 70 us an instance at n = 6 against about 1.4 ms for an
-analysis (two cores, Python 3.11); symmetric graphs without twins
-explore more leaves (see graphs.rooted_key). The cache lives for one
-call, so a short corpus pays for the analysis of every class it meets:
-in a chunk of 128 n = 6 graphs, the decompositions of about 13 classes
-take about 45 % of the scan's time.
+stored outcome; a difference is a MISMATCH that names the cache. A scan
+runs in N processes, the parent and N - 1 forked workers, and each of the
+N holds one class cache for the call, with one entry per distinct thin
+rooted class that process meets. The key costs one refinement per node
+of its search, a median of 50 to 70 us an instance at n = 6 against about
+1.4 ms for an analysis (two cores, Python 3.11); symmetric graphs without
+twins explore more leaves (see graphs.rooted_key). The cache lives for
+one call, so a short corpus pays for the analysis of every class it
+meets: in a chunk of 128 n = 6 graphs, the decompositions of about 13
+classes take about 45 % of the scan's time.
 
 The corpus of `scan --generate n`, generate_connected_graph6(n), builds
 no graph: records come off edge masks, and connectivity off a table of
@@ -44,11 +45,13 @@ The CLI stops at n = 7, since n = 8 has 2^28 masks.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 import zlib
+from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing import Pool
-from typing import Any, Iterable, Iterator, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from .exact import build_operators
 # generate_connected_graph6 is re-exported for callers that import the
@@ -67,6 +70,21 @@ CACHE_MISMATCH = "outcome differs from the cached outcome of its rooted class"
 
 # Graphs between two progress calls of scan_corpus
 PROGRESS_EVERY = 2000
+
+# Records per batch dealt to a scan process
+BATCH_RECORDS = 64
+
+# Workers are forked, so they start with the parent's modules loaded (a
+# spawned worker would import the package afresh). multiprocessing's
+# connection module is imported on the first fork, not here
+_FORK = multiprocessing.get_context("fork")
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
+    # A scan worker: the parent's end of its pipe, and its process
+    Worker = tuple[Connection, BaseProcess]
 
 
 @dataclass
@@ -150,7 +168,9 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
     serves this graph only.
     """
     g = parse_graph6(graph6)
-    if not g.is_connected():
+    # the first base of degree >= 2 runs local_metric, which raises on a
+    # disconnected graph; only a graph without one needs a search here
+    if all(g.degree(x) < 2 for x in range(g.n)) and not g.is_connected():
         raise GraphError("graph is disconnected")
     if cache is None:
         cache = {}
@@ -221,32 +241,52 @@ def _emit(outcome: Outcome, out: dict[str, Any], base: str) -> None:
         out["varying_thresholds"].append({"graph6": out["graph6"], "base": base})
 
 
-def _worker(args: tuple[int, str, int, float],
-            cache: ClassCache) -> dict[str, Any]:
-    record, graph6, seed, tol = args
+def _scan_batch(first: int, lines: list[str], seed: int, tol: float,
+                cache: ClassCache) -> list[dict[str, Any]]:
+    """The results of a batch of records numbered from first."""
+    out = []
+    for record, graph6 in enumerate(lines, start=first):
+        try:
+            out.append(scan_graph(graph6, seed=seed, tol=tol, cache=cache))
+        except GraphError as exc:
+            raise GraphError(f"record {record} ({graph6}): {exc}") from None
+    return out
+
+
+def _batches(graph6_lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(first record number, records) of each run of BATCH_RECORDS records."""
+    lines = iter(graph6_lines)
+    first = 1
+    while batch := list(islice(lines, BATCH_RECORDS)):
+        yield first, batch
+        first += len(batch)
+
+
+def _scan_worker(conn: Connection, inherited: tuple[Connection, ...],
+                 seed: int, tol: float) -> None:
+    """A forked worker: scan each batch dealt on conn with a class cache of
+    its own, and send back its results, or the exception it raised, once
+    the next batch or the end marker None has arrived."""
+    # the parent's ends: once the parent is gone, conn reads EOF
+    for end in inherited:
+        end.close()
+    cache: ClassCache = {}
     try:
-        return scan_graph(graph6, seed=seed, tol=tol, cache=cache)
-    except GraphError as exc:
-        raise GraphError(f"record {record} ({graph6}): {exc}") from None
-
-
-# The class cache of a pool worker process. The pool's initializer makes
-# it afresh in each worker, so it lives as long as the pool: one
-# scan_corpus call.
-_pool_cache: ClassCache = {}
-
-
-def _start_pool_worker() -> None:
-    global _pool_cache
-    _pool_cache = {}
-
-
-def _pool_worker(args: tuple[int, str, int, float]) -> dict[str, Any]:
-    return _worker(args, _pool_cache)
+        batch = conn.recv()
+        while batch is not None:
+            try:
+                result: Any = _scan_batch(*batch, seed, tol, cache)
+            except Exception as exc:
+                result = exc
+            following = conn.recv()
+            conn.send(result)
+            batch = following
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass   # the parent is gone or interrupted
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker process count: jobs when positive, else a positive integer
+    """Scan process count: jobs when positive, else a positive integer
     TK_JOBS, else every core; never more than os.cpu_count()."""
     cores = os.cpu_count() or 1
     if jobs is None or jobs <= 0:
@@ -260,25 +300,90 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
                 seed: int = 42, tol: float = 1e-9,
                 progress: Optional[Any] = None) -> ScanSummary:
-    """Scan a stream of graph6 records. Work is distributed over processes
-    but merged in input order, so the summary is independent of the job
-    count. Each process keeps its own class cache for this call only.
-    progress, when given, is called with the number of graphs merged every
-    PROGRESS_EVERY graphs. A malformed or disconnected record raises
-    GraphError naming its 1-based record number."""
+    """Scan a stream of graph6 records in N = resolve_jobs(jobs) processes,
+    the parent and N - 1 forked workers, merged in input order, so the
+    summary is independent of the job count. Each of the N processes holds
+    one class cache for this call. progress, when given, is called with the
+    number of graphs merged every PROGRESS_EVERY graphs. A malformed or
+    disconnected record raises GraphError naming its 1-based record number;
+    of several, the first in input order. A worker that dies raises
+    RuntimeError. Whatever is raised, every worker is stopped and joined
+    before it propagates."""
     jobs = resolve_jobs(jobs)
     summary = ScanSummary()
-    work = ((record, line, seed, tol)
-            for record, line in enumerate(graph6_lines, start=1))
-    if jobs == 1:
-        cache: ClassCache = {}
-        results: Iterator[dict[str, Any]] = (_worker(task, cache) for task in work)
-        _merge(summary, results, progress)
-    else:
-        with Pool(jobs, initializer=_start_pool_worker) as pool:
-            results = pool.imap(_pool_worker, work, chunksize=64)
-            _merge(summary, results, progress)
+    workers: list[Worker] = []
+    try:
+        for _ in range(jobs - 1):
+            ours, theirs = _FORK.Pipe()
+            inherited = tuple(conn for conn, _ in workers) + (ours,)
+            proc = _FORK.Process(target=_scan_worker, daemon=True,
+                                 args=(theirs, inherited, seed, tol))
+            proc.start()
+            workers.append((ours, proc))
+            theirs.close()
+        _merge(summary, _results(_batches(graph6_lines), workers, seed, tol),
+               progress)
+    except BaseException:
+        for _, proc in workers:
+            proc.terminate()
+        raise
+    finally:
+        for conn, proc in workers:
+            conn.close()
+            proc.join()
     return summary
+
+
+def _results(batches: Iterator[tuple[int, list[str]]],
+             workers: list[Worker], seed: int,
+             tol: float) -> Iterator[dict[str, Any]]:
+    """The per-graph results of the batches, in input order.
+
+    Batch k goes to process k mod N, the parent first, which scans its
+    batches itself when the merge reaches them. The parent deals each
+    worker two items, batches or the end marker, at the start, and one
+    more right after each result it receives from it. So a worker holds
+    its next item before it sends a result, and neither side blocks in a
+    send while the other does, whatever the message sizes."""
+    cache: ClassCache = {}
+    # (its worker, None for the parent; batch) of each batch dealt and not
+    # yet merged, in input order
+    pending: deque[tuple[Optional[Worker], tuple[int, list[str]]]] = deque()
+    ended: set[Worker] = set()    # the workers sent the end marker
+
+    def deal(worker: Optional[Worker]) -> None:
+        batch = next(batches, None)
+        if batch is not None:
+            pending.append((worker, batch))
+        if worker is not None and worker not in ended:
+            try:
+                worker[0].send(batch)
+            except OSError:
+                raise _died(worker) from None
+            if batch is None:
+                ended.add(worker)
+
+    for _ in range(2):
+        for worker in [None, *workers]:
+            deal(worker)
+    while pending:
+        worker, batch = pending.popleft()
+        if worker is None:
+            results = _scan_batch(*batch, seed, tol, cache)
+        else:
+            try:
+                results = worker[0].recv()
+            except (EOFError, OSError):
+                raise _died(worker) from None
+            if isinstance(results, Exception):
+                raise results
+        deal(worker)
+        yield from results
+
+
+def _died(worker: Worker) -> RuntimeError:
+    proc = worker[1]
+    return RuntimeError(f"scan worker {proc.name} (pid {proc.pid}) died")
 
 
 def _merge(summary: ScanSummary, results: Iterator[dict[str, Any]],

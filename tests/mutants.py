@@ -177,6 +177,20 @@ MUTANTS = (
     Mutant("diagonal-block-sign", "Kronecker stack", "decompose.py",
            "(G[None, :] - G[:, None])", "(G[:, None] - G[None, :])",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
+    # the scan's processes: a worker reads its next batch before it sends
+    # a result, the merge follows input order, and a worker's error is
+    # raised in the parent
+    Mutant("worker-sends-before-next-batch", "scan process protocol", "scan.py",
+           "            following = conn.recv()\n            conn.send(result)\n",
+           "            conn.send(result)\n            following = conn.recv()\n",
+           ("tests/test_scan.py::test_big_messages_do_not_deadlock",)),
+    Mutant("scan-merge-out-of-order", "scan process protocol", "scan.py",
+           "        worker, batch = pending.popleft()\n",
+           "        worker, batch = pending.pop()\n",
+           ("tests/test_scan.py::test_merge_keeps_input_order",)),
+    Mutant("worker-error-dropped", "scan process protocol", "scan.py",
+           "                result = exc\n", "                result = []\n",
+           ("tests/test_scan.py::test_bad_record_named",)),
     # the scan's structure suite records a failed predicate
     Mutant("structure-problem-dropped", "scan structure suite", "scan.py",
            "    if not s.up_blocks_mid:\n", "    if False:\n",

@@ -590,10 +590,12 @@ class TestScan:
         assert code == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("record", ["C?", "Cg"])
+    @pytest.mark.parametrize("record", ["C?", "Cg", "DgC"])
     def test_disconnected_record_rejected(self, capsys, tmp_path, record, jobs):
         # C? has only isolated vertices, which used to pass as vacuous;
-        # Cg has a vertex of degree 2, which used to abort unnamed
+        # Cg has a vertex of degree 2, which used to abort unnamed; DgC,
+        # P3 + K2, is a leaf at vertex 0, so the search that finds the K2
+        # unreachable is the metric of base 1
         path = tmp_path / "corpus.g6"
         path.write_text(f"Bw\n{record}\nDhc\n")
         code, out, err = run_cli(capsys, "scan", str(path), "--jobs", jobs)

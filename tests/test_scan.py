@@ -1,8 +1,13 @@
 """The scan's class cache: a replayed outcome gives what the analysis
 gives, each instance keeps its own records, the cache lives for one
 scan_corpus call, and the 1 % self-check turns a stale outcome into a
-mismatch."""
+mismatch. The scan's processes: big messages do not deadlock, results
+merge in input order, a dead worker or a bad record raises, `--jobs N`
+starts N - 1 workers, and none is left behind."""
 import json
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import pytest
@@ -12,8 +17,9 @@ from tkit.cli import main
 from tkit.constructions import cycle_graph
 from tkit.graphs import local_metric, parse_graph6, rooted_key, to_graph6
 from tkit.report import MISMATCH
-from tkit.scan import (CACHE_MISMATCH, SELF_CHECK_EVERY, generate_connected_graph6,
-                       instance_seed, scan_corpus, scan_graph)
+from tkit.graphs import GraphError
+from tkit.scan import (BATCH_RECORDS, CACHE_MISMATCH, CATEGORY_KEYS, SELF_CHECK_EVERY,
+                       generate_connected_graph6, instance_seed, scan_corpus, scan_graph)
 
 
 def scan_stdout(capsys, *argv):
@@ -159,3 +165,112 @@ def test_self_check_agrees_on_a_clean_scan(analyses):
     summary = scan_corpus(["DLo", "Dhc"], jobs=1)
     assert summary.clean and summary.counts["agree-pass"] == 10
     assert analyses == [instance_seed(42, "DLo", 0), instance_seed(42, "Dhc", 0)]
+
+
+# A protocol test that hangs fails after this many seconds instead
+HARD_TIMEOUT_S = 60
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """A hard timeout for a test that starts scan workers, and enough cores
+    that --jobs 3 is not clamped; afterwards no worker may be left."""
+    def expire(signum, frame):
+        raise TimeoutError(f"scan did not finish within {HARD_TIMEOUT_S} s")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(HARD_TIMEOUT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def stub_result(graph6, **extra):
+    """A scan_graph record with no instance and one mismatch entry."""
+    return {"graph6": graph6, "counts": dict.fromkeys(CATEGORY_KEYS, 0), "instances": 0,
+            "mismatches": [{"graph6": graph6, **extra}], "dim_bound_violations": [],
+            "structure_violations": [], "varying_thresholds": []}
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_big_messages_do_not_deadlock(monkeypatch, processes, jobs):
+    # the first record of every batch, and its mismatch entry, are 1 MiB,
+    # more than a socket buffer holds, so a side that sends before it
+    # reads blocks on the other
+    monkeypatch.setattr(tkit.scan, "scan_graph", lambda graph6, **_: stub_result(graph6))
+    corpus = [("~" * 2 ** 20 if k % BATCH_RECORDS == 0 else "") + str(k)
+              for k in range(8 * BATCH_RECORDS)]
+    summary = scan_corpus(corpus, jobs=jobs)
+    assert [m["graph6"] for m in summary.mismatches] == corpus
+
+
+def test_merge_keeps_input_order(capsys, monkeypatch, processes):
+    # a forced mismatch on every 13th of the 728 records, 12 batches
+    corpus = list(generate_connected_graph6(5))
+    forced = set(corpus[::13])
+    scan_graph = tkit.scan.scan_graph
+
+    def forcing(graph6, **kwargs):
+        out = scan_graph(graph6, **kwargs)
+        if graph6 in forced:
+            out["mismatches"].append({"graph6": graph6})
+        return out
+
+    monkeypatch.setattr(tkit.scan, "scan_graph", forcing)
+    runs = [scan_stdout(capsys, "--generate", "5", "--jobs", jobs) for jobs in "123"]
+    code, out = runs[0]
+    assert code == 3
+    assert [json.loads(line) for line in out.splitlines()[1:]] == [
+        {"graph6": graph6} for graph6 in corpus[::13]]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_dead_worker_raises(monkeypatch, processes):
+    parent = os.getpid()
+
+    def dies_in_a_worker(graph6, **_):
+        if os.getpid() != parent:
+            os._exit(1)
+        return stub_result(graph6)
+
+    monkeypatch.setattr(tkit.scan, "scan_graph", dies_in_a_worker)
+    corpus = [str(k) for k in range(4 * BATCH_RECORDS)]
+    with pytest.raises(RuntimeError, match=r"^scan worker \S+ \(pid \d+\) died$"):
+        scan_corpus(corpus, jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("bad, named", [
+    ((5,), 5),            # in batch 0, the parent's
+    ((71,), 71),          # in batch 1, a worker's
+    ((71, 130), 71),      # the first in input order
+    ((130, 140), 130),    # in batch 2, the parent's at --jobs 2
+])
+def test_bad_record_named(processes, jobs, bad, named):
+    corpus = ["Bw"] * (4 * BATCH_RECORDS)
+    for record in bad:
+        corpus[record - 1] = "C?"
+    with pytest.raises(GraphError, match=rf"^record {named} \(C\?\): graph is disconnected"):
+        scan_corpus(corpus, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_jobs_starts_one_fewer_workers(capsys, monkeypatch, processes, tmp_path, jobs):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    monkeypatch.setattr(tkit.scan, "scan_graph",
+                        lambda graph6, **_: stub_result(graph6, pid=os.getpid()))
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(f"{k}\n" for k in range(6 * BATCH_RECORDS)))
+    code, out = scan_stdout(capsys, str(path), "--jobs", str(jobs))
+    pids = {json.loads(line)["pid"] for line in out.splitlines()[1:]}
+    assert code == 3 and len(started) == jobs - 1
+    assert os.getpid() in pids and len(pids) == jobs
