@@ -9,10 +9,9 @@ from .graphs import (Graph, GraphError, LocalMetric, DistancePartition,
                      StructureReport, make_graph, parse_edge_list,
                      parse_graph6, to_graph6, local_metric, distance_partition,
                      structure_report, connected_graphs, generate_connected_graph6)
-from .exact import (LocalOperators, LinearSolution, build_operators, step,
-                    walk_column, enumerate_walks, walk_counts_from,
-                    raising_powers, solve_linear, shape_string,
-                    SHAPE_FAMILIES)
+from .exact import (LocalOperators, LinearSolution, build_operators,
+                    enumerate_walks, walk_counts_from, raising_powers,
+                    solve_linear, shape_string, SHAPE_FAMILIES)
 from .regularity import (PdrProfile, Endpoint1Profile, LevelFit, NotApplicable,
                          fit_pdr, fit_endpoint1)
 from .decompose import (Subspace, ModuleSummary, DecompositionReport,

@@ -4,9 +4,9 @@ Subcommands:
   check      analyze one graph at one or all base vertices (NDJSON or table)
   construct  build an apex extension over a product and print the graph
   scan       cross-validate a graph6 corpus or an exhaustive enumeration
-  oracle     compare one walk count, stepped level by level as an integer
-             vector, with explicit walk enumeration (dense matrix
-             products are kept only as a test oracle)
+  oracle     compare one walk count, read where the fits read it (the
+             BFS's geodesic counts or a lane of the endpoint-one fit's
+             sweep), with explicit walk enumeration
   partition  dump the distance partition cells of one edge
 
 Exit codes: 0 success, 2 bad input, 3 cross-validation mismatch,
@@ -27,10 +27,10 @@ from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
 from .decompose import DecompositionError
-from .exact import (SHAPE_FAMILIES, build_operators, enumerate_walks, shape_string,
-                    walk_column)
+from .exact import SHAPE_FAMILIES, build_operators, enumerate_walks, shape_string
 from .graphs import CONNECTED_GRAPH_COUNTS, Graph, GraphError, distance_partition, \
     generate_connected_graph6, parse_edge_list, parse_graph6, to_graph6
+from .regularity import neighbour_sweep, swept_column
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
 from .scan import PROGRESS_EVERY, scan_corpus
 
@@ -78,13 +78,13 @@ def _builtin(name: str) -> Optional[tuple[Graph, Optional[int]]]:
     return None
 
 
-def load_graph(source: str, input_format: str = "auto") -> tuple[Graph, Optional[int]]:
+def load_graph(source: str) -> tuple[Graph, Optional[int]]:
     """Resolve a builtin name, '-', or a file path into a Graph plus an
     optional distinguished base vertex."""
     built = _builtin(source)
     if built is not None:
         return built
-    return _parse_text(_read_source(source), input_format), None
+    return _parse_text(_read_source(source)), None
 
 
 def _read_source(source: str) -> str:
@@ -100,24 +100,16 @@ def _read_source(source: str) -> str:
         raise GraphError(f"cannot decode {source}: {exc}") from exc
 
 
-def _parse_text(text: str, input_format: str) -> Graph:
-    if input_format == "edgelist":
-        return parse_edge_list(text)
-    if input_format == "graph6":
-        return _parse_graph6_text(text)
+def _parse_text(text: str) -> Graph:
     # a graph6 record has no whitespace and no '#' (its bytes are 63-126),
     # so a comment or a line of two or more tokens makes the text an edge
     # list, and its parser names any bad line
     if "#" in text or any(len(ln.split()) >= 2 for ln in text.splitlines()):
         return parse_edge_list(text)
-    return _parse_graph6_text(text)
-
-
-def _parse_graph6_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 1:
+    records = text.split()
+    if len(records) != 1:
         raise GraphError("expected a single graph6 record")
-    return parse_graph6(lines[0])
+    return parse_graph6(records[0])
 
 
 def _resolve_base(g: Graph, args, default: Optional[int]) -> list[int]:
@@ -180,7 +172,7 @@ def _print_check_table(rep_dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    g, default_base = load_graph(args.source, args.input)
+    g, default_base = load_graph(args.source)
     if not g.is_connected():
         raise GraphError("analysis needs a connected graph")
     bases = _resolve_base(g, args, default_base)
@@ -199,7 +191,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g, _ = load_graph(args.gamma, "auto")
+    g, _ = load_graph(args.gamma)
     x = g.index_of(args.x)
     sigma = _family_graph(args.sigma_kind, args.sigma_n)
     n_out = g.n * sigma.n + 1
@@ -282,26 +274,31 @@ def _parse_shape(shape: str) -> tuple[str, int]:
 
 
 def cmd_oracle(args) -> int:
-    g, _ = load_graph(args.source, "auto")
+    g, _ = load_graph(args.source)
     if not g.is_connected():
         raise GraphError("oracle needs a connected graph")
     x = g.index_of(args.x)
     y = g.index_of(args.y)
     z = g.index_of(args.z)
     family, m = _parse_shape(args.shape)
-    stepped = walk_column(build_operators(g, x), args.shape, y)[z]
+    ops = build_operators(g, x)
+    column = swept_column(ops, neighbour_sweep(ops), family, m, y)
+    if column is None:
+        raise GraphError(f"no fit reads {family!r} walks from {args.y}: the fits "
+                         f"read 'r' from the base and every family from its "
+                         f"neighbours")
     from_enum = enumerate_walks(g, x, args.shape, y, z)
-    agree = stepped == from_enum
+    agree = column[z] == from_enum
     print(json.dumps({
         "shape": args.shape, "family": family, "m": m,
-        "walk_table": str(stepped), "enumeration": str(from_enum),
+        "walk_table": str(column[z]), "enumeration": str(from_enum),
         "agree": agree,
     }, sort_keys=True, separators=(",", ":")))
     return 0 if agree else 4
 
 
 def cmd_partition(args) -> int:
-    g, _ = load_graph(args.source, "auto")
+    g, _ = load_graph(args.source)
     if not g.is_connected():
         raise GraphError("partition needs a connected graph")
     x = g.index_of(args.x)
@@ -372,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the numeric module decomposition")
     p.add_argument("--include-bases", action="store_true",
                    help="embed module basis vectors in the JSON")
-    p.add_argument("--input", choices=("auto", "edgelist", "graph6"),
-                   default="auto")
     p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
     _add_common(p)
     p.set_defaults(func=cmd_check)

@@ -1,13 +1,11 @@
-"""The local operator family, level-stepped walk counts, and exact solving.
+"""The local operator family, walk enumeration, and exact solving.
 
 Everything here is exact, with no tolerances. Walk counts are vectors
-indexed by vertex. The base's R^i e_x are the BFS's geodesic counts
-(LocalMetric.paths), and the endpoint-one fit raises the base's
-neighbours itself, all at once as packed lanes. A raising, flat or
-lowering step takes a level's support to a single level, so step() is
-the one kernel for walk counts on a level: it pushes the counts of one
-level along the adjacency lists, and walk_column and raising_powers,
-built on it, serve the oracle subcommand and the tests. Counts grow
+indexed by vertex. The fits read them from two places only: the base's
+R^i e_x are the BFS's geodesic counts (LocalMetric.paths), and the
+counts from the base's neighbours are the lanes of one packed sweep
+(regularity.neighbour_sweep). Explicit walk enumeration here is their
+independent oracle, which the oracle subcommand runs. Counts grow
 exponentially with walk length, so entries are arbitrary precision by
 construction (plain Python ints). The linear systems have two unknowns
 and are solved in integers as well, by substitution into the two pivot
@@ -102,7 +100,7 @@ def solve_linear(rows: Sequence[Sequence[int | Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# Local operators and level-stepped walk counts
+# Local operators and walk counts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -111,14 +109,12 @@ class LocalOperators:
 
     The adjacency matrix splits into a lowering, a flat and a raising part
     (steps one level down, within a level, one level up). These operators
-    are never formed; step() applies one of them to a count vector on one
-    level by walking the adjacency lists of that level's vertices.
+    are never formed: the fits walk the adjacency lists of each level.
 
-    The base's raising vectors need no step: R^i e_x is the number of
-    geodesics from the base on level i, which the BFS counts as
-    metric.paths. cells, shared by the endpoint-one fit and the structure
-    report, is built on first use and kept: most scanned instances never
-    need it.
+    The base's raising vectors R^i e_x are the numbers of geodesics from
+    the base on level i, which the BFS counts as metric.paths. cells,
+    shared by the endpoint-one fit and the structure report, is built on
+    first use and kept: most scanned instances never need it.
     """
 
     graph: Graph
@@ -154,66 +150,29 @@ def describe(ops: LocalOperators) -> str:
     return f"{g6} (n={g.n}, m={g.edge_count}) base {g.labels[ops.base]}"
 
 
-def step(ops: LocalOperators, counts: Sequence[int], level: int,
-         letter: str) -> list[int]:
-    """Apply the raising ("r"), flat ("f") or lowering ("l") part of the
-    adjacency matrix to a vector of walk counts, indexed by vertex, whose
-    support lies on the given level.
-
-    Entry w of the result is the number of walks that extend a counted walk
-    by one step of that kind and end at w; the result lies on the level one
-    up, the same level or one down. Only the level's vertices are visited,
-    and only those with a nonzero count are pushed to their neighbours:
-    a neighbour's raising vectors have few nonzero entries, which a gather
-    over the target level would not skip.
-    """
-    want = level + _STEP[letter]
-    dist = ops.metric.dist
-    adj = ops.graph.adj
-    out = [0] * len(counts)
-    for u in ops.metric.sphere(level):
-        c = counts[u]
-        if c:
-            for w in adj[u]:
-                if dist[w] == want:
-                    out[w] += c
-    return out
-
-
-def walk_column(ops: LocalOperators, shape: str, y: int) -> list[int]:
-    """Walks from y whose step letters match shape, counted by endpoint:
-    column y of the product of the shape's level operators. A step that
-    leaves the levels 0..ecc leaves no walk."""
-    counts = [0] * ops.graph.n
-    counts[y] = 1
-    level = ops.metric.dist[y]
-    for letter in shape:
-        counts = step(ops, counts, level, letter)
-        level += _STEP[letter]
-    return counts
-
-
 def raising_powers(ops: LocalOperators, v: int, max_m: int) -> list[list[int]]:
     """[R^0 e_v, R^1 e_v, ..., R^max_m e_v]: counts of the walks from v
-    that raise the level at every step; powers past the last level are zero."""
-    powers = [walk_column(ops, "", v)]
-    level = ops.metric.dist[v]
-    for m in range(max_m):
-        powers.append(step(ops, powers[-1], level + m, "r"))
+    that raise the level at every step; powers past the last level are
+    zero. No fit calls it: the fits read R^i e_x as metric.paths and the
+    neighbours' raising counts as lanes (regularity.neighbour_sweep)."""
+    dist, adj = ops.metric.dist, ops.graph.adj
+    powers = [[int(u == v) for u in range(ops.graph.n)]]
+    for level in range(dist[v], dist[v] + max_m):
+        below, out = powers[-1], [0] * ops.graph.n
+        for u in ops.metric.sphere(level):
+            for w in adj[u]:
+                if dist[w] == level + 1:
+                    out[w] += below[u]
+        powers.append(out)
     return powers
 
 
 def shape_string(family: str, m: int) -> str:
-    """The per-step letter sequence of a shape family with exponent m."""
-    if family == "r":
-        return "r" * m
-    if family == "rl":
-        return "r" * m + "l"
-    if family == "lr":
-        return "l" + "r" * m
-    if family == "rf":
-        return "r" * m + "f"
-    raise ValueError(f"unknown shape family {family!r}")
+    """The per-step letter sequence of a shape family with exponent m: the
+    family's name with its r repeated m times (rl, m = 2 gives rrl)."""
+    if family not in SHAPE_FAMILIES:
+        raise ValueError(f"unknown shape family {family!r}")
+    return family.replace("r", "r" * m)
 
 
 def walk_counts_from(g: Graph, x: int, shape: str, y: int,
@@ -223,7 +182,8 @@ def walk_counts_from(g: Graph, x: int, shape: str, y: int,
 
     The shape is a string over {r, f, l}: each letter constrains one step
     to raise, keep or lower the distance from x. This enumerates every
-    walk individually and is the independent oracle for walk_column.
+    walk individually and is the independent oracle for the counts the
+    fits read (regularity.swept_column).
     """
     for ch in shape:
         if ch not in _STEP:

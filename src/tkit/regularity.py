@@ -246,6 +246,78 @@ def _packed_solve(sphere: Sequence[int], up: Sequence[int], paths: Sequence[int]
     return tuple(solve(rhs) for rhs in rhss)
 
 
+# (nbrs, width, up, down, flat) of neighbour_sweep
+Sweep = tuple[tuple[int, ...], int, list[int], list[int], list[int]]
+
+
+def neighbour_sweep(ops: LocalOperators) -> Sweep:
+    """The walk counts from every neighbour of the base that the
+    endpoint-one fit reads, from one pass over each level's adjacency
+    lists: (nbrs, width, up, down, flat). Lane k, width bits wide, of a
+    packed count is neighbour y = nbrs[k]'s: for z on level i, up[z] packs
+    R^{i-1} e_y[z], down[z] packs L R^i e_y[z] and flat[z] packs
+    F R^{i-1} e_y[z]. The pass over level i raises its up counts to level
+    i + 1, lowers them into down on level i - 1 and sums them over each
+    vertex's level-i neighbours into flat.
+    """
+    g = ops.graph
+    nbrs = g.neighbors(ops.base)
+    metric = ops.metric
+    dist, paths, adj = metric.dist, metric.paths, g.adj
+    # up[z] on level i has lanes summing to R^{i-1} R e_x[z] = paths[z], so
+    # each is at most P = max(paths), and the lanes of down and flat, sums
+    # of up over at most maxdeg neighbours, are at most M = maxdeg * P. In
+    # fit_endpoint1 a pivot determinant is at most P^2 and a Cramer
+    # numerator at most P * M in size, so every lane of a checked
+    # difference det * rhs - n0 * up - n1 * paths * ones is below 3 P^2 M
+    # < 2^width in size. No sum carries, and a packed difference is zero
+    # exactly when all its lanes are: below its lowest nonzero lane L it
+    # is zero, and modulo the next lane boundary it is L shifted, which is
+    # not zero since 0 < |L| < 2^width.
+    p_max = max(paths)
+    m_max = max(map(len, adj)) * p_max
+    width = (3 * p_max * p_max * m_max).bit_length()
+    up = [0] * g.n
+    down = [0] * g.n
+    flat = [0] * g.n
+    for k, y in enumerate(nbrs):
+        up[y] = 1 << width * k
+    for j in range(1, metric.ecc + 1):
+        for z in metric.sphere(j):
+            u, f = up[z], 0
+            for w in adj[z]:
+                d = dist[w]
+                if d == j:
+                    f += up[w]
+                elif d > j:
+                    up[w] += u
+                else:
+                    down[w] += u
+            flat[z] = f
+    return nbrs, width, up, down, flat
+
+
+def swept_column(ops: LocalOperators, sweep: Sweep, family: str, m: int,
+                 y: int) -> Optional[list[int]]:
+    """Column y of the walk counts of shape_string(family, m), by endpoint,
+    read where the fits read it from sweep = neighbour_sweep(ops), or None
+    where they read no such column. From the base x, R^m e_x is
+    metric.paths on level m. From a neighbour y = nbrs[k], R^m e_y,
+    L R^m e_y and F R^m e_y are lane k of up on level m + 1, of down on
+    level m and of flat on level m + 1, and R^m L e_y = R^m e_x.
+    """
+    nbrs, width, up, down, flat = sweep
+    metric = ops.metric
+    if (y == metric.base and family == "r") or (y in nbrs and family == "lr"):
+        return [p if d == m else 0 for d, p in zip(metric.dist, metric.paths)]
+    if y not in nbrs:
+        return None
+    packed, level = {"r": (up, m + 1), "rl": (down, m), "rf": (flat, m + 1)}[family]
+    k = nbrs.index(y)
+    return [_lane(c, k, width) if d == level else 0
+            for d, c in zip(metric.dist, packed)]
+
+
 def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     """Solve, per level i >= 1, the exact linear systems
 
@@ -267,10 +339,10 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
 
     The counts of all neighbours y are carried at once, as the lanes of
     one packed int per vertex, so each level is one sweep over its
-    adjacency lists and every row of a vertex is checked by one integer
-    identity (_packed_solve). The first failing level is solved again row
-    by row with solve_linear, whose first bad row is the witness; a later
-    failing level only reads as inconsistent.
+    adjacency lists (neighbour_sweep), and every row of a vertex is
+    checked by one integer identity (_packed_solve). The first failing
+    level is solved again row by row with solve_linear, whose first bad
+    row is the witness; a later failing level only reads as inconsistent.
 
     pdr is fit_pdr(ops). The fit applies only when the trivial module is
     thin (pdr.ok) and the base has at least two neighbors; otherwise it
@@ -278,57 +350,16 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     """
     if not pdr.ok:
         raise NotApplicable(REASON_NOT_THIN)
-    g = ops.graph
-    x = ops.base
-    nbrs = g.neighbors(x)
-    if len(nbrs) < 2:
+    if ops.graph.degree(ops.base) < 2:
         raise NotApplicable(REASON_LEAF)
 
+    nbrs, width, up, down, flat = neighbour_sweep(ops)
     metric = ops.metric
-    dist, paths, adj = metric.dist, metric.paths, g.adj
-    # Lane k of a packed count, width bits wide, holds the count for the
-    # neighbour nbrs[k]; up[z] packs up_only = R^{i-1} e_y[z] for z on
-    # level i. Its lanes sum to R^{i-1} R e_x[z] = paths[z], so each is at
-    # most P = max(paths), and the lanes of down (L R^i e_y) and flat
-    # (F R^{i-1} e_y), sums of up over at most maxdeg neighbours, are at
-    # most M = maxdeg * P. A pivot determinant is at most P^2 and a Cramer
-    # numerator at most P * M in size, so every lane of a checked
-    # difference det * rhs - n0 * up - n1 * paths * ones is below 3 P^2 M
-    # < 2^width in size. No sum carries, and a packed difference is zero
-    # exactly when all its lanes are: below its lowest nonzero lane L it
-    # is zero, and modulo the next lane boundary it is L shifted, which is
-    # not zero since 0 < |L| < 2^width.
-    p_max = max(paths)
-    m_max = max(map(len, adj)) * p_max
-    width = (3 * p_max * p_max * m_max).bit_length()
+    paths = metric.paths
     ones = ((1 << width * len(nbrs)) - 1) // ((1 << width) - 1)
-    up = [0] * g.n
-    down = [0] * g.n
-    flat = [0] * g.n
-    for k, y in enumerate(nbrs):
-        up[y] = 1 << width * k
-
-    def sweep(j: int) -> None:
-        """One pass over level j's adjacency lists: raise its up counts to
-        level j + 1, lower them into down on level j - 1, and sum them
-        over each vertex's neighbours on level j into flat."""
-        for z in metric.sphere(j):
-            u, f = up[z], 0
-            for w in adj[z]:
-                d = dist[w]
-                if d == j:
-                    f += up[w]
-                elif d > j:
-                    up[w] += u
-                else:
-                    down[w] += u
-            flat[z] = f
-
     levels: list[LevelFit] = []
     witness: Optional[E1Witness] = None
-    sweep(1)
     for i in range(1, ops.ecc + 1):
-        sweep(i + 1)  # completes down on level i
         sphere = metric.sphere(i)
         sol_km, sol_tr = _packed_solve(sphere, up, paths, width, ones, down, flat)
         # rho is determined exactly when it is a pivot, and values[1] then

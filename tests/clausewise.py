@@ -6,8 +6,7 @@ the upward/mid cells and on the downward cells) and are used to confirm the
 unified system is equivalent:
 
 * fit_clausewise solves the clauses; its walk counts come from dense
-  matrix products (matrix_oracle), not from the package's level-stepped
-  vectors;
+  matrix products (matrix_oracle), not from the package's packed sweep;
 * verify_condition_values substitutes given scalars into the clauses and
   returns the first violation, which the golden witnesses pin.
 

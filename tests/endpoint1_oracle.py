@@ -4,16 +4,17 @@ The package's fit_endpoint1 raises all neighbours of the base at once, as
 lanes of one packed integer per vertex, and checks each vertex's rows with
 one identity. This oracle takes the direct route: it raises each neighbour
 y separately with raising_powers, lowers and flattens its vectors with
-step, builds one row per (neighbour, level vertex) pair and solves each
-level's two systems with solve_linear. The clause-wise oracles read their
-columns from endpoint1_columns too.
+walk_oracle's step, builds one row per (neighbour, level vertex) pair and
+solves each level's two systems with solve_linear. The clause-wise oracles
+read their columns from endpoint1_columns too.
 """
 from typing import Optional, Sequence
 
-from tkit.exact import LocalOperators, raising_powers, solve_linear, step
+from tkit.exact import LocalOperators, raising_powers, solve_linear
 from tkit.regularity import (REASON_LEAF, REASON_NOT_THIN, E1Witness,
                              Endpoint1Profile, LevelFit, NotApplicable,
                              PdrProfile)
+from walk_oracle import step
 
 
 def endpoint1_columns(ops: LocalOperators, nbrs: Sequence[int]

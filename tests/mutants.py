@@ -50,12 +50,19 @@ class Mutant:
 MUTANTS = (
     # matrix products vs walk enumeration
     Mutant("step-overwrites", "matrix vs enumeration", "exact.py",
-           "                    out[w] += c\n", "                    out[w] = c\n",
+           "                    out[w] += below[u]\n",
+           "                    out[w] = below[u]\n",
            ("tests/test_exact.py",)),
     Mutant("enumeration-lowers-as-raise", "matrix vs enumeration", "exact.py",
            "        want = dist[v] + steps[k]\n",
            "        want = dist[v] + abs(steps[k])\n",
            ("tests/test_exact.py",)),
+    # the oracle subcommand reads the counts of the endpoint-one fit's
+    # sweep, which criterion 7 compares with enumeration on 500 graphs
+    Mutant("oracle-reads-wrong-lane", "sweep vs enumeration", "regularity.py",
+           '"rl": (down, m)', '"rl": (up, m)',
+           ("tests/test_cli.py::TestOracle",
+            "tests/test_acceptance.py::test_criterion_07_walk_count_oracle")),
     # unified vs clause-wise endpoint-one fit
     # (the packed sweep's flat sums are all zero, so the flat system
     # always holds)

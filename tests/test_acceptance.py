@@ -22,9 +22,10 @@ from clausewise import verify_condition_values
 from matrix_oracle import build_matrix_operators, walk_table
 from numeric_oracle import subspace_distance
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
-                        walk_column, walk_counts_from)
+                        walk_counts_from)
 from tkit.graphs import GraphError, connected_graphs, make_graph, rooted_key
-from tkit.regularity import fit_endpoint1, fit_pdr
+from tkit.regularity import (fit_endpoint1, fit_pdr, neighbour_sweep,
+                             swept_column)
 from tkit.report import (AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze,
                          analyze_fitted)
 from tkit.scan import generate_connected_graph6, scan_corpus
@@ -150,7 +151,7 @@ def test_criterion_06_exhaustive_cross_validation(scans):
 
 
 def test_criterion_07_walk_count_oracle():
-    with _gate(7, "walk tables and level-stepped counts equal explicit "
+    with _gate(7, "walk tables and the counts the fits read equal explicit "
                   "enumeration on 500 graphs"):
         start = time.perf_counter()
         rng = random.Random(20260808)
@@ -163,20 +164,28 @@ def test_criterion_07_walk_count_oracle():
             g = make_graph(n, edges)
             if g.is_connected():
                 instances.append((g, rng.randrange(n)))
+        # the fits read R^m e_x (metric.paths) from the base, and every
+        # family from each neighbour, as the lanes of the endpoint-one
+        # fit's sweep; the oracle subcommand reads the same columns
         for g, x in instances:
             ops = build_operators(g, x)
             mops = build_matrix_operators(g, x)
             metric = ops.metric
+            sweep = neighbour_sweep(ops)
+            nbrs = sweep[0]
             for family in SHAPE_FAMILIES:
                 for m in range(metric.ecc + 2):
                     table = walk_table(mops, family, m)
                     shape = shape_string(family, m)
                     for y in range(g.n):
                         by_end = walk_counts_from(g, x, shape, y, metric)
-                        column = walk_column(ops, shape, y)
+                        column = swept_column(ops, sweep, family, m, y)
+                        read = y in nbrs or y == x and family == "r"
+                        assert (column is not None) == read
                         for z in range(g.n):
                             assert table[z, y] == by_end.get(z, 0)
-                            assert column[z] == by_end.get(z, 0)
+                            if read:
+                                assert column[z] == by_end.get(z, 0)
         assert time.perf_counter() - start < 120.0
 
 

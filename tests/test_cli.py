@@ -182,8 +182,7 @@ class TestCheck:
     def test_non_ascii_graph6_on_stdin_rejected(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("C\u00e9\n"))
-        code, _, err = run_cli(capsys, "check", "-", "--all-vertices",
-                               "--input", "graph6")
+        code, _, err = run_cli(capsys, "check", "-", "--all-vertices")
         assert code == 2 and "non-ASCII" in err
 
     @pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "nan"])
@@ -338,22 +337,20 @@ class TestCheck:
         assert code == 0
         assert len(ndjson_lines(out)) == 3
 
-    @pytest.mark.parametrize("text, fmt, message", [
-        ("0 1\n1 2\n2 3 4\n", "edgelist", "line 3: expected two vertex tokens, got 3"),
-        ("0 1\n1\n", "edgelist", "line 2: expected two vertex tokens, got 1"),
-        ("Bw\nBw\n", "graph6", "expected a single graph6 record"),
-        ("# a comment\n", "edgelist", "no edges found"),
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 2\n2 3 4\n", "line 3: expected two vertex tokens, got 3"),
+        ("0 1\n1\n", "line 2: expected two vertex tokens, got 1"),
+        ("Bw\nBw\n", "expected a single graph6 record"),
+        ("# a comment\n", "no edges found"),
     ], ids=["three-tokens", "one-token", "two-graph6-records", "comment-only"])
-    def test_auto_input_names_the_bad_line(self, capsys, tmp_path, text, fmt, message):
+    def test_auto_input_names_the_bad_line(self, capsys, tmp_path, text, message):
         # a line of two or more tokens, or a '#', which no graph6 record
         # holds, makes the text an edge list, so a malformed line of one is
         # reported as such, not as bad graph6
         path = tmp_path / "g.txt"
         path.write_text(text)
-        for fmt in ("auto", fmt):
-            code, _, err = run_cli(capsys, "check", str(path), "--all-vertices",
-                                   "--input", fmt)
-            assert code == 2 and message in err
+        code, _, err = run_cli(capsys, "check", str(path), "--all-vertices")
+        assert code == 2 and message in err
 
 
     def test_table_with_decomposition(self, capsys):
@@ -406,7 +403,7 @@ class TestBadInput:
          "empty graph6 input"),
         ("", ["check", "{path}", "--all-vertices"],
          "expected a single graph6 record"),
-        ("\n", ["check", "{path}", "--all-vertices", "--input", "edgelist"],
+        ("# no edges\n", ["check", "{path}", "--all-vertices"],
          "no edges found"),
         ("Bw\n", ["scan", "{path}", "--generate", "3"],
          "give either a corpus or --generate, not both"),
@@ -648,6 +645,17 @@ class TestOracle:
     def test_bad_shape_rejected(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "example", "1", "rlr", "2", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("shape, y", [("rl", "4"), ("rl", "1"), ("lr", "1"),
+                                          ("rf", "1"), ("r", "4")],
+                             ids=["level-2", "rl-from-x", "lr-from-x", "rf-from-x",
+                                  "r-from-level-2"])
+    def test_unread_column_rejected(self, capsys, shape, y):
+        # the fits read family r from the base and every family from its
+        # neighbours; 4 is on level 2 of the example
+        code, out, err = run_cli(capsys, "oracle", "example", "1", shape, y, "5")
+        assert code == 2 and out == ""
+        assert f"no fit reads {shape!r} walks from {y}" in err
 
     def test_parse_shape(self):
         assert _parse_shape("") == ("r", 0)

@@ -15,11 +15,11 @@ from matrix_oracle import IntMatrix, build_matrix_operators, walk_table
 from rooted import rooted_classes
 from tkit.exact import (GRAPH6_SHOWN, SHAPE_FAMILIES, build_operators,
                         describe, enumerate_walks, raising_powers,
-                        shape_string, solve_linear, step, walk_column,
-                        walk_counts_from)
+                        shape_string, solve_linear, walk_counts_from)
 from tkit.graphs import connected_graphs, local_metric, parse_edge_list, to_graph6
 from tkit.constructions import complete_graph, cycle_graph, star_graph
 from tkit.regularity import NotApplicable, fit_pdr
+from walk_oracle import step, walk_column
 
 
 class TestIntMatrix:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import endpoint1_oracle
+import walk_oracle
 from clausewise import verify_condition_values
 from corpus_oracle import oracle_connected_graph6
 from graph6_oracle import oracle_to_graph6
@@ -551,19 +552,28 @@ def test_analyze_runs_one_bfs(monkeypatch):
 
 
 def _record_steps(monkeypatch):
-    """Patch step to log (input vector, level, letter) for every step, in
-    the package and in the stepped endpoint-one oracle, which raises each
-    neighbour of the base with raising_powers and lowers and flattens its
-    vectors with step."""
+    """Patch the stepped oracle's step to log (input vector, level, letter)
+    for every step, in tests/walk_oracle.py and in the stepped endpoint-one
+    oracle, which lowers and flattens with it; and raising_powers, with
+    which that oracle raises each neighbour of the base, to log
+    (None, level, "r") for each of its raising steps."""
     log = []
-    original = tkit.exact.step
+    original = walk_oracle.step
+    raising_powers = tkit.exact.raising_powers
 
     def counting(ops, counts, level, letter):
         log.append((counts, level, letter))
         return original(ops, counts, level, letter)
 
-    for module in (tkit.exact, endpoint1_oracle):
+    def raising(ops, v, max_m):
+        start = ops.metric.dist[v]
+        log.extend((None, level, "r") for level in range(start, start + max_m))
+        return raising_powers(ops, v, max_m)
+
+    for module in (walk_oracle, endpoint1_oracle):
         monkeypatch.setattr(module, "step", counting)
+    for module in (tkit.exact, endpoint1_oracle):
+        monkeypatch.setattr(module, "raising_powers", raising)
     return log
 
 
