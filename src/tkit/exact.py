@@ -2,8 +2,9 @@
 
 Everything here is exact, with no tolerances. Walk counts are vectors
 indexed by vertex. The fits read them from two places only: the base's
-R^i e_x are the BFS's geodesic counts (LocalMetric.paths), and the
-counts from the base's neighbours are the lanes of one packed sweep
+R^i e_x are the geodesic counts of the BFS that the ratio fit runs
+(graphs.bfs_search, kept as LocalMetric.paths), and the counts from the
+base's neighbours are the lanes of one packed sweep
 (regularity.neighbour_sweep). Explicit walk enumeration here is their
 independent oracle, which the oracle subcommand runs. Counts grow
 exponentially with walk length, so entries are arbitrary precision by

@@ -314,20 +314,47 @@ class LocalMetric:
         return ()
 
 
+# A breadth-first search under way: (dist, paths, spheres). dist and paths
+# hold the distance from the base and the number of geodesics of each
+# vertex reached, -1 and 0 elsewhere; spheres lists the levels found so
+# far, each sorted, the base's first, and ends with the empty sphere once
+# the search has ended
+Search = tuple[list[int], list[int], list[tuple[int, ...]]]
+
+
 def local_metric(g: Graph, x: int) -> LocalMetric:
-    """BFS distances from x, one level at a time, and geodesic counts:
-    paths[w] sums paths[u] over the neighbours u of w one level down.
-    Requires g connected."""
+    """BFS distances from x and geodesic counts, from bfs_search run to
+    the end. Requires g connected."""
+    search = bfs_start(g, x)
+    bfs_search(g, search, g.n + 1)
+    return bfs_metric(g, search)
+
+
+def bfs_start(g: Graph, x: int) -> Search:
+    """A breadth-first search from x that has found x's own level only."""
     if not 0 <= x < g.n:
         raise GraphError(f"base vertex {x} out of range")
-    adj = g.adj
-    dist = [-1] * g.n
-    paths = [0] * g.n
+    dist, paths = [-1] * g.n, [0] * g.n
     dist[x], paths[x] = 0, 1
-    level = (x,)
-    spheres = [level]
-    up = 1
-    while True:
+    return dist, paths, [(x,)]
+
+
+def bfs_search(g: Graph, search: Search, levels: int) -> None:
+    """Search on, one level at a time, until levels spheres are found, the
+    empty one that ends the search included; g.n + 1 runs to the end.
+
+    Expanding the last sphere found gives the next one, with final
+    distances and geodesic counts: paths[w] sums paths[u] over the
+    neighbours u of w one level down. So a search that stops early has
+    read the adjacency lists of the spheres before its last and of no
+    others: local_metric searches to the end, and regularity.fit_pdr
+    stops one level after its first witness.
+    """
+    dist, paths, spheres = search
+    adj = g.adj
+    up = len(spheres)
+    level = spheres[-1]
+    while level and up < levels:
         reached = []
         for u in level:
             count = paths[u]
@@ -339,16 +366,28 @@ def local_metric(g: Graph, x: int) -> LocalMetric:
                     reached.append(w)
                 elif d == up:
                     paths[w] += count
-        if not reached:
-            break
         reached.sort()
         level = tuple(reached)
         spheres.append(level)
         up += 1
-    if min(dist) < 0:
+
+
+def bfs_connected(g: Graph, search: Search) -> None:
+    """Raise GraphError, naming the first vertex, when a search run to the
+    end left a vertex unreached."""
+    dist = search[0]
+    if -1 in dist:
         missing = dist.index(-1)
         raise GraphError(f"graph is disconnected: vertex {g.labels[missing]} unreachable")
-    return LocalMetric(x, tuple(dist), up - 1, tuple(spheres), tuple(paths))
+
+
+def bfs_metric(g: Graph, search: Search) -> LocalMetric:
+    """The LocalMetric of a search run to the end. Raises GraphError when
+    it left a vertex unreached."""
+    bfs_connected(g, search)
+    dist, paths, spheres = search
+    return LocalMetric(spheres[0][0], tuple(dist), len(spheres) - 2, tuple(spheres[:-1]),
+                       tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import LinearSolution, LocalOperators, solve_linear
+from .graphs import Graph, bfs_connected, bfs_metric, bfs_search, bfs_start
 
 
 class NotApplicable(Exception):
@@ -41,8 +42,9 @@ REASON_LEAF = "base vertex is a leaf"
 # Thin-trivial-module fit (per-level ratio constants)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PdrWitness:
+class PdrWitness(NamedTuple):
+    # a tuple, not a frozen dataclass, since nearly every scanned base
+    # builds one: about 0.3 us against 0.8 us (two cores, Python 3.11)
     level: int
     vertex: int
     equation: str  # "alpha" or "beta"
@@ -55,16 +57,24 @@ class PdrProfile:
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
 
-    R^i e_x is the geodesic count metric.paths on level i, so each level is
-    one sweep over its adjacency lists. The fit stops at the first witness,
-    so ok and witness are known on construction; alpha and beta continue the
-    same level loop over the remaining levels when first read.
+    R^i e_x is the geodesic count paths on level i, so each level is one
+    sweep over its adjacency lists, made inside the breadth-first search
+    from the base (graphs.bfs_search): level i is checked as soon as the
+    search has found level i + 1, whose counts its down ratios sum, and
+    the fit stops at the first witness. So ok and witness are known on
+    construction, and a base that is not thin is searched only up to the
+    level after its witness. alpha, beta, ops and require_connected()
+    continue the same search.
     """
 
-    def __init__(self, ops: LocalOperators):
-        self._ops = ops
-        # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first vertex
-        self._firsts: list[tuple[int, int, int]] = []
+    def __init__(self, g: Graph, x: int):
+        self._graph = g
+        self._search = bfs_start(g, x)
+        # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first
+        # vertex. On level 0 they are deg(x), 0 and 1: each neighbour of x
+        # has one geodesic, and none is on level 0, whose one vertex is no
+        # witness
+        self._firsts = [(len(g.adj[x]), 0, 1)]
         self.witness = self._levels(check=True)
         self.ok = self.witness is None
 
@@ -72,10 +82,18 @@ class PdrProfile:
         """Record the counts at the first vertex of each level not recorded
         yet and, when check, return the first vertex whose ratios differ
         from its level's first."""
-        metric = self._ops.metric
-        dist, paths, adj = metric.dist, metric.paths, self._ops.graph.adj
-        for i in range(len(self._firsts), len(metric.spheres)):
-            sphere = metric.spheres[i]
+        g, search, firsts = self._graph, self._search, self._firsts
+        dist, paths, spheres = search
+        adj = g.adj
+        i = len(firsts)
+        while True:
+            # level i's down counts sum the geodesic counts of level i + 1,
+            # final once its sphere is found
+            if len(spheres) < i + 2:
+                bfs_search(g, search, i + 2)
+            sphere = spheres[i]
+            if not sphere:
+                return None
             first = sphere[0]
             # (L R^{i+1} e_x)[z] and (F R^i e_x)[z] sum the geodesic counts
             # of z's neighbours one level up and on its own level
@@ -92,13 +110,13 @@ class PdrProfile:
                     # geodesic, so the reference count is positive and the
                     # ratios well defined
                     down0, flat0, count0 = down, flat, paths[z]
-                    self._firsts.append((down0, flat0, count0))
+                    firsts.append((down0, flat0, count0))
                 # the ratios at z equal the first vertex's, cross-multiplied
                 elif down * count0 != down0 * paths[z]:
                     return PdrWitness(i, z, "alpha")
                 elif flat * count0 != flat0 * paths[z]:
                     return PdrWitness(i, z, "beta")
-        return None
+            i += 1
 
     @cached_property
     def _ratios(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -114,10 +132,27 @@ class PdrProfile:
     def beta(self) -> tuple[Fraction, ...]:
         return self._ratios[1]
 
+    def require_connected(self) -> None:
+        """Run the fit's search to the end, and raise GraphError when it
+        left a vertex unreached."""
+        g = self._graph
+        bfs_search(g, self._search, g.n + 1)
+        bfs_connected(g, self._search)
 
-def fit_pdr(ops: LocalOperators) -> PdrProfile:
-    """The ratio fit at the base of ops, up to its first witness."""
-    return PdrProfile(ops)
+    @cached_property
+    def ops(self) -> LocalOperators:
+        """The local operators at the base, from the fit's search run to
+        the end. Raises GraphError when the graph is disconnected."""
+        g = self._graph
+        bfs_search(g, self._search, g.n + 1)
+        return LocalOperators(g, bfs_metric(g, self._search))
+
+
+def fit_pdr(g: Graph, x: int) -> PdrProfile:
+    """The ratio fit at base x of g, up to its first witness. Requires g
+    connected: a fit that stops at a witness has not searched the whole
+    graph, so only ops and require_connected() check it."""
+    return PdrProfile(g, x)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +379,9 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     level is solved again row by row with solve_linear, whose first bad
     row is the witness; a later failing level only reads as inconsistent.
 
-    pdr is fit_pdr(ops). The fit applies only when the trivial module is
-    thin (pdr.ok) and the base has at least two neighbors; otherwise it
-    raises NotApplicable.
+    pdr is the ratio fit at the base of ops. The fit applies only when the
+    trivial module is thin (pdr.ok) and the base has at least two
+    neighbors; otherwise it raises NotApplicable.
     """
     if not pdr.ok:
         raise NotApplicable(REASON_NOT_THIN)

@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 from .decompose import (FAIL, PASS, VACUOUS, AlgebraicVerdict,
                         DecompositionReport, algebraic_verdict, decompose)
-from .exact import LocalOperators, build_operators
+from .exact import LocalOperators
 from .graphs import Graph, StructureReport, structure_report
 from .regularity import (REASON_NOT_THIN, Endpoint1Profile, NotApplicable,
                          PdrProfile, fit_endpoint1, fit_pdr)
@@ -47,15 +47,15 @@ class AnalysisReport:
 def analyze(g: Graph, x: int, *, with_decomposition: bool = False,
             seed: int = 42, tol: float = 1e-9) -> AnalysisReport:
     """Run the full pipeline at one base vertex."""
-    ops = build_operators(g, x)
-    return analyze_fitted(ops, fit_pdr(ops), with_decomposition=with_decomposition,
+    pdr = fit_pdr(g, x)
+    return analyze_fitted(pdr.ops, pdr, with_decomposition=with_decomposition,
                           seed=seed, tol=tol)
 
 
 def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
                    with_decomposition: bool = False, seed: int = 42,
                    tol: float = 1e-9) -> AnalysisReport:
-    """The pipeline after the BFS and the ratio fit, given their results."""
+    """The pipeline after the ratio fit pdr, given with its ops."""
     g, x = ops.graph, ops.base
     structure = structure_report(g, x, ops.cells)
 

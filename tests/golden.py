@@ -135,7 +135,7 @@ def render_witnesses() -> str:
         for x in range(g.n):
             ops = build_operators(g, x)
             try:
-                prof = fit_endpoint1(ops, fit_pdr(ops))
+                prof = fit_endpoint1(ops, fit_pdr(g, x))
             except NotApplicable:
                 continue
             canonical = prof.canonical()

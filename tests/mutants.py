@@ -92,12 +92,13 @@ MUTANTS = (
            "    if report.endpoint1_iso_classes > 2:\n",
            (CROSS_VALIDATION,)),
     # the scan never decomposes a base whose ratio fit fails, and no FAIL
-    # of the n <= 6 scans rests on a non-thin endpoint-one module alone, so
-    # the cross-validation misses this one; a non-thin base catches it
+    # of the n <= 6 scans rests on a non-thin endpoint-one module alone; a
+    # non-thin base catches it, and so does the dodecahedron, whose every
+    # vertex fails on that ground
     Mutant("numeric-thin-up-to-two", "exact vs numeric", "decompose.py",
            "            thin=all(dim <= 1 for dim in dims),\n",
            "            thin=all(dim <= 2 for dim in dims),\n",
-           ("tests/test_report.py::TestAgreementMismatch",)),
+           ("tests/test_report.py::TestAgreementMismatch", CROSS_VALIDATION)),
     # cache replay vs analysis
     Mutant("cache-key-too-coarse", "cache replay vs analysis", "scan.py",
            "        key = rooted_key(g, ops.metric)\n",
@@ -115,6 +116,23 @@ MUTANTS = (
            "        joins = [all(hi & c for c in part) for part in parts]\n",
            "        joins = [any(hi & c for c in part) for part in parts]\n",
            ("tests/test_graphs.py::TestConnectedGraphs",)),
+    # the ratio fit runs inside the BFS: it checks level i once level
+    # i + 1's geodesic counts are final, and searches no further
+    Mutant("pdr-checks-level-early", "ratio fit vs full fit", "regularity.py",
+           "                bfs_search(g, search, i + 2)\n",
+           "                bfs_search(g, search, i + 1)\n",
+           ("tests/test_regularity.py::TestFitPdr::test_matches_full_fit",
+            CROSS_VALIDATION)),
+    Mutant("pdr-checks-level-late", "ratio fit inside the BFS", "regularity.py",
+           "                bfs_search(g, search, i + 2)\n",
+           "                bfs_search(g, search, i + 3)\n",
+           ("tests/test_regularity.py::TestFitPdr::"
+            "test_search_stops_after_the_witness_level",)),
+    # a graph whose every fit stopped at a witness was searched whole by none
+    Mutant("scan-connectivity-unproven", "disconnected records", "scan.py",
+           "    (fit_pdr(g, 0) if pdr is None else pdr).require_connected()\n",
+           "    pass\n",
+           ("tests/test_cli.py::TestScan::test_disconnected_record_rejected",)),
     # single checks, each with a test of its own
     Mutant("pdr-beta-unchecked", "ratio fit", "regularity.py",
            "                elif flat * count0 != flat0 * paths[z]:\n",

@@ -31,6 +31,8 @@ from tkit.report import (AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze,
 from tkit.scan import generate_connected_graph6, scan_corpus
 
 F = Fraction
+# the dodecahedron, the generalized Petersen graph GP(10, 2)
+DODECAHEDRON = "ShCGGC@_K?G?GAC@@?OGA?_G@?O@OO?gG"
 
 
 class _gate:
@@ -63,7 +65,7 @@ def scans():
 def test_criterion_01_ratio_constants_table(example, example_ops):
     with _gate(1, "ratio-constant table reproduced exactly"):
         start = time.perf_counter()
-        pdr = fit_pdr(example_ops)
+        pdr = fit_pdr(example_ops.graph, example_ops.base)
         elapsed = time.perf_counter() - start
         assert pdr.ok
         assert pdr.alpha == (F(2), F(3), F(0))
@@ -74,7 +76,7 @@ def test_criterion_01_ratio_constants_table(example, example_ops):
 def test_criterion_02_endpoint1_scalar_table(example_ops):
     with _gate(2, "endpoint-1 scalar table solves the exact system"):
         start = time.perf_counter()
-        prof = fit_endpoint1(example_ops, fit_pdr(example_ops))
+        prof = fit_endpoint1(example_ops, fit_pdr(example_ops.graph, example_ops.base))
         assert prof.ok
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(example_ops, kappa, mu, theta, rho) is None
@@ -107,13 +109,13 @@ def test_criterion_03_example_decomposition(example, example_ops):
 def test_criterion_04_apex_fiber_tables(example, example_ops):
     with _gate(4, "edgeless/complete fiber apexes match predicted scalars"):
         g, x = example
-        pdr = fit_pdr(example_ops)
+        pdr = fit_pdr(example_ops.graph, example_ops.base)
         for kind, maker in (("empty", empty_graph), ("complete", complete_graph)):
             for n in (2, 3):
                 start = time.perf_counter()
                 ax = apex_extension(g, x, maker(n))
                 hops = build_operators(ax.graph, ax.apex)
-                prof = fit_endpoint1(hops, fit_pdr(hops))
+                prof = fit_endpoint1(hops, fit_pdr(hops.graph, hops.base))
                 pred = predicted_profile(pdr, kind)
                 assert prof.ok
                 expected = (pred.kappa, pred.mu, pred.theta, pred.rho)
@@ -134,7 +136,7 @@ def test_criterion_05_fiber_dichotomy(example):
             apex_extension(g, x, path_graph(3))
         ax = apex_extension(g, x, cycle_graph(4))
         hops = build_operators(ax.graph, ax.apex)
-        pdr = fit_pdr(hops)
+        pdr = fit_pdr(hops.graph, hops.base)
         assert pdr.ok  # trivial module thin at the apex
         assert not fit_endpoint1(hops, pdr=pdr).ok
 
@@ -148,6 +150,12 @@ def test_criterion_06_exhaustive_cross_validation(scans):
             assert summary.mismatches == []
             assert summary.counts["agree-pass"] > 0
         assert scans[6][1] < 600.0
+        # the dodecahedron GP(10, 2) is agree-fail at every vertex on the
+        # ground that its endpoint-one class is not thin, a reason that no
+        # FAIL with n <= 6 rests on alone
+        summary = scan_corpus([DODECAHEDRON], jobs=1, seed=42)
+        assert summary.mismatches == []
+        assert summary.counts["agree-fail"] == 20
 
 
 def test_criterion_07_walk_count_oracle():
@@ -200,10 +208,10 @@ def test_criterion_08_block_dimension_bounds():
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
+                ops = pdr.ops
                 key = rooted_key(g, ops.metric)
                 if key in seen:
                     continue

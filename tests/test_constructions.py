@@ -157,7 +157,7 @@ class TestApexExtension:
 
 class TestPredictedProfile:
     def test_tables_from_example(self, example_ops):
-        pdr = fit_pdr(example_ops)
+        pdr = fit_pdr(example_ops.graph, example_ops.base)
         empty = predicted_profile(pdr, "empty")
         assert empty.kappa == (F(2), F(3), F(0))
         assert empty.mu == (F(0), F(0), F(0))
@@ -171,17 +171,17 @@ class TestPredictedProfile:
 
     def test_matches_fit_on_k2_base(self):
         k2 = path_graph(2)
-        pdr = fit_pdr(build_operators(k2, 0))
+        pdr = fit_pdr(k2, 0)
         ax = apex_extension(k2, 0, empty_graph(2))
         ops = build_operators(ax.graph, ax.apex)
-        prof = fit_endpoint1(ops, fit_pdr(ops))
+        prof = fit_endpoint1(ops, fit_pdr(ax.graph, ax.apex))
         pred = predicted_profile(pdr, "empty")
         assert prof.ok
         assert prof.canonical() == (pred.kappa, pred.mu, pred.theta, pred.rho)
 
     def test_bad_kind(self, example_ops):
         with pytest.raises(ValueError):
-            predicted_profile(fit_pdr(example_ops), "cycle")
+            predicted_profile(fit_pdr(example_ops.graph, example_ops.base), "cycle")
 
 
 class TestLocalDistanceRegularity:
@@ -211,7 +211,7 @@ class TestLocalDistanceRegularity:
         g, x = example_graph()
         for sigma in (empty_graph(2), complete_graph(3), cycle_graph(4), cycle_graph(5)):
             ax = apex_extension(g, x, sigma)
-            assert fit_pdr(build_operators(ax.graph, ax.apex)).ok
+            assert fit_pdr(ax.graph, ax.apex).ok
 
 
 class TestFiberDichotomy:
@@ -223,8 +223,8 @@ class TestFiberDichotomy:
         two_disjoint_edges = make_graph(4, [(0, 1), (2, 3)])
         for sigma in (cycle_graph(4), cycle_graph(5), two_disjoint_edges):
             ax = apex_extension(g, x, sigma)
-            ops = build_operators(ax.graph, ax.apex)
-            pdr = fit_pdr(ops)
+            pdr = fit_pdr(ax.graph, ax.apex)
+            ops = pdr.ops
             assert pdr.ok
             assert not fit_endpoint1(ops, pdr=pdr).ok
 
@@ -233,4 +233,4 @@ class TestFiberDichotomy:
         for sigma in (empty_graph(4), complete_graph(4)):
             ax = apex_extension(g, x, sigma)
             ops = build_operators(ax.graph, ax.apex)
-            assert fit_endpoint1(ops, fit_pdr(ops)).ok
+            assert fit_endpoint1(ops, fit_pdr(ax.graph, ax.apex)).ok

@@ -389,7 +389,7 @@ class TestKnownGraphVerdicts:
         for g in connected_graphs(5):
             for x in range(g.n):
                 ops = build_operators(g, x)
-                if g.degree(x) >= 2 and not fit_pdr(ops).ok:
+                if g.degree(x) >= 2 and not fit_pdr(g, x).ok:
                     rep = decompose(ops)
                     assert not rep.trivial_thin
                     assert algebraic_verdict(rep).status == NOT_APPLICABLE
@@ -966,7 +966,7 @@ class TestDualBlockDims:
             for x in range(g.n):
                 ops = build_operators(g, x)
                 key = rooted_key(g, ops.metric)
-                if g.degree(x) < 2 or not fit_pdr(ops).ok or key in seen:
+                if g.degree(x) < 2 or not fit_pdr(g, x).ok or key in seen:
                     continue
                 seen.add(key)
                 report = analyze(g, x, with_decomposition=True)

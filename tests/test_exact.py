@@ -218,7 +218,7 @@ class TestSolveLinearOracle:
         for g, x in instances:
             ops = build_operators(g, x)
             try:
-                fit_endpoint1_stepped(ops, fit_pdr(ops))
+                fit_endpoint1_stepped(ops, fit_pdr(g, x))
             except NotApplicable:
                 pass
         return systems

@@ -16,12 +16,13 @@ from corpus_oracle import oracle_connected_graph6
 from graph6_oracle import oracle_to_graph6
 from rooted import permutation_key
 from structure_oracle import oracle_structure_report, partitions_at
-from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, cell_pattern,
-                         connected_graphs, distance_partition, generate_connected_graph6,
+from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, bfs_start,
+                         cell_pattern, connected_graphs, distance_partition, generate_connected_graph6,
                          local_metric, make_graph, parse_edge_list, parse_graph6,
                          rooted_key, structure_report, to_graph6)
 import tkit.exact
 import tkit.graphs
+import tkit.regularity
 from tkit.constructions import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, star_graph)
 from tkit.exact import build_operators, walk_counts_from
@@ -469,7 +470,7 @@ class TestStructureReport:
             for g in connected_graphs(n):
                 for x in range(n):
                     ops = build_operators(g, x)
-                    if g.degree(x) < 2 or not fit_pdr(ops).ok:
+                    if g.degree(x) < 2 or not fit_pdr(g, x).ok:
                         continue
                     assert structure_report(g, x, ops.cells).down_cells_all_nonempty, \
                         (to_graph6(g), x)
@@ -505,7 +506,7 @@ class TestStructureReport:
         for g in trees():
             for x in range(g.n):
                 ops = build_operators(g, x)
-                if g.degree(x) < 2 or not fit_pdr(ops).ok:
+                if g.degree(x) < 2 or not fit_pdr(g, x).ok:
                     continue
                 rep = structure_report(g, x, ops.cells)
                 assert rep.is_tree
@@ -539,13 +540,13 @@ def test_analyze_runs_one_bfs(monkeypatch):
 
     def counting(g, x):
         calls.append(x)
-        return local_metric(g, x)
+        return bfs_start(g, x)
 
     def unused(*args, **kwargs):
         raise AssertionError("per-neighbour BFS on the analysis path")
 
-    for module in (tkit.graphs, tkit.exact):
-        monkeypatch.setattr(module, "local_metric", counting)
+    for module in (tkit.graphs, tkit.regularity):
+        monkeypatch.setattr(module, "bfs_start", counting)
     monkeypatch.setattr(tkit.graphs, "distance_partition", unused)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert calls == [0]
@@ -596,20 +597,21 @@ def test_instance_data_built_once(monkeypatch):
     # takes its cells from a BFS at each end of every edge, its own route
     searched, swept = [], []
 
-    def counting_metric(g, x):
+    def counting_search(g, x):
         searched.append(x)
-        return local_metric(g, x)
+        return bfs_start(g, x)
 
     def counting_sweep(g, metric):
         swept.append(metric.base)
         return cell_pattern(g, metric)
 
-    for module in (tkit.graphs, tkit.exact):
-        monkeypatch.setattr(module, "local_metric", counting_metric)
+    for module in (tkit.graphs, tkit.regularity):
+        monkeypatch.setattr(module, "bfs_start", counting_search)
     monkeypatch.setattr(tkit.exact, "cell_pattern", counting_sweep)
     steps = _record_steps(monkeypatch)
-    ops = build_operators(petersen_graph(), 0)
-    rep = analyze_fitted(ops, fit_pdr(ops), with_decomposition=True)
+    pdr = fit_pdr(petersen_graph(), 0)
+    ops = pdr.ops
+    rep = analyze_fitted(ops, pdr, with_decomposition=True)
     assert searched == [0] and swept == [0]
     assert steps == []
     assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
@@ -620,9 +622,8 @@ def test_instance_data_built_once(monkeypatch):
     assert not any(counts is ops.metric.paths for counts, _, _ in steps)
 
     # path:6 from vertex 1 fails at level 1 of 4, and reading alpha
-    # continues the same levels
-    ops = build_operators(path_graph(6), 1)
-    pdr = fit_pdr(ops)
+    # continues the same search
+    pdr = fit_pdr(path_graph(6), 1)
     assert not pdr.ok and pdr.witness.level == 1
     assert pdr.alpha == (2, 0, 1, 1, 0)
 
@@ -633,7 +634,7 @@ def test_ratio_fit_takes_no_step(monkeypatch, g, x):
     # the ratio fit reads R^i e_x as the BFS's geodesic counts and sums
     # them over each level's adjacency lists
     steps = _record_steps(monkeypatch)
-    pdr = fit_pdr(build_operators(g, x))
+    pdr = fit_pdr(g, x)
     assert pdr.alpha and pdr.beta
     assert steps == []
 

@@ -20,7 +20,6 @@ import pytest
 
 from tkit.constructions import cartesian_product, complete_graph
 from tkit.decompose import FAIL, PASS, _primary_dimension, adjacency_matrix
-from tkit.exact import build_operators
 from tkit.graphs import local_metric, make_graph
 from tkit.regularity import fit_pdr
 from tkit.report import AGREE_FAIL, AGREE_PASS, analyze
@@ -102,7 +101,7 @@ def test_ratio_fit_gives_intersection_numbers(analysed, name):
 @pytest.mark.parametrize("name", AT_SCALE)
 def test_ratio_fit_at_scale(name):
     g, b, c = AT_SCALE[name]()
-    pdr = fit_pdr(build_operators(g, 0))
+    pdr = fit_pdr(g, 0)
     assert pdr.ok
     assert (pdr.alpha, pdr.beta) == _ratios(b, c)
 

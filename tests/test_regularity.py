@@ -18,8 +18,8 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
 import tkit.regularity
 from tkit.exact import (build_operators, enumerate_walks, shape_string,
                         solve_linear)
-from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
-                         parse_graph6)
+from tkit.graphs import (Graph, connected_graphs, local_metric, make_graph,
+                         parse_edge_list, parse_graph6)
 from tkit.regularity import NotApplicable, PdrWitness, fit_endpoint1, fit_pdr
 
 F = Fraction
@@ -107,7 +107,7 @@ def _apex_instances():
     the fibres C4, C5, K3 and 3K1."""
     for n in range(2, 6):
         for g, x in rooted_classes(n):
-            if fit_pdr(build_operators(g, x)).ok:
+            if fit_pdr(g, x).ok:
                 for fibre in (cycle_graph(4), cycle_graph(5), complete_graph(3),
                               empty_graph(3)):
                     ax = apex_extension(g, x, fibre)
@@ -116,14 +116,13 @@ def _apex_instances():
 
 class TestFitPdr:
     def test_example_table(self, example_ops):
-        pdr = fit_pdr(example_ops)
+        pdr = fit_pdr(example_ops.graph, example_ops.base)
         assert pdr.ok
         assert pdr.alpha == fr(2, 3, 0)
         assert pdr.beta == fr(0, 1, 0)
 
     def test_k2(self):
-        ops = build_operators(parse_edge_list("a b"), 0)
-        pdr = fit_pdr(ops)
+        pdr = fit_pdr(parse_edge_list("a b"), 0)
         assert pdr.ok
         assert pdr.alpha == fr(1, 0)
         assert pdr.beta == fr(0, 0)
@@ -131,7 +130,7 @@ class TestFitPdr:
     def test_distance_regular_instances_fit(self):
         for g in (cycle_graph(5), cycle_graph(6), petersen_graph()):
             for x in range(g.n):
-                assert fit_pdr(build_operators(g, x)).ok
+                assert fit_pdr(g, x).ok
 
     def test_witness_points_at_real_failure(self):
         # find failing instances among small graphs and re-check the failing
@@ -139,8 +138,7 @@ class TestFitPdr:
         found = 0
         for g in connected_graphs(5):
             for x in range(g.n):
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if pdr.ok:
                     continue
                 found += 1
@@ -160,20 +158,50 @@ class TestFitPdr:
         pytest.param(lambda: [pair for n in range(1, 6) for pair in rooted_classes(n)],
                      id="rooted-n-le-5"),
         pytest.param(lambda: [(g, x) for g in _golden_graphs() for x in range(g.n)],
-                     id="golden-graphs")])
+                     id="golden-graphs"),
+        # first witnesses past level 1: on level 2 by alpha, with level 4
+        # not yet reached (EYa? at 4), and by beta; on level 3 by alpha and
+        # by beta
+        pytest.param(lambda: [(parse_graph6(g6), x) for g6, x in (
+            ("Eka?", 3), ("EYa?", 4), ("E{a?", 3), ("EpQ?", 3), ("EtQ?", 4))],
+                     id="deep-witnesses")])
     def test_matches_full_fit(self, instances):
         # the early-exit fit against every level stepped and every ratio
         # formed (tests/pdr_oracle.py); witness before alpha, so that the
         # ratios are completed after the fit stopped
         failing = 0
         for g, x in instances():
-            ops = build_operators(g, x)
-            pdr = fit_pdr(ops)
-            ok, witness, alpha, beta = fit_pdr_full(ops)
+            pdr = fit_pdr(g, x)
+            ok, witness, alpha, beta = fit_pdr_full(build_operators(g, x))
             assert (pdr.ok, pdr.witness) == (ok, witness)
             assert (pdr.alpha, pdr.beta) == (alpha, beta)
             failing += not ok
         assert failing
+
+    @pytest.mark.parametrize("g6, x, witness", [
+        ("Dj_", 2, PdrWitness(1, 3, "alpha")),
+        ("EYa?", 4, PdrWitness(2, 5, "alpha"))], ids=["level-1-of-3", "level-2-of-4"])
+    def test_search_stops_after_the_witness_level(self, g6, x, witness):
+        # Dj_ hangs the path 1 0 4 on the triangle 1 2 3; from base 2,
+        # level 1 {1, 3} fails, so the search never expands level 2 {0}
+        # and never reaches vertex 4 on level 3. From base 4 of EYa?,
+        # level 2 {2, 5} fails, and the search never expands level 3 {1}
+        # nor reaches level 4. Reading alpha continues the same search to
+        # the end
+        reads = []
+
+        class LoggedAdj(tuple):
+            def __getitem__(self, v):
+                reads.append(v)
+                return tuple.__getitem__(self, v)
+
+        g = parse_graph6(g6)
+        dist = local_metric(g, x).dist
+        pdr = fit_pdr(Graph(g.n, LoggedAdj(g.adj), g.labels), x)
+        assert pdr.witness == witness
+        assert {dist[v] for v in reads} == set(range(witness.level + 1))
+        assert pdr.alpha == fit_pdr_full(build_operators(g, x))[2]
+        assert set(reads) == set(range(g.n))
 
     def test_equal_counts_unequal_ratios_rejected(self):
         # at level 2 every vertex has 4 raise-then-lower walks, but vertex 6
@@ -183,7 +211,7 @@ class TestFitPdr:
         # counts instead of the ratios change the verdict
         g = make_graph(7, [(0, 2), (0, 4), (1, 4), (1, 5), (2, 3), (2, 6),
                            (3, 5), (4, 6), (5, 6)])
-        pdr = fit_pdr(build_operators(g, 0))
+        pdr = fit_pdr(g, 0)
         assert not pdr.ok
         assert pdr.witness == PdrWitness(2, 6, "alpha")
         assert pdr.alpha == (2, 3, 4, 0)
@@ -191,7 +219,7 @@ class TestFitPdr:
 
 class TestFitEndpoint1:
     def test_example_table(self, example_ops):
-        prof = fit_endpoint1(example_ops, fit_pdr(example_ops))
+        prof = fit_endpoint1(example_ops, fit_pdr(example_ops.graph, example_ops.base))
         assert prof.ok
         assert prof.kappa == fr(1, 0)
         assert prof.mu == fr(1, 0)
@@ -202,13 +230,13 @@ class TestFitEndpoint1:
     def test_not_applicable_leaf(self):
         ops = build_operators(path_graph(3), 0)
         with pytest.raises(NotApplicable, match="leaf"):
-            fit_endpoint1(ops, fit_pdr(ops))
+            fit_endpoint1(ops, fit_pdr(ops.graph, ops.base))
 
     def test_not_applicable_not_thin(self):
         for g in connected_graphs(5):
             for x in range(g.n):
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
+                ops = pdr.ops
                 if g.degree(x) >= 2 and not pdr.ok:
                     with pytest.raises(NotApplicable, match="not thin"):
                         fit_endpoint1(ops, pdr)
@@ -224,10 +252,10 @@ class TestFitEndpoint1:
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
+                ops = pdr.ops
                 parts = partitions_at(g, x)
                 prof = fit_endpoint1(ops, pdr)
                 if prof.ok:
@@ -279,10 +307,10 @@ class TestFitEndpoint1:
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
+                ops = pdr.ops
                 for lv in fit_endpoint1(ops, pdr=pdr).levels:
                     if lv.up_cell_nonempty and lv.consistent:
                         assert lv.rho_forced_zero
@@ -294,7 +322,7 @@ class TestFitEndpoint1:
         # rook3x3 at 00: level 2 pins rho to 1/2, which is not zero
         g = rook_graph_3x3()
         ops = build_operators(g, g.labels.index("00"))
-        level2 = fit_endpoint1(ops, fit_pdr(ops)).levels[1]
+        level2 = fit_endpoint1(ops, fit_pdr(ops.graph, ops.base)).levels[1]
         assert level2.consistent and level2.rho == F(1, 2)
         assert not level2.rho_forced_zero
 
@@ -308,10 +336,10 @@ class TestFitEndpoint1:
                 for x in range(g.n):
                     if g.degree(x) < 2:
                         continue
-                    ops = build_operators(g, x)
-                    pdr = fit_pdr(ops)
+                    pdr = fit_pdr(g, x)
                     if not pdr.ok:
                         continue
+                    ops = pdr.ops
                     for lv in fit_endpoint1(ops, pdr=pdr).levels:
                         i = lv.level
                         rows, rhs = [], []
@@ -340,7 +368,7 @@ class TestFitEndpoint1:
                 calls.clear()
                 ops = build_operators(g, x)
                 try:
-                    prof = fit_endpoint1(ops, fit_pdr(ops))
+                    prof = fit_endpoint1(ops, fit_pdr(g, x))
                 except NotApplicable:
                     continue
                 assert calls == _witness_rows(ops, prof)
@@ -356,10 +384,10 @@ class TestFitEndpoint1:
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
+                ops = pdr.ops
                 parts = partitions_at(g, x)
                 prof = fit_endpoint1(ops, pdr)
                 if not prof.ok:
@@ -391,10 +419,10 @@ class TestSteppedOracle:
         calls = _count_solves(monkeypatch)
         fitted = failing = 0
         for g, x in instances():
-            ops = build_operators(g, x)
-            pdr = fit_pdr(ops)
+            pdr = fit_pdr(g, x)
             if not pdr.ok or g.degree(x) < 2:
                 continue
+            ops = pdr.ops
             calls.clear()
             prof = fit_endpoint1(ops, pdr)
             assert prof == fit_endpoint1_stepped(ops, pdr)
@@ -418,7 +446,7 @@ class TestVerifyConditionValues:
         # star: upward cells nonempty at level 1, so a nonzero rho cannot
         # satisfy the condition (the cell equations themselves enforce it)
         ops = build_operators(make_graph(3, [(0, 1), (0, 2)]), 0)
-        prof = fit_endpoint1(ops, fit_pdr(ops))
+        prof = fit_endpoint1(ops, fit_pdr(ops.graph, ops.base))
         assert prof.ok and prof.rho == (Fraction(0),)
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(ops, kappa, mu, theta, (F(1),)) is not None
@@ -432,10 +460,10 @@ class TestVerifyConditionValues:
             for x in range(g.n):
                 if g.degree(x) < 2:
                     continue
-                ops = build_operators(g, x)
-                pdr = fit_pdr(ops)
+                pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
+                ops = pdr.ops
                 prof = fit_endpoint1(ops, pdr)
                 if prof.ok:
                     kappa, mu, theta, rho = prof.canonical()
@@ -444,10 +472,10 @@ class TestVerifyConditionValues:
 
 class TestClausewiseEquivalence:
     def _check(self, g, x):
-        ops = build_operators(g, x)
-        pdr = fit_pdr(ops)
+        pdr = fit_pdr(g, x)
         if g.degree(x) < 2 or not pdr.ok:
             return
+        ops = pdr.ops
         unified = fit_endpoint1(ops, pdr)
         split_ok, split_levels = fit_clausewise(ops)
         assert unified.ok == split_ok

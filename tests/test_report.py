@@ -23,8 +23,8 @@ THINNESS = "exact fit and decomposition disagree on thinness"
 
 def _sides(g, x):
     """The fits and the decomposition at base x, as analyze_fitted has them."""
-    ops = build_operators(g, x)
-    pdr = fit_pdr(ops)
+    pdr = fit_pdr(g, x)
+    ops = pdr.ops
     try:
         endpoint1 = fit_endpoint1(ops, pdr)
     except NotApplicable:

@@ -12,10 +12,12 @@ from dataclasses import replace
 
 import pytest
 
+import tkit.exact
 import tkit.scan
 from tkit.cli import main
 from tkit.constructions import cycle_graph
-from tkit.graphs import local_metric, parse_graph6, rooted_key, to_graph6
+from tkit.exact import LocalOperators
+from tkit.graphs import LocalMetric, local_metric, parse_graph6, rooted_key, to_graph6
 from tkit.report import MISMATCH
 from tkit.graphs import GraphError
 from tkit.scan import (BATCH_RECORDS, CACHE_MISMATCH, CATEGORY_KEYS, SELF_CHECK_EVERY,
@@ -103,6 +105,31 @@ def test_scan_graph_alone_caches_that_graph(analyses):
 
 
 UP_CELL_PROBLEM = "nonempty upward cell coexists with a mid cell below it"
+
+
+def test_non_thin_bases_build_nothing(monkeypatch):
+    # every base of Dj_ of degree >= 2 fails the ratio fit at level 1, so
+    # the scan builds no metric or operators, keys no class and sweeps no
+    # cells; K3 (Bw) is thin at every base and builds both
+    built = []
+    for cls in (LocalMetric, LocalOperators):
+        def logged(self, *args, init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", logged)
+
+    def unused(*args):
+        raise AssertionError("called on a base that is not thin")
+
+    with monkeypatch.context() as m:
+        m.setattr(tkit.scan, "rooted_key", unused)
+        m.setattr(tkit.exact, "cell_pattern", unused)
+        res = scan_graph("Dj_")
+    assert res["counts"] == {"agree-pass": 0, "agree-fail": 0,
+                             "skipped-not-thin": 4, "vacuous": 1}
+    assert built == []
+    scan_graph("Bw")
+    assert built[:2] == ["LocalMetric", "LocalOperators"]
 
 
 def forced_structure(monkeypatch, seeds, **fields):

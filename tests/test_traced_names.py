@@ -27,11 +27,13 @@ def test_every_traced_name_resolves(tracing):
 
 
 def test_instance_data_is_traced(tracing, tmp_path):
-    # build_operators runs the one BFS, from the base; ops.cells is one
-    # sweep over its levels, with no BFS per neighbour; the base's raising
-    # vectors are that BFS's geodesic counts, and the endpoint-one fit
-    # raises the neighbours as packed lanes, so raising_powers never runs;
-    # every level of the Petersen graph fits, so solve_linear never runs
+    # the ratio fit runs the one BFS, from the base, and its ops continue
+    # that search, so neither local_metric nor build_operators runs;
+    # ops.cells is one sweep over its levels, with no BFS per neighbour;
+    # the base's raising vectors are that BFS's geodesic counts, and the
+    # endpoint-one fit raises the neighbours as packed lanes, so
+    # raising_powers never runs; every level of the Petersen graph fits,
+    # so solve_linear never runs
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     try:
@@ -40,7 +42,9 @@ def test_instance_data_is_traced(tracing, tmp_path):
         tracer.uninstall()
     calls = {name: entry["calls"]
              for name, entry in tracing.self_times(tracer.take()).items()}
-    assert calls["graphs.local_metric"] == 1
+    assert calls["regularity.fit_pdr"] == 1
+    assert "graphs.local_metric" not in calls
+    assert "exact.build_operators" not in calls
     assert "graphs.distance_partition" not in calls
     assert "exact.raising_powers" not in calls
     assert "exact.solve_linear" not in calls
