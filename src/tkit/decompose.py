@@ -153,10 +153,14 @@ def _nullspace_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
 
     A tall stack is QR-reduced first, so the SVD never forms its tall left
     factor; LAPACK's SVD takes the same QR step itself on tall input, and
-    R has the same singular values and right factor.
+    R has the same singular values and right factor. The "raw" QR returns
+    LAPACK's factored array transposed, so R^T is the lower triangle of its
+    leading columns, and R reaches the SVD column-major with no
+    transposing copy.
     """
     if stack.shape[0] > stack.shape[1]:
-        stack = np.linalg.qr(stack, mode="r")
+        factored, _ = np.linalg.qr(stack, mode="raw")
+        stack = np.tril(factored[:, :stack.shape[1]]).T
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     cutoff, flag = _cutoff(s, tol)
     return vt[s <= cutoff], flag
@@ -179,25 +183,33 @@ def commutant_basis(generators: Sequence[np.ndarray],
     acting on M flattened row-major, with n^2 unknowns. The dimension
     equals the sum of squared multiplicities over the isomorphism classes
     appearing in the space the generators act on.
+
+    The stack is built column-major, the layout LAPACK factors, as its
+    transpose filled C-ordered: row (j, q) of the transpose holds column
+    (j, q) of every generator's block. So the QR copies it as it is, with
+    no strided transpose.
     """
     k = generators[0].shape[0]
     size = k * k
     eye = np.eye(k)
-    stack = np.zeros((len(generators) * size, size))
-    for j, G in enumerate(generators):
-        block = stack[j * size:(j + 1) * size]
+    columns = np.zeros((size, len(generators), size))
+    # entry r of block g's diagonal is columns[r, g, r]
+    step = len(generators) * size + 1
+    for g, G in enumerate(generators):
         if G.ndim == 1:
             # kron(eye, diag(G)) - kron(diag(G), eye) is diagonal, with
             # G[p] - G[i] at row (i, p); for G >= 0, as the level indicators
             # are, these are the bytes of the np.kron build, zeros included
-            block.flat[::size + 1] = (G[None, :] - G[:, None]).reshape(-1)
+            columns.reshape(-1)[g * size::step] = (G[None, :] - G[:, None]).reshape(-1)
             continue
-        # kron(eye, G.T) - kron(G, eye), written in place as the products
-        # np.kron forms: block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q]
-        block = block.reshape(k, k, k, k)
-        np.multiply(eye[:, None, :, None], G.T[None, :, None, :], out=block)
-        block -= G[:, None, :, None] * eye[None, :, None, :]
-    null, flag = _nullspace_rows(stack, tol)
+        # kron(eye, G.T) - kron(G, eye), as the products np.kron forms:
+        # block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q], written
+        # to columns[(j, q), g, (i, p)]
+        GT = np.ascontiguousarray(G.T)
+        np.subtract(eye[:, None, :, None] * G[None, :, None, :],
+                    GT[:, None, :, None] * eye[None, :, None, :],
+                    out=columns[:, g].reshape(k, k, k, k))
+    null, flag = _nullspace_rows(columns.reshape(size, -1).T, tol)
     return null.reshape(-1, k, k), flag
 
 
@@ -219,13 +231,13 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _irreducible(basis: np.ndarray, comm: np.ndarray, notes: list[str]) -> bool:
+def _irreducible(basis: np.ndarray, image: np.ndarray, notes: list[str]) -> bool:
     """Whether an invariant subspace U with orthonormal row basis B is
-    irreducible, given the commutant basis M_k of End_T(V): End_T(U),
-    spanned by the compressions B M_k B^T and of dimension dim Hom_T(U, U),
-    is the scalars, or has no symmetric element beyond them whose
-    projectors would split U (non-real type, which a note records)."""
-    image = np.matmul(comm, basis.T)
+    irreducible, given image = M_k B^T over the commutant basis M_k of
+    End_T(V): End_T(U), spanned by the compressions B M_k B^T and of
+    dimension dim Hom_T(U, U), is the scalars, or has no symmetric element
+    beyond them whose projectors would split U (non-real type, which a note
+    records)."""
     end_dim = _hom_dimension(image, basis)
     if end_dim == 1:
         return True
@@ -418,12 +430,15 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
     for basis in bases:
         k = basis.shape[0]
         residual = 0.0
+        image = None  # comm @ B^T, read again for the iso classes
         # the whole space was decided irreducible before any split, and is
         # invariant: with its identity basis every product below is exact,
         # so it would give 0.0 as well
         if k < n:
-            if k > 1 and not _irreducible(basis, comm, notes):
-                raise _Rejected(f"a dim-{k} eigenspace is not irreducible")
+            if k > 1:
+                image = np.matmul(comm, basis.T)
+                if not _irreducible(basis, image, notes):
+                    raise _Rejected(f"a dim-{k} eigenspace is not irreducible")
             proj = basis.T @ basis
             # A P, then each E*_i P as P with the rows off level i zeroed
             products = itertools.chain([adjacency @ proj],
@@ -439,7 +454,7 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
         if not nz or nz != list(range(nz[0], nz[-1] + 1)) or sum(dims) != k:
             raise _Rejected(f"a dim-{k} module is not graded on contiguous levels",
                             residual)
-        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual))
+        modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual, image))
 
     # modules of one shape are adjacent in this order, and only they can
     # be isomorphic
@@ -452,9 +467,9 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
         group = list(group)
         reps: list[tuple[int, np.ndarray]] = []  # (iso id, comm @ B_rep^T)
         for pos in group:
-            basis, residual = modules_raw[pos][0], modules_raw[pos][4]
-            for rep_id, image in reps:
-                hom = _hom_dimension(image, basis)
+            basis, _, _, _, residual, image = modules_raw[pos]
+            for rep_id, rep_image in reps:
+                hom = _hom_dimension(rep_image, basis)
                 if hom is None:
                     raise _Rejected(f"a hom trace between dim-{len(basis)} "
                                     "modules is not an integer", residual)
@@ -465,13 +480,16 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
                 iso_ids[pos] = next_id
                 next_id += 1
                 # only a later module of the group reads the image; an
-                # irreducible V, one module, has no commutant
+                # irreducible V, one module, has no commutant, and a
+                # one-dimensional module had no irreducibility test
                 if pos != group[-1]:
-                    reps.append((iso_ids[pos], np.matmul(comm, basis.T)))
+                    if image is None:
+                        image = np.matmul(comm, basis.T)
+                    reps.append((iso_ids[pos], image))
 
     modules = []
     for pos in order:
-        basis, dims, endpoint, diameter, residual = modules_raw[pos]
+        basis, dims, endpoint, diameter, residual, _ = modules_raw[pos]
         modules.append(ModuleSummary(
             subspace=Subspace(basis),
             endpoint=endpoint,

@@ -9,15 +9,24 @@ killed when the subset fails, survived when it passes. The checkout is
 never modified. Before the mutants, the union of their subsets runs on an
 unmutated copy and must pass.
 
+With --acceptance the table gains a column: whether acceptance criteria 6
+and 7 alone (the exhaustive cross-validation and the walk-count oracle,
+run together) kill the mutant. A cross-route mutant should be killed by
+the claim it breaks, not only by the test written next to the code.
+Mutants of inputs, resource limits and report keys, and those that change
+only the bytes the commutant solve reads, are listed as unit-level, and
+the criteria are not run on them.
+
 A replacement whose text does not occur exactly once in its file is an
 error, reported before anything runs.
 
     python tests/mutants.py            # every mutant, one at a time
     python tests/mutants.py NAME ...   # the named mutants
     python tests/mutants.py --list     # names, routes and subsets
+    python tests/mutants.py --acceptance [NAME ...]  # and criteria 6 and 7 alone
 
-Exit status 0 when every selected mutant is killed, 1 when one survives
-and 2 on an error. Standard library only; pytest does not collect this
+Exit status 0 when every selected mutant is killed by its subset, 1 when
+one survives and 2 on an error; the acceptance column does not change it. Standard library only; pytest does not collect this
 file.
 """
 from __future__ import annotations
@@ -35,6 +44,16 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 1800
 CROSS_VALIDATION = ("tests/test_acceptance.py::"
                     "test_criterion_06_exhaustive_cross_validation")
+ACCEPTANCE = (CROSS_VALIDATION,
+              "tests/test_acceptance.py::test_criterion_07_walk_count_oracle")
+# routes of mutants that break an input, a resource limit or a report key,
+# which no cross-validation reads, or only the bytes and layout of the
+# commutant solve's input, which no output shows
+UNIT_LEVEL_ROUTES = frozenset({
+    "edge-list vertex order", "graph6 decoder", "apex distances",
+    "resource limits", "scan process protocol",
+    "endpoint-one report keys", "structure report", "scan structure suite",
+    "Kronecker stack"})
 
 
 @dataclass(frozen=True)
@@ -154,8 +173,8 @@ MUTANTS = (
     # every check of a piece is made in verification, which rejects the
     # attempt and keeps the residual it measured for the error
     Mutant("piece-irreducibility-off", "numeric rejection path", "decompose.py",
-           "            if k > 1 and not _irreducible(basis, comm, notes):\n",
-           "            if False:\n",
+           "                if not _irreducible(basis, image, notes):\n",
+           "                if False:\n",
            ("tests/test_decompose.py::TestRejectedAttempts",)),
     Mutant("rejected-residual-dropped", "numeric rejection path", "decompose.py",
            "                residuals.append(exc.residual)\n",
@@ -201,6 +220,12 @@ MUTANTS = (
     # nullspace, but not the bytes the QR and SVD see
     Mutant("diagonal-block-sign", "Kronecker stack", "decompose.py",
            "(G[None, :] - G[:, None])", "(G[:, None] - G[None, :])",
+           ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
+    # the stack reaches the QR column-major; a row-major one gives the same
+    # R, after a transposing copy
+    Mutant("stack-row-major", "Kronecker stack", "decompose.py",
+           "_nullspace_rows(columns.reshape(size, -1).T, tol)",
+           "_nullspace_rows(np.ascontiguousarray(columns.reshape(size, -1).T), tol)",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
     # the scan's processes: a worker reads its next batch before it sends
     # a result, the merge follows input order, and a worker's error is
@@ -261,6 +286,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="also run criteria 6 and 7 alone on each mutant "
+                             "that is not unit-level")
     args = parser.parse_args(argv)
 
     known = {m.name: m for m in MUTANTS}
@@ -279,20 +307,36 @@ def main(argv=None) -> int:
         return 2
 
     subsets = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    if args.acceptance:
+        subsets = list(dict.fromkeys(subsets + list(ACCEPTANCE)))
     passed, seconds = run_subset(subsets)
     if not passed:
         print(f"error: the subsets fail on unmutated code ({seconds:.0f} s)",
               file=sys.stderr)
         return 2
     print(f"unmutated subsets pass ({seconds:.0f} s)")
-    print("| mutant | route | file | subset | result | s |")
-    print("|---|---|---|---|---|---|")
-    survivors = 0
+    columns = ["mutant", "route", "file", "subset", "result"]
+    columns += ["acceptance alone"] * args.acceptance + ["s"]
+    print("| " + " | ".join(columns) + " |")
+    print("|---" * len(columns) + "|")
+    survivors, ran, missed = 0, 0, []
     for m in chosen:
         passed, seconds = run_subset(m.tests, m)
         survivors += passed
-        print(f"| {m.name} | {m.route} | {m.path} | {' '.join(m.tests)} | "
-              f"{'SURVIVED' if passed else 'killed'} | {seconds:.0f} |", flush=True)
+        row = [m.name, m.route, m.path, " ".join(m.tests),
+               "SURVIVED" if passed else "killed"]
+        if args.acceptance and m.route in UNIT_LEVEL_ROUTES:
+            row.append("unit-level")
+        elif args.acceptance:
+            missed_here, more = run_subset(ACCEPTANCE, m)
+            seconds += more
+            ran += 1
+            missed += [m.name] * missed_here
+            row.append("SURVIVED" if missed_here else "killed")
+        print("| " + " | ".join(row + [f"{seconds:.0f}"]) + " |", flush=True)
+    if args.acceptance:
+        print(f"criteria 6 and 7 alone miss {len(missed)} of the {ran} mutants "
+              f"they ran on" + (f": {' '.join(missed)}" if missed else ""))
     return 1 if survivors else 0
 
 

@@ -15,7 +15,7 @@
 * intertwiner_stack and kron_hom_dimension: the Kronecker hom test, with
   n_a n_b unknowns and every generator, which the graded test replaced
   before the trace did; intertwiner_stack(gens, gens) is also the np.kron
-  build of the stack commutant_basis fills in place;
+  build of the stack commutant_basis fills column-major, entry for entry;
 * level_dims_by_svd: level dimensions counted by one SVD per level, where
   decompose reads them off the traces of the level projectors;
 * subspace_distance between two row-basis subspaces.

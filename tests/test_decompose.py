@@ -517,7 +517,7 @@ class TestGradedHomDimension:
 
 def _commutant_calls(monkeypatch):
     """[generators, stack] of every commutant_basis call made through the
-    module, the stack as handed to the nullspace solve."""
+    module, the stack as handed to the nullspace solve, in its layout."""
     # tkit.decompose is also the name of the package's function
     module = importlib.import_module("tkit.decompose")
     real_basis, real_nullspace = module.commutant_basis, module._nullspace_rows
@@ -528,7 +528,7 @@ def _commutant_calls(monkeypatch):
         return real_basis(generators, tol)
 
     def nullspace(stack, tol):
-        calls[-1][1] = stack.copy()
+        calls[-1][1] = stack.copy(order="K")
         return real_nullspace(stack, tol)
 
     monkeypatch.setattr(module, "commutant_basis", basis)
@@ -539,7 +539,8 @@ def _commutant_calls(monkeypatch):
 class TestKroneckerStackInPlace:
     """commutant_basis writes the products np.kron forms into its stack, so
     the stack has the bytes of the np.kron build, signed zeros included,
-    and the QR, SVD and random draw after it are unchanged."""
+    and the QR, SVD and random draw after it are unchanged. It builds the
+    stack column-major, and the QR reads it without a transposing copy."""
 
     def test_seeded_generators_with_negative_entries(self, monkeypatch):
         calls = _commutant_calls(monkeypatch)
@@ -552,7 +553,10 @@ class TestKroneckerStackInPlace:
                         for _ in range(count)]
                 importlib.import_module("tkit.decompose").commutant_basis(gens)
                 stack = calls[-1][1]
-                assert stack.tobytes() == intertwiner_stack(gens, gens).tobytes()
+                assert stack.flags.f_contiguous
+                # its memory, read column-major, is the np.kron build's
+                want = intertwiner_stack(gens, gens)
+                assert stack.tobytes(order="A") == want.tobytes(order="F")
                 negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
         assert len(calls) == 18 and negative_zeros > 0
 
@@ -573,7 +577,8 @@ class TestKroneckerStackInPlace:
             for gens, stack in calls:
                 assert [G.ndim for G in gens] == [2] + [1] * (ops.ecc + 1)
                 want = intertwiner_stack(generator_matrices(ops), generator_matrices(ops))
-                assert stack.tobytes() == want.tobytes(), (to_graph6(g), x)
+                assert stack.flags.f_contiguous
+                assert stack.tobytes(order="A") == want.tobytes(order="F"), (to_graph6(g), x)
             solved += len(calls)
             calls.clear()
         # star:20 and cycle:20 are reducible at every base
@@ -642,14 +647,16 @@ class TestLevelDims:
     @staticmethod
     def _assert_rejected(monkeypatch, ops, basis):
         # past the irreducibility test and the invariance check, which
-        # would reject both on their own
+        # would reject both on their own; the scalars stand in for the
+        # commutant, whose image only the patched test reads
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "_irreducible", lambda *args: True)
         dist = np.asarray(ops.metric.dist)
         levels = [dist == i for i in range(ops.ecc + 1)]
+        scalars = np.eye(ops.graph.n)[None]
         with pytest.raises(_Rejected, match="^a dim-2 module is not graded on "
                                             "contiguous levels$") as exc:
-            _verify_and_summarize([basis], None, adjacency_matrix(ops.graph),
+            _verify_and_summarize([basis], scalars, adjacency_matrix(ops.graph),
                                   levels, [1.0] * (len(levels) + 1), dist, np.inf)
         assert 0 < exc.value.residual < np.inf
 
@@ -709,7 +716,7 @@ class TestNonRealSplit:
         comm, flag = commutant_basis([adjacency, np.diag(dist == 0) * 1.0,
                                       np.diag(dist == 1) * 1.0])
         notes = []
-        assert _irreducible(np.eye(8), comm, notes)
+        assert _irreducible(np.eye(8), np.matmul(comm, np.eye(8)), notes)
         assert comm.shape == (2, 8, 8) and not flag
         assert notes == [_NON_REAL_NOTE]
 
@@ -863,7 +870,7 @@ class TestRejectedAttempts:
             # the pieces pass their irreducibility test on the true commutant
             with monkeypatch.context() as inner:
                 inner.setattr(module, "_irreducible", lambda basis, _, notes:
-                              _irreducible(basis, comm, notes))
+                              _irreducible(basis, np.matmul(comm, basis.T), notes))
                 return _verify_and_summarize(bases, comm * math.sqrt(0.5), *args)
 
         monkeypatch.setattr(module, "_verify_and_summarize", halved)
