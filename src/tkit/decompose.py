@@ -159,8 +159,8 @@ def _nullspace_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     transposing copy.
     """
     if stack.shape[0] > stack.shape[1]:
-        factored, _ = np.linalg.qr(stack, mode="raw")
-        stack = np.tril(factored[:, :stack.shape[1]]).T
+        # the factored array, as large as the stack, is freed before the SVD
+        stack = np.tril(np.linalg.qr(stack, mode="raw")[0][:, :stack.shape[1]]).T
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     cutoff, flag = _cutoff(s, tol)
     return vt[s <= cutoff], flag
