@@ -44,13 +44,13 @@ log = logging.getLogger(__name__)
 # Largest dense array decompose may build, in bytes: an n x n array, 8 n^2
 # bytes, checked before any is built, and the Kronecker stack of the one
 # commutant solve, 8 (ecc + 2) n^4 bytes. The limit bounds the stack, not
-# the peak: np.linalg.qr copies the stack and the SVD adds its workspace,
-# and the peak RSS measured 3.2 to 4 times the stack (check star:40
-# --vertex 0 --decompose: 257 MiB for a 65 MiB stack; star:60: 1 001 MiB
-# for 317 MiB), so a stack at the limit may peak near 4 GiB. The level
-# projectors are never formed (commutant_basis takes their diagonals), so
-# other arrays are n x n or, like the commutant basis, no larger than one
-# n^2 x n^2 block of the stack.
+# the peak: np.linalg.qr makes two copies of the stack, one by astype and
+# one for LAPACK, so the peak is about three stacks and the interpreter
+# (check star:40 --vertex 0 --decompose: 234 MiB for a 65 MiB stack;
+# star:60: 994 MiB for 317 MiB), and a stack at the limit may peak near
+# 3 GiB. The level projectors are never formed (commutant_basis takes
+# their diagonals), so other arrays are n x n or, like the commutant basis,
+# no larger than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts before decompose gives up. Attempt k makes one random draw, the
@@ -204,7 +204,8 @@ def commutant_basis(generators: Sequence[np.ndarray],
             continue
         # kron(eye, G.T) - kron(G, eye), as the products np.kron forms:
         # block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q], written
-        # to columns[(j, q), g, (i, p)]
+        # to columns[(j, q), g, (i, p)]; G.T made C-ordered, so that both
+        # products come out in the layout of the rows they are written to
         GT = np.ascontiguousarray(G.T)
         np.subtract(eye[:, None, :, None] * G[None, :, None, :],
                     GT[:, None, :, None] * eye[None, :, None, :],

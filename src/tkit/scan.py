@@ -41,7 +41,8 @@ runs in N processes, the parent and N - 1 forked workers, and each of the
 N holds one class cache for the call, with one entry per distinct thin
 rooted class that process meets. The key costs one refinement per node
 of its search, a median of 50 to 70 us an instance at n = 6 against about
-1.4 ms for an analysis (two cores, Python 3.11); symmetric graphs without
+0.7 ms for the analysis of a thin n = 6 class (median over the 33 classes;
+two cores, Python 3.11); symmetric graphs without
 twins explore more leaves (see graphs.rooted_key). The cache lives for
 one call, so a short corpus pays for the analysis of every class it
 meets: in a chunk of 128 n = 6 graphs, the decompositions of about 14

@@ -26,8 +26,8 @@ error, reported before anything runs.
     python tests/mutants.py --acceptance [NAME ...]  # and criteria 6 and 7 alone
 
 Exit status 0 when every selected mutant is killed by its subset, 1 when
-one survives and 2 on an error; the acceptance column does not change it. Standard library only; pytest does not collect this
-file.
+one survives and 2 on an error; the acceptance column does not change it.
+Standard library only; pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -227,6 +227,12 @@ MUTANTS = (
            "_nullspace_rows(columns.reshape(size, -1).T, tol)",
            "_nullspace_rows(np.ascontiguousarray(columns.reshape(size, -1).T), tol)",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
+    # R reaches the SVD column-major, the transpose of the lower triangle
+    # of the raw QR's factored array
+    Mutant("r-row-major", "Kronecker stack", "decompose.py",
+           'np.tril(np.linalg.qr(stack, mode="raw")[0][:, :stack.shape[1]]).T',
+           'np.linalg.qr(stack, mode="r")',
+           ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
     # the scan's processes: a worker reads its next batch before it sends
     # a result, the merge follows input order, and a worker's error is
     # raised in the parent

@@ -310,6 +310,21 @@ class TestNullspaceQr:
             assert null.shape == want.shape and flag == want_flag, (to_graph6(g), x)
             assert subspace_distance(null, want) < 1e-9, (to_graph6(g), x)
 
+    def test_svd_reads_the_r_of_the_qr(self, monkeypatch):
+        # R, read off the raw QR of a column-major stack, reaches the SVD
+        # column-major and with the bytes of np.linalg.qr(mode="r")
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kwargs: seen.append(a) or svd(a, **kwargs))
+        instances = [gx for n in range(1, 5) for gx in rooted_classes(n)]
+        for g, x in instances + [(load_graph("cycle:20")[0], 0)]:
+            gens = generator_matrices(build_operators(g, x))
+            stack = intertwiner_stack(gens, gens)
+            _nullspace_rows(np.asfortranarray(stack), 1e-9)
+            want = np.linalg.qr(stack, mode="r")
+            assert seen[-1].flags.f_contiguous, (to_graph6(g), x)
+            assert seen[-1].tobytes() == want.tobytes(), (to_graph6(g), x)
+
 
 class TestDecomposeExample:
     def test_module_structure(self, example_ops):
