@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .exact import LocalOperators, describe
 from .graphs import Graph
@@ -44,11 +45,15 @@ log = logging.getLogger(__name__)
 # Largest dense array decompose may build, in bytes: an n x n array, 8 n^2
 # bytes, checked before any is built, and the Kronecker stack of the one
 # commutant solve, 8 (ecc + 2) n^4 bytes. The limit bounds the stack, not
-# the peak: np.linalg.qr makes two copies of the stack, one by astype and
-# one for LAPACK, so the peak is about three stacks and the interpreter
-# (check star:40 --vertex 0 --decompose: 234 MiB for a 65 MiB stack;
-# star:60: 994 MiB for 317 MiB), and a stack at the limit may peak near
-# 3 GiB. The level projectors are never formed (commutant_basis takes
+# the peak. LAPACK factors the stack in place and it is freed before the
+# SVD, so the peak, beyond the interpreter, is the larger of two: the
+# stack with one n^2 x n^2 block beside it (a temporary of the build, or
+# R), and the SVD of R, whose R, U, VT and workspace take about seven such
+# blocks. The stack holds ecc + 2 blocks, so it sets the peak when ecc is
+# large; for a star (ecc = 1) the SVD does (check star:40 --vertex 0
+# --decompose: 171 MiB for a 65 MiB stack; star:60: 679 MiB for 317 MiB;
+# two cores, numpy 2.4), so a star's stack at the limit may peak near
+# 2.2 GiB. The level projectors are never formed (commutant_basis takes
 # their diagonals), so other arrays are n x n or, like the commutant basis,
 # no larger than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
@@ -148,20 +153,13 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 # Rank and orthonormalization helpers
 # ---------------------------------------------------------------------------
 
-def _nullspace_rows(stack: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
-    """Orthonormal nullspace basis (rows) and a rank-instability flag.
-
-    A tall stack is QR-reduced first, so the SVD never forms its tall left
-    factor; LAPACK's SVD takes the same QR step itself on tall input, and
-    R has the same singular values and right factor. The "raw" QR returns
-    LAPACK's factored array transposed, so R^T is the lower triangle of its
-    leading columns, and R reaches the SVD column-major with no
-    transposing copy.
-    """
-    if stack.shape[0] > stack.shape[1]:
-        # the factored array, as large as the stack, is freed before the SVD
-        stack = np.tril(np.linalg.qr(stack, mode="raw")[0][:, :stack.shape[1]]).T
-    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+def _nullspace_rows(r: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Orthonormal nullspace basis (rows) of a matrix and a rank-instability
+    flag, from its SVD. commutant_basis hands it the R of its stack's QR,
+    which has the stack's singular values and right factor, so the SVD
+    never forms the stack's tall left factor (LAPACK's SVD would take the
+    same QR step itself on the tall stack)."""
+    _, s, vt = np.linalg.svd(r, full_matrices=False)
     cutoff, flag = _cutoff(s, tol)
     return vt[s <= cutoff], flag
 
@@ -173,21 +171,43 @@ def _cutoff(s: np.ndarray, tol: float) -> tuple[float, bool]:
     return cutoff, bool(np.any((s > 0.1 * cutoff) & (s < 10.0 * cutoff)))
 
 
-def commutant_basis(generators: Sequence[np.ndarray],
-                    tol: float = 1e-9) -> tuple[np.ndarray, bool]:
-    """Orthonormal basis of all matrices commuting with every generator,
-    stacked as an array of shape (dim, n, n), and a rank-instability flag.
-    A 1-D generator stands for the diagonal matrix it lists.
+def _qr_r_in_place(a: np.ndarray) -> np.ndarray:
+    """R of the QR factorization of a matrix with at least as many rows as
+    columns, held column-major in a, a C-ordered array of shape (columns,
+    rows): LAPACK's dgeqrf factors a in place, with leading dimension rows,
+    so the matrix is never copied. R is the upper triangle of the factored
+    matrix's leading rows, which is the transposed lower triangle of a's
+    leading columns, and comes out F-contiguous.
 
-    Solved as the stacked nullspace of M -> MG - GM over all generators G,
-    acting on M flattened row-major, with n^2 unknowns. The dimension
-    equals the sum of squared multiplicities over the isomorphism classes
-    appearing in the space the generators act on.
+    The workspace is queried first and sized as np.linalg.qr sizes it: a
+    smaller one takes LAPACK's unblocked path, which rounds differently,
+    so R has the bytes of np.linalg.qr's R.
+    """
+    cols, rows = a.shape
+    tau = np.empty(cols)
 
-    The stack is built column-major, the layout LAPACK factors, as its
-    transpose filled C-ordered: row (j, q) of the transpose holds column
-    (j, q) of every generator's block. So the QR copies it as it is, with
-    no strided transpose.
+    def geqrf(work: np.ndarray, lwork: int) -> None:
+        info = lapack_lite.dgeqrf(rows, cols, a, rows, tau, work, lwork, 0)["info"]
+        if info:
+            raise np.linalg.LinAlgError(f"dgeqrf returned info {info}")
+
+    query = np.empty(1)
+    geqrf(query, -1)
+    lwork = max(1, cols, int(query[0]))
+    geqrf(np.empty(lwork), lwork)
+    return np.tril(a[:, :cols]).T
+
+
+def _commutant_stack(generators: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker stack of M -> MG - GM over all generators G, acting on
+    M flattened row-major, held column-major: a C-ordered array of shape
+    (n^2, len(generators) n^2) whose row (j, q) holds column (j, q) of every
+    generator's block. A 1-D generator stands for the diagonal matrix it
+    lists.
+
+    Each block holds the products np.kron forms, so the stack has the bytes
+    of the np.kron build, signed zeros included; a dense generator's block
+    is written with one block-sized temporary.
     """
     k = generators[0].shape[0]
     size = k * k
@@ -205,12 +225,32 @@ def commutant_basis(generators: Sequence[np.ndarray],
         # kron(eye, G.T) - kron(G, eye), as the products np.kron forms:
         # block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q], written
         # to columns[(j, q), g, (i, p)]; G.T made C-ordered, so that both
-        # products come out in the layout of the rows they are written to
-        GT = np.ascontiguousarray(G.T)
-        np.subtract(eye[:, None, :, None] * G[None, :, None, :],
-                    GT[:, None, :, None] * eye[None, :, None, :],
-                    out=columns[:, g].reshape(k, k, k, k))
-    null, flag = _nullspace_rows(columns.reshape(size, -1).T, tol)
+        # products come out in the layout of the rows they are written to.
+        # The first product is written in place and the second subtracted
+        block = columns[:, g].reshape(k, k, k, k)
+        np.multiply(eye[:, None, :, None], G[None, :, None, :], out=block)
+        block -= np.ascontiguousarray(G.T)[:, None, :, None] * eye[None, :, None, :]
+    return columns.reshape(size, -1)
+
+
+def commutant_basis(generators: Sequence[np.ndarray],
+                    tol: float = 1e-9) -> tuple[np.ndarray, bool]:
+    """Orthonormal basis of all matrices commuting with every generator,
+    stacked as an array of shape (dim, n, n), and a rank-instability flag.
+    A 1-D generator stands for the diagonal matrix it lists.
+
+    Solved as the stacked nullspace of M -> MG - GM over all generators G,
+    acting on M flattened row-major, with n^2 unknowns. The dimension
+    equals the sum of squared multiplicities over the isomorphism classes
+    appearing in the space the generators act on.
+
+    The stack is built column-major (_commutant_stack) and QR-factored in
+    place (_qr_r_in_place), so it is held once; the SVD reads R. No name
+    holds the stack, so it is freed once R is copied out, before the SVD.
+    """
+    k = generators[0].shape[0]
+    r = _qr_r_in_place(_commutant_stack(generators))
+    null, flag = _nullspace_rows(r, tol)
     return null.reshape(-1, k, k), flag
 
 

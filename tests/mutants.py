@@ -14,8 +14,8 @@ and 7 alone (the exhaustive cross-validation and the walk-count oracle,
 run together) kill the mutant. A cross-route mutant should be killed by
 the claim it breaks, not only by the test written next to the code.
 Mutants of inputs, resource limits and report keys, and those that change
-only the bytes the commutant solve reads, are listed as unit-level, and
-the criteria are not run on them.
+only the bytes, layout or memory of the commutant solve, are listed as
+unit-level, and the criteria are not run on them.
 
 A replacement whose text does not occur exactly once in its file is an
 error, reported before anything runs.
@@ -47,8 +47,8 @@ CROSS_VALIDATION = ("tests/test_acceptance.py::"
 ACCEPTANCE = (CROSS_VALIDATION,
               "tests/test_acceptance.py::test_criterion_07_walk_count_oracle")
 # routes of mutants that break an input, a resource limit or a report key,
-# which no cross-validation reads, or only the bytes and layout of the
-# commutant solve's input, which no output shows
+# which no cross-validation reads, or only the bytes, layout and memory of
+# the commutant solve, which no output shows
 UNIT_LEVEL_ROUTES = frozenset({
     "edge-list vertex order", "graph6 decoder", "apex distances",
     "resource limits", "scan process protocol",
@@ -221,18 +221,31 @@ MUTANTS = (
     Mutant("diagonal-block-sign", "Kronecker stack", "decompose.py",
            "(G[None, :] - G[:, None])", "(G[:, None] - G[None, :])",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
-    # the stack reaches the QR column-major; a row-major one gives the same
-    # R, after a transposing copy
+    # the stack is built column-major, the layout LAPACK factors in place;
+    # a row-major one gives the same R after a transposing copy, and holds
+    # the stack three times on the way
     Mutant("stack-row-major", "Kronecker stack", "decompose.py",
-           "_nullspace_rows(columns.reshape(size, -1).T, tol)",
-           "_nullspace_rows(np.ascontiguousarray(columns.reshape(size, -1).T), tol)",
+           "    return columns.reshape(size, -1)\n",
+           "    return np.ascontiguousarray(np.ascontiguousarray("
+           "columns.reshape(size, -1).T).T)\n",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
     # R reaches the SVD column-major, the transpose of the lower triangle
-    # of the raw QR's factored array
+    # of the factored buffer's leading columns
     Mutant("r-row-major", "Kronecker stack", "decompose.py",
-           'np.tril(np.linalg.qr(stack, mode="raw")[0][:, :stack.shape[1]]).T',
-           'np.linalg.qr(stack, mode="r")',
+           "    return np.tril(a[:, :cols]).T\n",
+           "    return np.triu(a[:, :cols].T)\n",
            ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
+    # without the workspace query dgeqrf takes its unblocked path, whose R
+    # rounds differently from np.linalg.qr's
+    Mutant("qr-workspace-unqueried", "Kronecker stack", "decompose.py",
+           "    lwork = max(1, cols, int(query[0]))\n",
+           "    lwork = cols\n",
+           ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
+    # a name that holds the stack keeps it alive through the SVD
+    Mutant("stack-outlives-qr", "Kronecker stack", "decompose.py",
+           "    r = _qr_r_in_place(_commutant_stack(generators))\n",
+           "    r = _qr_r_in_place(stack := _commutant_stack(generators))\n",
+           ("tests/test_decompose.py::TestKroneckerStackInPlace::test_peak_holds_one_stack",)),
     # the scan's processes: a worker reads its next batch before it sends
     # a result, the merge follows input order, and a worker's error is
     # raised in the parent

@@ -16,6 +16,9 @@
   n_a n_b unknowns and every generator, which the graded test replaced
   before the trace did; intertwiner_stack(gens, gens) is also the np.kron
   build of the stack commutant_basis fills column-major, entry for entry;
+* qr_r and qr_nullspace_rows: R of np.linalg.qr, which copies the stack
+  before LAPACK factors it, and the nullspace read off the SVD of that R;
+  commutant_basis factors its stack in place and must get the same bytes;
 * level_dims_by_svd: level dimensions counted by one SVD per level, where
   decompose reads them off the traces of the level projectors;
 * subspace_distance between two row-basis subspaces.
@@ -125,8 +128,21 @@ def kron_hom_dimension(w: Subspace | np.ndarray, w_other: Subspace | np.ndarray,
     ba, bb = _rows(w), _rows(w_other)
     stack = intertwiner_stack([ba @ G @ ba.T for G in generators],
                               [bb @ G @ bb.T for G in generators])
-    null, _ = _nullspace_rows(stack, tol)
+    null, _ = qr_nullspace_rows(stack, tol)
     return null.shape[0]
+
+
+def qr_r(stack: np.ndarray) -> np.ndarray:
+    """R of np.linalg.qr's raw QR of a tall stack: the upper triangle of the
+    leading rows of the factored array, which "raw" returns transposed."""
+    return np.triu(np.linalg.qr(stack, mode="raw")[0].T[:stack.shape[1]])
+
+
+def qr_nullspace_rows(stack: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, bool]:
+    """Orthonormal nullspace basis (rows) of a tall stack and the rank flag,
+    by the SVD of qr_r(stack): the route of commutant_basis, with a copying
+    QR in place of the in-place one."""
+    return _nullspace_rows(qr_r(stack), tol)
 
 
 def graded_module(basis: np.ndarray, ops: LocalOperators, adjacency: np.ndarray,

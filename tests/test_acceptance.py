@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tkit.cli import main
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, predicted_profile,
@@ -141,7 +142,7 @@ def test_criterion_05_fiber_dichotomy(example):
         assert not fit_endpoint1(hops, pdr=pdr).ok
 
 
-def test_criterion_06_exhaustive_cross_validation(scans):
+def test_criterion_06_exhaustive_cross_validation(scans, tmp_path, capsys):
     with _gate(6, "no combinatorial/algebraic mismatch on n = 4, 5, 6"):
         expected_graphs = {4: 38, 5: 728, 6: 26704}
         for n in (4, 5, 6):
@@ -156,6 +157,15 @@ def test_criterion_06_exhaustive_cross_validation(scans):
         summary = scan_corpus([DODECAHEDRON], jobs=1, seed=42)
         assert summary.mismatches == []
         assert summary.counts["agree-fail"] == 20
+        # a disconnected record is no clean graph: Ek?G, P4 + K2, has two
+        # bases of degree 2, both failing the ratio fit on level 1, so no
+        # fit's search reaches the K2
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bw\nEk?G\nDhc\n")
+        code = main(["scan", str(corpus), "--jobs", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: record 2 (Ek?G): graph is disconnected: vertex 4 unreachable\n"
 
 
 def test_criterion_07_walk_count_oracle():

@@ -5,20 +5,25 @@ import itertools
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 import golden
 from block_closure import closure_block_dims
 from matrix_oracle import build_matrix_operators
 from numeric_oracle import (generator_matrices, graded_hom_dimension,
                             graded_module, intertwiner_stack,
-                            kron_hom_dimension, level_dims_by_svd,
-                            subspace_distance, trivial_module_basis)
+                            kron_hom_dimension, level_dims_by_svd, qr_r,
+                            qr_nullspace_rows, subspace_distance,
+                            trivial_module_basis)
 from rooted import rooted_classes
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
@@ -26,7 +31,7 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             DecompositionError, _cutoff, _hom_dimension,
-                            _irreducible, _level_dims, _nullspace_rows,
+                            _irreducible, _level_dims,
                             _primary_dimension, _Rejected, _split,
                             _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
@@ -298,32 +303,83 @@ def _named_instances():
             yield g, x
 
 
+def _decompose_generators(g, x):
+    """The generators decompose hands commutant_basis: the adjacency matrix,
+    then the level indicators as 1-D diagonals."""
+    dist = np.asarray(build_operators(g, x).metric.dist)
+    return [adjacency_matrix(g)] + [(dist == i).astype(float)
+                                    for i in range(dist.max() + 1)]
+
+
+def _seeded_generators():
+    """Generator lists of sizes 1..6, with 1, 2 or 5 generators each, holding
+    exact zeros of both signs, negative and non-symmetric entries."""
+    rng = np.random.default_rng(20261018)
+    return [[rng.integers(-2, 3, (k, k)) * rng.standard_normal((k, k))
+             for _ in range(count)]
+            for k in range(1, 7) for count in (1, 2, 5)]
+
+
+def _r_at_the_svd(gens):
+    """The R that commutant_basis(gens) hands the SVD, and the R of
+    np.linalg.qr on the np.kron build of its stack."""
+    svd, seen = np.linalg.svd, []
+    np.linalg.svd = lambda a, **kwargs: seen.append(a) or svd(a, **kwargs)
+    try:
+        commutant_basis(gens)
+    finally:
+        np.linalg.svd = svd
+    return seen[-1], qr_r(intertwiner_stack(gens, gens))
+
+
+def _apex_k2_generators():
+    apex = apex_extension(petersen_graph(), 0, complete_graph(2))
+    return _decompose_generators(apex.graph, apex.apex)
+
+
 class TestNullspaceQr:
     @pytest.mark.parametrize("instances", [_ladder, _named_instances])
     def test_same_as_plain_svd(self, instances):
         # the QR route never forms the tall left factor of the stack's SVD
         for g, x in instances():
             gens = generator_matrices(build_operators(g, x))
-            stack = intertwiner_stack(gens, gens)
-            null, flag = _nullspace_rows(stack, 1e-9)
-            want, want_flag = _plain_nullspace(stack)
-            assert null.shape == want.shape and flag == want_flag, (to_graph6(g), x)
-            assert subspace_distance(null, want) < 1e-9, (to_graph6(g), x)
+            null, flag = commutant_basis(gens)
+            want, want_flag = _plain_nullspace(intertwiner_stack(gens, gens))
+            assert len(null) == len(want) and flag == want_flag, (to_graph6(g), x)
+            assert subspace_distance(null.reshape(len(null), -1), want) < 1e-9, \
+                (to_graph6(g), x)
 
-    def test_svd_reads_the_r_of_the_qr(self, monkeypatch):
-        # R, read off the raw QR of a column-major stack, reaches the SVD
-        # column-major and with the bytes of np.linalg.qr(mode="r")
-        svd, seen = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kwargs: seen.append(a) or svd(a, **kwargs))
-        instances = [gx for n in range(1, 5) for gx in rooted_classes(n)]
-        for g, x in instances + [(load_graph("cycle:20")[0], 0)]:
-            gens = generator_matrices(build_operators(g, x))
-            stack = intertwiner_stack(gens, gens)
-            _nullspace_rows(np.asfortranarray(stack), 1e-9)
-            want = np.linalg.qr(stack, mode="r")
-            assert seen[-1].flags.f_contiguous, (to_graph6(g), x)
-            assert seen[-1].tobytes() == want.tobytes(), (to_graph6(g), x)
+    def test_svd_reads_the_r_of_the_qr(self):
+        # R, factored in place from the column-major stack, reaches the SVD
+        # column-major and with the bytes of np.linalg.qr's R: on the seeded
+        # generators, every rooted class with n <= 5, and cycle:20 and
+        # star:20 as decompose builds them. Below LAPACK's crossover (128
+        # columns, n <= 11) the QR is unblocked whatever the workspace;
+        # cycle:20 and star:20 take the blocked path
+        generator_lists = itertools.chain(
+            _seeded_generators(),
+            (generator_matrices(build_operators(g, x))
+             for n in range(1, 6) for g, x in rooted_classes(n)),
+            (_decompose_generators(load_graph(name)[0], 0)
+             for name in ("cycle:20", "star:20")))
+        for gens in generator_lists:
+            r, want = _r_at_the_svd(gens)
+            assert r.flags.f_contiguous
+            assert r.tobytes() == want.tobytes(), [G.shape for G in gens]
+
+    def test_apex_k2_r_at_one_blas_thread(self):
+        # one BLAS thread changes apex-K2's module order; R still has the
+        # bytes of np.linalg.qr's, which runs in the same process
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [tests, os.path.join(os.path.dirname(tests), "src")]))
+        script = ("from test_decompose import _apex_k2_generators, _r_at_the_svd\n"
+                  "r, want = _r_at_the_svd(_apex_k2_generators())\n"
+                  "print(r.shape, r.flags.f_contiguous, r.tobytes() == want.tobytes())\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(441, 441) True True\n"
 
 
 class TestDecomposeExample:
@@ -525,29 +581,33 @@ class TestGradedHomDimension:
         # commutant_basis fills the stack the Kronecker hom oracle builds
         gens = generator_matrices(example_ops)
         basis, flag = commutant_basis(gens)
-        null, want_flag = _nullspace_rows(intertwiner_stack(gens, gens), 1e-9)
+        null, want_flag = qr_nullspace_rows(intertwiner_stack(gens, gens))
         assert flag == want_flag
         assert np.array_equal(np.array(basis).reshape(len(basis), -1), null)
 
 
 def _commutant_calls(monkeypatch):
     """[generators, stack] of every commutant_basis call made through the
-    module, the stack as handed to the nullspace solve, in its layout."""
+    module, the stack as it reaches LAPACK's dgeqrf: the m x n matrix that
+    dgeqrf reads column-major, with leading dimension lda, from the buffer
+    it factors in place, copied before it is factored."""
     # tkit.decompose is also the name of the package's function
     module = importlib.import_module("tkit.decompose")
-    real_basis, real_nullspace = module.commutant_basis, module._nullspace_rows
+    real_basis, real_geqrf = module.commutant_basis, lapack_lite.dgeqrf
     calls = []
 
     def basis(generators, tol=1e-9):
         calls.append([generators, None])
         return real_basis(generators, tol)
 
-    def nullspace(stack, tol):
-        calls[-1][1] = stack.copy(order="K")
-        return real_nullspace(stack, tol)
+    def geqrf(m, n, a, lda, tau, work, lwork, info):
+        if lwork != -1:  # not the workspace query
+            calls[-1][1] = np.ndarray((m, n), buffer=a.copy(),
+                                      strides=(a.itemsize, lda * a.itemsize))
+        return real_geqrf(m, n, a, lda, tau, work, lwork, info)
 
     monkeypatch.setattr(module, "commutant_basis", basis)
-    monkeypatch.setattr(module, "_nullspace_rows", nullspace)
+    monkeypatch.setattr(lapack_lite, "dgeqrf", geqrf)
     return calls
 
 
@@ -555,24 +615,20 @@ class TestKroneckerStackInPlace:
     """commutant_basis writes the products np.kron forms into its stack, so
     the stack has the bytes of the np.kron build, signed zeros included,
     and the QR, SVD and random draw after it are unchanged. It builds the
-    stack column-major, and the QR reads it without a transposing copy."""
+    stack column-major, and LAPACK factors it in place, so the stack is
+    held once."""
 
     def test_seeded_generators_with_negative_entries(self, monkeypatch):
         calls = _commutant_calls(monkeypatch)
-        rng = np.random.default_rng(20261018)
         negative_zeros = 0
-        for k in range(1, 7):
-            for count in (1, 2, 5):
-                # exact zeros of both signs, negative and non-symmetric entries
-                gens = [rng.integers(-2, 3, (k, k)) * rng.standard_normal((k, k))
-                        for _ in range(count)]
-                importlib.import_module("tkit.decompose").commutant_basis(gens)
-                stack = calls[-1][1]
-                assert stack.flags.f_contiguous
-                # its memory, read column-major, is the np.kron build's
-                want = intertwiner_stack(gens, gens)
-                assert stack.tobytes(order="A") == want.tobytes(order="F")
-                negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
+        for gens in _seeded_generators():
+            importlib.import_module("tkit.decompose").commutant_basis(gens)
+            stack = calls[-1][1]
+            assert stack.flags.f_contiguous
+            # its memory, read column-major, is the np.kron build's
+            want = intertwiner_stack(gens, gens)
+            assert stack.tobytes(order="A") == want.tobytes(order="F")
+            negative_zeros += int((np.signbit(stack) & (stack == 0)).sum())
         assert len(calls) == 18 and negative_zeros > 0
 
     @pytest.mark.parametrize("instances", [
@@ -599,6 +655,21 @@ class TestKroneckerStackInPlace:
         # star:20 and cycle:20 are reducible at every base
         assert solved >= 4
 
+    @pytest.mark.parametrize("name", ["cycle:20", "star:20"])
+    def test_peak_holds_one_stack(self, name):
+        # the stack is factored in place and freed before the SVD. A copy of
+        # the stack crosses the bound on both graphs; star:20's stack has
+        # only three n^2 x n^2 blocks, so two block-sized temporaries beside
+        # it, or R, U and VT beside it during the SVD, cross it as well
+        gens = _decompose_generators(load_graph(name)[0], 0)
+        stack_bytes = 8 * len(gens) * len(gens[0]) ** 4
+        tracemalloc.start()
+        try:
+            commutant_basis(gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stack_bytes <= peak <= 1.5 * stack_bytes
 
 
 class TestOneCommutantSolve:
