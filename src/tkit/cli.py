@@ -26,13 +26,13 @@ from typing import Callable, Iterable, Optional, Sequence
 from .constructions import (apex_extension, complete_graph, cycle_graph,
                             empty_graph, example_graph, path_graph,
                             petersen_graph, rook_graph_3x3, star_graph)
-from .decompose import DecompositionError
 from .exact import SHAPE_FAMILIES, build_operators, enumerate_walks, shape_string
 from .graphs import CONNECTED_GRAPH_COUNTS, Graph, GraphError, distance_partition, \
     generate_connected_graph6, parse_edge_list, parse_graph6, to_graph6
 from .regularity import neighbour_sweep, swept_column
 from .report import MISMATCH, analyze, report_to_dict, report_to_json
 from .scan import PROGRESS_EVERY, scan_corpus
+from .verdict import DecompositionError
 
 log = logging.getLogger(__name__)
 
@@ -177,16 +177,21 @@ def cmd_check(args) -> int:
         raise GraphError("analysis needs a connected graph")
     bases = _resolve_base(g, args, default_base)
     worst = 0
-    for x in bases:
-        rep = analyze(g, x, with_decomposition=args.decompose,
-                      seed=args.seed, tol=args.tol)
-        if args.format == "table":
-            print(f"== base vertex {g.labels[x]} ==")
-            _print_check_table(report_to_dict(rep))
-        else:
-            print(report_to_json(rep, include_bases=args.include_bases))
-        if rep.agreement == MISMATCH:
-            worst = 3
+    try:
+        for x in bases:
+            rep = analyze(g, x, with_decomposition=args.decompose,
+                          seed=args.seed, tol=args.tol)
+            if args.format == "table":
+                print(f"== base vertex {g.labels[x]} ==")
+                _print_check_table(report_to_dict(rep))
+            else:
+                print(report_to_json(rep, include_bases=args.include_bases))
+            if rep.agreement == MISMATCH:
+                worst = 3
+    except MemoryError:
+        # the report's graph6 string alone is n (n - 1) / 12 bytes
+        raise GraphError(f"out of memory analysing a graph with n={g.n} and "
+                         f"m={g.edge_count}") from None
     return worst
 
 

@@ -25,6 +25,17 @@ the traces of the level projectors on it.
 
 Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
+
+A small instance is mostly fixed cost: at n = 6 a call takes about
+0.55 ms (median over the 33 thin rooted classes at a base of degree at
+least 2, each decomposed repeatedly; two cores, numpy 2.4), of which
+LAPACK's SVD of R takes 0.13 to 0.16 ms and its QR and eigh about 0.04
+ms more. The rest works on whole arrays: a piece's 2 + ecc residual
+products are one stack, every piece's level traces one bincount, the
+closure reads level slices of one reordered copy of A, and the QR's
+workspace query is made once per shape. Each stacked step gives the
+floats of the same step taken one array at a time, so every LAPACK call
+gets the same bytes and every output keeps them.
 """
 from __future__ import annotations
 
@@ -39,6 +50,9 @@ from numpy.linalg import lapack_lite
 
 from .exact import LocalOperators, describe
 from .graphs import Graph
+# the verdict and the error, numpy-free, are read here too
+from .verdict import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,  # noqa: F401
+                      AlgebraicVerdict, DecompositionError, algebraic_verdict)
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +68,9 @@ log = logging.getLogger(__name__)
 # --decompose: 171 MiB for a 65 MiB stack; star:60: 679 MiB for 317 MiB;
 # two cores, numpy 2.4), so a star's stack at the limit may peak near
 # 2.2 GiB. The level projectors are never formed (commutant_basis takes
-# their diagonals), so other arrays are n x n or, like the commutant basis,
-# no larger than one n^2 x n^2 block of the stack.
+# their diagonals), so other arrays are n x n, like the closure's copy of A
+# in bytes, or, like the commutant basis and a module's (ecc + 2) n^2
+# residual products, no larger than one n^2 x n^2 block of the stack.
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts before decompose gives up. Attempt k makes one random draw, the
@@ -65,21 +80,6 @@ MAX_ATTEMPTS = 4
 # Modulus of the exact closure of the base indicator: below 2^31, so a
 # product of two residues stays below 2^62 in int64
 PRIME = 2_147_483_629
-
-PASS = "PASS"
-FAIL = "FAIL"
-VACUOUS = "VACUOUS"
-NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-class DecompositionError(RuntimeError):
-    """Splitting or verification kept failing across reseeded attempts, the
-    commutant solve kept no element at the cutoff, or the Kronecker stack
-    would exceed MAX_DENSE_BYTES."""
-
-    def __init__(self, message: str, residuals: Sequence[float] = ()):
-        super().__init__(message)
-        self.residuals = tuple(residuals)
 
 
 class _Rejected(Exception):
@@ -135,18 +135,12 @@ class DecompositionReport:
         return tuple(m for m in self.modules if m.endpoint == 1)
 
 
-@dataclass(frozen=True)
-class AlgebraicVerdict:
-    status: str
-    reason: Optional[str] = None
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Adjacency matrix as a 0/1 float array."""
-    adjacency = np.zeros((g.n, g.n))
-    for u, nbrs in enumerate(g.adj):
-        adjacency[u, list(nbrs)] = 1.0
-    return adjacency
+    n = g.n
+    adjacency = np.zeros(n * n)
+    adjacency[[u * n + v for u, nbrs in enumerate(g.adj) for v in nbrs]] = 1.0
+    return adjacency.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,19 @@ def _cutoff(s: np.ndarray, tol: float) -> tuple[float, bool]:
     """Rank cutoff for descending singular values s, and whether any of
     them sits within a factor of ten of it (an unstable rank)."""
     cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
-    return cutoff, bool(np.any((s > 0.1 * cutoff) & (s < 10.0 * cutoff)))
+    return cutoff, bool(((s > 0.1 * cutoff) & (s < 10.0 * cutoff)).any())
+
+
+# dgeqrf's workspace by (rows, columns), as its workspace query sizes it:
+# the query is made once per shape
+_GEQRF_WORKSPACE: dict[tuple[int, int], int] = {}
+
+
+def _geqrf(a: np.ndarray, tau: np.ndarray, work: np.ndarray, lwork: int) -> None:
+    cols, rows = a.shape
+    info = lapack_lite.dgeqrf(rows, cols, a, rows, tau, work, lwork, 0)["info"]
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf returned info {info}")
 
 
 def _qr_r_in_place(a: np.ndarray) -> np.ndarray:
@@ -177,25 +183,23 @@ def _qr_r_in_place(a: np.ndarray) -> np.ndarray:
     rows): LAPACK's dgeqrf factors a in place, with leading dimension rows,
     so the matrix is never copied. R is the upper triangle of the factored
     matrix's leading rows, which is the transposed lower triangle of a's
-    leading columns, and comes out F-contiguous.
+    leading columns (np.tril's), and comes out F-contiguous.
 
-    The workspace is queried first and sized as np.linalg.qr sizes it: a
-    smaller one takes LAPACK's unblocked path, which rounds differently,
-    so R has the bytes of np.linalg.qr's R.
+    The workspace is sized as np.linalg.qr sizes it, from LAPACK's
+    workspace query: a smaller one takes LAPACK's unblocked path, which
+    rounds differently, so R has the bytes of np.linalg.qr's R.
     """
     cols, rows = a.shape
     tau = np.empty(cols)
-
-    def geqrf(work: np.ndarray, lwork: int) -> None:
-        info = lapack_lite.dgeqrf(rows, cols, a, rows, tau, work, lwork, 0)["info"]
-        if info:
-            raise np.linalg.LinAlgError(f"dgeqrf returned info {info}")
-
-    query = np.empty(1)
-    geqrf(query, -1)
-    lwork = max(1, cols, int(query[0]))
-    geqrf(np.empty(lwork), lwork)
-    return np.tril(a[:, :cols]).T
+    shape = rows, cols
+    lwork = _GEQRF_WORKSPACE.get(shape)
+    if lwork is None:
+        query = np.empty(1)
+        _geqrf(a, tau, query, -1)
+        lwork = _GEQRF_WORKSPACE[shape] = max(1, cols, int(query[0]))
+    _geqrf(a, tau, np.empty(lwork), lwork)
+    # np.tril(a[:, :cols]), as np.tril forms it
+    return np.where(np.tri(cols, dtype=bool), a[:, :cols], 0.0).T
 
 
 def _commutant_stack(generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -219,8 +223,10 @@ def _commutant_stack(generators: Sequence[np.ndarray]) -> np.ndarray:
         if G.ndim == 1:
             # kron(eye, diag(G)) - kron(diag(G), eye) is diagonal, with
             # G[p] - G[i] at row (i, p); for G >= 0, as the level indicators
-            # are, these are the bytes of the np.kron build, zeros included
-            columns.reshape(-1)[g * size::step] = (G[None, :] - G[:, None]).reshape(-1)
+            # are, these are the bytes of the np.kron build, zeros included.
+            # The strided diagonal is viewed as k x k and written in place
+            diagonal = columns.reshape(-1)[g * size::step].reshape(k, k)
+            np.subtract(G, G[:, None], out=diagonal)
             continue
         # kron(eye, G.T) - kron(G, eye), as the products np.kron forms:
         # block[i, p, j, q] = eye[i, j] G[q, p] - G[i, j] eye[p, q], written
@@ -262,14 +268,13 @@ def _eigengroups(sym: np.ndarray, tol: float) -> list[np.ndarray]:
     """Eigenvector column blocks of a symmetric matrix, grouped by
     eigenvalue with a gap threshold derived from tol."""
     vals, vecs = np.linalg.eigh(sym)
-    gap = 1e3 * tol * max(1.0, float(np.abs(vals).max()))
-    groups: list[np.ndarray] = []
-    start = 0
-    for idx in range(1, len(vals) + 1):
-        if idx == len(vals) or vals[idx] - vals[idx - 1] > gap:
-            groups.append(vecs[:, start:idx])
-            start = idx
-    return groups
+    values = vals.tolist()
+    # ascending, so the largest magnitude is at an end
+    gap = 1e3 * tol * max(1.0, abs(values[0]), abs(values[-1]))
+    # a group ends where the next eigenvalue is more than the gap above
+    bounds = [0, *[i for i in range(1, len(values)) if values[i] - values[i - 1] > gap],
+              len(values)]
+    return [vecs[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def _irreducible(basis: np.ndarray, image: np.ndarray, notes: list[str]) -> bool:
@@ -302,24 +307,45 @@ def _split(comm: np.ndarray, rng: np.random.Generator, tol: float) -> list[np.nd
     commutant_basis returns it; _Rejected when the draw has one eigenspace.
     """
     coeffs = rng.standard_normal(len(comm))
-    sym = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
-    sym /= max(1.0, float(np.linalg.norm(sym)))
+    # the terms c (M + M^T) / 2, formed in one array the size of comm, and
+    # summed in order, as sum() adds them; its leading 0 + turned negative
+    # zeros into 0.0, and so does + 0.0
+    terms = comm + comm.transpose(0, 2, 1)
+    terms *= coeffs[:, None, None]
+    terms /= 2.0
+    sym = terms.sum(0) + 0.0
+    flat = sym.reshape(-1)
+    # the Frobenius norm as np.linalg.norm forms it
+    sym /= max(1.0, math.sqrt(flat.dot(flat)))
     groups = _eigengroups(sym, tol)
     if len(groups) == 1:
         raise _Rejected(f"could not split a dim-{comm.shape[1]} reducible subspace")
     # C-ordered, and with eigh's negative zeros printed as 0.0
-    return [np.ascontiguousarray(block.T) + 0.0 for block in groups]
+    return [np.add(block.T, 0.0, order="C") for block in groups]
 
 
-def _level_dims(basis: np.ndarray, dist: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Level dimensions of a subspace, read off the traces of the level
-    projectors on it, or None when a trace is more than 0.25 from an
-    integer (a subspace that is not graded)."""
-    traces = np.bincount(dist, weights=(basis * basis).sum(0))
-    dims = np.rint(traces)
-    if np.abs(traces - dims).max() > 0.25:
-        return None
-    return tuple(int(dim) for dim in dims)
+def _level_dims(bases: Sequence[np.ndarray],
+                dist: np.ndarray) -> list[Optional[tuple[int, ...]]]:
+    """Level dimensions of each subspace, read off the traces of the level
+    projectors on it, or None for a subspace with a trace more than 0.25
+    from an integer (one that is not graded). The squared column norms of
+    every subspace are one reduceat, and their sums by level one bincount,
+    each subspace over bins of its own."""
+    width = int(dist.max()) + 1
+    starts = [0]
+    for basis in bases[:-1]:
+        starts.append(starts[-1] + len(basis))
+    stacked = np.concatenate(bases)
+    weights = np.add.reduceat(stacked * stacked, starts, axis=0)
+    bins = dist + np.arange(0, width * len(bases), width)[:, None]
+    traces = np.bincount(bins.reshape(-1), weights=weights.reshape(-1)).tolist()
+    out: list[Optional[tuple[int, ...]]] = []
+    for start in range(0, len(traces), width):
+        row = traces[start:start + width]
+        dims = [round(trace) for trace in row]
+        graded = all(abs(trace - dim) <= 0.25 for trace, dim in zip(row, dims))
+        out.append(tuple(dims) if graded else None)
+    return out
 
 
 def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> int:
@@ -328,36 +354,47 @@ def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> i
     matrix and the level masks.
 
     The closure keeps one echelon basis per level and a frontier of
-    (level, vector) pairs, each vector given on its level. A vector on
-    level i is multiplied by A's columns on level i in float64, exact for
-    0/1 entries, residues below 2^31 and n below 2^22; its parts on levels
-    i - 1, i and i + 1 that their level's basis does not span join it and
-    the frontier. A rank modulo a prime never exceeds the rank over Q, so
-    the result can only fall short of dim T e_x.
+    (level, vector) pairs, each vector given on its level. It reads A as a
+    copy of 0/1 bytes, an eighth of A's size, with the vertices in level
+    order, so that each level is a slice. A vector on level i is multiplied
+    by the rows of levels i - 1, i and i + 1 of A's columns on level i in
+    int64, exact for residues below 2^31 and n below 2^31; its parts on
+    those levels that their level's basis does not span join it and the
+    frontier. A rank modulo a prime never exceeds the rank over Q, so the
+    result can only fall short of dim T e_x.
     """
     n = adjacency.shape[0]
-    spheres = [np.flatnonzero(level) for level in levels]
+    levels = np.asarray(levels)
+    # the vertices level by level: the columns of the masks' nonzeros
+    order = levels.nonzero()[1]
+    ordered = adjacency.astype(np.int8)[order][:, order]
+    ends = levels.sum(1).cumsum().tolist()
+    starts = [0, *ends[:-1]]
+    last = len(ends) - 1
     # per level, (pivot, row) with row[pivot] = 1 and zeros at earlier pivots
-    echelon: list[list[tuple[int, np.ndarray]]] = [[] for _ in spheres]
+    echelon: list[list[tuple[int, np.ndarray]]] = [[] for _ in ends]
     frontier = [(0, np.ones(1, dtype=np.int64))]
     echelon[0].append((0, frontier[0][1]))
     # the frontier keeps every basis vector, and the loop reaches each once
     for i, vector in frontier:
         if len(frontier) == n:
             break
-        image = adjacency[:, spheres[i]] @ vector
-        for j in range(max(i - 1, 0), min(i + 2, len(spheres))):
+        low, high = max(i - 1, 0), min(i + 1, last)
+        top = starts[low]
+        image = ordered[top:ends[high], starts[i]:ends[i]] @ vector % PRIME
+        for j in range(low, high + 1):
             basis = echelon[j]
-            if len(basis) == len(spheres[j]):
+            if len(basis) == ends[j] - starts[j]:
                 continue
-            part = image[spheres[j]].astype(np.int64) % PRIME
+            part = image[starts[j] - top:ends[j] - top]
             for pivot, row in basis:
                 if part[pivot]:
                     part = (part - part[pivot] * row) % PRIME
-            nonzero = np.flatnonzero(part)
-            if nonzero.size:
-                part = part * pow(int(part[nonzero[0]]), -1, PRIME) % PRIME
-                basis.append((int(nonzero[0]), part))
+            nonzero = part.nonzero()[0]
+            if len(nonzero):
+                pivot = int(nonzero[0])
+                part = part * pow(int(part[pivot]), -1, PRIME) % PRIME
+                basis.append((pivot, part))
                 frontier.append((j, part))
     return len(frontier)
 
@@ -379,17 +416,20 @@ def decompose(ops: LocalOperators, seed: int = 42,
     _check_size(ops, f"a dense {n} x {n} array", 8 * n * n)
     residual_bound = 1e3 * tol
     adjacency = adjacency_matrix(ops.graph)
-    dist = np.asarray(ops.metric.dist)
-    levels = [dist == i for i in range(ops.ecc + 1)]
+    dist = np.array(ops.metric.dist)
+    # the level projectors' diagonals, a row per level
+    levels = dist == np.arange(ops.ecc + 1)[:, None]
     # an irreducible standard module is T e_x; it needs no Kronecker solve
     # and no split
     irreducible = _primary_dimension(adjacency, levels) == n
     comm, rank_flag = None, False
     if not irreducible:
         _check_size(ops, "the Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
+        # as 0/1 floats, for the stack's diagonal blocks and the residuals'
+        # products, which take them faster than booleans
+        levels = levels.astype(float)
         # the one solve: no attempt and no piece solves again
-        comm, rank_flag = commutant_basis(
-            [adjacency] + [level.astype(float) for level in levels], tol)
+        comm, rank_flag = commutant_basis([adjacency, *levels], tol)
         if not len(comm):
             # the identity always commutes; a cutoff below rounding noise
             # rejects even it, and no random draw can bring it back
@@ -401,9 +441,9 @@ def decompose(ops: LocalOperators, seed: int = 42,
         # c I on T e_x = V; a reducible V has the orthogonal projector onto
         # a submodule (T is closed under transpose), so dim End_T(V) >= 2
         irreducible = len(comm) == 1
-    sizes = [len(ops.metric.sphere(i)) for i in range(ops.ecc + 1)]
     # the Frobenius norm of a 0/1 generator is the root of its number of ones
-    scales = [max(1.0, math.sqrt(ones)) for ones in [2 * ops.graph.edge_count] + sizes]
+    scales = [max(1.0, math.sqrt(ones)) for ones in
+              [2 * ops.graph.edge_count, *map(len, ops.metric.spheres)]]
 
     residuals: list[float] = []
     for attempt in range(MAX_ATTEMPTS):
@@ -460,15 +500,26 @@ def _hom_dimension(image: np.ndarray, basis: np.ndarray) -> Optional[int]:
     return None if abs(trace - dim) > 0.25 else dim
 
 
+def _residual_products(proj: np.ndarray, adjacency: np.ndarray,
+                       levels: np.ndarray) -> np.ndarray:
+    """The products G P of the generators with a module's projector P,
+    stacked: A P, then each E*_i P as P with the rows off level i zeroed."""
+    products = np.empty((len(levels) + 1, *proj.shape))
+    np.matmul(adjacency, proj, out=products[0])
+    np.multiply(proj, levels[:, :, None], out=products[1:])
+    return products
+
+
 def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
                           residual_bound):
     """Summaries of an attempt's modules, ordered by shape, and the notes
     of its modules of non-real type; the first check that fails, piece by
     piece in the split's order, raises _Rejected."""
     n = adjacency.shape[0]
+    levels = np.asarray(levels)
     notes: list[str] = []
     modules_raw = []
-    for basis in bases:
+    for basis, dims in zip(bases, _level_dims(bases, dist)):
         k = basis.shape[0]
         residual = 0.0
         image = None  # comm @ B^T, read again for the iso classes
@@ -481,30 +532,31 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
                 if not _irreducible(basis, image, notes):
                     raise _Rejected(f"a dim-{k} eigenspace is not irreducible")
             proj = basis.T @ basis
-            # A P, then each E*_i P as P with the rows off level i zeroed
-            products = itertools.chain([adjacency @ proj],
-                                       (proj * level[:, None] for level in levels))
-            for gp, scale in zip(products, scales):
-                defect = np.linalg.norm(gp - proj @ gp)
-                residual = max(residual, float(defect / scale))
+            products = _residual_products(proj, adjacency, levels)
+            # each G P - P G P flat, as a row; its squared Frobenius norm as
+            # np.linalg.norm forms it, BLAS's ddot of the row with itself, is
+            # also numpy's matmul of the row by its transpose
+            defects = (products - proj @ products).reshape(len(products), 1, -1)
+            squares = np.matmul(defects, defects.transpose(0, 2, 1)).reshape(-1).tolist()
+            residual = max(0.0, *[math.sqrt(square) / scale
+                                  for square, scale in zip(squares, scales)])
         if residual > residual_bound:
             raise _Rejected(f"a dim-{k} module's invariance residual "
                             f"{residual:.3g} is above {residual_bound:g}", residual)
-        dims = _level_dims(basis, dist)
         nz = [i for i, dim in enumerate(dims or ()) if dim > 0]
         if not nz or nz != list(range(nz[0], nz[-1] + 1)) or sum(dims) != k:
             raise _Rejected(f"a dim-{k} module is not graded on contiguous levels",
                             residual)
         modules_raw.append((basis, dims, nz[0], len(nz) - 1, residual, image))
 
-    # modules of one shape are adjacent in this order, and only they can
-    # be isomorphic
-    order = sorted(range(len(modules_raw)),
-                   key=lambda idx: (modules_raw[idx][2], modules_raw[idx][0].shape[0],
-                                    modules_raw[idx][1], idx))
+    # modules of one shape are adjacent in this order (sorted is stable),
+    # and only they can be isomorphic
+    shapes = [(endpoint, len(basis), dims)
+              for basis, dims, endpoint, _, _, _ in modules_raw]
+    order = sorted(range(len(modules_raw)), key=shapes.__getitem__)
     iso_ids = [-1] * len(modules_raw)
     next_id = 0
-    for _, group in itertools.groupby(order, key=lambda idx: modules_raw[idx][1]):
+    for _, group in itertools.groupby(order, key=shapes.__getitem__):
         group = list(group)
         reps: list[tuple[int, np.ndarray]] = []  # (iso id, comm @ B_rep^T)
         for pos in group:
@@ -541,24 +593,6 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
             residual=residual,
         ))
     return modules, notes
-
-
-def algebraic_verdict(report: DecompositionReport) -> AlgebraicVerdict:
-    """PASS when the endpoint-one modules exist, form a single isomorphism
-    class and are all thin; VACUOUS when none exist; FAIL otherwise.
-    Requires a thin trivial module to be meaningful."""
-    if not report.trivial_thin:
-        return AlgebraicVerdict(NOT_APPLICABLE, "trivial module not thin")
-    if report.endpoint1_count == 0:
-        return AlgebraicVerdict(VACUOUS)
-    reasons = []
-    if report.endpoint1_iso_classes > 1:
-        reasons.append("multiple iso classes")
-    if not report.endpoint1_all_thin:
-        reasons.append("non-thin")
-    if reasons:
-        return AlgebraicVerdict(FAIL, " + ".join(reasons))
-    return AlgebraicVerdict(PASS)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,21 @@ which should never happen and fails any scan.
 """
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Optional
 
-from .decompose import (FAIL, PASS, VACUOUS, AlgebraicVerdict,
-                        DecompositionReport, algebraic_verdict, decompose)
 from .exact import LocalOperators
 from .graphs import Graph, StructureReport, structure_report
 from .regularity import (REASON_NOT_THIN, Endpoint1Profile, NotApplicable,
                          PdrProfile, fit_endpoint1, fit_pdr)
+from .verdict import FAIL, PASS, VACUOUS, AlgebraicVerdict, algebraic_verdict
+
+if TYPE_CHECKING:
+    from .decompose import DecompositionReport
 
 SCHEMA_ID = "tkit-analysis-report/1"
 
@@ -42,6 +46,19 @@ class AnalysisReport:
     structure: StructureReport
     agreement: str
     agreement_reason: Optional[str]
+
+
+def numeric() -> ModuleType:
+    """The module tkit.decompose, imported, and numpy with it, on first
+    use: an analysis without decomposition never loads numpy."""
+    return importlib.import_module(".decompose", __package__)
+
+
+def decompose(ops: LocalOperators, seed: int = 42,
+              tol: float = 1e-9) -> DecompositionReport:
+    """tkit.decompose.decompose, called through its module's attribute,
+    where a wrapper installed on the module sees it."""
+    return numeric().decompose(ops, seed=seed, tol=tol)
 
 
 def analyze(g: Graph, x: int, *, with_decomposition: bool = False,

@@ -41,12 +41,12 @@ runs in N processes, the parent and N - 1 forked workers, and each of the
 N holds one class cache for the call, with one entry per distinct thin
 rooted class that process meets. The key costs one refinement per node
 of its search, a median of 50 to 70 us an instance at n = 6 against about
-0.7 ms for the analysis of a thin n = 6 class (median over the 33 classes;
-two cores, Python 3.11); symmetric graphs without
-twins explore more leaves (see graphs.rooted_key). The cache lives for
-one call, so a short corpus pays for the analysis of every class it
-meets: in a chunk of 128 n = 6 graphs, the decompositions of about 14
-classes take about 56 % of the scan's time.
+0.66 ms for the analysis of a thin n = 6 class (median over the 33
+classes, each analysed repeatedly; two cores, Python 3.11); symmetric
+graphs without twins explore more leaves (see graphs.rooted_key). The
+cache lives for one call, so a short corpus pays for the analysis of
+every class it meets: in a chunk of 128 n = 6 graphs, the decompositions
+of about 14 classes take about 53 % of the scan's time.
 
 The corpus of `scan --generate n`, generate_connected_graph6(n), builds
 no graph: records come off edge masks, and connectivity off a table of
@@ -71,7 +71,7 @@ from .graphs import (GraphError, StructureReport, generate_connected_graph6,
                      parse_graph6, rooted_key)
 from .regularity import fit_pdr
 from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
-                     analyze_fitted, report_to_dict)
+                     analyze_fitted, numeric, report_to_dict)
 
 CATEGORY_KEYS = ("agree-pass", "agree-fail", "skipped-not-thin", "vacuous")
 
@@ -326,6 +326,10 @@ def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
     jobs = resolve_jobs(jobs)
     summary = ScanSummary()
     workers: list[Worker] = []
+    if jobs > 1:
+        # the workers decompose too; forked with the numeric side loaded,
+        # they do not each import numpy
+        numeric()
     try:
         for _ in range(jobs - 1):
             ours, theirs = _FORK.Pipe()

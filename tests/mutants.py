@@ -13,9 +13,10 @@ With --acceptance the table gains a column: whether acceptance criteria 6
 and 7 alone (the exhaustive cross-validation and the walk-count oracle,
 run together) kill the mutant. A cross-route mutant should be killed by
 the claim it breaks, not only by the test written next to the code.
-Mutants of inputs, resource limits and report keys, and those that change
-only the bytes, layout or memory of the commutant solve, are listed as
-unit-level, and the criteria are not run on them.
+Mutants of inputs, resource limits, report keys and what the package
+imports, and those that change only the bytes, layout or memory of the
+commutant solve or which instances take it, are listed as unit-level,
+and the criteria are not run on them.
 
 A replacement whose text does not occur exactly once in its file is an
 error, reported before anything runs.
@@ -46,14 +47,16 @@ CROSS_VALIDATION = ("tests/test_acceptance.py::"
                     "test_criterion_06_exhaustive_cross_validation")
 ACCEPTANCE = (CROSS_VALIDATION,
               "tests/test_acceptance.py::test_criterion_07_walk_count_oracle")
-# routes of mutants that break an input, a resource limit or a report key,
-# which no cross-validation reads, or only the bytes, layout and memory of
-# the commutant solve, which no output shows
+# routes of mutants that break an input, a resource limit, a report key
+# (the residuals among them) or what the package imports, which no
+# cross-validation reads, or only the bytes, layout and memory of the
+# commutant solve or which instances take it, which no output shows
 UNIT_LEVEL_ROUTES = frozenset({
     "edge-list vertex order", "graph6 decoder", "apex distances",
     "resource limits", "scan process protocol",
     "endpoint-one report keys", "structure report", "scan structure suite",
-    "Kronecker stack"})
+    "Kronecker stack", "decomposition residuals", "numpy on demand",
+    "closure shortcut"})
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ MUTANTS = (
     Mutant("exact-ignores-flat-system", "exact vs numeric", "regularity.py",
            "                    f += up[w]\n", "                    f += 0\n",
            (CROSS_VALIDATION,)),
-    Mutant("verdict-allows-two-classes", "exact vs numeric", "decompose.py",
+    Mutant("verdict-allows-two-classes", "exact vs numeric", "verdict.py",
            "    if report.endpoint1_iso_classes > 1:\n",
            "    if report.endpoint1_iso_classes > 2:\n",
            (CROSS_VALIDATION,)),
@@ -219,7 +222,8 @@ MUTANTS = (
     # a level projector's diagonal block: the sign flip keeps the
     # nullspace, but not the bytes the QR and SVD see
     Mutant("diagonal-block-sign", "Kronecker stack", "decompose.py",
-           "(G[None, :] - G[:, None])", "(G[:, None] - G[None, :])",
+           "np.subtract(G, G[:, None], out=diagonal)",
+           "np.subtract(G[:, None], G, out=diagonal)",
            ("tests/test_decompose.py::TestKroneckerStackInPlace",)),
     # the stack is built column-major, the layout LAPACK factors in place;
     # a row-major one gives the same R after a transposing copy, and holds
@@ -232,20 +236,55 @@ MUTANTS = (
     # R reaches the SVD column-major, the transpose of the lower triangle
     # of the factored buffer's leading columns
     Mutant("r-row-major", "Kronecker stack", "decompose.py",
-           "    return np.tril(a[:, :cols]).T\n",
-           "    return np.triu(a[:, :cols].T)\n",
+           "    return np.where(np.tri(cols, dtype=bool), a[:, :cols], 0.0).T\n",
+           "    return np.ascontiguousarray("
+           "np.where(np.tri(cols, dtype=bool), a[:, :cols], 0.0).T)\n",
            ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
     # without the workspace query dgeqrf takes its unblocked path, whose R
     # rounds differently from np.linalg.qr's
     Mutant("qr-workspace-unqueried", "Kronecker stack", "decompose.py",
-           "    lwork = max(1, cols, int(query[0]))\n",
-           "    lwork = cols\n",
+           "        lwork = _GEQRF_WORKSPACE[shape] = max(1, cols, int(query[0]))\n",
+           "        lwork = _GEQRF_WORKSPACE[shape] = cols\n",
+           ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
+    # the workspace query is made once per shape; a memo that ignores the
+    # shape hands a larger stack the first stack's workspace, too small for
+    # it (LAPACK's own query gives 32 per column whatever the rows, so a
+    # memo keyed on the columns alone is equivalent and no mutant)
+    Mutant("qr-workspace-memo-shape-blind", "Kronecker stack", "decompose.py",
+           "    shape = rows, cols\n", "    shape = None\n",
            ("tests/test_decompose.py::TestNullspaceQr::test_svd_reads_the_r_of_the_qr",)),
     # a name that holds the stack keeps it alive through the SVD
     Mutant("stack-outlives-qr", "Kronecker stack", "decompose.py",
            "    r = _qr_r_in_place(_commutant_stack(generators))\n",
            "    r = _qr_r_in_place(stack := _commutant_stack(generators))\n",
            ("tests/test_decompose.py::TestKroneckerStackInPlace::test_peak_holds_one_stack",)),
+    # a module's invariance residual is the largest over all 2 + ecc
+    # generator products; the golden reports hold the residuals
+    Mutant("residual-skips-last-level", "decomposition residuals", "decompose.py",
+           "for square, scale in zip(squares, scales)",
+           "for square, scale in zip(squares[:-1], scales)",
+           ("tests/test_golden.py",)),
+    # one bincount reads every piece's level traces, each over bins of its own
+    Mutant("level-bins-shared", "numeric level dimensions", "decompose.py",
+           "    bins = dist + np.arange(0, width * len(bases), width)[:, None]\n",
+           "    bins = dist + np.zeros((len(bases), 1), dtype=np.int64)\n",
+           ("tests/test_decompose.py::TestLevelDims",)),
+    # the closure of e_x reads levels i - 1, i and i + 1 of a vector on
+    # level i; one level fewer under-counts, and the commutant solve it
+    # then runs overrules it, so only the solve count shows
+    Mutant("closure-skips-level-above", "closure shortcut", "decompose.py",
+           "        low, high = max(i - 1, 0), min(i + 1, last)\n",
+           "        low, high = max(i - 1, 0), min(i, last)\n",
+           ("tests/test_decompose.py::TestScalarCommutant",)),
+    # an analysis without decomposition never imports numpy
+    Mutant("report-imports-numpy", "numpy on demand", "report.py",
+           "from .exact import LocalOperators\n",
+           "from .exact import LocalOperators\nfrom . import decompose as _numeric\n",
+           ("tests/test_cli.py::TestCheck::test_check_without_decompose_loads_no_numpy",)),
+    # check names the graph's size when memory runs out, with no traceback
+    Mutant("memory-error-traceback", "resource limits", "cli.py",
+           "    except MemoryError:\n", "    except ZeroDivisionError:\n",
+           ("tests/test_cli.py::TestCheck::test_out_of_memory_exits_2",)),
     # the scan's processes: a worker reads its next batch before it sends
     # a result, the merge follows input order, and a worker's error is
     # raised in the parent

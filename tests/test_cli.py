@@ -22,6 +22,7 @@ from tkit.exact import build_operators, describe
 from tkit.graphs import GraphError, parse_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
+import tkit.graphs
 import tkit.scan
 
 # the package re-exports the decompose() function under the module's name
@@ -291,6 +292,30 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == (f"error: {describe(ops)}: {what} needs {nbytes} bytes, "
                        f"above the limit of {nbytes - 1}\n")
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # a 100 000-cycle under a 3 GB address-space limit ran out of memory
+        # in the report's graph6 string, n (n - 1) / 12 bytes
+        def out_of_memory(g):
+            raise MemoryError
+
+        monkeypatch.setattr(tkit.graphs, "to_graph6", out_of_memory)
+        code, out, err = run_cli(capsys, "check", "cycle:12", "--vertex", "0")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory analysing a graph with n=12 and m=12\n"
+
+    def test_check_without_decompose_loads_no_numpy(self):
+        # numpy is imported with tkit.decompose, on the first decomposition
+        script = ("import sys\n"
+                  "from tkit.cli import main\n"
+                  "code = main(['check', 'petersen', '--vertex', '0'])\n"
+                  "print(code, 'numpy' in sys.modules, 'tkit.decompose' in sys.modules,"
+                  " file=sys.stderr)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr == "0 False False\n"
+        assert json.loads(proc.stdout)["graph"]["n"] == 10
 
     @pytest.mark.parametrize("argv", [
         ["check", "example", "--vertex", "1", "--decompose"],

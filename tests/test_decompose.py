@@ -273,19 +273,22 @@ class TestScalarCommutant:
     @pytest.mark.parametrize("name,products", [("path:20", 0), ("cycle:6", 2 * 5)])
     def test_whole_space_module_forms_no_residual_products(self, monkeypatch,
                                                            name, products):
-        # one norm per generator product of a module's residual: none for
-        # the identity basis of an irreducible V, 2 + ecc for each of the
-        # two modules of cycle:6 at a vertex
-        norms = []
-        real_norm = np.linalg.norm
+        # the generator products of a module's residual, one n x n product
+        # per generator: none for the identity basis of an irreducible V,
+        # 2 + ecc for each of the two modules of cycle:6 at a vertex
+        module = importlib.import_module("tkit.decompose")
+        real_products = module._residual_products
+        formed = []
 
-        def counting(*args, **kwargs):
-            norms.append(args[0].shape)
-            return real_norm(*args, **kwargs)
+        def counting(proj, adjacency, levels):
+            stacked = real_products(proj, adjacency, levels)
+            assert stacked.shape[1:] == proj.shape == adjacency.shape
+            formed.extend(stacked)
+            return stacked
 
-        _during_verification(monkeypatch, norm=counting)
+        monkeypatch.setattr(module, "_residual_products", counting)
         rep = decompose(build_operators(load_graph(name)[0], 0))
-        assert len(norms) == products
+        assert len(formed) == products
         if not products:
             assert [(m.dim, m.residual) for m in rep.modules] == [(20, 0.0)]
 
@@ -720,14 +723,14 @@ class TestLevelDims:
     def test_random_subspace_not_graded(self, monkeypatch, example_ops):
         basis = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 2)))[0].T
         dist = np.asarray(example_ops.metric.dist)
-        assert _level_dims(basis, dist) is None
+        assert _level_dims([basis], dist) == [None]
         self._assert_rejected(monkeypatch, example_ops, basis)
 
     def test_levels_not_contiguous(self, monkeypatch, example_ops):
         # the base and one vertex at distance 2: graded, with a gap at level 1
         dist = np.asarray(example_ops.metric.dist)
         basis = np.eye(6)[[example_ops.base, list(dist).index(2)]]
-        assert _level_dims(basis, dist) == (1, 0, 1)
+        assert _level_dims([basis], dist) == [(1, 0, 1)]
         self._assert_rejected(monkeypatch, example_ops, basis)
 
     @staticmethod
@@ -745,6 +748,66 @@ class TestLevelDims:
             _verify_and_summarize([basis], scalars, adjacency_matrix(ops.graph),
                                   levels, [1.0] * (len(levels) + 1), dist, np.inf)
         assert 0 < exc.value.residual < np.inf
+
+
+def _residual_one_product_at_a_time(basis, ops):
+    """A module's invariance residual with each generator product and its
+    np.linalg.norm formed on its own: the reference for decompose's
+    stacked products."""
+    if len(basis) == ops.graph.n:
+        return 0.0
+    adjacency = adjacency_matrix(ops.graph)
+    dist = np.asarray(ops.metric.dist)
+    levels = [dist == i for i in range(ops.ecc + 1)]
+    scales = [max(1.0, math.sqrt(ones))
+              for ones in [2 * ops.graph.edge_count] + [int(m.sum()) for m in levels]]
+    proj = basis.T @ basis
+    residual = 0.0
+    for gp, scale in zip([adjacency @ proj] + [proj * m[:, None] for m in levels], scales):
+        residual = max(residual, float(np.linalg.norm(gp - proj @ gp) / scale))
+    return residual
+
+
+class TestStackedSteps:
+    """Each step decompose takes on a stacked array gives the floats of the
+    loop over its parts, bit for bit."""
+
+    @pytest.mark.parametrize("instances,modules", [
+        pytest.param(lambda: [gx for n in range(1, 6) for gx in rooted_classes(n)], 152,
+                     id="rooted-classes-n5"),
+        pytest.param(lambda: [(load_graph(name)[0], 0) for name in ("cycle:20", "star:20")],
+                     2 + 20, id="cycle-20-star-20")])
+    def test_residuals_match_the_norm_of_each_product(self, instances, modules):
+        residuals = []
+        for g, x in instances():
+            ops = build_operators(g, x)
+            for m in decompose(ops).modules:
+                assert m.residual == _residual_one_product_at_a_time(
+                    m.subspace.basis, ops), (to_graph6(g), x)
+                residuals.append(m.residual)
+        assert len(residuals) == modules and max(residuals) > 0
+
+    def test_draw_matches_the_summed_terms(self, monkeypatch):
+        # seeded commutant-like stacks with exact zeros of both signs, stacks
+        # of negative zeros and the commutants of star:3 and the example at
+        # their bases: the matrix the split hands eigh has the bytes of
+        # sum() over the terms c (M + M^T) / 2, scaled by np.linalg.norm
+        rng = np.random.default_rng(20261020)
+        stacks = [rng.integers(-1, 2, (d, k, k)) * rng.standard_normal((d, k, k))
+                  for d in (2, 3, 7) for k in (1, 4, 6)]
+        stacks += [np.full((d, 2, 2), -0.0) for d in (1, 1, 2, 2)]
+        for ops in (build_operators(star_graph(3), 0), build_operators(*example_graph())):
+            stacks.append(commutant_basis(generator_matrices(ops))[0])
+        drawn = []
+        monkeypatch.setattr(importlib.import_module("tkit.decompose"), "_eigengroups",
+                            lambda sym, tol: drawn.append(sym.copy()) or [sym, sym])
+        for seed, comm in enumerate(stacks):
+            _split(comm, np.random.default_rng(seed), 1e-9)
+            coeffs = np.random.default_rng(seed).standard_normal(len(comm))
+            want = sum(c * (M + M.T) / 2.0 for c, M in zip(coeffs, comm))
+            want /= max(1.0, float(np.linalg.norm(want)))
+            assert drawn[-1].tobytes() == want.tobytes(), seed
+        assert len(drawn) == len(stacks) == 15
 
 
 def _golden_decomposition(label, base):
@@ -921,11 +984,13 @@ class TestRejectedAttempts:
 
     def test_not_graded(self, monkeypatch, caplog, ops):
         # level traces more than 0.25 from an integer reject the attempt,
-        # with the residual of the piece kept for the error
+        # with the residual of the piece kept for the error; the split's
+        # first piece is the first checked
         read = []
 
-        def not_graded(basis, dist):
-            read.append(len(basis))
+        def not_graded(bases, dist):
+            read.append(len(bases[0]))
+            return [None] * len(bases)
 
         monkeypatch.setattr(importlib.import_module("tkit.decompose"),
                             "_level_dims", not_graded)

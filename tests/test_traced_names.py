@@ -33,7 +33,9 @@ def test_instance_data_is_traced(tracing, tmp_path):
     # the base's raising vectors are that BFS's geodesic counts, and the
     # endpoint-one fit raises the neighbours as packed lanes, so
     # raising_powers never runs; every level of the Petersen graph fits,
-    # so solve_linear never runs
+    # so solve_linear never runs. The report loads tkit.decompose on first
+    # use and calls decompose through that module, so both traced
+    # functions of the decomposition are seen, once each
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     try:
@@ -49,3 +51,4 @@ def test_instance_data_is_traced(tracing, tmp_path):
     assert "exact.raising_powers" not in calls
     assert "exact.solve_linear" not in calls
     assert calls["regularity.fit_endpoint1"] == 1
+    assert calls["decompose.decompose"] == calls["decompose.commutant_basis"] == 1
