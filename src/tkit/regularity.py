@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .exact import LinearSolution, LocalOperators, solve_linear
 from .graphs import Graph, bfs_connected, bfs_metric, bfs_search, bfs_start
@@ -153,6 +153,65 @@ def fit_pdr(g: Graph, x: int) -> PdrProfile:
     connected: a fit that stops at a witness has not searched the whole
     graph, so only ops and require_connected() check it."""
     return PdrProfile(g, x)
+
+
+# thin_bases leaves a stack to fit_pdr when a product it cross-multiplies
+# could reach this, where int64 wraps
+PRODUCT_LIMIT = 1 << 63
+
+
+# numpy's ndarray, which this module does not import
+Array = Any
+
+
+def thin_bases(adjacency: Array) -> Optional[tuple[Array, Array, Array]]:
+    """fit_pdr(g, x).ok at every base x of every graph g of a (B, n, n)
+    stack of symmetric 0/1 int64 adjacency matrices, n <= 62, in one pass
+    of integer array products: (degrees, thin, connected), of shapes
+    (B, n), (B, n) and (B,), or None when a cross-product could reach
+    PRODUCT_LIMIT. The caller's array brings numpy, so the exact side
+    imports none.
+
+    Row x of each matrix is the search from base x. With P_k the geodesic
+    counts on level k (P_1 = A) and Q_k = P_k A, level k + 1 is where Q_k
+    is positive and no earlier level is, and P_{k+1} is Q_k there. On level
+    k, Q_{k+1} holds each vertex's down sum L R^{k+1} e_x and Q_k its flat
+    sum F R^k e_x, and both are cross-multiplied against the level's least
+    vertex, as PdrProfile._levels does, with no tolerance. A geodesic
+    count on n <= 62 vertices is a product of the sizes of the levels it
+    crosses, at most 3^20 < 2^32, and a sum of at most 61 of them is below
+    2^38, so only the cross-products can wrap; each is at most the square
+    of the largest Q_k.
+    """
+    count, n, _ = adjacency.shape
+    degrees = adjacency.sum(axis=2)
+    # the flat index of vertex 0 in each row: 0, n, 2n, ...
+    row_starts = (degrees >= 0).cumsum().reshape(count, n, 1) * n - n
+    level = adjacency.astype(bool)
+    seen = level.copy()
+    seen[:, range(n), range(n)] = True
+    paths = adjacency
+    sums = paths @ adjacency
+    peak = int(sums.max())
+    uneven = seen & False
+    while True:
+        above = (sums > 0) & ~seen
+        above_paths = sums * above
+        above_sums = above_paths @ adjacency
+        peak = max(peak, int(above_sums.max()))
+        # each row's counts at its level's least vertex, on a length-1 axis
+        least = row_starts + level.argmax(axis=2)[..., None]
+        first_paths = paths.take(least)
+        uneven |= level & ((above_sums * first_paths != above_sums.take(least) * paths)
+                           | (sums * first_paths != sums.take(least) * paths))
+        if not above.any():
+            break
+        seen |= above
+        level, paths, sums = above, above_paths, above_sums
+    if peak * peak >= PRODUCT_LIMIT:
+        return None
+    thin = ~uneven.any(axis=2)
+    return degrees, thin, seen[:, 0].all(axis=1)
 
 
 # ---------------------------------------------------------------------------

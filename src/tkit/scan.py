@@ -16,16 +16,27 @@ a comment at its site:
   (graphs.structure_report);
 - a tree's thresholds equal its eccentricity (_structure_problems).
 
-Most bases stop at the ratio fit: of the 138 384 bases of degree at least
-2 in the n = 6 corpus, 96.1 % are not thin, and 92.4 % of those fail on
-level 1. The fit runs inside the base's breadth-first search and stops
-at its first witness (regularity.PdrProfile), so such a base reads the
-adjacency lists of its levels up to the witness's only and builds no
-LocalMetric, LocalOperators, rooted key or cell pattern: about 4.3 us a
-base against 7.3 us for a whole BFS, its operators and the fit (two
-cores, Python 3.11). A thin base's search reaches every vertex, and its
-operators are built from it. A graph whose every fit stopped at a witness
-is proven connected by running the last fit's search on to the end.
+Most bases are not thin: of the 138 384 bases of degree at least 2 in
+the n = 6 corpus, 96.1 % are not. So the thinness of every base of a
+batch is decided at once (_batch_bases): the batch's records of each
+size n <= BATCH_MAX_N are decoded into one (B, n, n) integer array, and
+regularity.thin_bases runs every base's search and ratio test as integer
+array products: about 5 us a record at n = 6 in batches of 64, against
+about 29 us for parse_graph6 and fit_pdr at every base (two cores,
+Python 3.11). Only a thin base runs fit_pdr, which must find it thin too,
+or the instance is a MISMATCH, and only a record with a thin base is
+parsed into a Graph. Every SELF_CHECK_EVERY-th record, by its number in
+the corpus, runs fit_pdr on every base, so the bases the pass calls not
+thin keep a second route, whatever the job count. A record the pass does
+not decide, with n > BATCH_MAX_N or another header, a bad byte or nonzero
+padding, or a disconnected graph, and every record of a group whose
+cross-products could overflow int64, takes the per-record path:
+parse_graph6 raises its message, and the fit runs at every base of
+degree at least 2 inside its breadth-first search, stopping at its first
+witness (regularity.PdrProfile); a graph whose every fit stopped at a
+witness is proven connected by running the last fit's search on to the
+end. A thin base's search reaches every vertex, and its operators are
+built from it.
 
 What an instance yields depends only on its rooted graph, so each rooted
 isomorphism class is analyzed once per scan process and scan_corpus call.
@@ -46,7 +57,7 @@ classes, each analysed repeatedly; two cores, Python 3.11); symmetric
 graphs without twins explore more leaves (see graphs.rooted_key). The
 cache lives for one call, so a short corpus pays for the analysis of
 every class it meets: in a chunk of 128 n = 6 graphs, the decompositions
-of about 14 classes take about 53 % of the scan's time.
+of about 14 classes take about 63 % of the scan's time.
 
 The corpus of `scan --generate n`, generate_connected_graph6(n), builds
 no graph: records come off edge masks, and connectivity off a table of
@@ -62,14 +73,14 @@ import os
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from itertools import compress, islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 # generate_connected_graph6 is re-exported for callers that import the
 # corpus with the scan
 from .graphs import (GraphError, StructureReport, generate_connected_graph6,
                      parse_graph6, rooted_key)
-from .regularity import fit_pdr
+from .regularity import fit_pdr, thin_bases
 from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
                      analyze_fitted, numeric, report_to_dict)
 
@@ -78,12 +89,21 @@ CATEGORY_KEYS = ("agree-pass", "agree-fail", "skipped-not-thin", "vacuous")
 # A cache hit whose instance seed is divisible by this is analyzed again
 SELF_CHECK_EVERY = 100
 CACHE_MISMATCH = "outcome differs from the cached outcome of its rooted class"
+THIN_MISMATCH = "ratio fit and batch thinness test disagree"
 
 # Graphs between two progress calls of scan_corpus
 PROGRESS_EVERY = 2000
 
 # Records per batch dealt to a scan process
 BATCH_RECORDS = 64
+
+# The batch thinness pass takes records of at most this many vertices. Each
+# level of its search is a dense (B, n, n) product, so beyond this a sparse
+# graph's own search, which stops at its first witness, is faster: for 64
+# copies of one graph, 5.0 against 8.6 ms for path:16 but 13.0 against
+# 9.7 ms for path:20, and 72 against 23 ms for path:32 (two cores, Python
+# 3.11)
+BATCH_MAX_N = 16
 
 # Workers are forked, so they start with the parent's modules loaded (a
 # spawned worker would import the package afresh). multiprocessing's
@@ -93,6 +113,8 @@ _FORK = multiprocessing.get_context("fork")
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
+
+    import numpy as np
 
     # A scan worker: the parent's end of its pipe, and its process
     Worker = tuple[Connection, BaseProcess]
@@ -171,21 +193,36 @@ def _structure_problems(s: StructureReport) -> tuple[list[str], bool]:
 
 
 def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
-               cache: Optional[ClassCache] = None) -> dict[str, Any]:
+               cache: Optional[ClassCache] = None,
+               bases: Optional[tuple[Sequence[int], Sequence[bool]]] = None,
+               confirm_all: bool = False) -> dict[str, Any]:
     """Cross-validate every base vertex of one graph6-encoded graph.
 
     cache maps the rooted_key of each class analyzed before to its
     Outcome, and gains the classes analyzed here; without one, a cache
     serves this graph only.
+
+    bases, when given, is the degree and the thin flag of each base of a
+    connected record that parse_graph6 writes back unchanged, from the
+    batch pass (_batch_bases). The record is then parsed only to fit its
+    thin bases, or every base of degree at least 2 when confirm_all, and
+    a base whose ratio fit disagrees with its flag is a MISMATCH. Without
+    bases, every base of degree at least 2 is fitted, and the graph's
+    connectivity is proven here.
     """
-    g = parse_graph6(graph6)
+    g = None
+    if bases is None:
+        g = parse_graph6(graph6)
+        graph6, degrees, thin = g.graph6, list(map(len, g.adj)), None
+    else:
+        degrees, thin = bases
     if cache is None:
         cache = {}
     counts = {key: 0 for key in CATEGORY_KEYS}
     out: dict[str, Any] = {
-        "graph6": g.graph6,
+        "graph6": graph6,
         "counts": counts,
-        "instances": g.n,
+        "instances": len(degrees),
         "mismatches": [],
         # always empty (see _outcome); perfbench/make_expected.py reads it
         "dim_bound_violations": [],
@@ -193,11 +230,22 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         "varying_thresholds": [],
     }
     pdr = None
-    for x in range(g.n):
-        if g.degree(x) < 2:
+    for x, degree in enumerate(degrees):
+        if degree < 2:
             counts["vacuous"] += 1
             continue
+        if thin is not None and not (thin[x] or confirm_all):
+            counts["skipped-not-thin"] += 1
+            continue
+        if g is None:
+            g = parse_graph6(graph6)
         pdr = fit_pdr(g, x)
+        seed_x = instance_seed(seed, graph6, x)
+        if thin is not None and pdr.ok != thin[x]:
+            report = analyze_fitted(pdr.ops, pdr, seed=seed_x, tol=tol)
+            out["mismatches"].append(report_to_dict(replace(
+                report, agreement=MISMATCH, agreement_reason=THIN_MISMATCH)))
+            continue
         if not pdr.ok:
             counts["skipped-not-thin"] += 1
             continue
@@ -205,7 +253,6 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         ops = pdr.ops
         key = rooted_key(g, ops.metric)
         stored = cache.get(key)
-        seed_x = instance_seed(seed, out["graph6"], x)
         if stored is None or seed_x % SELF_CHECK_EVERY == 0:
             report = analyze_fitted(ops, pdr, with_decomposition=True,
                                     seed=seed_x, tol=tol)
@@ -223,11 +270,12 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
             outcome = stored
         counts[outcome.agreement] += 1
         _emit(outcome, out, g.labels[x])
-    # a fit that stops at its witness has searched only part of the graph,
-    # so the last fit's search runs on to the end: about 1 us a graph at
-    # n = 6, against 2.3 us for a search of its own (g.is_connected; two
-    # cores, Python 3.11)
-    (fit_pdr(g, 0) if pdr is None else pdr).require_connected()
+    if thin is None:
+        # a fit that stops at its witness has searched only part of the
+        # graph, so the last fit's search runs on to the end: about 1 us a
+        # graph at n = 6, against 2.3 us for a search of its own
+        # (g.is_connected; two cores, Python 3.11)
+        (fit_pdr(g, 0) if pdr is None else pdr).require_connected()
     return out
 
 
@@ -257,14 +305,67 @@ def _emit(outcome: Outcome, out: dict[str, Any], base: str) -> None:
 
 def _scan_batch(first: int, lines: list[str], seed: int, tol: float,
                 cache: ClassCache) -> list[dict[str, Any]]:
-    """The results of a batch of records numbered from first."""
+    """The results of a batch of records numbered from first. Every
+    SELF_CHECK_EVERY-th record fits all its bases, the batch pass's
+    second route on the bases it finds not thin."""
     out = []
-    for record, graph6 in enumerate(lines, start=first):
+    for record, (graph6, bases) in enumerate(zip(lines, _batch_bases(lines)),
+                                             start=first):
         try:
-            out.append(scan_graph(graph6, seed=seed, tol=tol, cache=cache))
+            out.append(scan_graph(graph6, seed=seed, tol=tol, cache=cache, bases=bases,
+                                  confirm_all=record % SELF_CHECK_EVERY == 0))
         except GraphError as exc:
             raise GraphError(f"record {record} ({graph6}): {exc}") from None
     return out
+
+
+def _batch_bases(lines: list[str]) -> list[Optional[tuple[list[int], list[bool]]]]:
+    """The degree and the thin flag of each base of each record, from one
+    pass of regularity.thin_bases over the records of each vertex count,
+    or None for a record left to parse_graph6: one that is not ASCII, has
+    n > BATCH_MAX_N or another header, a bad length, a bad byte or nonzero
+    padding, or is disconnected, and every record of a group whose
+    products could overflow."""
+    bases: list[Optional[tuple[list[int], list[bool]]]] = [None] * len(lines)
+    groups: dict[int, list[int]] = {}
+    for k, record in enumerate(lines):
+        n = ord(record[0]) - 63 if record else 0
+        if (1 <= n <= BATCH_MAX_N and len(record) == 1 + (n * (n - 1) // 2 + 5) // 6
+                and record.isascii()):
+            groups.setdefault(n, []).append(k)
+    for n, members in groups.items():
+        valid, stack = _graph6_stack([lines[k] for k in members], n)
+        found = thin_bases(stack) if len(stack) else None
+        if found is None:
+            continue
+        degrees, thin, connected = (a.tolist() for a in found)
+        for k, degree_row, thin_row, whole in zip(compress(members, valid.tolist()),
+                                                  degrees, thin, connected):
+            if whole:
+                bases[k] = degree_row, thin_row
+    return bases
+
+
+def _graph6_stack(records: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, stack) of ASCII graph6 records, each a one-byte header of
+    1 <= n <= 62 vertices and a body of the length it sets: valid flags
+    the records whose body bytes are in range and whose padding bits are
+    zero, those parse_graph6 accepts and writes back unchanged, and stack
+    holds their (valid.sum(), n, n) 0/1 int64 adjacency matrices."""
+    import numpy as np
+    raw = np.frombuffer("".join(records).encode("ascii"), dtype=np.uint8)
+    digits = raw.reshape(len(records), -1)[:, 1:] - np.uint8(63)
+    # each digit's six bits, high first, are the low six of its byte
+    bits = np.unpackbits(digits[..., None], axis=2)[..., 2:].reshape(
+        len(records), 6 * digits.shape[1])
+    nbits = n * (n - 1) // 2
+    valid = (digits < 64).all(axis=1) & ~bits[:, nbits:].any(axis=1)
+    # the body lists the pairs row < col column by column, the pairs
+    # col > row of the lower triangle row by row
+    cols, rows = np.tril_indices(n, -1)
+    stack = np.zeros((int(valid.sum()), n, n), dtype=np.int64)
+    stack[:, rows, cols] = stack[:, cols, rows] = bits[valid, :nbits]
+    return valid, stack
 
 
 def _batches(graph6_lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

@@ -152,9 +152,28 @@ MUTANTS = (
             "test_search_stops_after_the_witness_level",)),
     # a graph whose every fit stopped at a witness was searched whole by none
     Mutant("scan-connectivity-unproven", "disconnected records", "scan.py",
-           "    (fit_pdr(g, 0) if pdr is None else pdr).require_connected()\n",
-           "    pass\n",
+           "        (fit_pdr(g, 0) if pdr is None else pdr).require_connected()\n",
+           "        pass\n",
            ("tests/test_cli.py::TestScan::test_disconnected_record_rejected",)),
+    # the batch thinness pass vs the ratio fit: a disconnected record goes
+    # to the per-record path, which raises; the flat sums are compared as
+    # the fit compares them; the reference is a vertex of the level (the
+    # least, as in the fit; argmin finds one off it)
+    Mutant("batch-connectivity-assumed", "disconnected records", "regularity.py",
+           "seen[:, 0].all(axis=1)", "seen[:, 0].any(axis=1)",
+           ("tests/test_regularity.py::TestThinBases",)),
+    Mutant("batch-flat-unchecked", "batch pass vs ratio fit", "regularity.py",
+           "                           | (sums * first_paths != sums.take(least) * paths))\n",
+           "                           | False)\n",
+           ("tests/test_regularity.py::TestThinBases",)),
+    Mutant("batch-reference-off-level", "batch pass vs ratio fit", "regularity.py",
+           "level.argmax(axis=2)", "level.argmin(axis=2)",
+           ("tests/test_regularity.py::TestThinBases",)),
+    # the sampled records are the only second route on a base the batch
+    # pass calls not thin
+    Mutant("scan-thin-sample-off", "batch pass vs ratio fit", "scan.py",
+           "confirm_all=record % SELF_CHECK_EVERY == 0", "confirm_all=False",
+           ("tests/test_scan.py::test_a_refuted_thin_flag_is_a_mismatch",)),
     # single checks, each with a test of its own
     Mutant("pdr-beta-unchecked", "ratio fit", "regularity.py",
            "                elif flat * count0 != flat0 * paths[z]:\n",

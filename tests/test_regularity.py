@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import golden
@@ -14,15 +15,18 @@ from structure_oracle import partitions_at
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
-                                petersen_graph, rook_graph_3x3)
+                                petersen_graph, rook_graph_3x3, star_graph)
 import tkit.regularity
 from tkit.exact import (build_operators, enumerate_walks, shape_string,
                         solve_linear)
 from tkit.graphs import (Graph, connected_graphs, local_metric, make_graph,
                          parse_edge_list, parse_graph6)
-from tkit.regularity import NotApplicable, PdrWitness, fit_endpoint1, fit_pdr
+from tkit.regularity import (NotApplicable, PdrWitness, fit_endpoint1, fit_pdr,
+                             thin_bases)
 
 F = Fraction
+# the dodecahedron GP(10, 2), as acceptance criterion 6 scans it
+DODECAHEDRON = "ShCGGC@_K?G?GAC@@?OGA?_G@?O@OO?gG"
 
 
 def _six_vertex_cover():
@@ -215,6 +219,61 @@ class TestFitPdr:
         assert not pdr.ok
         assert pdr.witness == PdrWitness(2, 6, "alpha")
         assert pdr.alpha == (2, 3, 4, 0)
+
+
+def _stack(graphs):
+    """The 0/1 int64 adjacency matrices of equal-sized graphs, one array."""
+    n = graphs[0].n
+    stack = np.zeros((len(graphs), n, n), dtype=np.int64)
+    for k, g in enumerate(graphs):
+        for u, v in g.edges():
+            stack[k, u, v] = stack[k, v, u] = 1
+    return stack
+
+
+def _thin_bases_agree(graphs):
+    """thin_bases on the graphs, all connected and of one size, gives each
+    base fit_pdr's verdict and the graph's degree."""
+    degrees, thin, connected = thin_bases(_stack(graphs))
+    assert connected.tolist() == [True] * len(graphs)
+    assert degrees.tolist() == [list(map(g.degree, range(g.n))) for g in graphs]
+    assert thin.tolist() == [[fit_pdr(g, x).ok for x in range(g.n)] for g in graphs]
+
+
+class TestThinBases:
+    def test_matches_fit_pdr(self):
+        by_size = {}
+        for g, x in _small_instances():
+            if x == 0:
+                by_size.setdefault(g.n, []).append(g)
+        for graphs in by_size.values():
+            _thin_bases_agree(graphs)
+
+    @pytest.mark.parametrize("graphs", [
+        [_hypercube(5)],
+        [parse_graph6(DODECAHEDRON)],
+        [path_graph(62), star_graph(61), complete_graph(62), cycle_graph(62)],
+        # equal raise-then-lower counts, unequal ratios (TestFitPdr)
+        [make_graph(7, [(0, 2), (0, 4), (1, 4), (1, 5), (2, 3), (2, 6),
+                        (3, 5), (4, 6), (5, 6)])],
+    ], ids=["Q5", "dodecahedron", "n62", "equal-counts"])
+    def test_named_graphs(self, graphs):
+        _thin_bases_agree(graphs)
+
+    def test_disconnected(self):
+        # P4 + K2, and four isolated vertices
+        degrees, thin, connected = thin_bases(_stack([parse_graph6("Ek?G"),
+                                                      empty_graph(6)]))
+        assert connected.tolist() == [False, False]
+
+    def test_product_limit(self, monkeypatch):
+        # Q5's largest sum of geodesic counts is 5! = 120, the down sum of
+        # the far vertex's neighbours; its square reaches a limit of 14 400
+        stack = _stack([_hypercube(5)])
+        monkeypatch.setattr(tkit.regularity, "PRODUCT_LIMIT", 14401)
+        assert thin_bases(stack) is not None
+        monkeypatch.setattr(tkit.regularity, "PRODUCT_LIMIT", 14400)
+        assert thin_bases(stack) is None
 
 
 class TestFitEndpoint1:

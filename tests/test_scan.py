@@ -1,7 +1,10 @@
 """The scan's class cache: a replayed outcome gives what the analysis
 gives, each instance keeps its own records, the cache lives for one
 scan_corpus call, and the 1 % self-check turns a stale outcome into a
-mismatch. The scan's processes: big messages do not deadlock, results
+mismatch. The batch thinness pass: only its thin bases and the bases of
+every SELF_CHECK_EVERY-th record are fitted, a fit that refutes it is a
+mismatch, and every record it leaves to parse_graph6 scans or fails as
+before. The scan's processes: big messages do not deadlock, results
 merge in input order, a dead worker or a bad record raises, `--jobs N`
 starts N - 1 workers, and none is left behind."""
 import json
@@ -10,18 +13,22 @@ import os
 import signal
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import tkit.exact
+import tkit.regularity
 import tkit.scan
 from tkit.cli import main
-from tkit.constructions import cycle_graph
+from tkit.constructions import cycle_graph, path_graph
 from tkit.exact import LocalOperators
 from tkit.graphs import LocalMetric, local_metric, parse_graph6, rooted_key, to_graph6
 from tkit.report import MISMATCH
 from tkit.graphs import GraphError
-from tkit.scan import (BATCH_RECORDS, CACHE_MISMATCH, CATEGORY_KEYS, SELF_CHECK_EVERY,
-                       generate_connected_graph6, instance_seed, scan_corpus, scan_graph)
+from tkit.regularity import fit_pdr, thin_bases
+from tkit.scan import (BATCH_MAX_N, BATCH_RECORDS, CACHE_MISMATCH, CATEGORY_KEYS,
+                       SELF_CHECK_EVERY, THIN_MISMATCH, generate_connected_graph6,
+                       instance_seed, scan_corpus, scan_graph)
 
 
 def scan_stdout(capsys, *argv):
@@ -192,6 +199,137 @@ def test_self_check_agrees_on_a_clean_scan(analyses):
     summary = scan_corpus(["DLo", "Dhc"], jobs=1)
     assert summary.clean and summary.counts["agree-pass"] == 10
     assert analyses == [instance_seed(42, "DLo", 0), instance_seed(42, "Dhc", 0)]
+
+
+def fitted_bases(record):
+    """(thin bases, bases of degree at least 2) of a graph6 record, by
+    fit_pdr."""
+    g = parse_graph6(record)
+    bases = [x for x in range(g.n) if g.degree(x) >= 2]
+    return [x for x in bases if fit_pdr(g, x).ok], bases
+
+
+def test_only_thin_bases_and_sampled_records_are_fitted(monkeypatch):
+    corpus = list(generate_connected_graph6(5))
+    fitted, parsed = [], []
+    fit, parse = tkit.scan.fit_pdr, tkit.scan.parse_graph6
+
+    def logged_fit(g, x):
+        fitted.append((g.graph6, x))
+        return fit(g, x)
+
+    def logged_parse(graph6):
+        parsed.append(graph6)
+        return parse(graph6)
+
+    monkeypatch.setattr(tkit.scan, "fit_pdr", logged_fit)
+    monkeypatch.setattr(tkit.scan, "parse_graph6", logged_parse)
+    scan_corpus(corpus, jobs=1)
+    expected = []
+    for record_number, record in enumerate(corpus, start=1):
+        thin, bases = fitted_bases(record)
+        sampled = record_number % SELF_CHECK_EVERY == 0
+        expected += [(record, x) for x in (bases if sampled else thin)]
+    assert fitted == expected
+    assert parsed == list(dict.fromkeys(graph6 for graph6, _ in expected))
+    # 7 sampled records, and some records with no thin base
+    assert 7 < len(parsed) < len(corpus)
+
+
+# path:64, under the '~' size header
+PATH_64 = to_graph6(path_graph(64))
+
+
+@pytest.fixture
+def stacked(monkeypatch):
+    """The record count of each stack the batch pass decides."""
+    counts = []
+
+    def counted(stack):
+        counts.append(len(stack))
+        return thin_bases(stack)
+
+    monkeypatch.setattr(tkit.scan, "thin_bases", counted)
+    return counts
+
+
+def summary_of(graphs, instances, **counts):
+    return {"graphs": graphs, "instances": instances,
+            "counts": {**dict.fromkeys(CATEGORY_KEYS, 0), **counts},
+            "mismatch_count": 0, "dim_bound_violations": 0,
+            "structure_violations": 0, "varying_threshold_count": 0}
+
+
+@pytest.mark.parametrize("corpus, stacks, summary", [
+    # an even path has no thin base, an odd one its centre
+    ([PATH_64], [], summary_of(1, 64, **{"skipped-not-thin": 62, "vacuous": 2})),
+    ([to_graph6(path_graph(BATCH_MAX_N)), to_graph6(path_graph(BATCH_MAX_N + 1))], [1],
+     summary_of(2, 33, **{"agree-pass": 1, "skipped-not-thin": 28, "vacuous": 4})),
+    (["Bw", ">>graph6<<Dhc", "Bw ", "C~"], [1, 1],
+     summary_of(4, 15, **{"agree-pass": 15})),
+], ids=["n64", "n17", "prefix-and-space"])
+def test_records_left_to_parse_graph6_scan_as_before(stacked, corpus, stacks, summary):
+    assert scan_corpus(corpus, jobs=1).to_dict() == summary
+    assert stacked == stacks
+
+
+@pytest.mark.parametrize("record, message", [
+    ("B\x7f", "graph6 offset 1: byte out of range"),
+    ("B@", "graph6 offset 1: nonzero padding bits"),
+    ("B\xe9", "graph6 offset 1: non-ASCII character"),
+    ("Ek?G", "graph is disconnected: vertex 4 unreachable"),
+])
+def test_records_left_to_parse_graph6_fail_as_before(record, message):
+    # alone, and in a group with a record the batch pass decides
+    for corpus, number in (([record], 1), (["Bw", record, "Bw"], 2)):
+        with pytest.raises(GraphError) as exc:
+            scan_corpus(corpus, jobs=1)
+        assert str(exc.value) == f"record {number} ({record}): {message}"
+
+
+def test_product_limit_leaves_a_group_to_parse_graph6(monkeypatch):
+    corpus = list(generate_connected_graph6(5))
+    parsed = []
+    parse = tkit.scan.parse_graph6
+    monkeypatch.setattr(tkit.scan, "parse_graph6",
+                        lambda graph6: parsed.append(graph6) or parse(graph6))
+    summary = scan_corpus(corpus, jobs=1).to_dict()
+    assert len(parsed) < len(corpus)
+    parsed.clear()
+    monkeypatch.setattr(tkit.regularity, "PRODUCT_LIMIT", 1)
+    assert scan_corpus(corpus, jobs=1).to_dict() == summary
+    assert parsed == corpus
+
+
+def forced_flags(monkeypatch, thin):
+    """Make the batch pass call every base thin, or none."""
+    def forced(stack):
+        degrees, flags, connected = thin_bases(stack)
+        return degrees, np.full_like(flags, thin), connected
+
+    monkeypatch.setattr(tkit.scan, "thin_bases", forced)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("thin", [True, False])
+def test_a_refuted_thin_flag_is_a_mismatch(monkeypatch, processes, jobs, thin):
+    # called thin, every base that is not is refuted; called not thin, a
+    # thin base is refuted on every SELF_CHECK_EVERY-th record only, by its
+    # number in the corpus whatever the job count
+    corpus = list(generate_connected_graph6(5))
+    forced_flags(monkeypatch, thin)
+    summary = scan_corpus(corpus, jobs=jobs)
+    refuted = []
+    for record_number, record in enumerate(corpus, start=1):
+        thin_here, bases = fitted_bases(record)
+        if thin:
+            refuted += [(record, str(x)) for x in bases if x not in thin_here]
+        elif record_number % SELF_CHECK_EVERY == 0:
+            refuted += [(record, str(x)) for x in thin_here]
+    assert refuted
+    assert [(m["graph"]["graph6"], m["base"]["label"]) for m in summary.mismatches] == refuted
+    assert {(m["agreement"], m["agreement_reason"]) for m in summary.mismatches} == {
+        (MISMATCH, THIN_MISMATCH)}
 
 
 # A protocol test that hangs fails after this many seconds instead
