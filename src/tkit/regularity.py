@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .exact import LinearSolution, LocalOperators, solve_linear
-from .graphs import Graph, bfs_connected, bfs_metric, bfs_search, bfs_start
+from .graphs import Graph, local_metric
 
 
 class NotApplicable(Exception):
@@ -57,47 +57,26 @@ class PdrProfile:
     level i; ok says whether those ratios hold at every vertex of the level.
     When ok, alpha[ecc] = 0 and the constants are uniquely determined.
 
-    R^i e_x is the geodesic count paths on level i, so each level is one
-    sweep over its adjacency lists, made inside the breadth-first search
-    from the base (graphs.bfs_search): level i is checked as soon as the
-    search has found level i + 1, whose counts its down ratios sum, and
-    the fit stops at the first witness. So ok and witness are known on
-    construction, and a base that is not thin is searched only up to the
-    level after its witness. alpha, beta, ops and require_connected()
-    continue the same search.
+    R^i e_x is the geodesic count metric.paths on level i, so each level is
+    one sweep over its adjacency lists, after the one breadth-first search
+    from the base (graphs.local_metric), whose operators ops keeps. Each
+    vertex's cross-multiplied ratios are checked against its level's first
+    vertex up to the first witness; after it, only the first vertex of
+    each later level is read, for alpha and beta.
     """
 
     def __init__(self, g: Graph, x: int):
-        self._graph = g
-        self._search = bfs_start(g, x)
-        # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first
-        # vertex. On level 0 they are deg(x), 0 and 1: each neighbour of x
-        # has one geodesic, and none is on level 0, whose one vertex is no
-        # witness
-        self._firsts = [(len(g.adj[x]), 0, 1)]
-        self.witness = self._levels(check=True)
-        self.ok = self.witness is None
-
-    def _levels(self, check: bool) -> Optional[PdrWitness]:
-        """Record the counts at the first vertex of each level not recorded
-        yet and, when check, return the first vertex whose ratios differ
-        from its level's first."""
-        g, search, firsts = self._graph, self._search, self._firsts
-        dist, paths, spheres = search
-        adj = g.adj
-        i = len(firsts)
-        while True:
-            # level i's down counts sum the geodesic counts of level i + 1,
-            # final once its sphere is found
-            if len(spheres) < i + 2:
-                bfs_search(g, search, i + 2)
-            sphere = spheres[i]
-            if not sphere:
-                return None
+        metric = local_metric(g, x)
+        self.ops = LocalOperators(g, metric)
+        dist, paths, adj = metric.dist, metric.paths, g.adj
+        # per level: L R^{i+1} e_x, F R^i e_x and R^i e_x at the first vertex
+        self._firsts: list[tuple[int, int, int]] = []
+        witness = None
+        for i, sphere in enumerate(metric.spheres):
             first = sphere[0]
             # (L R^{i+1} e_x)[z] and (F R^i e_x)[z] sum the geodesic counts
             # of z's neighbours one level up and on its own level
-            for z in sphere if check else (first,):
+            for z in sphere if witness is None else (first,):
                 down = flat = 0
                 for w in adj[z]:
                     d = dist[w]
@@ -110,17 +89,19 @@ class PdrProfile:
                     # geodesic, so the reference count is positive and the
                     # ratios well defined
                     down0, flat0, count0 = down, flat, paths[z]
-                    firsts.append((down0, flat0, count0))
+                    self._firsts.append((down0, flat0, count0))
                 # the ratios at z equal the first vertex's, cross-multiplied
                 elif down * count0 != down0 * paths[z]:
-                    return PdrWitness(i, z, "alpha")
+                    witness = PdrWitness(i, z, "alpha")
+                    break
                 elif flat * count0 != flat0 * paths[z]:
-                    return PdrWitness(i, z, "beta")
-            i += 1
+                    witness = PdrWitness(i, z, "beta")
+                    break
+        self.witness = witness
+        self.ok = witness is None
 
     @cached_property
     def _ratios(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        self._levels(check=False)
         return (tuple(Fraction(down, count) for down, _, count in self._firsts),
                 tuple(Fraction(flat, count) for _, flat, count in self._firsts))
 
@@ -132,26 +113,10 @@ class PdrProfile:
     def beta(self) -> tuple[Fraction, ...]:
         return self._ratios[1]
 
-    def require_connected(self) -> None:
-        """Run the fit's search to the end, and raise GraphError when it
-        left a vertex unreached."""
-        g = self._graph
-        bfs_search(g, self._search, g.n + 1)
-        bfs_connected(g, self._search)
-
-    @cached_property
-    def ops(self) -> LocalOperators:
-        """The local operators at the base, from the fit's search run to
-        the end. Raises GraphError when the graph is disconnected."""
-        g = self._graph
-        bfs_search(g, self._search, g.n + 1)
-        return LocalOperators(g, bfs_metric(g, self._search))
-
 
 def fit_pdr(g: Graph, x: int) -> PdrProfile:
-    """The ratio fit at base x of g, up to its first witness. Requires g
-    connected: a fit that stops at a witness has not searched the whole
-    graph, so only ops and require_connected() check it."""
+    """The ratio fit at base x of g. Raises GraphError when g is
+    disconnected."""
     return PdrProfile(g, x)
 
 
@@ -177,11 +142,11 @@ def thin_bases(adjacency: Array) -> Optional[tuple[Array, Array, Array]]:
     is positive and no earlier level is, and P_{k+1} is Q_k there. On level
     k, Q_{k+1} holds each vertex's down sum L R^{k+1} e_x and Q_k its flat
     sum F R^k e_x, and both are cross-multiplied against the level's least
-    vertex, as PdrProfile._levels does, with no tolerance. A geodesic
-    count on n <= 62 vertices is a product of the sizes of the levels it
-    crosses, at most 3^20 < 2^32, and a sum of at most 61 of them is below
-    2^38, so only the cross-products can wrap; each is at most the square
-    of the largest Q_k.
+    vertex, as PdrProfile does, with no tolerance. A geodesic count on
+    n <= 62 vertices is a product of the sizes of the levels it crosses,
+    at most 3^20 < 2^32, and a sum of at most 61 of them is below 2^38, so
+    only the cross-products can wrap; each is at most the square of the
+    largest Q_k.
     """
     count, n, _ = adjacency.shape
     degrees = adjacency.sum(axis=2)

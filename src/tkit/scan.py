@@ -32,11 +32,10 @@ not decide, with n > BATCH_MAX_N or another header, a bad byte or nonzero
 padding, or a disconnected graph, and every record of a group whose
 cross-products could overflow int64, takes the per-record path:
 parse_graph6 raises its message, and the fit runs at every base of
-degree at least 2 inside its breadth-first search, stopping at its first
-witness (regularity.PdrProfile); a graph whose every fit stopped at a
-witness is proven connected by running the last fit's search on to the
-end. A thin base's search reaches every vertex, and its operators are
-built from it.
+degree at least 2 after that base's breadth-first search
+(regularity.PdrProfile), whose operators a thin base's analysis reads.
+The first such search proves the graph connected, or raises; a graph
+without a base of degree at least 2 is searched from vertex 0 alone.
 
 What an instance yields depends only on its rooted graph, so each rooted
 isomorphism class is analyzed once per scan process and scan_corpus call.
@@ -79,7 +78,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 # generate_connected_graph6 is re-exported for callers that import the
 # corpus with the scan
 from .graphs import (GraphError, StructureReport, generate_connected_graph6,
-                     parse_graph6, rooted_key)
+                     local_metric, parse_graph6, rooted_key)
 from .regularity import fit_pdr, thin_bases
 from .report import (AGREE_FAIL, AGREE_PASS, MISMATCH, AnalysisReport,
                      analyze_fitted, numeric, report_to_dict)
@@ -98,10 +97,11 @@ PROGRESS_EVERY = 2000
 BATCH_RECORDS = 64
 
 # The batch thinness pass takes records of at most this many vertices. Each
-# level of its search is a dense (B, n, n) product, so beyond this a sparse
-# graph's own search, which stops at its first witness, is faster: for 64
-# copies of one graph, 5.0 against 8.6 ms for path:16 but 13.0 against
-# 9.7 ms for path:20, and 72 against 23 ms for path:32 (two cores, Python
+# level of its search is a dense (B, n, n) product, so for a sparse graph
+# it gains less as n grows than the graph's own searches: for 64 copies of
+# one graph, parse_graph6 and fit_pdr at every base of degree >= 2 take
+# 11 to 17 ms against 5.9 ms for the pass at path:16, 16.5 against 14 ms
+# at path:20 and 39 against 66 ms at path:32 (medians; two cores, Python
 # 3.11)
 BATCH_MAX_N = 16
 
@@ -214,6 +214,10 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
     if bases is None:
         g = parse_graph6(graph6)
         graph6, degrees, thin = g.graph6, list(map(len, g.adj)), None
+        # the first base of degree >= 2 runs local_metric, which raises on
+        # a disconnected graph; only a graph without one needs a search here
+        if max(degrees) < 2:
+            local_metric(g, 0)
     else:
         degrees, thin = bases
     if cache is None:
@@ -229,7 +233,6 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         "structure_violations": [],
         "varying_thresholds": [],
     }
-    pdr = None
     for x, degree in enumerate(degrees):
         if degree < 2:
             counts["vacuous"] += 1
@@ -249,7 +252,6 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         if not pdr.ok:
             counts["skipped-not-thin"] += 1
             continue
-        # a thin base's search has reached every vertex, or this raises
         ops = pdr.ops
         key = rooted_key(g, ops.metric)
         stored = cache.get(key)
@@ -270,12 +272,6 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
             outcome = stored
         counts[outcome.agreement] += 1
         _emit(outcome, out, g.labels[x])
-    if thin is None:
-        # a fit that stops at its witness has searched only part of the
-        # graph, so the last fit's search runs on to the end: about 1 us a
-        # graph at n = 6, against 2.3 us for a search of its own
-        # (g.is_connected; two cores, Python 3.11)
-        (fit_pdr(g, 0) if pdr is None else pdr).require_connected()
     return out
 
 

@@ -138,22 +138,24 @@ MUTANTS = (
            "        joins = [all(hi & c for c in part) for part in parts]\n",
            "        joins = [any(hi & c for c in part) for part in parts]\n",
            ("tests/test_graphs.py::TestConnectedGraphs",)),
-    # the ratio fit runs inside the BFS: it checks level i once level
-    # i + 1's geodesic counts are final, and searches no further
+    # the ratio fit reads the whole search: a level's down sums are over
+    # the neighbours one level up, and after the first witness only each
+    # later level's first vertex is read
     Mutant("pdr-checks-level-early", "ratio fit vs full fit", "regularity.py",
-           "                bfs_search(g, search, i + 2)\n",
-           "                bfs_search(g, search, i + 1)\n",
+           "                    if d > i:\n",
+           "                    if d >= i:\n",
            ("tests/test_regularity.py::TestFitPdr::test_matches_full_fit",
             CROSS_VALIDATION)),
-    Mutant("pdr-checks-level-late", "ratio fit inside the BFS", "regularity.py",
-           "                bfs_search(g, search, i + 2)\n",
-           "                bfs_search(g, search, i + 3)\n",
+    Mutant("pdr-checks-past-witness", "ratio fit vs full fit", "regularity.py",
+           "            for z in sphere if witness is None else (first,):\n",
+           "            for z in sphere:\n",
            ("tests/test_regularity.py::TestFitPdr::"
             "test_search_stops_after_the_witness_level",)),
-    # a graph whose every fit stopped at a witness was searched whole by none
+    # a record parsed on its own without a base of degree >= 2 has no fit
+    # to search it whole
     Mutant("scan-connectivity-unproven", "disconnected records", "scan.py",
-           "        (fit_pdr(g, 0) if pdr is None else pdr).require_connected()\n",
-           "        pass\n",
+           "            local_metric(g, 0)\n",
+           "            pass\n",
            ("tests/test_cli.py::TestScan::test_disconnected_record_rejected",)),
     # the batch thinness pass vs the ratio fit: a disconnected record goes
     # to the per-record path, which raises; the flat sums are compared as

@@ -158,14 +158,17 @@ def test_criterion_06_exhaustive_cross_validation(scans, tmp_path, capsys):
         assert summary.mismatches == []
         assert summary.counts["agree-fail"] == 20
         # a disconnected record is no clean graph: Ek?G, P4 + K2, has two
-        # bases of degree 2, both failing the ratio fit on level 1, so no
-        # fit's search reaches the K2
-        corpus = tmp_path / "corpus.g6"
-        corpus.write_text("Bw\nEk?G\nDhc\n")
-        code = main(["scan", str(corpus), "--jobs", "1"])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == "error: record 2 (Ek?G): graph is disconnected: vertex 4 unreachable\n"
+        # bases of degree 2, both failing the ratio fit on level 1, and the
+        # first one's search never reaches the K2; C?, four isolated
+        # vertices, has no base to fit, and is searched on its own
+        for record, missing in (("Ek?G", 4), ("C?", 1)):
+            corpus = tmp_path / "corpus.g6"
+            corpus.write_text(f"Bw\n{record}\nDhc\n")
+            code = main(["scan", str(corpus), "--jobs", "1"])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err == (f"error: record 2 ({record}): graph is disconnected: "
+                           f"vertex {missing} unreachable\n")
 
 
 def test_criterion_07_walk_count_oracle():

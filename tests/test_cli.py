@@ -612,19 +612,22 @@ class TestScan:
         assert code == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("record", ["C?", "Cg", "DgC", "Ek?G"])
+    @pytest.mark.parametrize("record", ["C?", "Cg", "DgC", "Ek?G", "Fh?GG"])
     def test_disconnected_record_rejected(self, capsys, tmp_path, record, jobs):
-        # C? has only isolated vertices, which used to pass as vacuous;
-        # Cg has a vertex of degree 2, which used to abort unnamed; DgC,
-        # P3 + K2, is a leaf at vertex 0, so the search that finds the K2
-        # unreachable is the metric of base 1, which is thin; Ek?G, P4 +
-        # K2, has two bases of degree 2, both failing the ratio fit on
-        # level 1, so no search reaches the end
+        # C? has only isolated vertices, which used to pass as vacuous,
+        # and is searched from vertex 0 on its own; Cg has a vertex of
+        # degree 2, which used to abort unnamed; the rest are named by the
+        # search of their first base of degree >= 2. For DgC, P3 + K2,
+        # that is base 1, which is thin; for Ek?G, P4 + K2, base 0, which
+        # fails the ratio fit on level 1 like base 1; for Fh?GG, P4 + P3,
+        # base 1 on the P4, whatever the thin centre of the P3 finds
+        missing = {"C?": 1, "Cg": 3, "DgC": 3, "Ek?G": 4, "Fh?GG": 4}[record]
         path = tmp_path / "corpus.g6"
         path.write_text(f"Bw\n{record}\nDhc\n")
         code, out, err = run_cli(capsys, "scan", str(path), "--jobs", jobs)
         assert code == 2 and out == ""
-        assert f"record 2 ({record})" in err and "disconnected" in err
+        assert err == (f"error: record 2 ({record}): graph is disconnected: "
+                       f"vertex {missing} unreachable\n")
 
     def test_missing_corpus_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "scan", str(tmp_path / "absent.g6"))

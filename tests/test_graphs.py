@@ -16,7 +16,7 @@ from corpus_oracle import oracle_connected_graph6
 from graph6_oracle import oracle_to_graph6
 from rooted import permutation_key
 from structure_oracle import oracle_structure_report, partitions_at
-from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError, bfs_start,
+from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError,
                          cell_pattern, connected_graphs, distance_partition, generate_connected_graph6,
                          local_metric, make_graph, parse_edge_list, parse_graph6,
                          rooted_key, structure_report, to_graph6)
@@ -540,13 +540,13 @@ def test_analyze_runs_one_bfs(monkeypatch):
 
     def counting(g, x):
         calls.append(x)
-        return bfs_start(g, x)
+        return local_metric(g, x)
 
     def unused(*args, **kwargs):
         raise AssertionError("per-neighbour BFS on the analysis path")
 
-    for module in (tkit.graphs, tkit.regularity):
-        monkeypatch.setattr(module, "bfs_start", counting)
+    for module in (tkit.graphs, tkit.exact, tkit.regularity):
+        monkeypatch.setattr(module, "local_metric", counting)
     monkeypatch.setattr(tkit.graphs, "distance_partition", unused)
     analyze(petersen_graph(), 0, with_decomposition=True)
     assert calls == [0]
@@ -599,14 +599,14 @@ def test_instance_data_built_once(monkeypatch):
 
     def counting_search(g, x):
         searched.append(x)
-        return bfs_start(g, x)
+        return local_metric(g, x)
 
     def counting_sweep(g, metric):
         swept.append(metric.base)
         return cell_pattern(g, metric)
 
-    for module in (tkit.graphs, tkit.regularity):
-        monkeypatch.setattr(module, "bfs_start", counting_search)
+    for module in (tkit.graphs, tkit.exact, tkit.regularity):
+        monkeypatch.setattr(module, "local_metric", counting_search)
     monkeypatch.setattr(tkit.exact, "cell_pattern", counting_sweep)
     steps = _record_steps(monkeypatch)
     pdr = fit_pdr(petersen_graph(), 0)
@@ -621,8 +621,8 @@ def test_instance_data_built_once(monkeypatch):
     assert sorted(_raise_levels(steps)) == [1] * 3 + [2] * 3
     assert not any(counts is ops.metric.paths for counts, _, _ in steps)
 
-    # path:6 from vertex 1 fails at level 1 of 4, and reading alpha
-    # continues the same search
+    # path:6 from vertex 1 fails at level 1 of 4, and alpha still holds
+    # the first vertex's ratios on every level
     pdr = fit_pdr(path_graph(6), 1)
     assert not pdr.ok and pdr.witness.level == 1
     assert pdr.alpha == (2, 0, 1, 1, 0)

@@ -184,14 +184,17 @@ class TestFitPdr:
 
     @pytest.mark.parametrize("g6, x, witness", [
         ("Dj_", 2, PdrWitness(1, 3, "alpha")),
-        ("EYa?", 4, PdrWitness(2, 5, "alpha"))], ids=["level-1-of-3", "level-2-of-4"])
-    def test_search_stops_after_the_witness_level(self, g6, x, witness):
+        ("EYa?", 4, PdrWitness(2, 5, "alpha")),
+        ("Eia?", 0, PdrWitness(1, 4, "alpha"))],
+        ids=["level-1-of-3", "level-2-of-4", "mid-level-1-of-2"])
+    def test_search_stops_after_the_witness_level(self, monkeypatch, g6, x, witness):
         # Dj_ hangs the path 1 0 4 on the triangle 1 2 3; from base 2,
-        # level 1 {1, 3} fails, so the search never expands level 2 {0}
-        # and never reaches vertex 4 on level 3. From base 4 of EYa?,
-        # level 2 {2, 5} fails, and the search never expands level 3 {1}
-        # nor reaches level 4. Reading alpha continues the same search to
-        # the end
+        # level 1 {1, 3} fails at 3. From base 4 of EYa?, level 2 {2, 5}
+        # fails at 5. From base 0 of Eia?, level 1 {1, 4, 5} fails at 4,
+        # before its last vertex, and level 2 is {2, 3}. The ratio check
+        # reads each vertex's adjacency list up to the witness and then
+        # only the first vertex of each later level, whose ratios alpha
+        # keeps
         reads = []
 
         class LoggedAdj(tuple):
@@ -200,12 +203,17 @@ class TestFitPdr:
                 return tuple.__getitem__(self, v)
 
         g = parse_graph6(g6)
-        dist = local_metric(g, x).dist
+        metric = local_metric(g, x)
+        # the search reads the plain graph, the ratio check the logged one
+        monkeypatch.setattr(tkit.regularity, "local_metric", lambda *_: metric)
         pdr = fit_pdr(Graph(g.n, LoggedAdj(g.adj), g.labels), x)
         assert pdr.witness == witness
-        assert {dist[v] for v in reads} == set(range(witness.level + 1))
+        spheres = metric.spheres
+        at = spheres[witness.level].index(witness.vertex)
+        assert reads == ([v for sphere in spheres[:witness.level] for v in sphere]
+                         + list(spheres[witness.level][:at + 1])
+                         + [sphere[0] for sphere in spheres[witness.level + 1:]])
         assert pdr.alpha == fit_pdr_full(build_operators(g, x))[2]
-        assert set(reads) == set(range(g.n))
 
     def test_equal_counts_unequal_ratios_rejected(self):
         # at level 2 every vertex has 4 raise-then-lower walks, but vertex 6

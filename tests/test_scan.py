@@ -7,9 +7,11 @@ mismatch, and every record it leaves to parse_graph6 scans or fails as
 before. The scan's processes: big messages do not deadlock, results
 merge in input order, a dead worker or a bad record raises, `--jobs N`
 starts N - 1 workers, and none is left behind."""
+import itertools
 import json
 import multiprocessing
 import os
+import random
 import signal
 from dataclasses import replace
 
@@ -22,8 +24,9 @@ import tkit.scan
 from tkit.cli import main
 from tkit.constructions import cycle_graph, path_graph
 from tkit.exact import LocalOperators
-from tkit.graphs import LocalMetric, local_metric, parse_graph6, rooted_key, to_graph6
-from tkit.report import MISMATCH
+from tkit.graphs import (LocalMetric, local_metric, make_graph, parse_graph6, rooted_key,
+                         to_graph6)
+from tkit.report import AGREE_FAIL, AGREE_NA, AGREE_PASS, MISMATCH, analyze
 from tkit.graphs import GraphError
 from tkit.regularity import fit_pdr, thin_bases
 from tkit.scan import (BATCH_MAX_N, BATCH_RECORDS, CACHE_MISMATCH, CATEGORY_KEYS,
@@ -116,8 +119,8 @@ UP_CELL_PROBLEM = "nonempty upward cell coexists with a mid cell below it"
 
 def test_non_thin_bases_build_nothing(monkeypatch):
     # every base of Dj_ of degree >= 2 fails the ratio fit at level 1, so
-    # the scan builds no metric or operators, keys no class and sweeps no
-    # cells; K3 (Bw) is thin at every base and builds both
+    # the scan builds only each fit's metric and operators, one search a
+    # base, and keys no class and sweeps no cells
     built = []
     for cls in (LocalMetric, LocalOperators):
         def logged(self, *args, init=cls.__init__, **kwargs):
@@ -134,9 +137,7 @@ def test_non_thin_bases_build_nothing(monkeypatch):
         res = scan_graph("Dj_")
     assert res["counts"] == {"agree-pass": 0, "agree-fail": 0,
                              "skipped-not-thin": 4, "vacuous": 1}
-    assert built == []
-    scan_graph("Bw")
-    assert built[:2] == ["LocalMetric", "LocalOperators"]
+    assert built == ["LocalMetric", "LocalOperators"] * 4
 
 
 def forced_structure(monkeypatch, seeds, **fields):
@@ -271,6 +272,34 @@ def summary_of(graphs, instances, **counts):
 def test_records_left_to_parse_graph6_scan_as_before(stacked, corpus, stacks, summary):
     assert scan_corpus(corpus, jobs=1).to_dict() == summary
     assert stacked == stacks
+
+
+def test_per_record_path_counts_what_analyze_finds(stacked):
+    # records above BATCH_MAX_N take the per-record path, which fits every
+    # base of degree >= 2; here none is thin, so each fit's search runs
+    # whole, and the scan counts at each base what analyze, decomposition
+    # included, finds there
+    rng = random.Random(20261021)
+    graphs = []
+    while len(graphs) < 20:
+        n, p = rng.randint(BATCH_MAX_N + 1, 24), rng.uniform(0.2, 0.4)
+        g = make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
+        if g.is_connected():
+            graphs.append(g)
+    counts = dict.fromkeys(CATEGORY_KEYS, 0)
+    for g in graphs:
+        for x in range(g.n):
+            if g.degree(x) < 2:
+                counts["vacuous"] += 1
+                continue
+            report = analyze(g, x, with_decomposition=True)
+            assert report.agreement in (AGREE_PASS, AGREE_FAIL, AGREE_NA)
+            counts[report.agreement if report.pdr.ok else "skipped-not-thin"] += 1
+    assert counts["skipped-not-thin"] and counts["vacuous"]
+    summary = scan_corpus([to_graph6(g) for g in graphs], jobs=1).to_dict()
+    assert summary == summary_of(len(graphs), sum(g.n for g in graphs), **counts)
+    assert stacked == []
 
 
 @pytest.mark.parametrize("record, message", [
