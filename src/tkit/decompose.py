@@ -4,11 +4,15 @@ subspaces of the local operator algebra.
 The algebra is generated by the adjacency matrix and the level projectors
 of a base vertex. The standard module is irreducible exactly when it
 equals the primary module T e_x, the closure of the base indicator under
-the generators. That closure is computed exactly, modulo a prime, one
-level at a time (_primary_dimension), and reads no tolerance. Short of n,
-one solve gives the commutant End_T(V), a Kronecker system with n^2
-unknowns, which spans every intertwiner; V is still irreducible when it
-is the scalars (a closure that under-counted). Each attempt draws one
+the generators. When the level partition is equitable, the level
+indicators span a submodule holding e_x, so dim T e_x is at most ecc + 1
+and V is reducible once some level has two vertices: a certificate read
+off A and the levels alone, in small integers (_equitable). Otherwise the
+closure is computed exactly, modulo a prime, one level at a time
+(_primary_dimension), and reads no tolerance. Short of n, by either
+route, one solve gives the commutant End_T(V), a Kronecker system with
+n^2 unknowns, which spans every intertwiner; V is still irreducible when
+it is the scalars (a closure that under-counted). Each attempt draws one
 random symmetric element of it, splits V into its eigenspaces and checks
 every piece U: dim End_T(U) = dim Hom_T(U, U), read off End_T(V) as a
 trace that is an integer (_hom_dimension), is 1, or is larger with no
@@ -27,15 +31,17 @@ Eigenvalues are irrational in general, so the split works in floating
 point; the combinatorial fits elsewhere stay exact.
 
 A small instance is mostly fixed cost: at n = 6 a call takes about
-0.55 ms (median over the 33 thin rooted classes at a base of degree at
+0.45 ms (median over the 33 thin rooted classes at a base of degree at
 least 2, each decomposed repeatedly; two cores, numpy 2.4), of which
-LAPACK's SVD of R takes 0.13 to 0.16 ms and its QR and eigh about 0.04
-ms more. The rest works on whole arrays: a piece's 2 + ecc residual
-products are one stack, every piece's level traces one bincount, the
-closure reads level slices of one reordered copy of A, and the QR's
-workspace query is made once per shape. Each stacked step gives the
-floats of the same step taken one array at a time, so every LAPACK call
-gets the same bytes and every output keeps them.
+LAPACK's SVD of R takes 0.08 to 0.15 ms and its QR and eigh about 0.04
+ms more. 31 of the 33 have an equitable level partition, so the closure
+runs on 2. The rest works on whole arrays: the residual products of all
+of an attempt's pieces are one stack, every piece's level traces one
+bincount, the closure reads level slices of one reordered copy of A, and
+the QR's workspace query is made once per shape. Each
+stacked step gives the floats of the same step taken one array at a
+time, so every LAPACK call gets the same bytes and every output keeps
+them.
 """
 from __future__ import annotations
 
@@ -69,8 +75,11 @@ log = logging.getLogger(__name__)
 # two cores, numpy 2.4), so a star's stack at the limit may peak near
 # 2.2 GiB. The level projectors are never formed (commutant_basis takes
 # their diagonals), so other arrays are n x n, like the closure's copy of A
-# in bytes, or, like the commutant basis and a module's (ecc + 2) n^2
-# residual products, no larger than one n^2 x n^2 block of the stack.
+# in bytes, or, like the commutant basis, no larger than one n^2 x n^2
+# block of the stack, except the verification's: the generator products
+# and the defects of all p <= n pieces of an attempt are two stacks
+# (_residuals), at most 2 p (ecc + 2) n^2 floats, which is at most 2 / n of
+# the Kronecker stack (under 2 MB for Q5 at a vertex).
 MAX_DENSE_BYTES = 1 << 30
 
 # Attempts before decompose gives up. Attempt k makes one random draw, the
@@ -198,7 +207,9 @@ def _qr_r_in_place(a: np.ndarray) -> np.ndarray:
         _geqrf(a, tau, query, -1)
         lwork = _GEQRF_WORKSPACE[shape] = max(1, cols, int(query[0]))
     _geqrf(a, tau, np.empty(lwork), lwork)
-    # np.tril(a[:, :cols]), as np.tril forms it
+    # np.tril(a[:, :cols]), as np.tril forms it. Its mask is built each
+    # time: masks kept per shape (n^4 bytes, 1 MiB for Q5) stay on the heap
+    # and raised a repeated check --decompose's peak RSS by about 4 MiB
     return np.where(np.tri(cols, dtype=bool), a[:, :cols], 0.0).T
 
 
@@ -351,7 +362,7 @@ def _level_dims(bases: Sequence[np.ndarray],
 def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> int:
     """Dimension of the primary module T e_x modulo PRIME: the closure of
     the base indicator (levels[0] is the base alone) under the adjacency
-    matrix and the level masks.
+    matrix and the level masks, given as 0/1 rows of any dtype.
 
     The closure keeps one echelon basis per level and a frontier of
     (level, vector) pairs, each vector given on its level. It reads A as a
@@ -364,7 +375,7 @@ def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> i
     result can only fall short of dim T e_x.
     """
     n = adjacency.shape[0]
-    levels = np.asarray(levels)
+    levels = np.asarray(levels, dtype=bool)
     # the vertices level by level: the columns of the masks' nonzeros
     order = levels.nonzero()[1]
     ordered = adjacency.astype(np.int8)[order][:, order]
@@ -399,6 +410,22 @@ def _primary_dimension(adjacency: np.ndarray, levels: Sequence[np.ndarray]) -> i
     return len(frontier)
 
 
+def _equitable(adjacency: np.ndarray, levels: np.ndarray, dist: np.ndarray) -> bool:
+    """Whether the level partition is equitable: every vertex has as many
+    neighbours on each level as its level's first vertex. levels holds the
+    level indicators as 0/1 floats, a row per level, and dist each vertex's
+    level; the neighbour counts are small integers, which the float product
+    holds exactly.
+
+    Then A maps the span of the level indicators into itself, and so does
+    each level mask: the span is a T-invariant subspace holding e_x, and
+    dim T e_x <= ecc + 1, with equality, since E*_i A^i e_x is a positive
+    multiple of level i's indicator.
+    """
+    counts = adjacency @ levels.T
+    return bool((counts == counts[levels.argmax(1)[dist]]).all())
+
+
 def _check_size(ops: LocalOperators, what: str, nbytes: int) -> None:
     if nbytes > MAX_DENSE_BYTES:
         raise DecompositionError(
@@ -417,17 +444,21 @@ def decompose(ops: LocalOperators, seed: int = 42,
     residual_bound = 1e3 * tol
     adjacency = adjacency_matrix(ops.graph)
     dist = np.array(ops.metric.dist)
-    # the level projectors' diagonals, a row per level
-    levels = dist == np.arange(ops.ecc + 1)[:, None]
+    # the level projectors' diagonals, a row per level, as 0/1 floats, for
+    # the certificate's product, the stack's diagonal blocks and the
+    # residuals' products, which take them faster than booleans
+    levels = (dist == np.arange(ops.ecc + 1)[:, None]).astype(float)
     # an irreducible standard module is T e_x; it needs no Kronecker solve
-    # and no split
-    irreducible = _primary_dimension(adjacency, levels) == n
+    # and no split. An equitable level partition bounds dim T e_x by
+    # ecc + 1 (_equitable), so V is reducible when n is larger, and the
+    # closure, which can only fall short of dim T e_x, would say so too
+    if n > ops.ecc + 1 and _equitable(adjacency, levels, dist):
+        irreducible = False
+    else:
+        irreducible = _primary_dimension(adjacency, levels) == n
     comm, rank_flag = None, False
     if not irreducible:
         _check_size(ops, "the Kronecker commutant stack", 8 * (ops.ecc + 2) * n ** 4)
-        # as 0/1 floats, for the stack's diagonal blocks and the residuals'
-        # products, which take them faster than booleans
-        levels = levels.astype(float)
         # the one solve: no attempt and no piece solves again
         comm, rank_flag = commutant_basis([adjacency, *levels], tol)
         if not len(comm):
@@ -500,14 +531,40 @@ def _hom_dimension(image: np.ndarray, basis: np.ndarray) -> Optional[int]:
     return None if abs(trace - dim) > 0.25 else dim
 
 
-def _residual_products(proj: np.ndarray, adjacency: np.ndarray,
+def _residual_products(projs: np.ndarray, adjacency: np.ndarray,
                        levels: np.ndarray) -> np.ndarray:
-    """The products G P of the generators with a module's projector P,
-    stacked: A P, then each E*_i P as P with the rows off level i zeroed."""
-    products = np.empty((len(levels) + 1, *proj.shape))
-    np.matmul(adjacency, proj, out=products[0])
-    np.multiply(proj, levels[:, :, None], out=products[1:])
+    """The products G P of the generators with each module's projector P,
+    stacked, a row of 2 + ecc per module: A P, then each E*_i P as P with
+    the rows off level i zeroed."""
+    products = np.empty((len(projs), len(levels) + 1, *projs.shape[1:]))
+    np.matmul(adjacency, projs, out=products[:, 0])
+    np.multiply(projs[:, None], levels[:, :, None], out=products[:, 1:])
     return products
+
+
+def _residuals(bases: Sequence[np.ndarray], adjacency: np.ndarray,
+               levels: np.ndarray, scales: Sequence[float]) -> list[float]:
+    """The invariance residual of each subspace U with orthonormal row
+    basis B, projector P = B^T B: the largest ||G P - P G P||_F / scale
+    over the generators G, with their scales in order.
+
+    Every subspace's projector, products and defects are one stack each. A
+    stacked matmul makes the gemm call of each matrix's own product, so
+    every float is the one a subspace taken alone would give."""
+    n = adjacency.shape[0]
+    projs = np.empty((len(bases), n, n))
+    for proj, basis in zip(projs, bases):
+        np.matmul(basis.T, basis, out=proj)
+    products = _residual_products(projs, adjacency, levels)
+    defects = np.matmul(projs[:, None], products)
+    np.subtract(products, defects, out=defects)
+    # each G P - P G P flat, as a row; its squared Frobenius norm as
+    # np.linalg.norm forms it, BLAS's ddot of the row with itself, is also
+    # numpy's matmul of the row by its transpose
+    defects = defects.reshape(*products.shape[:2], 1, -1)
+    squares = np.matmul(defects, defects.transpose(0, 1, 3, 2)).reshape(len(bases), -1)
+    return [max(0.0, *[math.sqrt(square) / scale for square, scale in zip(row, scales)])
+            for row in squares.tolist()]
 
 
 def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
@@ -519,27 +576,21 @@ def _verify_and_summarize(bases, comm, adjacency, levels, scales, dist,
     levels = np.asarray(levels)
     notes: list[str] = []
     modules_raw = []
+    # the whole space was decided irreducible before any split, and is
+    # invariant: with its identity basis every product of its residual is
+    # exact, so it would give 0.0 as well. Every piece of a split is smaller
+    pieces = [basis for basis in bases if len(basis) < n]
+    piece_residuals = iter(_residuals(pieces, adjacency, levels, scales) if pieces else ())
     for basis, dims in zip(bases, _level_dims(bases, dist)):
         k = basis.shape[0]
         residual = 0.0
         image = None  # comm @ B^T, read again for the iso classes
-        # the whole space was decided irreducible before any split, and is
-        # invariant: with its identity basis every product below is exact,
-        # so it would give 0.0 as well
         if k < n:
             if k > 1:
                 image = np.matmul(comm, basis.T)
                 if not _irreducible(basis, image, notes):
                     raise _Rejected(f"a dim-{k} eigenspace is not irreducible")
-            proj = basis.T @ basis
-            products = _residual_products(proj, adjacency, levels)
-            # each G P - P G P flat, as a row; its squared Frobenius norm as
-            # np.linalg.norm forms it, BLAS's ddot of the row with itself, is
-            # also numpy's matmul of the row by its transpose
-            defects = (products - proj @ products).reshape(len(products), 1, -1)
-            squares = np.matmul(defects, defects.transpose(0, 2, 1)).reshape(-1).tolist()
-            residual = max(0.0, *[math.sqrt(square) / scale
-                                  for square, scale in zip(squares, scales)])
+            residual = next(piece_residuals)
         if residual > residual_bound:
             raise _Rejected(f"a dim-{k} module's invariance residual "
                             f"{residual:.3g} is above {residual_bound:g}", residual)

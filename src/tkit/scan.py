@@ -51,12 +51,12 @@ runs in N processes, the parent and N - 1 forked workers, and each of the
 N holds one class cache for the call, with one entry per distinct thin
 rooted class that process meets. The key costs one refinement per node
 of its search, a median of 50 to 70 us an instance at n = 6 against about
-0.66 ms for the analysis of a thin n = 6 class (median over the 33
+0.56 ms for the analysis of a thin n = 6 class (median over the 33
 classes, each analysed repeatedly; two cores, Python 3.11); symmetric
 graphs without twins explore more leaves (see graphs.rooted_key). The
 cache lives for one call, so a short corpus pays for the analysis of
 every class it meets: in a chunk of 128 n = 6 graphs, the decompositions
-of about 14 classes take about 63 % of the scan's time.
+of about 14 classes take about 61 % of the scan's time.
 
 The corpus of `scan --generate n`, generate_connected_graph6(n), builds
 no graph: records come off edge masks, and connectivity off a table of

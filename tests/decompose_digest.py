@@ -1,7 +1,10 @@
 """One md5 over everything decompose returns, for a bit-exactness check.
 
 The instances are every thin base (ratio fit ok) of every connected
-labelled graph with at most 6 vertices, and the graphs of the benchmark's
+labelled graph with at most 6 vertices; every base of degree at least 1
+whose ratio fit fails, of every connected labelled graph with at most 5
+vertices (decompose runs the exact closure of e_x on these, as their level
+partition is not equitable); and the graphs of the benchmark's
 check-decompose ladder at its default seed: cycle:20, path:20 and star:20
 at vertex 0, Q5 at vertex 0, the apex extension of the Petersen graph by
 K2 at its apex, and the ladder's G(24, 0.15) at its relabelled vertex 0.
@@ -17,11 +20,13 @@ run this at the parent commit and at the change; equal md5s show it did,
 on this corpus and at this machine's BLAS. Run from the repository root:
 
     python tests/decompose_digest.py
+    python tests/decompose_digest.py --expect MD5   # exit 1 on another md5
 
 Standard library and numpy only; pytest does not collect this file.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import random
 import sys
@@ -52,6 +57,18 @@ def corpus_instances():
             for x in range(g.n):
                 pdr = fit_pdr(g, x)
                 if pdr.ok:
+                    yield g, x, pdr.ops
+
+
+def not_thin_instances():
+    """(graph, base, ops) for every base of degree >= 1 of the n <= 5
+    corpus whose ratio fit fails."""
+    for n in range(2, 6):
+        for record in generate_connected_graph6(n):
+            g = parse_graph6(record)
+            for x in range(g.n):
+                pdr = fit_pdr(g, x)
+                if not pdr.ok and g.degree(x) >= 1:
                     yield g, x, pdr.ops
 
 
@@ -93,15 +110,22 @@ def digest_lines(g, x, ops):
            f"{rep.total_dim} {rep.seed} {rep.tol!r} {rep.rank_flag} {rep.notes!r}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", metavar="MD5",
+                        help="exit 1 when the digest is not this md5")
+    args = parser.parse_args(argv)
     md5 = hashlib.md5()
     count = 0
-    for source in (corpus_instances(), ladder_instances()):
+    for source in (corpus_instances(), not_thin_instances(), ladder_instances()):
         for g, x, ops in source:
             count += 1
             for line in digest_lines(g, x, ops):
                 md5.update(line if isinstance(line, bytes) else line.encode() + b"\n")
     print(f"{md5.hexdigest()}  {count} instances")
+    if args.expect is not None and md5.hexdigest() != args.expect:
+        print(f"expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

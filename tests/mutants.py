@@ -282,9 +282,16 @@ MUTANTS = (
     # a module's invariance residual is the largest over all 2 + ecc
     # generator products; the golden reports hold the residuals
     Mutant("residual-skips-last-level", "decomposition residuals", "decompose.py",
-           "for square, scale in zip(squares, scales)",
-           "for square, scale in zip(squares[:-1], scales)",
+           "for square, scale in zip(row, scales)",
+           "for square, scale in zip(row[:-1], scales)",
            ("tests/test_golden.py",)),
+    # every piece's residual comes off one stack, a row per piece in the
+    # split's order
+    Mutant("stacked-residual-misaligned", "decomposition residuals", "decompose.py",
+           "            for row in squares.tolist()]\n",
+           "            for row in np.roll(squares, -1, axis=0).tolist()]\n",
+           ("tests/test_decompose.py::TestStackedSteps::"
+            "test_residuals_match_the_norm_of_each_product",)),
     # one bincount reads every piece's level traces, each over bins of its own
     Mutant("level-bins-shared", "numeric level dimensions", "decompose.py",
            "    bins = dist + np.arange(0, width * len(bases), width)[:, None]\n",
@@ -297,6 +304,20 @@ MUTANTS = (
            "        low, high = max(i - 1, 0), min(i + 1, last)\n",
            "        low, high = max(i - 1, 0), min(i, last)\n",
            ("tests/test_decompose.py::TestScalarCommutant",)),
+    # an equitable level partition certifies a reducible V in place of the
+    # closure, but only when some level has two vertices, and only when
+    # every level's neighbour counts agree; a wrong certificate sends an
+    # irreducible V to the solve, which overrules it, so only the closure
+    # and solve counts show
+    Mutant("certificate-ignores-single-vertex-levels", "closure shortcut",
+           "decompose.py",
+           "    if n > ops.ecc + 1 and _equitable(adjacency, levels, dist):\n",
+           "    if _equitable(adjacency, levels, dist):\n",
+           ("tests/test_decompose.py::TestEquitableCertificate",)),
+    Mutant("certificate-reads-one-level", "closure shortcut", "decompose.py",
+           "    counts = adjacency @ levels.T\n",
+           "    counts = adjacency @ levels[:1].T\n",
+           ("tests/test_decompose.py::TestEquitableCertificate",)),
     # an analysis without decomposition never imports numpy
     Mutant("report-imports-numpy", "numpy on demand", "report.py",
            "from .exact import LocalOperators\n",

@@ -30,8 +30,8 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
                                 petersen_graph, rook_graph_3x3, star_graph)
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
-                            DecompositionError, _cutoff, _hom_dimension,
-                            _irreducible, _level_dims,
+                            DecompositionError, _cutoff, _equitable,
+                            _hom_dimension, _irreducible, _level_dims,
                             _primary_dimension, _Rejected, _split,
                             _verify_and_summarize,
                             adjacency_matrix, algebraic_verdict,
@@ -275,15 +275,17 @@ class TestScalarCommutant:
                                                            name, products):
         # the generator products of a module's residual, one n x n product
         # per generator: none for the identity basis of an irreducible V,
-        # 2 + ecc for each of the two modules of cycle:6 at a vertex
+        # 2 + ecc for each of the two modules of cycle:6 at a vertex, formed
+        # in one stack
         module = importlib.import_module("tkit.decompose")
         real_products = module._residual_products
         formed = []
 
-        def counting(proj, adjacency, levels):
-            stacked = real_products(proj, adjacency, levels)
-            assert stacked.shape[1:] == proj.shape == adjacency.shape
-            formed.extend(stacked)
+        def counting(projs, adjacency, levels):
+            stacked = real_products(projs, adjacency, levels)
+            assert stacked.shape == (len(projs), len(levels) + 1, *adjacency.shape)
+            assert projs.shape[1:] == adjacency.shape
+            formed.extend(stacked.reshape(-1, *adjacency.shape))
             return stacked
 
         monkeypatch.setattr(module, "_residual_products", counting)
@@ -291,6 +293,80 @@ class TestScalarCommutant:
         assert len(formed) == products
         if not products:
             assert [(m.dim, m.residual) for m in rep.modules] == [(20, 0.0)]
+
+
+def _levels_and_certificate(ops):
+    """The 0/1 float level rows decompose builds, and _equitable on them."""
+    dist = np.asarray(ops.metric.dist)
+    levels = (dist == np.arange(ops.ecc + 1)[:, None]).astype(float)
+    return levels, _equitable(adjacency_matrix(ops.graph), levels, dist)
+
+
+def _equitable_by_lists(ops):
+    """Whether every vertex has as many neighbours on each level as every
+    other vertex of its level, counted on the adjacency lists."""
+    dist = ops.metric.dist
+    profiles = [{tuple(sum(dist[w] == j for w in ops.graph.adj[v])
+                       for j in range(ops.ecc + 1)) for v in sphere}
+                for sphere in ops.metric.spheres]
+    return all(len(profile) == 1 for profile in profiles)
+
+
+def _closure_calls(monkeypatch):
+    """Record each _primary_dimension call's result."""
+    module = importlib.import_module("tkit.decompose")
+    real = module._primary_dimension
+    calls = []
+
+    def spy(adjacency, levels):
+        calls.append(real(adjacency, levels))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "_primary_dimension", spy)
+    return calls
+
+
+class TestEquitableCertificate:
+    def test_bounds_the_closure_n5(self):
+        # every base of the n <= 5 corpus: an equitable level partition
+        # makes T e_x the span of the level indicators, so the closure is
+        # ecc + 1, short of n unless every level is one vertex
+        seen = collections.Counter()
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for x in range(n):
+                    ops = build_operators(g, x)
+                    levels, equitable = _levels_and_certificate(ops)
+                    assert equitable == _equitable_by_lists(ops), (to_graph6(g), x)
+                    if equitable:
+                        closure = _primary_dimension(adjacency_matrix(g), levels)
+                        assert closure == ops.ecc + 1, (to_graph6(g), x)
+                    seen[equitable, n > ops.ecc + 1] += 1
+        assert seen == {(False, True): 2752, (True, False): 153, (True, True): 902}
+
+    def test_closure_runs_where_not_equitable(self, monkeypatch):
+        # E]Q? at vertex 2 (thin) and C{ at vertex 0 (not thin) are not
+        # equitable; cycle:6 at a vertex is
+        calls = _closure_calls(monkeypatch)
+        for g, x, closure in [(parse_graph6("E]Q?"), 2, [3]), (parse_graph6("C{"), 0, [3]),
+                              (cycle_graph(6), 0, [])]:
+            ops = build_operators(g, x)
+            assert _levels_and_certificate(ops)[1] == (not closure)
+            calls.clear()
+            decompose(ops)
+            assert calls == closure, (to_graph6(g), x)
+
+    def test_path_end_is_one_module_without_a_solve(self, monkeypatch):
+        # path:20 at vertex 0 is equitable with one vertex a level, n =
+        # ecc + 1: the certificate does not apply, and the closure finds V
+        # irreducible
+        closures = _closure_calls(monkeypatch)
+        solves = _commutant_calls(monkeypatch)
+        ops = build_operators(path_graph(20), 0)
+        assert _levels_and_certificate(ops)[1] and ops.ecc + 1 == 20
+        rep = decompose(ops)
+        assert [m.dim for m in rep.modules] == [20]
+        assert closures == [20] and solves == []
 
 
 def _plain_nullspace(stack, tol=1e-9):
