@@ -19,6 +19,7 @@ import functools
 import json
 import logging
 import math
+import os
 import sys
 import time
 from typing import Callable, Iterable, Optional, Sequence
@@ -173,8 +174,6 @@ def _print_check_table(rep_dict) -> None:
 
 def cmd_check(args) -> int:
     g, default_base = load_graph(args.source)
-    if not g.is_connected():
-        raise GraphError("analysis needs a connected graph")
     bases = _resolve_base(g, args, default_base)
     worst = 0
     try:
@@ -231,7 +230,18 @@ def _progress_printer(total: Optional[int]) -> Callable[[int], None]:
     return report
 
 
+# BLAS thread counts, set to one for a scan that loads numpy itself
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def cmd_scan(args) -> int:
+    # a scan process runs many small decompositions, and BLAS threads only
+    # contend on them; a variable already set is kept, and a caller that
+    # imported numpy first keeps its threads, in this process and in any
+    # it starts later
+    if "numpy" not in sys.modules:
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ.setdefault(name, "1")
     total: Optional[int] = None
     if args.generate is not None:
         if args.corpus is not None:
@@ -280,8 +290,6 @@ def _parse_shape(shape: str) -> tuple[str, int]:
 
 def cmd_oracle(args) -> int:
     g, _ = load_graph(args.source)
-    if not g.is_connected():
-        raise GraphError("oracle needs a connected graph")
     x = g.index_of(args.x)
     y = g.index_of(args.y)
     z = g.index_of(args.z)
@@ -304,8 +312,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_partition(args) -> int:
     g, _ = load_graph(args.source)
-    if not g.is_connected():
-        raise GraphError("partition needs a connected graph")
     x = g.index_of(args.x)
     y = g.index_of(args.y)
     part = distance_partition(g, x, y)
@@ -396,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all connected graphs on N labeled vertices")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="processes: the parent and N - 1 forked workers "
-                        "(default: TK_JOBS or all cores; at most the number "
-                        "of cores)")
+                        "(default and at most: the number of cores)")
     p.add_argument("--progress", action="store_true",
                    help=f"every {PROGRESS_EVERY} graphs, print on stderr the "
                         "count, the rate and the time left")

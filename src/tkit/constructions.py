@@ -119,8 +119,7 @@ def apex_extension(g: Graph, x: int, s: Graph) -> ApexResult:
     degrees = {s.degree(v) for v in range(s.n)}
     if len(degrees) != 1:
         raise GraphError("second factor must be regular")
-    if not g.is_connected():
-        raise GraphError("first factor must be connected")
+    local_metric(g, x)  # raises GraphError when g is disconnected
 
     product = cartesian_product(g, s)
     apex = product.n
@@ -165,20 +164,3 @@ def predicted_profile(pdr: PdrProfile, sigma_kind: str) -> PredictedScalars:
     else:
         raise ValueError(f"unknown sigma kind {sigma_kind!r}")
     return PredictedScalars(kappa, mu, theta, rho)
-
-
-def is_distance_regular_around(g: Graph, x: int) -> bool:
-    """True when every vertex of each sphere around x has the same number
-    of neighbors one level down, on the level, and one level up."""
-    metric = local_metric(g, x)
-    for i in range(metric.ecc + 1):
-        profile = None
-        for v in metric.sphere(i):
-            down = sum(1 for w in g.adj[v] if metric.dist[w] == i - 1)
-            flat = sum(1 for w in g.adj[v] if metric.dist[w] == i)
-            up = sum(1 for w in g.adj[v] if metric.dist[w] == i + 1)
-            if profile is None:
-                profile = (down, flat, up)
-            elif profile != (down, flat, up):
-                return False
-    return True

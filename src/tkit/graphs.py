@@ -65,19 +65,6 @@ class Graph:
         # pickles the same whether or not it was read
         return {k: v for k, v in vars(self).items() if k != "graph6"}
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
-
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]],
                labels: Optional[Iterable[str]] = None) -> Graph:
@@ -805,19 +792,3 @@ def generate_connected_graph6(n: int) -> Iterator[str]:
         for lo in compress(range(len(index)), map(joins.__getitem__, index)):
             body = (high | low[lo]).to_bytes(nbytes, "little")
             yield head + body.translate(_GRAPH6_GROUP).decode("ascii")
-
-
-def connected_graphs(n: int) -> Iterator[Graph]:
-    """Yield every connected labeled graph on n vertices, decoded from
-    generate_connected_graph6(n) in its order. Intended for exhaustive
-    validation at n <= 7.
-
-    The enumeration holds two tables of 2^((n-1)(n-2)/2) entries, 2^15 at
-    n = 7, and yields the 1 866 256 records of n = 7 in about 1 s, against
-    about 40 s for building and searching the graph of every edge mask
-    (two cores, Python 3.11). Decoding a record costs more, about 7 to
-    10 us at n = 6. `scan --generate` stops at n = 7: n = 8 has 2^28
-    masks.
-    """
-    for record in generate_connected_graph6(n):
-        yield parse_graph6(record)

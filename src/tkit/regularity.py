@@ -377,7 +377,7 @@ def swept_column(ops: LocalOperators, sweep: Sweep, family: str, m: int,
             for d, c in zip(metric.dist, packed)]
 
 
-def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
+def fit_endpoint1(pdr: PdrProfile) -> Endpoint1Profile:
     """Solve, per level i >= 1, the exact linear systems
 
         down_after_up(y, z)  = kappa_i * up_only(y, z) + mu_i * up_after_down(y, z)
@@ -403,12 +403,14 @@ def fit_endpoint1(ops: LocalOperators, pdr: PdrProfile) -> Endpoint1Profile:
     level is solved again row by row with solve_linear, whose first bad
     row is the witness; a later failing level only reads as inconsistent.
 
-    pdr is the ratio fit at the base of ops. The fit applies only when the
-    trivial module is thin (pdr.ok) and the base has at least two
-    neighbors; otherwise it raises NotApplicable.
+    pdr is the ratio fit at the base, whose operators pdr.ops the fit
+    reads. The fit applies only when the trivial module is thin (pdr.ok)
+    and the base has at least two neighbors; otherwise it raises
+    NotApplicable.
     """
     if not pdr.ok:
         raise NotApplicable(REASON_NOT_THIN)
+    ops = pdr.ops
     if ops.graph.degree(ops.base) < 2:
         raise NotApplicable(REASON_LEAF)
 

@@ -64,22 +64,21 @@ def decompose(ops: LocalOperators, seed: int = 42,
 def analyze(g: Graph, x: int, *, with_decomposition: bool = False,
             seed: int = 42, tol: float = 1e-9) -> AnalysisReport:
     """Run the full pipeline at one base vertex."""
-    pdr = fit_pdr(g, x)
-    return analyze_fitted(pdr.ops, pdr, with_decomposition=with_decomposition,
+    return analyze_fitted(fit_pdr(g, x), with_decomposition=with_decomposition,
                           seed=seed, tol=tol)
 
 
-def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
-                   with_decomposition: bool = False, seed: int = 42,
-                   tol: float = 1e-9) -> AnalysisReport:
-    """The pipeline after the ratio fit pdr, given with its ops."""
+def analyze_fitted(pdr: PdrProfile, *, with_decomposition: bool = False,
+                   seed: int = 42, tol: float = 1e-9) -> AnalysisReport:
+    """The pipeline after the ratio fit pdr, on its operators pdr.ops."""
+    ops = pdr.ops
     g, x = ops.graph, ops.base
     structure = structure_report(g, x, ops.cells)
 
     endpoint1: Optional[Endpoint1Profile] = None
     endpoint1_reason: Optional[str] = None
     try:
-        endpoint1 = fit_endpoint1(ops, pdr)
+        endpoint1 = fit_endpoint1(pdr)
     except NotApplicable as exc:
         endpoint1_reason = exc.reason
 
@@ -89,7 +88,7 @@ def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
         decomposition = decompose(ops, seed=seed, tol=tol)
         verdict = algebraic_verdict(decomposition)
 
-    agreement, reason = _agreement(ops, pdr, endpoint1, decomposition, verdict)
+    agreement, reason = _agreement(pdr, endpoint1, decomposition, verdict)
     return AnalysisReport(
         graph=g, base=x, seed=seed, tol=tol,
         pdr=pdr, endpoint1=endpoint1, endpoint1_reason=endpoint1_reason,
@@ -98,11 +97,10 @@ def analyze_fitted(ops: LocalOperators, pdr: PdrProfile, *,
     )
 
 
-def _agreement(ops: LocalOperators, pdr: PdrProfile,
-               endpoint1: Optional[Endpoint1Profile],
+def _agreement(pdr: PdrProfile, endpoint1: Optional[Endpoint1Profile],
                decomposition: Optional[DecompositionReport],
                verdict: Optional[AlgebraicVerdict]) -> tuple[str, Optional[str]]:
-    degree = ops.graph.degree(ops.base)
+    degree = pdr.ops.graph.degree(pdr.ops.base)
     if not pdr.ok:
         if decomposition is not None and decomposition.trivial_thin:
             return MISMATCH, "exact fit and decomposition disagree on thinness"

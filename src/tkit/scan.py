@@ -245,18 +245,17 @@ def scan_graph(graph6: str, seed: int = 42, tol: float = 1e-9,
         pdr = fit_pdr(g, x)
         seed_x = instance_seed(seed, graph6, x)
         if thin is not None and pdr.ok != thin[x]:
-            report = analyze_fitted(pdr.ops, pdr, seed=seed_x, tol=tol)
+            report = analyze_fitted(pdr, seed=seed_x, tol=tol)
             out["mismatches"].append(report_to_dict(replace(
                 report, agreement=MISMATCH, agreement_reason=THIN_MISMATCH)))
             continue
         if not pdr.ok:
             counts["skipped-not-thin"] += 1
             continue
-        ops = pdr.ops
-        key = rooted_key(g, ops.metric)
+        key = rooted_key(g, pdr.ops.metric)
         stored = cache.get(key)
         if stored is None or seed_x % SELF_CHECK_EVERY == 0:
-            report = analyze_fitted(ops, pdr, with_decomposition=True,
+            report = analyze_fitted(pdr, with_decomposition=True,
                                     seed=seed_x, tol=tol)
             if report.agreement not in (AGREE_PASS, AGREE_FAIL):
                 out["mismatches"].append(report_to_dict(report))
@@ -397,15 +396,10 @@ def _scan_worker(conn: Connection, inherited: tuple[Connection, ...],
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Scan process count: jobs when positive, else a positive integer
-    TK_JOBS, else every core; never more than os.cpu_count()."""
+    """Scan process count: jobs when positive, else every core; never more
+    than os.cpu_count()."""
     cores = os.cpu_count() or 1
-    if jobs is None or jobs <= 0:
-        try:
-            jobs = int(os.environ.get("TK_JOBS", ""))
-        except ValueError:
-            jobs = 0
-    return min(jobs, cores) if jobs > 0 else cores
+    return min(jobs, cores) if jobs and jobs > 0 else cores
 
 
 def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,

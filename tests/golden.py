@@ -28,11 +28,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from clausewise import verify_condition_values
+from corpus_oracle import connected_graphs, is_connected
 from tkit.cli import load_graph, main
 from tkit.constructions import (apex_extension, complete_graph, empty_graph,
                                 example_graph)
-from tkit.exact import build_operators
-from tkit.graphs import connected_graphs, make_graph, parse_graph6, to_graph6
+from tkit.graphs import make_graph, parse_graph6, to_graph6
 from tkit.regularity import NotApplicable, fit_endpoint1, fit_pdr
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -56,7 +56,7 @@ def random_graph6s() -> list[str]:
         edges = [e for e in itertools.combinations(range(n), 2)
                  if rng.random() < p]
         g = make_graph(n, edges)
-        if g.is_connected():
+        if is_connected(g):
             out.append(to_graph6(g))
     return out
 
@@ -133,11 +133,12 @@ def render_witnesses() -> str:
     one = Fraction(1)
     for label, g in graphs:
         for x in range(g.n):
-            ops = build_operators(g, x)
+            pdr = fit_pdr(g, x)
             try:
-                prof = fit_endpoint1(ops, fit_pdr(g, x))
+                prof = fit_endpoint1(pdr)
             except NotApplicable:
                 continue
+            ops = pdr.ops
             canonical = prof.canonical()
             entry = {"graph": label, "base": x,
                      "canonical": _witness(verify_condition_values(ops, *canonical))}

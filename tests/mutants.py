@@ -52,7 +52,8 @@ ACCEPTANCE = (CROSS_VALIDATION,
 # cross-validation reads, or only the bytes, layout and memory of the
 # commutant solve or which instances take it, which no output shows
 UNIT_LEVEL_ROUTES = frozenset({
-    "edge-list vertex order", "graph6 decoder", "apex distances",
+    "edge-list vertex order", "graph6 decoder", "disconnected input",
+    "apex distances",
     "resource limits", "scan process protocol",
     "endpoint-one report keys", "structure report", "scan structure suite",
     "Kronecker stack", "decomposition residuals", "numpy on demand",
@@ -123,8 +124,8 @@ MUTANTS = (
            ("tests/test_report.py::TestAgreementMismatch", CROSS_VALIDATION)),
     # cache replay vs analysis
     Mutant("cache-key-too-coarse", "cache replay vs analysis", "scan.py",
-           "        key = rooted_key(g, ops.metric)\n",
-           "        key = (g.edge_count, ops.ecc)\n",
+           "        key = rooted_key(g, pdr.ops.metric)\n",
+           "        key = (g.edge_count, pdr.ops.ecc)\n",
            ("tests/test_scan.py",)),
     Mutant("scan-self-check-off", "cache replay vs analysis", "scan.py",
            "        if stored is None or seed_x % SELF_CHECK_EVERY == 0:\n",
@@ -157,6 +158,11 @@ MUTANTS = (
            "            local_metric(g, 0)\n",
            "            pass\n",
            ("tests/test_cli.py::TestScan::test_disconnected_record_rejected",)),
+    # local_metric's search is the one connectivity proof of check,
+    # oracle, partition and construct
+    Mutant("bfs-connectivity-unchecked", "disconnected input", "graphs.py",
+           "    if -1 in dist:\n", "    if False:\n",
+           ("tests/test_cli.py::TestBadInput::test_disconnected_input",)),
     # the batch thinness pass vs the ratio fit: a disconnected record goes
     # to the per-record path, which raises; the flat sums are compared as
     # the fit compares them; the reference is a vertex of the level (the

@@ -3,7 +3,11 @@ level is stepped and every ratio formed, and each vertex's ratios are
 compared with the first vertex's as Fractions. The steps are products with
 the dense operators of matrix_oracle, so the oracle shares no kernel with
 the package. It is the test oracle for tkit.regularity.fit_pdr, whose ok,
-witness, alpha and beta must equal these."""
+witness, alpha and beta must equal these.
+
+equitable_by_lists decides, on the adjacency lists, the stronger property
+that decompose._equitable certifies: the graph is distance-regular around
+the base."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -50,3 +54,13 @@ def fit_pdr_full(ops: LocalOperators
                 witness = PdrWitness(i, z, "beta")
                 break
     return witness is None, witness, tuple(alphas), tuple(betas)
+
+
+def equitable_by_lists(ops: LocalOperators) -> bool:
+    """Whether every vertex has as many neighbours on each level as every
+    other vertex of its level, counted on the adjacency lists."""
+    dist = ops.metric.dist
+    profiles = [{tuple(sum(dist[w] == j for w in ops.graph.adj[v])
+                       for j in range(ops.ecc + 1)) for v in sphere}
+                for sphere in ops.metric.spheres]
+    return all(len(profile) == 1 for profile in profiles)

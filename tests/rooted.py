@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import itertools
 
-from tkit.graphs import connected_graphs
+from corpus_oracle import connected_graphs
 
 
 def permutation_key(g, x):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from corpus_oracle import connected_graphs, is_connected
 from tkit.cli import main
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
@@ -24,7 +25,7 @@ from matrix_oracle import build_matrix_operators, walk_table
 from numeric_oracle import subspace_distance
 from tkit.exact import (SHAPE_FAMILIES, build_operators, shape_string,
                         walk_counts_from)
-from tkit.graphs import GraphError, connected_graphs, make_graph, rooted_key
+from tkit.graphs import GraphError, make_graph, rooted_key
 from tkit.regularity import (fit_endpoint1, fit_pdr, neighbour_sweep,
                              swept_column)
 from tkit.report import (AGREE_FAIL, AGREE_PASS, AGREE_VACUOUS, analyze,
@@ -77,7 +78,7 @@ def test_criterion_01_ratio_constants_table(example, example_ops):
 def test_criterion_02_endpoint1_scalar_table(example_ops):
     with _gate(2, "endpoint-1 scalar table solves the exact system"):
         start = time.perf_counter()
-        prof = fit_endpoint1(example_ops, fit_pdr(example_ops.graph, example_ops.base))
+        prof = fit_endpoint1(fit_pdr(example_ops.graph, example_ops.base))
         assert prof.ok
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(example_ops, kappa, mu, theta, rho) is None
@@ -116,7 +117,7 @@ def test_criterion_04_apex_fiber_tables(example, example_ops):
                 start = time.perf_counter()
                 ax = apex_extension(g, x, maker(n))
                 hops = build_operators(ax.graph, ax.apex)
-                prof = fit_endpoint1(hops, fit_pdr(hops.graph, hops.base))
+                prof = fit_endpoint1(fit_pdr(hops.graph, hops.base))
                 pred = predicted_profile(pdr, kind)
                 assert prof.ok
                 expected = (pred.kappa, pred.mu, pred.theta, pred.rho)
@@ -139,7 +140,7 @@ def test_criterion_05_fiber_dichotomy(example):
         hops = build_operators(ax.graph, ax.apex)
         pdr = fit_pdr(hops.graph, hops.base)
         assert pdr.ok  # trivial module thin at the apex
-        assert not fit_endpoint1(hops, pdr=pdr).ok
+        assert not fit_endpoint1(pdr).ok
 
 
 def test_criterion_06_exhaustive_cross_validation(scans, tmp_path, capsys):
@@ -183,7 +184,7 @@ def test_criterion_07_walk_count_oracle():
             edges = [e for e in itertools.combinations(range(n), 2)
                      if rng.random() < p]
             g = make_graph(n, edges)
-            if g.is_connected():
+            if is_connected(g):
                 instances.append((g, rng.randrange(n)))
         # the fits read R^m e_x (metric.paths) from the base, and every
         # family from each neighbour, as the lanes of the endpoint-one
@@ -229,7 +230,7 @@ def test_criterion_08_block_dimension_bounds():
                 if key in seen:
                     continue
                 seen.add(key)
-                report = analyze_fitted(ops, pdr, with_decomposition=True)
+                report = analyze_fitted(pdr, with_decomposition=True)
                 if report.agreement != AGREE_PASS:
                     continue
                 rep = report.decomposition

@@ -1,4 +1,3 @@
-import importlib
 import json
 import logging
 import os
@@ -22,19 +21,17 @@ from tkit.exact import build_operators, describe
 from tkit.graphs import GraphError, parse_graph6
 from tkit.scan import ScanSummary, resolve_jobs
 import tkit.cli
+import tkit.decompose as decompose_module
 import tkit.graphs
+import tkit.report as report_module
 import tkit.scan
-
-# the package re-exports the decompose() function under the module's name
-decompose_module = importlib.import_module("tkit.decompose")
-report_module = importlib.import_module("tkit.report")
 
 
 # a tkit command line whose first random draw of a decomposition does not
 # split, so that attempt is rejected
 _FIRST_DRAW_UNSPLIT = """
-import importlib, sys
-module = importlib.import_module("tkit.decompose")
+import sys
+import tkit.decompose as module
 real, draws = module._eigengroups, []
 def one_group_first(sym, tol):
     draws.append(sym.shape)
@@ -43,6 +40,16 @@ module._eigengroups = one_group_first
 from tkit.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_python(script, *argv, env=None):
+    """Run script with argv in a fresh interpreter that imports tkit from
+    this checkout, under os.environ updated by env, where None unsets."""
+    src = str(Path(tkit.cli.__file__).resolve().parents[1])
+    environ = {**os.environ, **(env or {}), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={k: v for k, v in environ.items() if v is not None})
 
 
 def run_cli(capsys, *argv):
@@ -245,11 +252,8 @@ class TestCheck:
         # the first draw is forced not to split: with -v its rejection is
         # one INFO line on stderr, and stdout is that of the run without -v
         argv = ["check", "cycle:6", "--vertex", "0", "--decompose"]
-        src = str(Path(tkit.cli.__file__).resolve().parents[1])
-        quiet, verbose = (subprocess.run(
-            [sys.executable, "-c", _FIRST_DRAW_UNSPLIT, *argv, *flag],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-            for flag in ([], ["-v"]))
+        quiet, verbose = (run_python(_FIRST_DRAW_UNSPLIT, *argv, *flag)
+                          for flag in ([], ["-v"]))
         ops = build_operators(cycle_graph(6), 0)
         assert quiet.returncode == verbose.returncode == 0
         assert quiet.stdout == verbose.stdout and quiet.stderr == ""
@@ -311,11 +315,21 @@ class TestCheck:
                   "code = main(['check', 'petersen', '--vertex', '0'])\n"
                   "print(code, 'numpy' in sys.modules, 'tkit.decompose' in sys.modules,"
                   " file=sys.stderr)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(script)
         assert proc.stderr == "0 False False\n"
         assert json.loads(proc.stdout)["graph"]["n"] == 10
+
+    def test_package_import_loads_no_numpy(self):
+        # the numeric side is the submodule tkit.decompose, whose function
+        # of the same name is an attribute of it
+        script = ("import sys, types\n"
+                  "import tkit\n"
+                  "print('numpy' in sys.modules)\n"
+                  "import tkit.decompose as D\n"
+                  "print(isinstance(D, types.ModuleType), D is tkit.decompose,"
+                  " isinstance(D.decompose, types.FunctionType))\n")
+        proc = run_python(script)
+        assert (proc.stdout, proc.stderr) == ("False\nTrue True True\n", "")
 
     @pytest.mark.parametrize("argv", [
         ["check", "example", "--vertex", "1", "--decompose"],
@@ -433,9 +447,9 @@ class TestBadInput:
         ("Bw\n", ["scan", "{path}", "--generate", "3"],
          "give either a corpus or --generate, not both"),
         ("a b\nc d\n", ["oracle", "{path}", "a", "r", "b", "b"],
-         "oracle needs a connected graph"),
+         "graph is disconnected: vertex c unreachable"),
         ("a b\nc d\n", ["partition", "{path}", "a", "b"],
-         "partition needs a connected graph"),
+         "graph is disconnected: vertex c unreachable"),
         ("", ["check", "example", "--vertex", "1", "--tol", "abc"],
          "--tol: expected a positive finite number, got 'abc'"),
         ("", ["check", "example", "--vertex", "1", "--all-vertices"],
@@ -457,6 +471,25 @@ class TestBadInput:
         assert code == 2
         assert message in err and "Traceback" not in err
         assert out == ""
+
+    # local_metric's search is the one connectivity proof of these
+    # subcommands; it names the first vertex, by index, that it does not
+    # reach from the base
+    @pytest.mark.parametrize("argv, unreachable", [
+        (["check", "{path}", "--vertex", "c"], "a"),
+        (["check", "{path}", "--all-vertices"], "c"),
+        (["oracle", "{path}", "d", "r", "c", "c"], "a"),
+        (["partition", "{path}", "c", "d"], "a"),
+        (["construct", "{path}", "b", "empty", "2"], "c"),
+    ], ids=["check-vertex", "check-all-vertices", "oracle", "partition",
+            "construct"])
+    def test_disconnected_input(self, capsys, tmp_path, argv, unreachable):
+        path = tmp_path / "input.txt"
+        path.write_text("a b\nc d\n")
+        code = main([arg.format(path=path) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: graph is disconnected: vertex {unreachable} unreachable\n"
 
 
 class TestConstruct:
@@ -640,6 +673,30 @@ class TestScan:
         assert code == 2 and "cannot decode" in err and "ascii" in err
 
 
+class TestScanBlasThreads:
+    # a scan that loads numpy itself asks for one BLAS thread; a variable
+    # already set stays, and a caller that imported numpy first is left alone
+    SCRIPT = ("import os, sys\n"
+              "if sys.argv[1:] == ['numpy-first']:\n"
+              "    import numpy\n"
+              "import tkit.cli\n"
+              "code = tkit.cli.main(['scan', '--generate', '3', '--jobs', '1'])\n"
+              "print(code, *map(os.environ.get, tkit.cli.BLAS_THREAD_VARIABLES))\n")
+    UNSET = dict.fromkeys(tkit.cli.BLAS_THREAD_VARIABLES)
+
+    @pytest.mark.parametrize("argv, env, printed", [
+        ([], {}, "0 1 1 1"),
+        ([], {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "3",
+              "MKL_NUM_THREADS": "3"}, "0 3 3 3"),
+        ([], {"OMP_NUM_THREADS": "3"}, "0 1 3 1"),
+        (["numpy-first"], {}, "0 None None None"),
+    ], ids=["unset", "preset", "one-preset", "numpy-first"])
+    def test_thread_variables(self, argv, env, printed):
+        proc = run_python(self.SCRIPT, *argv, env={**self.UNSET, **env})
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == printed
+
+
 class TestOracle:
     def test_agreeing_counts(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "example", "1", "rl", "2", "3")
@@ -718,30 +775,19 @@ class TestJobsResolution:
     @pytest.fixture(autouse=True)
     def cores(self, monkeypatch):
         monkeypatch.setattr(tkit.scan.os, "cpu_count", lambda: 8)
-        monkeypatch.delenv("TK_JOBS", raising=False)
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("TK_JOBS", "5")
+    def test_explicit_wins(self):
         assert resolve_jobs(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("TK_JOBS", "5")
-        assert resolve_jobs(None) == 5
-
-    def test_bad_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("TK_JOBS", "zero")
-        assert resolve_jobs(None) >= 1
 
     @pytest.mark.parametrize("jobs", [None, 0, -3])
     def test_default_all_cores(self, jobs):
         assert resolve_jobs(jobs) == 8
 
-    def test_huge_clamped_to_cores(self, monkeypatch):
+    def test_huge_clamped_to_cores(self):
         assert resolve_jobs(10 ** 6) == 8
-        monkeypatch.setenv("TK_JOBS", str(10 ** 6))
-        assert resolve_jobs(None) == 8
 
-    @pytest.mark.parametrize("env", ["0", "-2", "2.5", "1e6", "", "many"])
+    # the former TK_JOBS variable is not read: --jobs is the one setting
+    @pytest.mark.parametrize("env", ["5", "0", "-2", "2.5", "1e6", "", "many"])
     def test_unusable_env_means_all_cores(self, monkeypatch, env):
         monkeypatch.setenv("TK_JOBS", env)
         assert resolve_jobs(None) == 8

@@ -1,6 +1,5 @@
 import collections
 import gzip
-import importlib
 import itertools
 import json
 import logging
@@ -18,13 +17,16 @@ from numpy.linalg import lapack_lite
 
 import golden
 from block_closure import closure_block_dims
+from corpus_oracle import connected_graphs, is_connected
 from matrix_oracle import build_matrix_operators
 from numeric_oracle import (generator_matrices, graded_hom_dimension,
                             graded_module, intertwiner_stack,
                             kron_hom_dimension, level_dims_by_svd, qr_r,
                             qr_nullspace_rows, subspace_distance,
                             trivial_module_basis)
+from pdr_oracle import equitable_by_lists
 from rooted import rooted_classes
+import tkit.decompose as decompose_module
 from tkit.cli import load_graph
 from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
                                 empty_graph, example_graph, path_graph,
@@ -37,8 +39,7 @@ from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             adjacency_matrix, algebraic_verdict,
                             commutant_basis, decompose, dual_block_dims)
 from tkit.exact import build_operators, describe, raising_powers
-from tkit.graphs import (connected_graphs, make_graph, parse_edge_list,
-                         parse_graph6, rooted_key, to_graph6)
+from tkit.graphs import make_graph, parse_edge_list, parse_graph6, rooted_key, to_graph6
 from tkit.regularity import fit_pdr
 from tkit.report import AGREE_PASS, analyze, report_to_json
 
@@ -122,7 +123,7 @@ def _connected_gnp(n, p, seed):
     while True:
         g = make_graph(n, [e for e in itertools.combinations(range(n), 2)
                            if rng.random() < p])
-        if g.is_connected():
+        if is_connected(g):
             return g
 
 
@@ -163,9 +164,7 @@ def _no_solver(name):
 def _during_verification(monkeypatch, **replacements):
     """Replace np.linalg functions by name while _verify_and_summarize runs,
     and only then."""
-    # tkit.decompose is also the name of the package's function
-    module = importlib.import_module("tkit.decompose")
-    verify = module._verify_and_summarize
+    verify = decompose_module._verify_and_summarize
 
     def patched(*args):
         with monkeypatch.context() as inner:
@@ -173,7 +172,7 @@ def _during_verification(monkeypatch, **replacements):
                 inner.setattr(np.linalg, name, replacement)
             return verify(*args)
 
-    monkeypatch.setattr(module, "_verify_and_summarize", patched)
+    monkeypatch.setattr(decompose_module, "_verify_and_summarize", patched)
 
 
 class TestScalarCommutant:
@@ -231,9 +230,7 @@ class TestScalarCommutant:
             calls.append(generators[0].shape[0])
             return commutant_basis(generators, tol)
 
-        # tkit.decompose is also the name of the package's function
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
-                            "commutant_basis", counting)
+        monkeypatch.setattr(decompose_module, "commutant_basis", counting)
         rep = decompose(build_operators(g, 0))
         assert [m.dim for m in rep.modules] == [g.n]
         assert np.array_equal(rep.modules[0].subspace.basis, np.eye(g.n))
@@ -246,7 +243,7 @@ class TestScalarCommutant:
         # still one module with the identity basis
         g = (load_graph(name)[0] if name != "gnp-24"
              else _connected_gnp(24, 0.15, 2023))
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "_primary_dimension",
                             lambda adjacency, levels: adjacency.shape[0] - 1)
         calls = _commutant_calls(monkeypatch)
@@ -277,8 +274,7 @@ class TestScalarCommutant:
         # per generator: none for the identity basis of an irreducible V,
         # 2 + ecc for each of the two modules of cycle:6 at a vertex, formed
         # in one stack
-        module = importlib.import_module("tkit.decompose")
-        real_products = module._residual_products
+        real_products = decompose_module._residual_products
         formed = []
 
         def counting(projs, adjacency, levels):
@@ -288,7 +284,7 @@ class TestScalarCommutant:
             formed.extend(stacked.reshape(-1, *adjacency.shape))
             return stacked
 
-        monkeypatch.setattr(module, "_residual_products", counting)
+        monkeypatch.setattr(decompose_module, "_residual_products", counting)
         rep = decompose(build_operators(load_graph(name)[0], 0))
         assert len(formed) == products
         if not products:
@@ -302,27 +298,16 @@ def _levels_and_certificate(ops):
     return levels, _equitable(adjacency_matrix(ops.graph), levels, dist)
 
 
-def _equitable_by_lists(ops):
-    """Whether every vertex has as many neighbours on each level as every
-    other vertex of its level, counted on the adjacency lists."""
-    dist = ops.metric.dist
-    profiles = [{tuple(sum(dist[w] == j for w in ops.graph.adj[v])
-                       for j in range(ops.ecc + 1)) for v in sphere}
-                for sphere in ops.metric.spheres]
-    return all(len(profile) == 1 for profile in profiles)
-
-
 def _closure_calls(monkeypatch):
     """Record each _primary_dimension call's result."""
-    module = importlib.import_module("tkit.decompose")
-    real = module._primary_dimension
+    real = decompose_module._primary_dimension
     calls = []
 
     def spy(adjacency, levels):
         calls.append(real(adjacency, levels))
         return calls[-1]
 
-    monkeypatch.setattr(module, "_primary_dimension", spy)
+    monkeypatch.setattr(decompose_module, "_primary_dimension", spy)
     return calls
 
 
@@ -337,7 +322,7 @@ class TestEquitableCertificate:
                 for x in range(n):
                     ops = build_operators(g, x)
                     levels, equitable = _levels_and_certificate(ops)
-                    assert equitable == _equitable_by_lists(ops), (to_graph6(g), x)
+                    assert equitable == equitable_by_lists(ops), (to_graph6(g), x)
                     if equitable:
                         closure = _primary_dimension(adjacency_matrix(g), levels)
                         assert closure == ops.ecc + 1, (to_graph6(g), x)
@@ -608,7 +593,7 @@ def split_commutants(monkeypatch):
         comms.append(comm)
         return _split(comm, *args)
 
-    monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+    monkeypatch.setattr(decompose_module,
                         "_split", recording)
     return comms
 
@@ -670,9 +655,7 @@ def _commutant_calls(monkeypatch):
     module, the stack as it reaches LAPACK's dgeqrf: the m x n matrix that
     dgeqrf reads column-major, with leading dimension lda, from the buffer
     it factors in place, copied before it is factored."""
-    # tkit.decompose is also the name of the package's function
-    module = importlib.import_module("tkit.decompose")
-    real_basis, real_geqrf = module.commutant_basis, lapack_lite.dgeqrf
+    real_basis, real_geqrf = decompose_module.commutant_basis, lapack_lite.dgeqrf
     calls = []
 
     def basis(generators, tol=1e-9):
@@ -685,7 +668,7 @@ def _commutant_calls(monkeypatch):
                                       strides=(a.itemsize, lda * a.itemsize))
         return real_geqrf(m, n, a, lda, tau, work, lwork, info)
 
-    monkeypatch.setattr(module, "commutant_basis", basis)
+    monkeypatch.setattr(decompose_module, "commutant_basis", basis)
     monkeypatch.setattr(lapack_lite, "dgeqrf", geqrf)
     return calls
 
@@ -701,7 +684,7 @@ class TestKroneckerStackInPlace:
         calls = _commutant_calls(monkeypatch)
         negative_zeros = 0
         for gens in _seeded_generators():
-            importlib.import_module("tkit.decompose").commutant_basis(gens)
+            decompose_module.commutant_basis(gens)
             stack = calls[-1][1]
             assert stack.flags.f_contiguous
             # its memory, read column-major, is the np.kron build's
@@ -814,7 +797,7 @@ class TestLevelDims:
         # past the irreducibility test and the invariance check, which
         # would reject both on their own; the scalars stand in for the
         # commutant, whose image only the patched test reads
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "_irreducible", lambda *args: True)
         dist = np.asarray(ops.metric.dist)
         levels = [dist == i for i in range(ops.ecc + 1)]
@@ -875,7 +858,7 @@ class TestStackedSteps:
         for ops in (build_operators(star_graph(3), 0), build_operators(*example_graph())):
             stacks.append(commutant_basis(generator_matrices(ops))[0])
         drawn = []
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"), "_eigengroups",
+        monkeypatch.setattr(decompose_module, "_eigengroups",
                             lambda sym, tol: drawn.append(sym.copy()) or [sym, sym])
         for seed, comm in enumerate(stacks):
             _split(comm, np.random.default_rng(seed), 1e-9)
@@ -956,7 +939,7 @@ class TestNonRealSplit:
         levels = [dist == 0, dist == 1]
         comm, flag = commutant_basis([adjacency] + [np.diag(level) * 1.0
                                                     for level in levels])
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "commutant_basis", _no_solver("commutant_basis"))
         pieces = _split(comm, np.random.default_rng(0), 1e-9)
         modules, notes = _verify_and_summarize(pieces, comm, adjacency, levels,
@@ -986,7 +969,7 @@ class TestRejectedAttempts:
             calls.append(len(modules))
             return (rewrite(modules) if len(calls) <= attempts else modules), notes
 
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "_verify_and_summarize", patched)
         return calls
 
@@ -1001,15 +984,14 @@ class TestRejectedAttempts:
     def test_no_split(self, monkeypatch, caplog, ops):
         # a draw with one eigenspace rejects its attempt, and the next
         # attempt draws once more
-        module = importlib.import_module("tkit.decompose")
-        real = module._eigengroups
+        real = decompose_module._eigengroups
         draws = []
 
         def one_group_first(sym, tol):
             draws.append(sym.shape)
             return [sym] if len(draws) == 1 else real(sym, tol)
 
-        monkeypatch.setattr(module, "_eigengroups", one_group_first)
+        monkeypatch.setattr(decompose_module, "_eigengroups", one_group_first)
         with caplog.at_level(logging.INFO, logger="tkit.decompose"):
             rep = decompose(ops)
         assert draws == [(6, 6)] * 2
@@ -1047,7 +1029,7 @@ class TestRejectedAttempts:
             calls.append(comm.shape)
             return list(np.eye(6)[:, None, :])
 
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "_split", indicators)
         with caplog.at_level(logging.INFO, logger="tkit.decompose"):
             with pytest.raises(DecompositionError) as exc:
@@ -1068,7 +1050,7 @@ class TestRejectedAttempts:
             read.append(len(bases[0]))
             return [None] * len(bases)
 
-        monkeypatch.setattr(importlib.import_module("tkit.decompose"),
+        monkeypatch.setattr(decompose_module,
                             "_level_dims", not_graded)
         with caplog.at_level(logging.INFO, logger="tkit.decompose"):
             with pytest.raises(DecompositionError) as exc:
@@ -1087,7 +1069,6 @@ class TestRejectedAttempts:
         # commutant basis scaled by the root of 1/2 puts it at 1/2
         ops = build_operators(star_graph(3), 0)
         want = decompose(ops)
-        module = importlib.import_module("tkit.decompose")
         splits = []
 
         def halved(bases, comm, *args):
@@ -1096,11 +1077,11 @@ class TestRejectedAttempts:
                 return _verify_and_summarize(bases, comm, *args)
             # the pieces pass their irreducibility test on the true commutant
             with monkeypatch.context() as inner:
-                inner.setattr(module, "_irreducible", lambda basis, _, notes:
+                inner.setattr(decompose_module, "_irreducible", lambda basis, _, notes:
                               _irreducible(basis, np.matmul(comm, basis.T), notes))
                 return _verify_and_summarize(bases, comm * math.sqrt(0.5), *args)
 
-        monkeypatch.setattr(module, "_verify_and_summarize", halved)
+        monkeypatch.setattr(decompose_module, "_verify_and_summarize", halved)
         with caplog.at_level(logging.INFO, logger="tkit.decompose"):
             if attempts == 4:
                 with pytest.raises(DecompositionError) as exc:
@@ -1125,8 +1106,7 @@ class TestRejectedAttempts:
         # M_2(R), of dimension 4, so its attempt is rejected and redrawn
         ops = build_operators(star_graph(3), 0)
         want = decompose(ops)
-        module = importlib.import_module("tkit.decompose")
-        real = module._eigengroups
+        real = decompose_module._eigengroups
         merged = []
 
         def merging(sym, tol):
@@ -1137,7 +1117,7 @@ class TestRejectedAttempts:
                 groups = [block for block in groups if block.shape[1] > 1] + [np.hstack(ones)]
             return groups
 
-        monkeypatch.setattr(module, "_eigengroups", merging)
+        monkeypatch.setattr(decompose_module, "_eigengroups", merging)
         calls = _commutant_calls(monkeypatch)
         with caplog.at_level(logging.INFO, logger="tkit.decompose"):
             if attempts == 4:

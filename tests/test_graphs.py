@@ -12,12 +12,12 @@ import pytest
 import endpoint1_oracle
 import walk_oracle
 from clausewise import verify_condition_values
-from corpus_oracle import oracle_connected_graph6
+from corpus_oracle import connected_graphs, is_connected, oracle_connected_graph6
 from graph6_oracle import oracle_to_graph6
 from rooted import permutation_key
 from structure_oracle import oracle_structure_report, partitions_at
 from tkit.graphs import (CONNECTED_GRAPH_COUNTS, Graph, GraphError,
-                         cell_pattern, connected_graphs, distance_partition, generate_connected_graph6,
+                         cell_pattern, distance_partition, generate_connected_graph6,
                          local_metric, make_graph, parse_edge_list, parse_graph6,
                          rooted_key, structure_report, to_graph6)
 import tkit.exact
@@ -611,7 +611,7 @@ def test_instance_data_built_once(monkeypatch):
     steps = _record_steps(monkeypatch)
     pdr = fit_pdr(petersen_graph(), 0)
     ops = pdr.ops
-    rep = analyze_fitted(ops, pdr, with_decomposition=True)
+    rep = analyze_fitted(pdr, with_decomposition=True)
     assert searched == [0] and swept == [0]
     assert steps == []
     assert verify_condition_values(ops, *rep.endpoint1.canonical()) is None
@@ -671,7 +671,7 @@ class TestConnectedGraphs:
             assert sum(1 for _ in generate_connected_graph6(n)) == CONNECTED_GRAPH_COUNTS[n]
 
     def test_all_connected(self):
-        assert all(g.is_connected() for g in connected_graphs(4))
+        assert all(is_connected(g) for g in connected_graphs(4))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_records_match_oracle(self, n):
@@ -687,6 +687,5 @@ class TestConnectedGraphs:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, n):
-        for enumeration in (generate_connected_graph6, connected_graphs):
-            with pytest.raises(GraphError, match="n must be positive"):
-                next(enumeration(n))
+        with pytest.raises(GraphError, match="n must be positive"):
+            next(generate_connected_graph6(n))

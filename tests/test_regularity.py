@@ -7,6 +7,7 @@ import pytest
 
 import golden
 from clausewise import fit_clausewise, verify_condition_values
+from corpus_oracle import connected_graphs, is_connected
 from endpoint1_oracle import fit_endpoint1_stepped
 from numeric_oracle import no_endpoint1_modules, trivial_module_basis
 from pdr_oracle import fit_pdr_full
@@ -19,7 +20,7 @@ from tkit.constructions import (apex_extension, complete_graph, cycle_graph,
 import tkit.regularity
 from tkit.exact import (build_operators, enumerate_walks, shape_string,
                         solve_linear)
-from tkit.graphs import (Graph, connected_graphs, local_metric, make_graph,
+from tkit.graphs import (Graph, local_metric, make_graph,
                          parse_edge_list, parse_graph6)
 from tkit.regularity import (NotApplicable, PdrWitness, fit_endpoint1, fit_pdr,
                              thin_bases)
@@ -101,7 +102,7 @@ def _gnp_instances():
             p = rng.uniform(0.5, 0.98)
             g = make_graph(n, [e for e in itertools.combinations(range(n), 2)
                                if rng.random() < p])
-            if g.is_connected():
+            if is_connected(g):
                 made += 1
                 yield from ((g, x) for x in range(n))
 
@@ -286,7 +287,7 @@ class TestThinBases:
 
 class TestFitEndpoint1:
     def test_example_table(self, example_ops):
-        prof = fit_endpoint1(example_ops, fit_pdr(example_ops.graph, example_ops.base))
+        prof = fit_endpoint1(fit_pdr(example_ops.graph, example_ops.base))
         assert prof.ok
         assert prof.kappa == fr(1, 0)
         assert prof.mu == fr(1, 0)
@@ -297,16 +298,15 @@ class TestFitEndpoint1:
     def test_not_applicable_leaf(self):
         ops = build_operators(path_graph(3), 0)
         with pytest.raises(NotApplicable, match="leaf"):
-            fit_endpoint1(ops, fit_pdr(ops.graph, ops.base))
+            fit_endpoint1(fit_pdr(ops.graph, ops.base))
 
     def test_not_applicable_not_thin(self):
         for g in connected_graphs(5):
             for x in range(g.n):
                 pdr = fit_pdr(g, x)
-                ops = pdr.ops
                 if g.degree(x) >= 2 and not pdr.ok:
                     with pytest.raises(NotApplicable, match="not thin"):
-                        fit_endpoint1(ops, pdr)
+                        fit_endpoint1(pdr)
                     return
         pytest.fail("no non-thin instance found")
 
@@ -324,7 +324,7 @@ class TestFitEndpoint1:
                     continue
                 ops = pdr.ops
                 parts = partitions_at(g, x)
-                prof = fit_endpoint1(ops, pdr)
+                prof = fit_endpoint1(pdr)
                 if prof.ok:
                     continue
                 w = prof.witness
@@ -377,8 +377,7 @@ class TestFitEndpoint1:
                 pdr = fit_pdr(g, x)
                 if not pdr.ok:
                     continue
-                ops = pdr.ops
-                for lv in fit_endpoint1(ops, pdr=pdr).levels:
+                for lv in fit_endpoint1(pdr).levels:
                     if lv.up_cell_nonempty and lv.consistent:
                         assert lv.rho_forced_zero
                         assert lv.rho == 0
@@ -389,7 +388,7 @@ class TestFitEndpoint1:
         # rook3x3 at 00: level 2 pins rho to 1/2, which is not zero
         g = rook_graph_3x3()
         ops = build_operators(g, g.labels.index("00"))
-        level2 = fit_endpoint1(ops, fit_pdr(ops.graph, ops.base)).levels[1]
+        level2 = fit_endpoint1(fit_pdr(ops.graph, ops.base)).levels[1]
         assert level2.consistent and level2.rho == F(1, 2)
         assert not level2.rho_forced_zero
 
@@ -407,7 +406,7 @@ class TestFitEndpoint1:
                     if not pdr.ok:
                         continue
                     ops = pdr.ops
-                    for lv in fit_endpoint1(ops, pdr=pdr).levels:
+                    for lv in fit_endpoint1(pdr).levels:
                         i = lv.level
                         rows, rhs = [], []
                         for y in g.neighbors(x):
@@ -435,7 +434,7 @@ class TestFitEndpoint1:
                 calls.clear()
                 ops = build_operators(g, x)
                 try:
-                    prof = fit_endpoint1(ops, fit_pdr(g, x))
+                    prof = fit_endpoint1(fit_pdr(g, x))
                 except NotApplicable:
                     continue
                 assert calls == _witness_rows(ops, prof)
@@ -456,7 +455,7 @@ class TestFitEndpoint1:
                     continue
                 ops = pdr.ops
                 parts = partitions_at(g, x)
-                prof = fit_endpoint1(ops, pdr)
+                prof = fit_endpoint1(pdr)
                 if not prof.ok:
                     continue
                 for lv in prof.levels:
@@ -491,7 +490,7 @@ class TestSteppedOracle:
                 continue
             ops = pdr.ops
             calls.clear()
-            prof = fit_endpoint1(ops, pdr)
+            prof = fit_endpoint1(pdr)
             assert prof == fit_endpoint1_stepped(ops, pdr)
             assert calls == _witness_rows(ops, prof)
             fitted += 1
@@ -513,7 +512,7 @@ class TestVerifyConditionValues:
         # star: upward cells nonempty at level 1, so a nonzero rho cannot
         # satisfy the condition (the cell equations themselves enforce it)
         ops = build_operators(make_graph(3, [(0, 1), (0, 2)]), 0)
-        prof = fit_endpoint1(ops, fit_pdr(ops.graph, ops.base))
+        prof = fit_endpoint1(fit_pdr(ops.graph, ops.base))
         assert prof.ok and prof.rho == (Fraction(0),)
         kappa, mu, theta, rho = prof.canonical()
         assert verify_condition_values(ops, kappa, mu, theta, (F(1),)) is not None
@@ -531,7 +530,7 @@ class TestVerifyConditionValues:
                 if not pdr.ok:
                     continue
                 ops = pdr.ops
-                prof = fit_endpoint1(ops, pdr)
+                prof = fit_endpoint1(pdr)
                 if prof.ok:
                     kappa, mu, theta, rho = prof.canonical()
                     assert verify_condition_values(ops, kappa, mu, theta, rho) is None
@@ -543,7 +542,7 @@ class TestClausewiseEquivalence:
         if g.degree(x) < 2 or not pdr.ok:
             return
         ops = pdr.ops
-        unified = fit_endpoint1(ops, pdr)
+        unified = fit_endpoint1(pdr)
         split_ok, split_levels = fit_clausewise(ops)
         assert unified.ok == split_ok
         if unified.ok:
@@ -567,7 +566,7 @@ class TestClausewiseEquivalence:
                 pairs = list(itertools.combinations(range(n), 2))
                 edges = [e for e in pairs if rng.random() < rng.uniform(0.3, 0.8)]
                 g = make_graph(n, edges)
-                if not g.is_connected():
+                if not is_connected(g):
                     continue
                 produced += 1
                 self._check(g, rng.randrange(n))

@@ -3,11 +3,11 @@ returns of the agreement rule that test_mismatch_path does not reach, the
 "non-thin" reason of the algebraic verdict, and every problem of the
 structure checks, reached with crafted fits, decompositions and structure
 reports."""
-import importlib
 from dataclasses import replace
 
 import pytest
 
+import tkit.report
 from tkit.cli import load_graph
 from tkit.decompose import (FAIL, NOT_APPLICABLE, PASS, VACUOUS,
                             AlgebraicVerdict, decompose)
@@ -24,43 +24,42 @@ THINNESS = "exact fit and decomposition disagree on thinness"
 def _sides(g, x):
     """The fits and the decomposition at base x, as analyze_fitted has them."""
     pdr = fit_pdr(g, x)
-    ops = pdr.ops
     try:
-        endpoint1 = fit_endpoint1(ops, pdr)
+        endpoint1 = fit_endpoint1(pdr)
     except NotApplicable:
         endpoint1 = None
-    return ops, pdr, endpoint1, decompose(ops)
+    return pdr, endpoint1, decompose(pdr.ops)
 
 
 class TestAgreementMismatch:
     def test_not_thin_base_decomposed_thin(self):
         # Ck is the path 3-0-1-2; at the inner vertex 0 the ratio fit fails
-        ops, pdr, endpoint1, rep = _sides(parse_graph6("Ck"), 0)
+        pdr, endpoint1, rep = _sides(parse_graph6("Ck"), 0)
         assert not pdr.ok and not rep.trivial_thin
         na = AlgebraicVerdict(NOT_APPLICABLE, "trivial module not thin")
-        assert _agreement(ops, pdr, endpoint1, rep, na)[0] == AGREE_NA
+        assert _agreement(pdr, endpoint1, rep, na)[0] == AGREE_NA
         thin = replace(rep, trivial_thin=True)
-        assert _agreement(ops, pdr, endpoint1, thin, na) == (MISMATCH, THINNESS)
+        assert _agreement(pdr, endpoint1, thin, na) == (MISMATCH, THINNESS)
 
     @pytest.mark.parametrize("status", [PASS, FAIL])
     def test_leaf_base_with_endpoint1_modules(self, status):
-        ops, pdr, endpoint1, rep = _sides(load_graph("path:3")[0], 0)
+        pdr, endpoint1, rep = _sides(load_graph("path:3")[0], 0)
         assert pdr.ok and endpoint1 is None
         vacuous = AlgebraicVerdict(VACUOUS)
-        assert _agreement(ops, pdr, endpoint1, rep, vacuous) == (AGREE_VACUOUS, None)
-        assert _agreement(ops, pdr, endpoint1, rep, AlgebraicVerdict(status)) == (
+        assert _agreement(pdr, endpoint1, rep, vacuous) == (AGREE_VACUOUS, None)
+        assert _agreement(pdr, endpoint1, rep, AlgebraicVerdict(status)) == (
             MISMATCH, "leaf base must have no endpoint-one modules")
 
     def test_thin_base_decomposed_not_thin(self):
-        ops, pdr, endpoint1, rep = _sides(load_graph("cycle:6")[0], 0)
+        pdr, endpoint1, rep = _sides(load_graph("cycle:6")[0], 0)
         passed = AlgebraicVerdict(PASS)
-        assert _agreement(ops, pdr, endpoint1, rep, passed) == (AGREE_PASS, None)
+        assert _agreement(pdr, endpoint1, rep, passed) == (AGREE_PASS, None)
         not_thin = replace(rep, trivial_thin=False)
-        assert _agreement(ops, pdr, endpoint1, not_thin, passed) == (MISMATCH, THINNESS)
+        assert _agreement(pdr, endpoint1, not_thin, passed) == (MISMATCH, THINNESS)
 
     def test_no_endpoint1_modules_at_degree_two(self):
-        ops, pdr, endpoint1, rep = _sides(load_graph("cycle:6")[0], 0)
-        assert _agreement(ops, pdr, endpoint1, rep, AlgebraicVerdict(VACUOUS)) == (
+        pdr, endpoint1, rep = _sides(load_graph("cycle:6")[0], 0)
+        assert _agreement(pdr, endpoint1, rep, AlgebraicVerdict(VACUOUS)) == (
             MISMATCH, "no endpoint-one modules at a base of degree >= 2")
 
 
@@ -74,8 +73,7 @@ class TestVerdictNonThin:
             return replace(decompose(ops, **kwargs), endpoint1_all_thin=False,
                            endpoint1_iso_classes=iso_classes)
 
-        monkeypatch.setattr(importlib.import_module("tkit.report"), "decompose",
-                            not_thin)
+        monkeypatch.setattr(tkit.report, "decompose", not_thin)
         report = analyze(parse_graph6("C~"), 0, with_decomposition=True)
         assert report.verdict == AlgebraicVerdict(FAIL, reason)
         assert report.endpoint1.ok

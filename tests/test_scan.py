@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from corpus_oracle import is_connected
 import tkit.exact
 import tkit.regularity
 import tkit.scan
@@ -45,9 +46,9 @@ def analyses(monkeypatch):
     calls = []
     analyze_fitted = tkit.scan.analyze_fitted
 
-    def counted(ops, pdr, **kwargs):
+    def counted(pdr, **kwargs):
         calls.append(kwargs["seed"])
-        return analyze_fitted(ops, pdr, **kwargs)
+        return analyze_fitted(pdr, **kwargs)
 
     monkeypatch.setattr(tkit.scan, "analyze_fitted", counted)
     return calls
@@ -82,9 +83,9 @@ def test_each_class_analyzed_once(monkeypatch):
     calls = []
     analyze_fitted = tkit.scan.analyze_fitted
 
-    def keyed(ops, pdr, **kwargs):
-        calls.append((rooted_key(ops.graph, ops.metric), kwargs["seed"]))
-        return analyze_fitted(ops, pdr, **kwargs)
+    def keyed(pdr, **kwargs):
+        calls.append((rooted_key(pdr.ops.graph, pdr.ops.metric), kwargs["seed"]))
+        return analyze_fitted(pdr, **kwargs)
 
     monkeypatch.setattr(tkit.scan, "analyze_fitted", keyed)
     summary = scan_corpus(generate_connected_graph6(5), jobs=1)
@@ -145,8 +146,8 @@ def forced_structure(monkeypatch, seeds, **fields):
     with fields replaced."""
     analyze_fitted = tkit.scan.analyze_fitted
 
-    def forced(ops, pdr, **kwargs):
-        report = analyze_fitted(ops, pdr, **kwargs)
+    def forced(pdr, **kwargs):
+        report = analyze_fitted(pdr, **kwargs)
         if kwargs["seed"] in seeds:
             report = replace(report, structure=replace(report.structure, **fields))
         return report
@@ -285,7 +286,7 @@ def test_per_record_path_counts_what_analyze_finds(stacked):
         n, p = rng.randint(BATCH_MAX_N + 1, 24), rng.uniform(0.2, 0.4)
         g = make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                            if rng.random() < p])
-        if g.is_connected():
+        if is_connected(g):
             graphs.append(g)
     counts = dict.fromkeys(CATEGORY_KEYS, 0)
     for g in graphs:
