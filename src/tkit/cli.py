@@ -9,8 +9,8 @@ Subcommands:
              sweep), with explicit walk enumeration
   partition  dump the distance partition cells of one edge
 
-Exit codes: 0 success, 2 bad input, 3 cross-validation mismatch,
-4 oracle disagreement.
+Exit codes: 0 success, 1 stdout closed before all was written, 2 bad
+input, 3 cross-validation mismatch, 4 oracle disagreement.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ log = logging.getLogger(__name__)
 # Parametric builtins kind:N, also the fibres of construct. N is the vertex
 # count (star:N has N leaves) and at most BUILTIN_MAX_N, and so is the
 # number of vertices construct builds. At the limit, complete:1000 builds
-# its 499 500 edges in 0.6 s and 135 MiB, and `check complete:1000
-# --vertex 0` takes 1.7-1.8 s and 136 MiB as a whole process on a shared
+# its 499 500 edges in 0.25-0.35 s and 122 MiB, and `check complete:1000
+# --vertex 0` takes 0.76-0.95 s and 122 MiB as a whole process on a shared
 # 2-core host (Python 3.11).
 BUILTIN_MAX_N = 1000
 _FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
@@ -401,8 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", type=int, metavar="N",
                    help="enumerate all connected graphs on N labeled vertices")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="processes: the parent and N - 1 forked workers "
-                        "(default and at most: the number of cores)")
+                   help="processes: the parent and up to N - 1 forked "
+                        "workers, one for each batch of records after the "
+                        "parent's first (default and at most: the number "
+                        "of cores)")
     p.add_argument("--progress", action="store_true",
                    help=f"every {PROGRESS_EVERY} graphs, print on stderr the "
                         "count, the rate and the time left")
@@ -447,10 +449,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level = logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early is met here, not at exit
+        sys.stdout.flush()
+        return code
     except (GraphError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit, so what is still buffered
+        # goes to devnull instead of raising again (the recipe of the
+        # signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

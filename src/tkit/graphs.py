@@ -9,12 +9,17 @@ import binascii
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress, repeat
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import compress, product, repeat
+from operator import eq
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class GraphError(ValueError):
     """Malformed graph input or a violated operation precondition."""
+
+
+# the values a Graph computes on first use and keeps, left out of its pickle
+_KEPT = ("graph6", "edge_count")
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,10 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        """Counted on first use and kept, like graph6."""
+        return sum(map(len, self.adj)) // 2
 
     def index_of(self, label: str) -> int:
         try:
@@ -61,9 +67,9 @@ class Graph:
         return to_graph6(self)
 
     def __getstate__(self) -> dict:
-        # the kept graph6 string is not part of the graph, so a graph
-        # pickles the same whether or not it was read
-        return {k: v for k, v in vars(self).items() if k != "graph6"}
+        # the kept graph6 string and edge count are not part of the graph,
+        # so a graph pickles the same whether or not they were read
+        return {k: v for k, v in vars(self).items() if k not in _KEPT}
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]],
@@ -80,14 +86,14 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]],
         nbrs[u].add(v)
         nbrs[v].add(u)
     if labels is None:
-        label_tuple = tuple(str(i) for i in range(n))
+        label_tuple = tuple(map(str, range(n)))
     else:
-        label_tuple = tuple(str(x) for x in labels)
+        label_tuple = tuple(map(str, labels))
         if len(label_tuple) != n:
             raise GraphError("label count does not match vertex count")
         if len(set(label_tuple)) != n:
             raise GraphError("vertex labels must be distinct")
-    return Graph(n, tuple(frozenset(s) for s in nbrs), label_tuple)
+    return Graph(n, tuple(map(frozenset, nbrs)), label_tuple)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -98,36 +104,43 @@ def parse_edge_list(text: str) -> Graph:
     and `1` by the token) when every token is a decimal integer and
     lexicographically otherwise.
     """
-    pairs: list[tuple[str, str]] = []
-    tokens: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
-        u, v = parts
-        if u == v:
-            raise GraphError(f"line {lineno}: loop edge {u!r}")
-        pairs.append((u, v))
-        tokens.update(parts)
-    if not tokens:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # each line's tokens, all checked at once, and the first bad line found
+    # only when some line is bad
+    rows = list(map(str.split, lines))
+    pairs = list(filter(None, rows))
+    if not pairs:
         raise GraphError("no edges found")
-    if all(_is_int(t) for t in tokens):
-        ordered = sorted(tokens, key=lambda t: (int(t), t))
-    else:
-        ordered = sorted(tokens)
-    index = {t: i for i, t in enumerate(ordered)}
-    return make_graph(len(ordered), [(index[u], index[v]) for u, v in pairs], ordered)
-
-
-def _is_int(token: str) -> bool:
+    if set(map(len, pairs)) != {2}:
+        raise _bad_line(rows)
+    us, vs = zip(*pairs)
+    if any(map(eq, us, vs)):
+        raise _bad_line(rows)
+    # free the lists of the lines before the graph is built; us and vs
+    # hold the tokens
+    del rows, pairs
+    ordered = sorted(set(us).union(vs))
     try:
-        int(token)
-        return True
+        # sorted is stable, so tokens of one value keep the order above
+        ordered = sorted(ordered, key=int)
     except ValueError:
-        return False
+        pass   # some token is not an integer
+    index = dict(zip(ordered, range(len(ordered))))
+    return make_graph(len(ordered), zip(map(index.__getitem__, us),
+                                        map(index.__getitem__, vs)), ordered)
+
+
+def _bad_line(rows: list[list[str]]) -> GraphError:
+    """The error of the first line of an edge list, given as its tokens,
+    that holds neither nothing nor two distinct tokens."""
+    for lineno, parts in enumerate(rows, start=1):
+        if parts and len(parts) != 2:
+            return GraphError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
+        if parts and parts[0] == parts[1]:
+            return GraphError(f"line {lineno}: loop edge {parts[0]!r}")
+    raise AssertionError("every line is blank or an edge")
 
 
 # ---------------------------------------------------------------------------
@@ -593,35 +606,35 @@ def cell_pattern(g: Graph, metric_x: LocalMetric) -> CellPattern:
     which: A(z) holds the y with d(y, z) = i - 1 and B(z) those with
     d(y, z) <= i. A(z) is {z} on level 1 and the union of A(w) over z's
     neighbours w on level i - 1 further in; B(z) is the union of A(z), of
-    B(w) over those w and of A(w) over z's neighbours w on level i.
+    B(w) over those w and of A(w) over z's neighbours w on level i. One
+    pass over z's neighbours reads those and adds A(z) to the A(w) of its
+    neighbours w on level i + 1, which are complete when that level's pass
+    begins.
     """
     x, dist, adj = metric_x.base, metric_x.dist, g.adj
     nbrs = g.neighbors(x)
     full = (1 << len(nbrs)) - 1
-    bit = {y: 1 << k for k, y in enumerate(nbrs)}
     a = [0] * g.n
     b = [0] * g.n
+    for k, y in enumerate(nbrs):
+        a[y] = 1 << k
     # x is one step from every neighbour
     down, mid, up = [0], [0], [full]
     for i, sphere in enumerate(metric_x.spheres[1:], start=1):
-        for z in sphere:
-            if i == 1:
-                a[z] = bit[z]
-            else:
-                for w in adj[z]:
-                    if dist[w] == i - 1:
-                        a[z] |= a[w]
         down_i = mid_i = up_i = 0
         for z in sphere:
-            reach = a[z]
+            own = reach = a[z]
             for w in adj[z]:
-                if dist[w] == i - 1:
+                d = dist[w]
+                if d < i:
                     reach |= b[w]
-                elif dist[w] == i:
+                elif d == i:
                     reach |= a[w]
+                else:
+                    a[w] |= own
             b[z] = reach
-            down_i |= a[z]
-            mid_i |= reach & ~a[z]
+            down_i |= own
+            mid_i |= reach & ~own
             up_i |= full & ~reach
         down.append(down_i)
         mid.append(mid_i)
@@ -665,36 +678,77 @@ class StructureReport:
     threshold_constant: Optional[bool]  # all defined and equal; None if some undefined
 
 
+# masks of at most this many bits are read off a table of their bits, of
+# 2^width rows, made once for each width; wider ones off their binary
+# digits, which cost more for a few short masks (the degrees of most bases)
+_TABLE_BITS = 8
+# a binary digit as the bool it stands for
+_DIGIT_BOOL = {"0": False, "1": True}
+
+
+@cache
+def _bit_table(width: int) -> tuple[tuple[bool, ...], ...]:
+    """The bits 0, ..., width - 1 of each mask below 1 << width, as bools."""
+    # product counts in binary with bit width - 1 first
+    return tuple(bits[::-1] for bits in product((False, True), repeat=width))
+
+
+def _bit_columns(masks: Sequence[int], width: int) -> list[tuple[bool, ...]]:
+    """For k = 0, ..., width - 1, bit k of each of the masks, as bools."""
+    if width <= _TABLE_BITS:
+        return list(zip(*map(_bit_table(width).__getitem__, masks)))
+    # bin(m | 1 << width) is '0b1' and the width bits of m, highest first
+    digits = "".join(map(bin, map((1 << width).__or__, masks)))
+    rows = zip(*[map(_DIGIT_BOOL.get, digits)] * (width + 3))
+    # the columns of the rows, less the three of '0b1', bit 0 first
+    return list(zip(*rows))[:2:-1]
+
+
 def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
     """Evaluate the cell-pattern predicates of the distance partitions of
     the edges at x, from cells = cell_pattern(g, local_metric(g, x)), as
-    LocalOperators.cells holds it."""
+    LocalOperators.cells holds it.
+
+    The predicates are read level by level with bit operations on the
+    masks, over all neighbours at once: the thresholds off the mask of the
+    neighbours still climbing, and each neighbour's three bool tuples by
+    transposing the levels' bits, one transposition per cell kind."""
     nbrs = cells.nbrs
     d = len(cells.up) - 1
     vacuous = len(nbrs) < 2
-
-    records = []
-    for k, y in enumerate(nbrs):
-        up = tuple(bool(m >> k & 1) for m in cells.up)
-        mid = tuple(bool(m >> k & 1) for m in cells.mid)
-        down = tuple(bool(m >> k & 1) for m in cells.down)
-        # longest prefix where the upward cell is nonempty and every mid
-        # cell (over all neighbors) is empty
-        t = 0
-        while t + 1 <= d and up[t + 1] and not cells.mid[t + 1]:
-            t += 1
-        defined = not any(up[t + 1:])
-        records.append(NeighborThreshold(y, t if defined else None, up, mid, down))
-
     full = (1 << len(nbrs)) - 1
+
+    # a neighbour's threshold is the longest prefix of levels where its
+    # upward cell is nonempty and every mid cell (over all neighbours) is
+    # empty; climbing holds the neighbours whose prefix reaches level t
+    thresholds: list[Optional[int]] = [None] * len(nbrs)
+    climbing, t = full, 0
+    while climbing:
+        stay = climbing & cells.up[t + 1] if t < d and not cells.mid[t + 1] else 0
+        stopped = climbing & ~stay
+        if stopped:
+            # the threshold is defined when no upward cell above t is nonempty
+            above = 0
+            for m in cells.up[t + 1:]:
+                above |= m
+            # bit k of the defined ones is digit -1 - k of its binary form
+            digits = reversed(f"{stopped & ~above:0{len(nbrs)}b}")
+            for k in compress(range(len(nbrs)), map(_DIGIT_BOOL.__getitem__, digits)):
+                thresholds[k] = t
+        climbing, t = stay, t + 1
+
+    per_neighbor = tuple(map(NeighborThreshold, nbrs, thresholds,
+                             *(_bit_columns(masks, len(nbrs))
+                               for masks in (cells.up, cells.mid, cells.down))))
+
     down_ok = all(m == full for m in cells.down[1:])
     last_up = max((i for i in range(1, d + 1) if cells.up[i]), default=0)
     up_blocks = not any(cells.mid[1:last_up + 1])
 
-    defined_all = all(rec.threshold is not None for rec in records)
+    defined_all = None not in thresholds
     constant: Optional[bool]
-    if defined_all and records:
-        constant = len({rec.threshold for rec in records}) == 1
+    if defined_all and thresholds:
+        constant = len(set(thresholds)) == 1
     else:
         constant = None
 
@@ -703,7 +757,7 @@ def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
         ecc=d,
         vacuous=vacuous,
         is_tree=(g.edge_count == g.n - 1),
-        per_neighbor=tuple(records),
+        per_neighbor=per_neighbor,
         down_cells_all_nonempty=down_ok,
         up_blocks_mid=up_blocks,
         # always holds: let y have threshold t and take a level j > t

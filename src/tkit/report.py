@@ -250,8 +250,13 @@ def report_to_dict(r: AnalysisReport, include_bases: bool = False) -> dict[str, 
     }
 
 
+# report_to_dict builds a fresh tree in which no container is shared, so
+# the encoder skips the check for circular references
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+
+
 def report_to_json(r: AnalysisReport, include_bases: bool = False) -> str:
     """Canonical single-line JSON: sorted keys, no whitespace. Identical
     inputs and seed yield byte-identical output."""
-    return json.dumps(report_to_dict(r, include_bases), sort_keys=True,
-                      separators=(",", ":"))
+    return _ENCODER.encode(report_to_dict(r, include_bases))

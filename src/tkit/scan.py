@@ -47,8 +47,9 @@ stored, so every instance of a mismatching class is analyzed and reported
 as `check` reports it. About 1 % of the hits, those whose instance seed is
 divisible by SELF_CHECK_EVERY, are analyzed again and compared with the
 stored outcome; a difference is a MISMATCH that names the cache. A scan
-runs in N processes, the parent and N - 1 forked workers, and each of the
-N holds one class cache for the call, with one entry per distinct thin
+runs in up to N processes, the parent and a forked worker for each batch
+after the parent's first, at most N - 1, and each holds one class cache
+for the call, with one entry per distinct thin
 rooted class that process meets. The key costs one refinement per node
 of its search, a median of 50 to 70 us an instance at n = 6 against about
 0.56 ms for the analysis of a thin n = 6 class (median over the 33
@@ -67,12 +68,11 @@ The CLI stops at n = 7, since n = 8 has 2^28 masks.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 # generate_connected_graph6 is re-exported for callers that import the
@@ -104,11 +104,6 @@ BATCH_RECORDS = 64
 # at path:20 and 39 against 66 ms at path:32 (medians; two cores, Python
 # 3.11)
 BATCH_MAX_N = 16
-
-# Workers are forked, so they start with the parent's modules loaded (a
-# spawned worker would import the package afresh). multiprocessing's
-# connection module is imported on the first fork, not here
-_FORK = multiprocessing.get_context("fork")
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -405,32 +400,39 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def scan_corpus(graph6_lines: Iterable[str], *, jobs: Optional[int] = None,
                 seed: int = 42, tol: float = 1e-9,
                 progress: Optional[Any] = None) -> ScanSummary:
-    """Scan a stream of graph6 records in N = resolve_jobs(jobs) processes,
-    the parent and N - 1 forked workers, merged in input order, so the
-    summary is independent of the job count. Each of the N processes holds
-    one class cache for this call. progress, when given, is called with the
+    """Scan a stream of graph6 records in up to N = resolve_jobs(jobs)
+    processes, merged in input order, so the summary is independent of the
+    job count: the parent, which takes the first batch, and a forked
+    worker for each of the next N - 1 batches that the corpus holds, so a
+    corpus of fewer than N batches forks fewer. Each process holds one
+    class cache for this call. progress, when given, is called with the
     number of graphs merged every PROGRESS_EVERY graphs. A malformed or
-    disconnected record raises GraphError naming its 1-based record number;
-    of several, the first in input order. A worker that dies raises
-    RuntimeError. Whatever is raised, every worker is stopped and joined
-    before it propagates."""
-    jobs = resolve_jobs(jobs)
+    disconnected record raises GraphError naming its 1-based record
+    number; of several, the first in input order. A worker that dies
+    raises RuntimeError. Whatever is raised, every worker is stopped and
+    joined before it propagates."""
+    batches = _batches(graph6_lines)
+    first = list(islice(batches, resolve_jobs(jobs)))
     summary = ScanSummary()
     workers: list[Worker] = []
-    if jobs > 1:
+    if len(first) > 1:
         # the workers decompose too; forked with the numeric side loaded,
-        # they do not each import numpy
+        # they do not each import numpy. They are forked, so they start
+        # with the parent's modules loaded (a spawned worker would import
+        # the package afresh), and multiprocessing is imported only here
         numeric()
+        import multiprocessing
+        fork = multiprocessing.get_context("fork")
     try:
-        for _ in range(jobs - 1):
-            ours, theirs = _FORK.Pipe()
+        for _ in first[1:]:
+            ours, theirs = fork.Pipe()
             inherited = tuple(conn for conn, _ in workers) + (ours,)
-            proc = _FORK.Process(target=_scan_worker, daemon=True,
-                                 args=(theirs, inherited, seed, tol))
+            proc = fork.Process(target=_scan_worker, daemon=True,
+                                args=(theirs, inherited, seed, tol))
             proc.start()
             workers.append((ours, proc))
             theirs.close()
-        _merge(summary, _results(_batches(graph6_lines), workers, seed, tol),
+        _merge(summary, _results(chain(first, batches), workers, seed, tol),
                progress)
     except BaseException:
         for _, proc in workers:

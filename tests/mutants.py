@@ -57,7 +57,8 @@ UNIT_LEVEL_ROUTES = frozenset({
     "resource limits", "scan process protocol",
     "endpoint-one report keys", "structure report", "scan structure suite",
     "Kronecker stack", "decomposition residuals", "numpy on demand",
-    "closure shortcut"})
+    "closure shortcut", "edge-list lines", "multiprocessing on demand",
+    "closed stdout"})
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,16 @@ MUTANTS = (
     Mutant("dense-square-unchecked", "resource limits", "decompose.py",
            'f"a dense {n} x {n} array", 8 * n * n)', 'f"a dense {n} x {n} array", 0)',
            ("tests/test_cli.py::TestCheck::test_dense_array_above_limit_exits_2",)),
+    # tokens of one value keep the lexicographic order of the first sort
     Mutant("edge-list-ties-by-hash", "edge-list vertex order", "graphs.py",
-           "key=lambda t: (int(t), t)", "key=int",
+           "    ordered = sorted(set(us).union(vs))\n",
+           "    ordered = list(set(us).union(vs))\n",
            ("tests/test_graphs.py::TestParseEdgeList",)),
+    # the lines are checked all at once, and a loop line is named as the
+    # line-by-line parser names it
+    Mutant("edge-list-loops-unchecked", "edge-list lines", "graphs.py",
+           "    if any(map(eq, us, vs)):\n", "    if False:\n",
+           ("tests/test_graphs.py::TestParseEdgeListOracle",)),
     # apex_extension no longer checks its distances at build time
     Mutant("apex-joins-one-vertex", "apex distances", "constructions.py",
            "        edges.append((x * s.n + si, apex))\n",
@@ -237,6 +245,21 @@ MUTANTS = (
            "        mid_runs_contiguous=True,\n",
            "        mid_runs_contiguous=False,\n",
            ("tests/test_graphs.py::TestStructureReport",)),
+    # every neighbour stops climbing at a level with a mid cell
+    Mutant("threshold-ignores-mid-stop", "structure report", "graphs.py",
+           "        stay = climbing & cells.up[t + 1] if t < d and not cells.mid[t + 1] else 0\n",
+           "        stay = climbing & cells.up[t + 1] if t < d else 0\n",
+           ("tests/test_graphs.py::TestStructureReport",)),
+    # above the bit table's width the columns are read off binary digits,
+    # highest bit first
+    Mutant("bit-columns-unreversed", "structure report", "graphs.py",
+           "    return list(zip(*rows))[:2:-1]\n", "    return list(zip(*rows))[3:]\n",
+           ("tests/test_graphs.py::TestStructureReport",)),
+    # the sweep adds a vertex's bitset to those of its neighbours one level
+    # up, which may have several neighbours below
+    Mutant("cells-push-overwrites", "structure report", "graphs.py",
+           "                    a[w] |= own\n", "                    a[w] = own\n",
+           ("tests/test_graphs.py::TestDistancePartition",)),
     # the graph6 decoder keeps the string to_graph6 writes and checks the
     # padding itself
     Mutant("graph6-kept-raw", "graph6 decoder", "graphs.py",
@@ -347,6 +370,20 @@ MUTANTS = (
     Mutant("worker-error-dropped", "scan process protocol", "scan.py",
            "                result = exc\n", "                result = []\n",
            ("tests/test_scan.py::test_bad_record_named",)),
+    # a worker is forked only for a batch dealt to it
+    Mutant("workers-for-every-job", "scan process protocol", "scan.py",
+           "        for _ in first[1:]:\n",
+           "        for _ in range(resolve_jobs(jobs) - 1):\n",
+           ("tests/test_scan.py::test_jobs_starts_one_fewer_workers",)),
+    # only a scan that forks imports multiprocessing
+    Mutant("package-imports-multiprocessing", "multiprocessing on demand", "scan.py",
+           "from itertools import chain, compress, islice\n",
+           "from itertools import chain, compress, islice\nimport multiprocessing\n",
+           ("tests/test_cli.py::TestCheck::test_package_import_loads_no_numpy",)),
+    # a reader that closes stdout early ends check with exit 1, no traceback
+    Mutant("broken-pipe-traceback", "closed stdout", "cli.py",
+           "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+           ("tests/test_cli.py::TestCheck::test_closed_stdout_exits_1_without_traceback",)),
     # the scan's structure suite records a failed predicate
     Mutant("structure-problem-dropped", "scan structure suite", "scan.py",
            "    if not s.up_blocks_mid:\n", "    if False:\n",

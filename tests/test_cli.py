@@ -321,15 +321,32 @@ class TestCheck:
 
     def test_package_import_loads_no_numpy(self):
         # the numeric side is the submodule tkit.decompose, whose function
-        # of the same name is an attribute of it
+        # of the same name is an attribute of it; and only a scan that
+        # forks imports multiprocessing
         script = ("import sys, types\n"
                   "import tkit\n"
-                  "print('numpy' in sys.modules)\n"
+                  "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
                   "import tkit.decompose as D\n"
                   "print(isinstance(D, types.ModuleType), D is tkit.decompose,"
                   " isinstance(D.decompose, types.FunctionType))\n")
         proc = run_python(script)
-        assert (proc.stdout, proc.stderr) == ("False\nTrue True True\n", "")
+        assert (proc.stdout, proc.stderr) == ("False False\nTrue True True\n", "")
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the reports of cycle:300 at every vertex, about 10 MB, are more
+        # than a pipe holds, so the writer meets the closed pipe
+        src = str(Path(tkit.cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tkit", "check", "cycle:300", "--all-vertices"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert json.loads(first)["graph"]["n"] == 300
+        assert err == ""
 
     @pytest.mark.parametrize("argv", [
         ["check", "example", "--vertex", "1", "--decompose"],

@@ -13,6 +13,7 @@ import endpoint1_oracle
 import walk_oracle
 from clausewise import verify_condition_values
 from corpus_oracle import connected_graphs, is_connected, oracle_connected_graph6
+from edge_list_oracle import oracle_parse_edge_list
 from graph6_oracle import oracle_to_graph6
 from rooted import permutation_key
 from structure_oracle import oracle_structure_report, partitions_at
@@ -83,6 +84,60 @@ class TestParseEdgeList:
         g = parse_edge_list(text)
         assert g.labels == ("+1", "01", "1", "2", "3", "10", "1_0")
         assert outputs == {" ".join(g.labels) + f" {to_graph6(g)}\n"}
+
+
+# tokens of equal integer value, names and a name that is an integer
+_NUMERIC_TOKENS = ("01", "1", "+1", "1_0", "10", "2", "007", "7")
+_NAMED_TOKENS = ("a", "b", "node", "x1", "1")
+
+
+def _random_edge_list(rng):
+    """An edge list with edges, duplicate edges, blank lines, comments,
+    tabs and CRLF line ends, and now and then a bad line."""
+    pool = rng.choice([_NUMERIC_TOKENS, _NAMED_TOKENS, _NUMERIC_TOKENS + _NAMED_TOKENS])
+    lines, edges = [], []
+    for _ in range(rng.randint(0, 8)):
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        kind = rng.random()
+        if kind < 0.55 or (kind < 0.65 and not edges):
+            edges.append(rng.sample(pool, 2))
+            line = sep.join(edges[-1])
+        elif kind < 0.65:
+            line = sep.join(rng.choice(edges)[::rng.choice([1, -1])])
+        elif kind < 0.75:
+            line = rng.choice(["", " ", "\t"])
+        elif kind < 0.85:
+            line = rng.choice(["#", "# 1 2", "#a b c"])
+        elif kind < 0.93:
+            line = sep.join(rng.choices(pool, k=rng.choice([1, 3])))
+        else:
+            line = sep.join([rng.choice(pool)] * 2)
+        if rng.random() < 0.2:
+            line += rng.choice([" # note", "#", "\t# x y z"])
+        lines.append(rng.choice(["", " ", "\t"]) + line)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+class TestParseEdgeListOracle:
+    def test_matches_line_by_line_oracle(self):
+        # the graph, or the error message, of the parser that reads every
+        # line at once equals that of the one that reads them in turn
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(4000):
+            text = _random_edge_list(rng)
+            try:
+                expected = oracle_parse_edge_list(text)
+            except GraphError as exc:
+                with pytest.raises(GraphError) as got:
+                    parse_edge_list(text)
+                assert str(got.value) == str(exc), text
+                outcomes.add(str(exc).split(":")[-1].split()[0])
+            else:
+                assert parse_edge_list(text) == expected, text
+                named = set(expected.labels) & {"a", "b", "node", "x1"}
+                outcomes.add("named" if named else "numeric")
+        assert outcomes == {"expected", "loop", "no", "numeric", "named"}
 
 
 class TestMakeGraph:
@@ -203,17 +258,18 @@ class TestGraph6:
             assert to_graph6(g) == oracle_to_graph6(g), g.n
 
     def test_pickle_ignores_kept_string(self):
-        # parse_graph6 keeps the string at once; the pickle is that of the
-        # same graph built without one
+        # parse_graph6 keeps the string at once, and the edge count is kept
+        # once read; the pickle is that of the same graph built without them
         for record in ["EhEG", "~??EhEG", "Bw", "@"]:
             g = parse_graph6(record)
-            assert "graph6" in vars(g)
+            m = g.edge_count
+            assert {"graph6", "edge_count"} <= set(vars(g))
             h = make_graph(g.n, g.edges())
-            assert "graph6" not in vars(h)
+            assert not {"graph6", "edge_count"} & set(vars(h))
             assert pickle.dumps(g) == pickle.dumps(h)
             restored = pickle.loads(pickle.dumps(g))
-            assert restored == g and "graph6" not in vars(restored)
-            assert restored.graph6 == g.graph6
+            assert restored == g and not {"graph6", "edge_count"} & set(vars(restored))
+            assert (restored.graph6, restored.edge_count) == (g.graph6, m)
 
 
 class TestLocalMetric:
@@ -449,7 +505,12 @@ class TestStructureReport:
         pytest.param(lambda: ((g, x) for n in range(1, 6) for g in connected_graphs(n)
                               for x in range(g.n)), 3807, id="all-n-le-5"),
         pytest.param(lambda: [(complete_graph(50), 0), (star_graph(20), 0),
-                              (_hypercube(4), 0)], 3, id="complete-50-star-20-Q4")])
+                              (_hypercube(4), 0)], 3, id="complete-50-star-20-Q4"),
+        # degrees the n <= 6 corpus lacks, above the bit table's width; the
+        # spider's legs climb to different levels, so its neighbours differ
+        pytest.param(lambda: [(star_graph(80), 0), (complete_graph(30), 0),
+                              (_hypercube(6), 0), (_spider(range(1, 11)), 0)], 4,
+                     id="star-80-complete-30-Q6-spider")])
     def test_matches_per_edge_oracle(self, instances, count):
         # the report read off the bitmasks equals the one read cell by cell
         # from a distance partition per neighbour
@@ -458,6 +519,17 @@ class TestStructureReport:
             assert _structure(g, x) == oracle_structure_report(g, x, partitions_at(g, x))
             seen += 1
         assert seen == count
+
+    @pytest.mark.parametrize("width", [0, 1, 5, tkit.graphs._TABLE_BITS,
+                                       tkit.graphs._TABLE_BITS + 1, 40])
+    def test_bit_columns(self, width):
+        # the bits of the masks, neighbour by neighbour, read off the table
+        # up to its width and off the binary digits above it
+        rng = random.Random(width)
+        for count in (1, 2, 7):
+            masks = [rng.getrandbits(width) if width else 0 for _ in range(count)]
+            assert tkit.graphs._bit_columns(masks, width) == [
+                tuple(bool(m >> k & 1) for m in masks) for k in range(width)]
 
 
     def test_thin_base_down_cells_nonempty(self):
@@ -515,6 +587,15 @@ class TestStructureReport:
                 checked += 1
                 roots += x == 0
         assert (checked, roots) == (count, at_root)
+
+
+def _spider(legs):
+    """Paths of the given lengths joined at their first vertex, 0."""
+    edges, n = [], 1
+    for length in legs:
+        edges.extend(zip([0, *range(n, n + length - 1)], range(n, n + length)))
+        n += length
+    return make_graph(n, edges)
 
 
 def _spherical_tree(children):

@@ -451,8 +451,14 @@ def test_bad_record_named(processes, jobs, bad, named):
         scan_corpus(corpus, jobs=jobs)
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_jobs_starts_one_fewer_workers(capsys, monkeypatch, processes, tmp_path, jobs):
+@pytest.mark.parametrize("batches, jobs, workers", [
+    pytest.param(6, 1, 0, id="1"), pytest.param(6, 2, 1, id="2"),
+    pytest.param(6, 3, 2, id="3"),
+    # a worker is forked only for a batch dealt to it
+    pytest.param(1, 2, 0, id="one-batch-2"), pytest.param(1, 3, 0, id="one-batch-3"),
+    pytest.param(2, 3, 1, id="two-batches-3")])
+def test_jobs_starts_one_fewer_workers(capsys, monkeypatch, processes, tmp_path,
+                                       batches, jobs, workers):
     started = []
     start = multiprocessing.process.BaseProcess.start
 
@@ -464,8 +470,15 @@ def test_jobs_starts_one_fewer_workers(capsys, monkeypatch, processes, tmp_path,
     monkeypatch.setattr(tkit.scan, "scan_graph",
                         lambda graph6, **_: stub_result(graph6, pid=os.getpid()))
     path = tmp_path / "corpus.g6"
-    path.write_text("".join(f"{k}\n" for k in range(6 * BATCH_RECORDS)))
-    code, out = scan_stdout(capsys, str(path), "--jobs", str(jobs))
-    pids = {json.loads(line)["pid"] for line in out.splitlines()[1:]}
-    assert code == 3 and len(started) == jobs - 1
-    assert os.getpid() in pids and len(pids) == jobs
+    path.write_text("".join(f"{k}\n" for k in range(batches * BATCH_RECORDS)))
+    runs = [scan_stdout(capsys, str(path), "--jobs", str(jobs_run)) for jobs_run in (jobs, 1)]
+    (code, records), (code_1, records_1) = [
+        (code, [json.loads(line) for line in out.splitlines()]) for code, out in runs]
+    pids = [record.pop("pid") for record in records[1:]]
+    for record in records_1[1:]:
+        record.pop("pid")
+    assert code == code_1 == 3 and records[0]["graphs"] == batches * BATCH_RECORDS
+    assert len(started) == workers
+    assert os.getpid() in pids and len(set(pids)) == workers + 1
+    # the records, less the pid that stamps each, are those of --jobs 1
+    assert records == records_1
