@@ -18,10 +18,6 @@ class GraphError(ValueError):
     """Malformed graph input or a violated operation precondition."""
 
 
-# the values a Graph computes on first use and keeps, left out of its pickle
-_KEPT = ("graph6", "edge_count")
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph without loops.
@@ -49,10 +45,9 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        """Counted on first use and kept, like graph6."""
-        return sum(map(len, self.adj)) // 2
+        return sum(len(s) for s in self.adj) // 2
 
     def index_of(self, label: str) -> int:
         try:
@@ -67,9 +62,9 @@ class Graph:
         return to_graph6(self)
 
     def __getstate__(self) -> dict:
-        # the kept graph6 string and edge count are not part of the graph,
-        # so a graph pickles the same whether or not they were read
-        return {k: v for k, v in vars(self).items() if k not in _KEPT}
+        # the kept graph6 string is not part of the graph, so a graph
+        # pickles the same whether or not it was read
+        return {k: v for k, v in vars(self).items() if k != "graph6"}
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]],
@@ -86,14 +81,14 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]],
         nbrs[u].add(v)
         nbrs[v].add(u)
     if labels is None:
-        label_tuple = tuple(map(str, range(n)))
+        label_tuple = tuple(str(i) for i in range(n))
     else:
-        label_tuple = tuple(map(str, labels))
+        label_tuple = tuple(str(x) for x in labels)
         if len(label_tuple) != n:
             raise GraphError("label count does not match vertex count")
         if len(set(label_tuple)) != n:
             raise GraphError("vertex labels must be distinct")
-    return Graph(n, tuple(map(frozenset, nbrs)), label_tuple)
+    return Graph(n, tuple(frozenset(s) for s in nbrs), label_tuple)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -104,12 +99,9 @@ def parse_edge_list(text: str) -> Graph:
     and `1` by the token) when every token is a decimal integer and
     lexicographically otherwise.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
     # each line's tokens, all checked at once, and the first bad line found
     # only when some line is bad
-    rows = list(map(str.split, lines))
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
     pairs = list(filter(None, rows))
     if not pairs:
         raise GraphError("no edges found")
@@ -118,9 +110,6 @@ def parse_edge_list(text: str) -> Graph:
     us, vs = zip(*pairs)
     if any(map(eq, us, vs)):
         raise _bad_line(rows)
-    # free the lists of the lines before the graph is built; us and vs
-    # hold the tokens
-    del rows, pairs
     ordered = sorted(set(us).union(vs))
     try:
         # sorted is stable, so tokens of one value keep the order above
@@ -135,12 +124,11 @@ def parse_edge_list(text: str) -> Graph:
 def _bad_line(rows: list[list[str]]) -> GraphError:
     """The error of the first line of an edge list, given as its tokens,
     that holds neither nothing nor two distinct tokens."""
-    for lineno, parts in enumerate(rows, start=1):
-        if parts and len(parts) != 2:
-            return GraphError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
-        if parts and parts[0] == parts[1]:
-            return GraphError(f"line {lineno}: loop edge {parts[0]!r}")
-    raise AssertionError("every line is blank or an edge")
+    lineno, parts = next((i, parts) for i, parts in enumerate(rows, start=1)
+                         if parts and (len(parts) != 2 or parts[0] == parts[1]))
+    if len(parts) != 2:
+        return GraphError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
+    return GraphError(f"line {lineno}: loop edge {parts[0]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,30 +666,18 @@ class StructureReport:
     threshold_constant: Optional[bool]  # all defined and equal; None if some undefined
 
 
-# masks of at most this many bits are read off a table of their bits, of
-# 2^width rows, made once for each width; wider ones off their binary
-# digits, which cost more for a few short masks (the degrees of most bases)
-_TABLE_BITS = 8
-# a binary digit as the bool it stands for
-_DIGIT_BOOL = {"0": False, "1": True}
-
-
-@cache
-def _bit_table(width: int) -> tuple[tuple[bool, ...], ...]:
-    """The bits 0, ..., width - 1 of each mask below 1 << width, as bools."""
-    # product counts in binary with bit width - 1 first
-    return tuple(bits[::-1] for bits in product((False, True), repeat=width))
+# bits 0, ..., 7 of each byte, as bools; product counts in binary with
+# bit 7 first
+_BYTE_BITS = tuple(bits[::-1] for bits in product((False, True), repeat=8))
 
 
 def _bit_columns(masks: Sequence[int], width: int) -> list[tuple[bool, ...]]:
-    """For k = 0, ..., width - 1, bit k of each of the masks, as bools."""
-    if width <= _TABLE_BITS:
-        return list(zip(*map(_bit_table(width).__getitem__, masks)))
-    # bin(m | 1 << width) is '0b1' and the width bits of m, highest first
-    digits = "".join(map(bin, map((1 << width).__or__, masks)))
-    rows = zip(*[map(_DIGIT_BOOL.get, digits)] * (width + 3))
-    # the columns of the rows, less the three of '0b1', bit 0 first
-    return list(zip(*rows))[:2:-1]
+    """For k = 0, ..., width - 1, bit k of each of the masks, as bools,
+    transposed byte by byte off a table of the bits of every byte."""
+    columns: list[tuple[bool, ...]] = []
+    for shift in range(0, width, 8):
+        columns += zip(*[_BYTE_BITS[m >> shift & 255] for m in masks])
+    return columns[:width]
 
 
 def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
@@ -718,6 +694,11 @@ def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
     vacuous = len(nbrs) < 2
     full = (1 << len(nbrs)) - 1
 
+    # above[i] holds the neighbours with a nonempty upward cell on level i
+    # or further out
+    above = [0] * (d + 2)
+    for i in range(d, 0, -1):
+        above[i] = above[i + 1] | cells.up[i]
     # a neighbour's threshold is the longest prefix of levels where its
     # upward cell is nonempty and every mid cell (over all neighbours) is
     # empty; climbing holds the neighbours whose prefix reaches level t
@@ -725,16 +706,13 @@ def structure_report(g: Graph, x: int, cells: CellPattern) -> StructureReport:
     climbing, t = full, 0
     while climbing:
         stay = climbing & cells.up[t + 1] if t < d and not cells.mid[t + 1] else 0
-        stopped = climbing & ~stay
-        if stopped:
-            # the threshold is defined when no upward cell above t is nonempty
-            above = 0
-            for m in cells.up[t + 1:]:
-                above |= m
-            # bit k of the defined ones is digit -1 - k of its binary form
-            digits = reversed(f"{stopped & ~above:0{len(nbrs)}b}")
-            for k in compress(range(len(nbrs)), map(_DIGIT_BOOL.__getitem__, digits)):
-                thresholds[k] = t
+        # a neighbour that stops at t has threshold t when no upward cell
+        # of it above t is nonempty, and none otherwise
+        defined = climbing & ~stay & ~above[t + 1]
+        if defined:
+            for k in range(len(nbrs)):
+                if defined >> k & 1:
+                    thresholds[k] = t
         climbing, t = stay, t + 1
 
     per_neighbor = tuple(map(NeighborThreshold, nbrs, thresholds,

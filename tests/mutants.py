@@ -250,10 +250,12 @@ MUTANTS = (
            "        stay = climbing & cells.up[t + 1] if t < d and not cells.mid[t + 1] else 0\n",
            "        stay = climbing & cells.up[t + 1] if t < d else 0\n",
            ("tests/test_graphs.py::TestStructureReport",)),
-    # above the bit table's width the columns are read off binary digits,
-    # highest bit first
+    # the columns are read a byte at a time, the low bits first
     Mutant("bit-columns-unreversed", "structure report", "graphs.py",
-           "    return list(zip(*rows))[:2:-1]\n", "    return list(zip(*rows))[3:]\n",
+           "_BYTE_BITS = tuple(bits[::-1] for bits in", "_BYTE_BITS = tuple(bits for bits in",
+           ("tests/test_graphs.py::TestStructureReport",)),
+    Mutant("bit-columns-low-byte-only", "structure report", "graphs.py",
+           "_BYTE_BITS[m >> shift & 255]", "_BYTE_BITS[m & 255]",
            ("tests/test_graphs.py::TestStructureReport",)),
     # the sweep adds a vertex's bitset to those of its neighbours one level
     # up, which may have several neighbours below
